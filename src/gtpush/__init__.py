@@ -70,7 +70,6 @@ from .couplings import (
     wall_sup_functional,
 )
 from .harness import ExperimentConfig, Pmf, chi_square_gof, tv_distance
-from .cli import cli_dispatch
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

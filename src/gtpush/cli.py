@@ -380,5 +380,9 @@ def cli_dispatch(argv=None) -> int:
         return 2
 
 
-def main() -> None:
-    sys.exit(cli_dispatch())
+def main() -> int:
+    return cli_dispatch()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

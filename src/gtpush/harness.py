@@ -1,8 +1,10 @@
 """Statistics, experiment configuration and reproducible Monte Carlo runs.
 
-Per-trial RNG streams are derived from (master seed, trial index), so results
-are byte-identical no matter how trials are scheduled; GTPUSH_THREADS > 1
-fans trials out over a process pool and merges chunks in index order.
+Marginal-law runs move their trials in blocks of BLOCK_TRIALS through the
+batched engine of `dynamics`.  Each block draws from its own RNG stream,
+derived from (master seed, block index), so results are byte-identical no
+matter how blocks are scheduled; GTPUSH_THREADS > 1 fans blocks out over a
+process pool and merges them in block order.
 """
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import dynamics, kernels
-from .patterns import frac, rates_of
+from .patterns import frac, rates_of, sample_patterns
 
 MODELS = ("poisson", "geometric", "wall")
+BLOCK_TRIALS = 4096
 
 
 @dataclass
@@ -88,6 +90,8 @@ def chi_square_gof(samples, ref: Pmf) -> float:
     """Chi-square goodness of fit p-value; bins under 5 expected counts are
     merged into a tail bin (which also absorbs unlisted states and any mass
     the reference lost to truncation)."""
+    from scipy.stats import chi2  # deferred: scipy.stats dominates import time
+
     n = len(samples)
     counts: dict = {}
     for s in samples:
@@ -161,26 +165,20 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((seed, trial))
 
 
-def _endpoint_one(model, n, q, z, horizon, seed, trial):
-    from .patterns import sample_pattern
-
-    rng = trial_rng(seed, trial)
-    if model == "poisson":
-        init = sample_pattern(z, q, "standard", rng, nrows=n)
-        traj = dynamics.simulate_poisson(n, q, init, horizon, rng)
-    elif model == "geometric":
-        init = sample_pattern(z, q, "standard", rng, nrows=n)
-        traj = dynamics.simulate_geometric(n, q, init, int(horizon), rng)
-    else:
-        init = sample_pattern(z, q, "symplectic", rng, nrows=n)
-        traj = dynamics.simulate_wall(n, q, init, horizon, rng)
-    return traj.final.bottom_row
-
-
-def _endpoint_chunk(payload):
-    model, n, q, z, horizon, seed, lo, hi = payload
+def _endpoint_block(payload):
+    """Bottom rows of one block of trials, drawn from the stream (seed, block)."""
+    model, n, q, z, horizon, seed, block, trials = payload
     qs = [Fraction(v) for v in q]
-    return [_endpoint_one(model, n, qs, z, horizon, seed, t) for t in range(lo, hi)]
+    rng = np.random.default_rng((seed, block))
+    kind = "symplectic" if model == "wall" else "standard"
+    start = sample_patterns(z, qs, kind, rng, n, trials)
+    if model == "poisson":
+        final = dynamics.batch_poisson(n, qs, start, horizon, rng)
+    elif model == "geometric":
+        final = dynamics.batch_geometric(n, qs, start, int(horizon), rng)
+    else:
+        final = dynamics.batch_wall(n, qs, start, horizon, rng)
+    return list(map(tuple, final[:, -len(z):].tolist()))
 
 
 def worker_count() -> int:
@@ -192,18 +190,17 @@ def worker_count() -> int:
 
 def endpoint_samples(config: ExperimentConfig) -> list[tuple]:
     """Bottom-row states at the horizon for config.trials independent runs."""
-    workers = worker_count()
     args = (config.model, config.n, config.q, config.z, config.horizon, config.seed)
-    if workers == 1:
-        return _endpoint_chunk(args + (0, config.trials))
-    chunk = (config.trials + workers - 1) // workers
-    payloads = [
-        args + (lo, min(lo + chunk, config.trials))
-        for lo in range(0, config.trials, chunk)
-    ]
+    payloads = [args + (block, min(BLOCK_TRIALS, config.trials - lo))
+                for block, lo in enumerate(range(0, config.trials, BLOCK_TRIALS))]
+    workers = min(worker_count(), len(payloads))
     out: list[tuple] = []
+    if workers == 1:
+        for payload in payloads:
+            out.extend(_endpoint_block(payload))
+        return out
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_endpoint_chunk, payloads):
+        for part in pool.map(_endpoint_block, payloads):
             out.extend(part)
     return out
 

@@ -2,8 +2,8 @@
 
 States are nondecreasing integer vectors (Weyl chamber points); a pattern
 stacks such rows tied together by interlacing constraints.  All weights and
-probabilities are exact ``fractions.Fraction``; randomness enters only at the
-final draw inside :func:`sample_pattern`.
+probabilities are exact ``fractions.Fraction``; the pattern samplers round
+each exact branching law to a float CDF once and draw from it.
 """
 from __future__ import annotations
 
@@ -11,7 +11,10 @@ import re
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 STANDARD = "standard"
 SYMPLECTIC = "symplectic"
@@ -286,60 +289,93 @@ def weight(p: Pattern, q) -> Fraction:
     return w
 
 
-def sample_pattern(z, q, kind: str = STANDARD, rng=None, nrows: int | None = None) -> Pattern:
-    """Draw a pattern with bottom row z from its geometric-weight distribution.
+def row_offsets(nrows: int, kind: str = STANDARD) -> tuple[int, ...]:
+    """Where each row starts when a pattern is flattened top row first; the
+    last entry is the particle count."""
+    out = [0]
+    for j in range(1, nrows + 1):
+        out.append(out[-1] + row_length(j, kind))
+    return tuple(out)
 
-    Sampling is top-row-last: row j-1 is drawn given row j with probability
-    proportional to the branching weight, all conditional weights exact
-    rationals; ``rng.random()`` is consulted once per row.
-    """
+
+@lru_cache(maxsize=None)
+def branching_cdf(kind: str, j: int, row: tuple, qs: tuple):
+    """Candidates for row j-1 given row j (1-based) and their cumulative
+    probabilities, proportional to the branching weight times the Schur value
+    of the candidate.  The cumulative sums are exact; only the final CDF is
+    rounded to floats.  Both arrays are read-only."""
     from . import schur  # deferred: schur builds on this module's geometry
 
+    if kind == STANDARD:
+        m = j  # row j uses the first j rates
+        cands = [
+            (za, qs[m - 1] ** (sum(row) - sum(za)) * schur.schur(za, qs[: m - 1]))
+            for za in nest_candidates(row)
+        ]
+    elif j % 2 == 0:
+        m = j // 2
+        cands = [
+            (za, qs[m - 1] ** (sum(za) - sum(row)) * schur.sp_schur(j - 1, za, qs[:m]))
+            for za in shift_candidates_below(row)
+        ]
+    else:
+        m = j // 2  # row j = 2m+1 sits above row 2m with m entries
+        cands = [
+            (za, qs[m] ** (sum(row) - sum(za)) * schur.sp_schur(j - 1, za, qs[:m]))
+            for za in nest_candidates(row)
+        ]
+    total = sum(w for _, w in cands)
+    acc = Fraction(0)
+    cdf = []
+    for _, w in cands:
+        acc += w
+        cdf.append(float(acc / total))
+    above = np.array([za for za, _ in cands], dtype=np.int64).reshape(len(cands), -1)
+    cdf = np.array(cdf)
+    above.setflags(write=False)
+    cdf.setflags(write=False)
+    return above, cdf
+
+
+def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray:
+    """Independent draws of patterns with bottom row z from the geometric-weight
+    measure, as an int array (trials, particles) laid out by row_offsets.
+
+    Rows are drawn bottom-up: the trials are grouped by their current row j,
+    and each group draws row j-1 from the cached branching_cdf with one
+    uniform per trial and row."""
     z = coords_of(z)
+    if kind == STANDARD:
+        qs = rates_of(q, len(z))
+        if nrows != len(z) or not is_ordered(z):
+            raise ValueError(f"invalid bottom row {z} for height {nrows}")
+    else:
+        qs = rates_of(q, (nrows + 1) // 2)
+        if len(z) != row_length(nrows, SYMPLECTIC) or not is_ordered(z) or (z and z[0] < 0):
+            raise ValueError(f"invalid bottom row {z} for height {nrows}")
+    offs = row_offsets(nrows, kind)
+    out = np.empty((trials, offs[-1]), dtype=np.int64)
+    out[:, offs[-2]:] = z
+    for j in range(nrows, 1, -1):
+        u = rng.random(trials)
+        groups: dict = {}
+        for i, row in enumerate(map(tuple, out[:, offs[j - 1]:offs[j]].tolist())):
+            groups.setdefault(row, []).append(i)
+        for row, members in groups.items():
+            cands, cdf = branching_cdf(kind, j, row, qs)
+            out[members, offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[members])]
+    return out
+
+
+def sample_pattern(z, q, kind: str = STANDARD, rng=None, nrows: int | None = None) -> Pattern:
+    """Draw one pattern with bottom row z from its geometric-weight
+    distribution: a one-trial call of :func:`sample_patterns`."""
     if rng is None:
         raise ValueError("sample_pattern needs an explicit rng")
-    if kind == STANDARD:
-        nrows = len(z) if nrows is None else nrows
-        qs = rates_of(q, len(z))
-        if not is_ordered(z):
-            raise ValueError(f"invalid bottom row {z}")
-    else:
-        if nrows is None:
+    if nrows is None:
+        if kind != STANDARD:
             raise ValueError("symplectic sampling needs nrows (2k-1 or 2k)")
-        qs = rates_of(q, (nrows + 1) // 2)
-        if not is_ordered(z) or (z and z[0] < 0):
-            raise ValueError(f"invalid bottom row {z}")
-
-    rows = [z]
-    cur = z
-    for j in range(nrows, 1, -1):
-        if kind == STANDARD:
-            m = j  # row j uses the first j rates
-            cands = [
-                (za, qs[m - 1] ** (sum(cur) - sum(za)) * schur.schur(za, qs[: m - 1]))
-                for za in nest_candidates(cur)
-            ]
-        elif j % 2 == 0:
-            m = j // 2
-            cands = [
-                (za, qs[m - 1] ** (sum(za) - sum(cur)) * schur.sp_schur(j - 1, za, qs[:m]))
-                for za in shift_candidates_below(cur)
-            ]
-        else:
-            m = j // 2  # row j = 2m+1 sits above row 2m with m entries
-            cands = [
-                (za, qs[m] ** (sum(cur) - sum(za)) * schur.sp_schur(j - 1, za, qs[:m]))
-                for za in nest_candidates(cur)
-            ]
-        total = sum(w for _, w in cands)
-        target = Fraction(rng.random()) * total
-        acc = Fraction(0)
-        chosen = cands[-1][0]
-        for za, w in cands:
-            acc += w
-            if acc >= target:
-                chosen = za
-                break
-        rows.append(chosen)
-        cur = chosen
-    return Pattern(tuple(reversed(rows)), kind)
+        nrows = len(coords_of(z))
+    flat = sample_patterns(z, q, kind, rng, nrows, 1)[0].tolist()
+    offs = row_offsets(nrows, kind)
+    return Pattern(tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:])), kind)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .patterns import (
+    branching_cdf,
     coords_of,
     frac,
     is_ordered,
@@ -137,6 +138,8 @@ def branching_symplectic(z, q_k) -> list[tuple[tuple[int, ...], Fraction]]:
 
 
 def clear_caches():
-    """Drop the memo tables (mostly useful when profiling memory)."""
+    """Drop the memo tables, including the pattern samplers' branching CDFs
+    built from them (mostly useful when profiling memory)."""
     _schur.cache_clear()
     _sp_schur.cache_clear()
+    branching_cdf.cache_clear()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -7,14 +8,25 @@ import pytest
 from gtpush import intertwine, kernels
 from gtpush.dynamics import (
     geometric_step,
+    geometric_update,
+    poisson_from_rings,
+    ring_table,
+    run_rings,
     simulate_geometric,
     simulate_poisson,
     simulate_reference,
     simulate_wall,
+    wall_from_rings,
     zero_pattern,
 )
 from gtpush.harness import Pmf, tv_distance
-from gtpush.patterns import Pattern, is_valid
+from gtpush.patterns import (
+    Pattern,
+    enumerate_patterns,
+    is_valid,
+    row_offsets,
+    sample_patterns,
+)
 
 Q2 = (F(1, 2), F(1, 3))
 
@@ -213,3 +225,93 @@ def test_trajectory_json_lines_format():
     for line in traj.to_json_lines().splitlines():
         doc = _json.loads(line)
         assert set(doc) == {"t", "row", "i", "d", "cause"}
+
+
+def _sampled_starts(n, kind, rng, trials):
+    """Flat patterns drawn above random nonzero bottom rows, one per trial."""
+    k = n if kind == "standard" else (n + 1) // 2
+    q = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:k]
+    rows = [tuple(sorted(int(v) for v in rng.integers(0, 4, size=k))) for _ in range(trials)]
+    return np.concatenate([sample_patterns(z, q, kind, rng, n, 1) for z in rows])
+
+
+def _unflatten(flat, n, kind):
+    offs = row_offsets(n, kind)
+    return tuple(tuple(int(c) for c in flat[a:b]) for a, b in zip(offs, offs[1:]))
+
+
+def _oracle_ring(rows, kind, r, j, d):
+    """Independent statement of blocking and pushing, from the cone alone: the
+    move of particle (r, j) by d is discarded when rows 1..r stop being a
+    valid pattern; otherwise each lower row in turn moves by d the one
+    particle that restores its interlacing with the row above."""
+    rows = [list(row) for row in rows]
+
+    def valid(upto):
+        return is_valid(Pattern(tuple(tuple(row) for row in rows[:upto]), kind))
+
+    rows[r - 1][j - 1] += d
+    if not valid(r):
+        rows[r - 1][j - 1] -= d
+        return tuple(map(tuple, rows))
+    for s in range(r, len(rows)):
+        if valid(s + 1):
+            break
+        for i in range(len(rows[s])):
+            rows[s][i] += d
+            if valid(s + 1):
+                break
+            rows[s][i] -= d
+        else:
+            raise AssertionError("no push restores the interlacing")
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("kind, n", [("standard", 3), ("standard", 4),
+                                     ("symplectic", 3), ("symplectic", 4),
+                                     ("symplectic", 5)])
+def test_batched_rings_match_event_driven_simulators(kind, n):
+    table = ring_table(n, kind)
+    # every ring from every pattern with entries in 0..3, against the oracle
+    k = n if kind == "standard" else (n + 1) // 2
+    cone = [p.rows for z in combinations_with_replacement(range(4), k)
+            for p in enumerate_patterns(z, kind, nrows=n)]
+    start = np.repeat([[c for row in rows for c in row] for rows in cone], table.idle, axis=0)
+    rings = np.tile(np.arange(table.idle), len(cone))[:, None]
+    moved = [_unflatten(flat, n, kind) for flat in run_rings(table, start, rings)]
+    assert moved == [_oracle_ring(rows, kind, *key) for rows in cone for key in table.keys]
+    # the same ring sequences, of unequal lengths, from the same sampled
+    # nonzero starts through the batched engine and the event-driven simulator
+    rng = np.random.default_rng(300 + n)
+    trials, width = 300, 40
+    start = _sampled_starts(n, kind, rng, trials)
+    rings = rng.integers(0, table.idle, size=(trials, width))
+    lengths = rng.integers(0, width + 1, size=trials)
+    rings[np.arange(width) >= lengths[:, None]] = table.idle
+    batched = run_rings(table, start, rings)
+    for trial in range(trials):
+        init = Pattern(_unflatten(start[trial], n, kind), kind)
+        times: dict = {}
+        for t, ring in enumerate(rings[trial][: lengths[trial]]):
+            r, j, d = table.keys[ring]
+            times.setdefault((r, j) if kind == "standard" else (r, j, d), []).append(t + 1.0)
+        if kind == "standard":
+            final = poisson_from_rings(n, times, init, width + 1.0).final
+        else:
+            final = wall_from_rings(n, times, init, width + 1.0).final
+        assert _unflatten(batched[trial], n, kind) == final.rows
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_geometric_update_matches_step(n):
+    rng = np.random.default_rng(310 + n)
+    x = _sampled_starts(n, "standard", rng, 200)
+    offs = row_offsets(n)
+    for _step in range(4):
+        xi = rng.geometric(0.4, size=x.shape) - 1
+        new = geometric_update(x, xi, n)
+        for trial in range(len(x)):
+            rows = [list(row) for row in _unflatten(x[trial], n, "standard")]
+            draws = [xi[trial, a:b] for a, b in zip(offs, offs[1:])]
+            assert geometric_step(rows, draws)[0] == [list(r) for r in _unflatten(new[trial], n, "standard")]
+        x = new

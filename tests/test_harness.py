@@ -100,11 +100,15 @@ def test_endpoint_samples_reproducible():
 
 
 def test_endpoint_samples_threads_agree(monkeypatch):
-    cfg = ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2, 48, 22, 30)
-    serial = endpoint_samples(cfg)
-    monkeypatch.setenv("GTPUSH_THREADS", "2")
-    threaded = endpoint_samples(cfg)
-    assert serial == threaded
+    # 48 trials fit in one block; the second count spans two blocks and a
+    # remainder, so the worker processes' blocks are merged
+    for trials in (48, 2 * harness.BLOCK_TRIALS + 5):
+        cfg = ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2, trials, 22, 30)
+        monkeypatch.delenv("GTPUSH_THREADS", raising=False)
+        serial = endpoint_samples(cfg)
+        monkeypatch.setenv("GTPUSH_THREADS", "2")
+        threaded = endpoint_samples(cfg)
+        assert len(serial) == trials and serial == threaded
 
 
 def test_cli_schur_eval(capsys):
@@ -250,11 +254,21 @@ def test_endpoint_samples_respect_nonzero_start():
 
 
 def test_console_entry_point_runs():
+    args = ["schur", "eval", "--row", "0,1", "--q", "1/2,1/3"]
+    for cmd in ([sys.executable, "-c",
+                 "import sys; from gtpush.cli import cli_dispatch;"
+                 f"sys.exit(cli_dispatch({args!r}))"],
+                [sys.executable, "-m", "gtpush.cli", *args]):
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "5/6" and proc.stderr == ""
+
+
+def test_import_leaves_scipy_unloaded():
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from gtpush.cli import cli_dispatch;"
-         "sys.exit(cli_dispatch(['schur','eval','--row','0,1','--q','1/2,1/3']))"],
+        [sys.executable, "-c", "import sys, gtpush; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "5/6"
+    assert proc.stdout.strip() == "[]"

@@ -11,7 +11,9 @@ from gtpush.patterns import (
     interlace_nest,
     interlace_shift,
     is_valid,
+    row_offsets,
     sample_pattern,
+    sample_patterns,
     weight,
 )
 from gtpush import schur as schur_mod
@@ -170,10 +172,10 @@ def _measure_pattern_tv(z, q, kind, nrows, draws, seed):
         tuple(p.rows for p in pats),
         np.array([float(weight(p, q) / total) for p in pats]),
     )
-    rng = np.random.default_rng(seed)
+    offs = row_offsets(nrows, kind)
     counts = {}
-    for _ in range(draws):
-        rows = sample_pattern(z, q, kind, rng, nrows=nrows).rows
+    for flat in sample_patterns(z, q, kind, np.random.default_rng(seed), nrows, draws).tolist():
+        rows = tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:]))
         counts[rows] = counts.get(rows, 0) + 1
     return tv_distance(Pmf.from_counts(counts, draws), exact)
 
