@@ -6,9 +6,7 @@ simulators for the three dynamics, and the pathwise noise couplings to
 conditioned walks and last passage times.
 """
 from .patterns import (
-    ChamberPoint,
     Pattern,
-    RateVector,
     STANDARD,
     SYMPLECTIC,
     enumerate_patterns,
@@ -30,9 +28,7 @@ from .kernels import (
     StepKernel,
     WALL_EVEN_ODD,
     WALL_ODD_EVEN,
-    coupling_generator_poisson,
-    coupling_generator_wall_even_odd,
-    coupling_generator_wall_odd_even,
+    coupling_generator,
     coupling_kernel_geometric,
     kernel_geometric,
     lambda_kernel,
@@ -53,7 +49,6 @@ from .dynamics import (
     Trajectory,
     simulate_geometric,
     simulate_poisson,
-    simulate_reference,
     simulate_wall,
     zero_pattern,
 )
@@ -71,5 +66,26 @@ from .couplings import (
 )
 from .harness import ExperimentConfig, Pmf, chi_square_gof, tv_distance
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # patterns
+    "Pattern", "STANDARD", "SYMPLECTIC", "enumerate_patterns", "interlace_nest",
+    "interlace_shift", "is_valid", "sample_pattern", "weight",
+    # schur
+    "schur", "branching_standard", "branching_symplectic", "schur_oracle", "sp_schur",
+    # kernels
+    "GEOMETRIC", "LambdaKernel", "POISSON", "SparseGenerator", "StepKernel",
+    "WALL_EVEN_ODD", "WALL_ODD_EVEN", "coupling_generator", "coupling_kernel_geometric",
+    "kernel_geometric", "lambda_kernel", "m_weight", "q_charlier", "q_symplectic",
+    # intertwine
+    "VerificationReport", "semigroup", "semigroup_intertwining_gap", "verify_conservative",
+    "verify_generator_intertwining", "verify_kernel_intertwining",
+    # dynamics
+    "MoveEvent", "Trajectory", "simulate_geometric", "simulate_poisson", "simulate_wall",
+    "zero_pattern",
+    # couplings
+    "GeometricPanel", "PoissonPanel", "WallPanel", "geometric_panel", "left_edge_from_walk",
+    "lpp_G", "poisson_panel", "right_edge_equals_lpp", "wall_panel", "wall_sup_functional",
+    # harness
+    "ExperimentConfig", "Pmf", "chi_square_gof", "tv_distance",
+]
 __version__ = "0.1.0"

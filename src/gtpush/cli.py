@@ -1,7 +1,9 @@
 """Command line front end: exact verification runs, simulators and statistics.
 
 Exit codes: 0 on success/pass, 1 on a verification or comparison failure,
-2 on usage errors (bad flags, malformed or nonpositive rates).
+2 on usage errors (bad flags, malformed or nonpositive rates), 3 when a
+computation cannot be carried out as asked (for instance a horizon past the
+underflow limit of uniformization); the one-line message says what to change.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ def build_intertwining_case(case: str, n: int, q, bound: int):
     if case == "poisson":
         ext = qs[: n + 1]
         q_y = kernels.q_charlier(n + 1, ext, bound)
-        gen = kernels.coupling_generator_poisson(n, ext, bound)
+        gen = kernels.coupling_generator("poisson", n, ext, bound)
         lam = kernels.LambdaKernel(kernels.POISSON, ext)
         return q_y, gen, lam, intertwine.verify_generator_intertwining
     if case == "geometric":
@@ -43,13 +45,13 @@ def build_intertwining_case(case: str, n: int, q, bound: int):
     if case == "wall-odd-even":
         ext = qs[:n]
         q_y = kernels.q_symplectic(2 * n, ext, bound)
-        gen = kernels.coupling_generator_wall_odd_even(n, ext, bound)
+        gen = kernels.coupling_generator("wall-odd-even", n, ext, bound)
         lam = kernels.LambdaKernel(kernels.WALL_ODD_EVEN, ext)
         return q_y, gen, lam, intertwine.verify_generator_intertwining
     if case == "wall-even-odd":
         ext = qs[: n + 1]
         q_y = kernels.q_symplectic(2 * n + 1, ext, bound)
-        gen = kernels.coupling_generator_wall_even_odd(n, ext, bound)
+        gen = kernels.coupling_generator("wall-even-odd", n, ext, bound)
         lam = kernels.LambdaKernel(kernels.WALL_EVEN_ODD, ext)
         return q_y, gen, lam, intertwine.verify_generator_intertwining
     raise ValueError(f"unknown case {case!r}")
@@ -378,6 +380,9 @@ def cli_dispatch(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> int:

@@ -1,16 +1,17 @@
-"""Simulators for the three pattern dynamics and for reference marginal
-processes: event-driven trajectories, and a batched engine that moves many
-independent trials at once as int arrays (trials, particles).
+"""Simulators for the three pattern dynamics: event-driven trajectories, and a
+batched engine that moves many independent trials at once as int arrays
+(trials, particles).
 
 Continuous-time dynamics use per-particle exponential candidate clocks
 (regenerated after every event, so independent Poisson candidate streams are
 exact); a candidate ring that is blocked is discarded.  Push and drag cascades
-resolve recursively downward within a single timestamp.  Both simulators read
-blocking and pushing from one neighbour table per dynamics (ring_table).  As
-every clock has a constant rate, the batched engine draws each trial's ring
-count and then each ring's clock in proportion to its rate.  Discrete time
-updates rows strictly top to bottom with the old row above blocking and the
-new row above pushing.
+resolve recursively downward within a single timestamp.  Blocking and pushing
+are read from one neighbour table per dynamics (ring_table) and ring rates
+from _ring_rates: both simulators use them, and so do the exact two-row
+coupling generators of ``kernels.coupling_generator``.  As every clock has a
+constant rate, the batched engine draws each trial's ring count and then each
+ring's clock in proportion to its rate.  Discrete time updates rows strictly
+top to bottom with the old row above blocking and the new row above pushing.
 """
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import SparseGenerator, StepKernel
 from .patterns import (
     Pattern,
     STANDARD,
     SYMPLECTIC,
-    coords_of,
     is_valid,
     rates_of,
     row_offsets,
@@ -163,16 +162,17 @@ def ring_table(n: int, kind: str) -> RingTable:
                      tuple(push) + (len(keys),))
 
 
-def _ring_rates(table: RingTable, qs) -> list[float]:
-    """Row r rings at q_r (rightward dynamics); odd rows of the wall dynamics
-    ring right at q_k and left at 1/q_k, even rows the other way round."""
+def _ring_rates(table: RingTable, qs) -> list[Fraction]:
+    """Exact rate of every ring: row r rings at q_r (rightward dynamics); odd
+    rows of the wall dynamics ring right at q_k and left at 1/q_k, even rows
+    the other way round."""
     if table.kind == STANDARD:
-        return [float(qs[r - 1]) for r, _, _ in table.keys]
-    return [float(qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d)) for r, _, d in table.keys]
+        return [qs[r - 1] for r, _, _ in table.keys]
+    return [qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d) for r, _, d in table.keys]
 
 
 def _simulate_rings(table: RingTable, qs, init: Pattern, t_end: float, rng) -> Trajectory:
-    rings = {key: _ring_times(rate, t_end, rng)
+    rings = {key: _ring_times(float(rate), t_end, rng)
              for key, rate in zip(table.keys, _ring_rates(table, qs))}
     return _from_rings(table, rings, init, t_end)
 
@@ -233,7 +233,7 @@ def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndar
 def _batch_rings(table: RingTable, qs, start: np.ndarray, t_end: float, rng) -> np.ndarray:
     """Superposition of the ring clocks: per trial N ~ Poisson(t * total rate)
     rings, each ring picked with probability rate / total."""
-    rates = _ring_rates(table, qs)
+    rates = [float(v) for v in _ring_rates(table, qs)]
     total = sum(rates)
     counts = rng.poisson(total * t_end, size=len(start))
     width = int(counts.max(initial=0))
@@ -361,63 +361,6 @@ def batch_wall(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
     """Final flat patterns of the wall dynamics from each row of start."""
     qs = rates_of(q, (n + 1) // 2, open_unit=True)
     return _batch_rings(ring_table(n, SYMPLECTIC), qs, start, t_end, rng)
-
-
-# ---------------------------------------------------------------------------
-# reference chains driven directly by a generator or kernel
-
-def _coordinate_events(time, old, new, events):
-    for i, (a, b) in enumerate(zip(old, new)):
-        if a != b:
-            events.append(MoveEvent(time, 0, i + 1, b - a, "self"))
-
-
-def simulate_reference(op, init, horizon, rng) -> Trajectory:
-    """Simulate the chain of a SparseGenerator (continuous time, exponential
-    holding) or StepKernel (horizon = number of steps) from init."""
-    s = coords_of(init)
-    if s not in op.state_set:
-        raise ValueError(f"initial state {s} not in the operator's space")
-    events: list[MoveEvent] = []
-    if isinstance(op, SparseGenerator):
-        t = 0.0
-        while True:
-            row = op.row(s)
-            total = -float(row.get(s, Fraction(0)))
-            if total <= 0.0:
-                break
-            t += rng.exponential(1.0 / total)
-            if t >= horizon:
-                break
-            u = rng.random() * total
-            acc = 0.0
-            chosen = None
-            for tgt, rate in sorted((k, v) for k, v in row.items() if k != s):
-                acc += float(rate)
-                if u <= acc:
-                    chosen = tgt
-                    break
-            if chosen is None:
-                raise RuntimeError("trajectory escaped the truncation; enlarge bound")
-            _coordinate_events(t, s, chosen, events)
-            s = chosen
-    elif isinstance(op, StepKernel):
-        for step in range(1, int(horizon) + 1):
-            u = rng.random()
-            acc = 0.0
-            chosen = None
-            for tgt, pr in sorted(op.row(s).items()):
-                acc += float(pr)
-                if u <= acc:
-                    chosen = tgt
-                    break
-            if chosen is None:
-                raise RuntimeError("trajectory escaped the truncation; enlarge bound")
-            _coordinate_events(step, s, chosen, events)
-            s = chosen
-    else:
-        raise TypeError(f"cannot simulate a {type(op).__name__}")
-    return Trajectory(coords_of(init), events, s)
 
 
 def zero_pattern(n: int, kind: str = STANDARD) -> Pattern:

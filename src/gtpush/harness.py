@@ -149,10 +149,6 @@ class ExperimentConfig:
         if self.bound < max(self.z, default=0) + 2:
             raise ValueError("bound must be at least max(z) + 2")
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
-
     def to_json(self) -> str:
         d = dict(self.__dict__)
         d["q"] = list(self.q)

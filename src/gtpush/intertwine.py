@@ -177,6 +177,9 @@ def semigroup(gen: SparseGenerator, t, tol: float) -> DenseKernel:
     out = np.zeros((m, m))
     power = np.eye(m)
     w = math.exp(-lam)
+    if w == 0.0:
+        raise RuntimeError(f"theta*t = {lam:.4g} is past the underflow limit of uniformization "
+                           f"(exp(-theta*t) is 0 beyond about 745): the time t must come down")
     covered = w
     out += w * power
     k = 0

@@ -3,7 +3,9 @@
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped, and exact assertions downstream are
 made only at interior states (all coordinates <= bound-1).  Values are exact
-rationals throughout.
+rationals throughout.  The continuous-time coupling generators are read off
+the simulators' ring table (``dynamics.ring_table``), so blocking and pushing
+are stated once for the simulators and the exact half alike.
 """
 from __future__ import annotations
 
@@ -12,7 +14,16 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from . import schur
-from .patterns import coords_of, interlace_nest, interlace_shift, is_ordered, rates_of
+from .dynamics import NEVER, _ring_rates, ring_table
+from .patterns import (
+    STANDARD,
+    SYMPLECTIC,
+    coords_of,
+    interlace_nest,
+    interlace_shift,
+    is_ordered,
+    rates_of,
+)
 
 POISSON = "poisson"
 GEOMETRIC = "geometric"
@@ -192,32 +203,65 @@ def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
 # ---------------------------------------------------------------------------
 # two-row coupling generators / kernels
 
-def coupling_generator_poisson(n: int, q_ext, bound: int) -> SparseGenerator:
-    """Joint generator of consecutive rows (X, Y) for the rightward dynamics:
-    free X jumps, X jumps that push Y, and free Y jumps at the extra rate."""
-    qs = rates_of(q_ext, n + 1)
-    qx, qy = qs[:n], qs[n]
-    states = nested_pairs(n, bound)
+def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
+    """Joint generator of an upper row X (row r of a pattern) and the row Y
+    below it, for case poisson (r = n), wall-odd-even (r = 2n-1) or
+    wall-even-odd (r = 2n).
+
+    X moves as its own marginal generator, whose rows give X's moves and
+    closed-form diagonal.  Everything else is read off the dynamics' ring
+    table on r+1 rows: each X move pushes or drags Y through ``push``, and Y
+    rings at its ``_ring_rates`` rate unless its ``blocker`` (an X particle or
+    the wall) is level with it.  The diagonal is X's diagonal minus Y's
+    unblocked out-rate, counted before truncation.
+    """
+    if case == POISSON:
+        qs = rates_of(q, n + 1)
+        r, kind, states = n, STANDARD, nested_pairs(n, bound)
+        marginal = q_charlier(n, qs[:n], bound)
+    elif case == WALL_ODD_EVEN:
+        qs = rates_of(q, n)
+        r, kind, states = 2 * n - 1, SYMPLECTIC, shifted_pairs(n, bound)
+        marginal = q_symplectic(r, qs, bound)
+    elif case == WALL_EVEN_ODD:
+        qs = rates_of(q, n + 1)
+        r, kind, states = 2 * n, SYMPLECTIC, nested_pairs(n, bound)
+        marginal = q_symplectic(r, qs[:n], bound)
+    else:
+        raise ValueError(f"unknown continuous-time coupling {case!r}")
+    table = ring_table(r + 1, kind)
+    particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
+    xbase, ybase = table.offsets[r - 1], table.offsets[r]  # flat slots of X_1 and Y_1
+    ring_of = {key: i for i, key in enumerate(table.keys)}
+    rates = _ring_rates(table, qs)
+    y_rings = [(i, rates[i]) for i, key in enumerate(table.keys) if key[0] == r + 1]
+    x_moves = {}  # x -> [(xt, rate, ring of the moving X particle)]
+    for x in marginal.states:
+        moves = x_moves[x] = []
+        for xt, rate in marginal.row(x).items():
+            if xt != x:
+                i = next(i for i in range(len(x)) if xt[i] != x[i])
+                moves.append((xt, rate, ring_of[(r, i + 1, xt[i] - x[i])]))
     rows = {}
     for x, y in states:
-        diag = sum(qs) + qy * sum(1 for i in range(n) if y[i] < x[i])
-        row = {(x, y): -diag}
-        sx = schur.schur(x, qx)
-        for i in range(n):
-            if (i == n - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
-                xt = _bump(x, i, 1)
-                rate = schur.schur(xt, qx) / sx
-                if x[i] < y[i + 1]:
-                    row[(xt, y)] = rate
-                else:  # x_i = y_{i+1}: the jump drags Y's next particle along
-                    row[(xt, _bump(y, i + 1, 1))] = rate
-        for j in range(n + 1):
-            if y[j] + 1 > bound:
-                continue
-            if j == n or y[j] < x[j]:
-                row[(x, _bump(y, j, 1))] = qy
+        slots = [0] * xbase + [*x, *y, 0, NEVER]  # the rows above X are never read
+        row = {}
+        for xt, rate, ring in x_moves[x]:
+            yt, pushed = y, push[ring]
+            if slots[particle[pushed]] == slots[particle[ring]]:
+                yt = _bump(y, particle[pushed] - ybase, step[pushed])
+            row[(xt, yt)] = rate
+        diag = marginal.row(x)[x]
+        for ring, rate in y_rings:
+            if slots[particle[ring]] == slots[blocker[ring]]:
+                continue  # blocked
+            diag -= rate
+            j = particle[ring] - ybase
+            if y[j] + step[ring] <= bound:
+                row[(x, _bump(y, j, step[ring]))] = rate
+        row[(x, y)] = diag
         rows[(x, y)] = row
-    return SparseGenerator(states, rows, bound, f"coupling-poisson n={n}")
+    return SparseGenerator(states, rows, bound, f"coupling-{case} n={n}")
 
 
 def blocking_factor(u: int, v: int, q) -> Fraction:
@@ -275,101 +319,6 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
                 row[(xt, yt)] = _geometric_pair_step(yt, xt, x, y, qy) * px
         rows[(x, y)] = row
     return StepKernel(states, rows, bound, f"coupling-geometric n={n}")
-
-
-def coupling_generator_wall_odd_even(n: int, q, bound: int) -> SparseGenerator:
-    """Joint generator for an odd row X over the next (same-length) even row Y:
-    X moves at symplectic ratio rates, dragging or pushing Y at coincidences;
-    Y moves freely at the reversed rates."""
-    qs = rates_of(q, n)
-    qn = qs[n - 1]
-    states = shifted_pairs(n, bound)
-    rows = {}
-    for x, y in states:
-        sx = schur.sp_schur(2 * n - 1, x, qs)
-        diag = sum(v + 1 / v for v in qs[: n - 1]) + qn + 1 / qn
-        if x[0] > 0:
-            diag += 1 / qn
-        for i in range(n - 1):
-            if y[i] < x[i + 1]:
-                diag += 1 / qn
-            if y[i] > x[i]:
-                diag += qn
-        if y[n - 1] > x[n - 1]:
-            diag += qn
-        row = {(x, y): -diag}
-        for i in range(n):
-            # X moves right: pushes Y_i when they coincide
-            if (i == n - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
-                xt = _bump(x, i, 1)
-                rate = schur.sp_schur(2 * n - 1, xt, qs) / sx
-                if x[i] == y[i]:
-                    row[(xt, _bump(y, i, 1))] = rate
-                else:
-                    row[(xt, y)] = rate
-            # X moves left: drags Y_{i-1} when they coincide
-            lower = 0 if i == 0 else x[i - 1]
-            if x[i] - 1 >= lower:
-                xt = _bump(x, i, -1)
-                rate = schur.sp_schur(2 * n - 1, xt, qs) / sx
-                if i >= 1 and x[i] == y[i - 1]:
-                    row[(xt, _bump(y, i - 1, -1))] = rate
-                else:
-                    row[(xt, y)] = rate
-        for j in range(n):
-            # free Y moves; the even row has reversed rates
-            if (j == n - 1 or y[j] < x[j + 1]) and y[j] + 1 <= bound:
-                row[(x, _bump(y, j, 1))] = 1 / qn
-            if y[j] > x[j]:
-                row[(x, _bump(y, j, -1))] = qn
-        rows[(x, y)] = row
-    return SparseGenerator(states, rows, bound, f"coupling-wall-odd-even n={n}")
-
-
-def coupling_generator_wall_even_odd(n: int, q_ext, bound: int) -> SparseGenerator:
-    """Joint generator for an even row X over the next (one-longer) odd row Y;
-    the leftmost Y particle has its left jump suppressed at the wall."""
-    qs = rates_of(q_ext, n + 1)
-    qx, qy = qs[:n], qs[n]
-    states = nested_pairs(n, bound)
-    rows = {}
-    for x, y in states:
-        sx = schur.sp_schur(2 * n, x, qx)
-        diag = sum(v + 1 / v for v in qx) + qy
-        if y[0] > 0:
-            diag += 1 / qy
-        for i in range(n):
-            if y[i] < x[i]:
-                diag += qy
-            if y[i + 1] > x[i]:
-                diag += 1 / qy
-        row = {(x, y): -diag}
-        for i in range(n):
-            # X right: pushes Y_{i+1} at coincidence
-            if (i == n - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
-                xt = _bump(x, i, 1)
-                rate = schur.sp_schur(2 * n, xt, qx) / sx
-                if x[i] == y[i + 1]:
-                    row[(xt, _bump(y, i + 1, 1))] = rate
-                else:
-                    row[(xt, y)] = rate
-            # X left: drags Y_i at coincidence
-            lower = 0 if i == 0 else x[i - 1]
-            if x[i] - 1 >= lower:
-                xt = _bump(x, i, -1)
-                rate = schur.sp_schur(2 * n, xt, qx) / sx
-                if x[i] == y[i]:
-                    row[(xt, _bump(y, i, -1))] = rate
-                else:
-                    row[(xt, y)] = rate
-        for j in range(n + 1):
-            if (j == n or y[j] < x[j]) and y[j] + 1 <= bound:
-                row[(x, _bump(y, j, 1))] = qy
-            low = 1 if j == 0 else x[j - 1] + 1
-            if y[j] >= low:
-                row[(x, _bump(y, j, -1))] = 1 / qy
-        rows[(x, y)] = row
-    return SparseGenerator(states, rows, bound, f"coupling-wall-even-odd n={n}")
 
 
 # ---------------------------------------------------------------------------

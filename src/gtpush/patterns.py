@@ -36,9 +36,7 @@ def frac(value) -> Fraction:
 
 
 def coords_of(x) -> tuple[int, ...]:
-    """Plain integer tuple behind a ChamberPoint or any int sequence."""
-    if isinstance(x, ChamberPoint):
-        return x.coords
+    """Plain integer tuple of any int sequence."""
     return tuple(int(c) for c in x)
 
 
@@ -47,8 +45,8 @@ def is_ordered(z) -> bool:
 
 
 def rates_of(q, expect: int | None = None, open_unit: bool = False) -> tuple[Fraction, ...]:
-    """Normalise a rate argument (RateVector or sequence) to positive Fractions."""
-    qs = q.q if isinstance(q, RateVector) else tuple(frac(v) for v in q)
+    """Normalise a sequence of rates to positive Fractions."""
+    qs = tuple(frac(v) for v in q)
     if expect is not None and len(qs) != expect:
         raise ValueError(f"expected {expect} rates, got {len(qs)}")
     if any(v <= 0 for v in qs):
@@ -56,56 +54,6 @@ def rates_of(q, expect: int | None = None, open_unit: bool = False) -> tuple[Fra
     if open_unit and any(v >= 1 for v in qs):
         raise ValueError("rates must lie in the open interval (0,1)")
     return qs
-
-
-@dataclass(frozen=True)
-class ChamberPoint:
-    """Ordered integer vector; with ``wall`` set, the leftmost entry is >= 0."""
-
-    coords: tuple[int, ...]
-    wall: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if not is_ordered(self.coords):
-            raise ValueError(f"coordinates must be nondecreasing: {self.coords}")
-        if self.wall and self.coords and self.coords[0] < 0:
-            raise ValueError(f"wall chamber requires nonnegative entries: {self.coords}")
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-
-@dataclass(frozen=True)
-class RateVector:
-    """Vector of exact positive jump rates; geometric parameters carry open_unit."""
-
-    q: tuple[Fraction, ...]
-    open_unit: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(frac(v) for v in self.q))
-        if any(v <= 0 for v in self.q):
-            raise ValueError("rates must be positive")
-        if self.open_unit and any(v >= 1 for v in self.q):
-            raise ValueError("rates must lie in (0,1)")
-
-    @classmethod
-    def parse(cls, text: str, open_unit: bool = False) -> "RateVector":
-        """Parse a comma-separated list of 'p/q' strings."""
-        return cls(tuple(frac(part.strip()) for part in text.split(",")), open_unit)
-
-    def __len__(self):
-        return len(self.q)
-
-    def __iter__(self):
-        return iter(self.q)
 
 
 def row_length(j: int, kind: str) -> int:
@@ -213,15 +161,6 @@ def shift_candidates_below(z):
     z = coords_of(z)
     lows = [0 if i == 0 else z[i - 1] for i in range(len(z))]
     for c in product(*(range(lo, hi + 1) for lo, hi in zip(lows, z))):
-        yield c
-
-
-def shift_candidates_above(x, cap: int):
-    """Same-length x' with x shifted-interlaced below x', coordinates <= cap."""
-    x = coords_of(x)
-    n = len(x)
-    highs = [x[i + 1] if i + 1 < n else cap for i in range(n)]
-    for c in product(*(range(lo, hi + 1) for lo, hi in zip(x, highs))):
         yield c
 
 

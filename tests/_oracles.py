@@ -6,7 +6,9 @@ cannot leak into their own expected values.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from gtpush.patterns import interlace_nest, interlace_shift
+from gtpush.dynamics import MoveEvent, Trajectory
+from gtpush.kernels import SparseGenerator, StepKernel
+from gtpush.patterns import coords_of, interlace_nest, interlace_shift
 
 
 def count_patterns_brute(z, kind="standard", nrows=None):
@@ -108,3 +110,57 @@ def geometric_pair_prob_1d(x, y, xt, yt, qy: Fraction) -> Fraction:
     start = max(y2, xt)
     p2 = (1 - qy) * qy ** (yt2 - start) if yt2 >= start else Fraction(0)
     return p1 * p2
+
+
+def _coordinate_events(time, old, new, events):
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            events.append(MoveEvent(time, 0, i + 1, b - a, "self"))
+
+
+def simulate_reference(op, init, horizon, rng) -> Trajectory:
+    """Simulate the chain of a SparseGenerator (continuous time, exponential
+    holding) or StepKernel (horizon = number of steps) from init."""
+    s = coords_of(init)
+    if s not in op.state_set:
+        raise ValueError(f"initial state {s} not in the operator's space")
+    events: list[MoveEvent] = []
+    if isinstance(op, SparseGenerator):
+        t = 0.0
+        while True:
+            row = op.row(s)
+            total = -float(row.get(s, Fraction(0)))
+            if total <= 0.0:
+                break
+            t += rng.exponential(1.0 / total)
+            if t >= horizon:
+                break
+            u = rng.random() * total
+            acc = 0.0
+            chosen = None
+            for tgt, rate in sorted((k, v) for k, v in row.items() if k != s):
+                acc += float(rate)
+                if u <= acc:
+                    chosen = tgt
+                    break
+            if chosen is None:
+                raise RuntimeError("trajectory escaped the truncation; enlarge bound")
+            _coordinate_events(t, s, chosen, events)
+            s = chosen
+    elif isinstance(op, StepKernel):
+        for step in range(1, int(horizon) + 1):
+            u = rng.random()
+            acc = 0.0
+            chosen = None
+            for tgt, pr in sorted(op.row(s).items()):
+                acc += float(pr)
+                if u <= acc:
+                    chosen = tgt
+                    break
+            if chosen is None:
+                raise RuntimeError("trajectory escaped the truncation; enlarge bound")
+            _coordinate_events(step, s, chosen, events)
+            s = chosen
+    else:
+        raise TypeError(f"cannot simulate a {type(op).__name__}")
+    return Trajectory(coords_of(init), events, s)

@@ -14,7 +14,6 @@ from gtpush.dynamics import (
     run_rings,
     simulate_geometric,
     simulate_poisson,
-    simulate_reference,
     simulate_wall,
     wall_from_rings,
     zero_pattern,
@@ -27,6 +26,8 @@ from gtpush.patterns import (
     row_offsets,
     sample_patterns,
 )
+
+from _oracles import simulate_reference
 
 Q2 = (F(1, 2), F(1, 3))
 

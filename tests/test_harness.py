@@ -264,6 +264,18 @@ def test_console_entry_point_runs():
         assert proc.stdout.strip() == "5/6" and proc.stderr == ""
 
 
+def test_cli_semigroup_past_underflow_exits_3():
+    # theta*t far beyond exp's underflow: an internal limit, not a failed check
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtpush.cli", "verify", "semigroup", "--n", "1",
+         "--q", "1/2,1/3", "--t", "1000", "--bound", "12"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "underflow" in proc.stderr
+
+
 def test_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gtpush; print(sorted(m for m in sys.modules"

@@ -8,9 +8,7 @@ from gtpush import kernels
 from gtpush.kernels import (
     LambdaKernel,
     blocking_factor,
-    coupling_generator_poisson,
-    coupling_generator_wall_even_odd,
-    coupling_generator_wall_odd_even,
+    coupling_generator,
     coupling_kernel_geometric,
     kernel_geometric,
     lambda_kernel,
@@ -98,7 +96,7 @@ def test_q_symplectic_conservative_small():
 
 
 def test_coupling_poisson_entries():
-    gen = coupling_generator_poisson(1, Q2, 6)
+    gen = coupling_generator("poisson", 1, Q2, 6)
     qx = Q2[:1]
     # pushing move: x at the upper edge drags the second lower particle
     s = ((2,), (1, 2))
@@ -115,13 +113,6 @@ def test_coupling_poisson_entries():
     assert gen.rate(((0,), (0, 0)), ((0,), (0, 0))) == -F(5, 6)
     # diagonal with one strict gap adds one blocked-free rate
     assert gen.rate(((1,), (0, 2)), ((1,), (0, 2))) == -(F(5, 6) + F(1, 3))
-
-
-def test_coupling_poisson_conserves_interior():
-    gen = coupling_generator_poisson(1, Q2, 5)
-    for s in gen.states:
-        if gen.is_interior(s):
-            assert sum(gen.row(s).values()) == 0
 
 
 def test_blocking_pushing_factors():
@@ -177,7 +168,7 @@ def test_coupling_kernel_geometric_row_mass_reasonable():
 
 def test_wall_odd_even_entries():
     q1 = (F(1, 2),)
-    gen = coupling_generator_wall_odd_even(1, q1, 6)
+    gen = coupling_generator("wall-odd-even", 1, q1, 6)
     # push: equal positions, X moving right carries Y along
     s = ((2,), (2,))
     assert gen.rate(s, ((3,), (3,))) == sp_schur(1, (3,), q1) / sp_schur(1, (2,), q1)
@@ -191,7 +182,7 @@ def test_wall_odd_even_entries():
 
 
 def test_wall_odd_even_drag():
-    gen = coupling_generator_wall_odd_even(2, Q2, 6)
+    gen = coupling_generator("wall-odd-even", 2, Q2, 6)
     # x = (1, 2), y = (2, 3): X_2 at y_1 dragging it left
     s = ((1, 2), (2, 3))
     rate = sp_schur(3, (1, 1), Q2) / sp_schur(3, (1, 2), Q2)
@@ -200,7 +191,7 @@ def test_wall_odd_even_drag():
 
 
 def test_wall_even_odd_entries():
-    gen = coupling_generator_wall_even_odd(1, Q2, 6)
+    gen = coupling_generator("wall-even-odd", 1, Q2, 6)
     qx = Q2[:1]
     # push: x equal to the upper y particle
     s = ((2,), (1, 2))
@@ -216,23 +207,27 @@ def test_wall_even_odd_entries():
     assert gen.rate(((0,), (0, 0)), ((0,), (0, 0))) == -(F(1, 2) + 2 + F(1, 3))
 
 
-def test_wall_couplings_conserve_interior():
-    for gen in (
-        coupling_generator_wall_odd_even(2, Q2, 5),
-        coupling_generator_wall_even_odd(1, Q2, 5),
-    ):
-        for s in gen.states:
-            if gen.is_interior(s):
-                assert sum(gen.row(s).values()) == 0
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("case", ("poisson", "wall-odd-even", "wall-even-odd"))
+def test_coupling_generators_conserve_interior(case, n):
+    # X keeps its marginal's closed-form diagonal, so zero interior row sums
+    # still rest on the harmonicity of the Schur and symplectic Schur values
+    rates = n if case == "wall-odd-even" else n + 1
+    gen = coupling_generator(case, n, (Q3 + (F(1, 7),))[:rates], 4)
+    for s in gen.states:
+        row = gen.row(s)
+        assert all(v >= 0 if t != s else v <= 0 for t, v in row.items()), (s, row)
+        if gen.is_interior(s):
+            assert sum(row.values()) == 0, s
 
 
 def test_all_off_diagonals_nonnegative_and_diagonals_nonpositive():
     gens = [
         q_charlier(2, Q2, 4),
         q_symplectic(3, Q2, 4),
-        coupling_generator_poisson(1, Q2, 4),
-        coupling_generator_wall_odd_even(2, Q2, 4),
-        coupling_generator_wall_even_odd(1, Q2, 4),
+        coupling_generator("poisson", 1, Q2, 4),
+        coupling_generator("wall-odd-even", 2, Q2, 4),
+        coupling_generator("wall-even-odd", 1, Q2, 4),
     ]
     for gen in gens:
         for s in gen.states:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from gtpush.patterns import (
-    ChamberPoint,
     Pattern,
-    RateVector,
     enumerate_patterns,
     interlace_nest,
     interlace_shift,
     is_valid,
+    rates_of,
     row_offsets,
     sample_pattern,
     sample_patterns,
@@ -44,24 +43,12 @@ def test_interlace_nest_length_mismatch():
         interlace_nest((1,), (0, 1, 2))
 
 
-def test_chamber_point_invariants():
-    p = ChamberPoint((0, 1, 3))
-    assert len(p) == 3 and p[1] == 1
+def test_rates_of_rejects_nonpositive_and_open_unit():
+    assert rates_of(("1/2", F(1, 3))) == (F(1, 2), F(1, 3))
     with pytest.raises(ValueError):
-        ChamberPoint((2, 1))
+        rates_of((F(0),))
     with pytest.raises(ValueError):
-        ChamberPoint((-1, 0), wall=True)
-    ChamberPoint((-2, 0))  # no wall: negatives fine
-
-
-def test_rate_vector_invariants():
-    rv = RateVector((F(1, 2), F(1, 3)))
-    assert list(rv) == [F(1, 2), F(1, 3)]
-    with pytest.raises(ValueError):
-        RateVector((F(0),))
-    with pytest.raises(ValueError):
-        RateVector((F(3, 2),), open_unit=True)
-    assert RateVector.parse("1/2,1/3").q == (F(1, 2), F(1, 3))
+        rates_of((F(3, 2),), open_unit=True)
 
 
 def test_pattern_row_lengths_validated():
