@@ -9,6 +9,7 @@ from .patterns import (
     Pattern,
     STANDARD,
     SYMPLECTIC,
+    branching,
     enumerate_patterns,
     interlace_nest,
     interlace_shift,
@@ -19,7 +20,7 @@ from .patterns import (
 # NB: the bare name `schur` stays bound to the submodule (kernels and the
 # samplers import it as such); the evaluator itself is gtpush.schur.schur.
 from . import schur
-from .schur import branching_standard, branching_symplectic, schur_oracle, sp_schur
+from .schur import schur_oracle, sp_schur
 from .kernels import (
     GEOMETRIC,
     LambdaKernel,
@@ -68,10 +69,10 @@ from .harness import ExperimentConfig, Pmf, chi_square_gof, tv_distance
 
 __all__ = [
     # patterns
-    "Pattern", "STANDARD", "SYMPLECTIC", "enumerate_patterns", "interlace_nest",
+    "Pattern", "STANDARD", "SYMPLECTIC", "branching", "enumerate_patterns", "interlace_nest",
     "interlace_shift", "is_valid", "sample_pattern", "weight",
     # schur
-    "schur", "branching_standard", "branching_symplectic", "schur_oracle", "sp_schur",
+    "schur", "schur_oracle", "sp_schur",
     # kernels
     "GEOMETRIC", "LambdaKernel", "POISSON", "SparseGenerator", "StepKernel",
     "WALL_EVEN_ODD", "WALL_ODD_EVEN", "coupling_generator", "coupling_kernel_geometric",

@@ -3,7 +3,8 @@
 Exit codes: 0 on success/pass, 1 on a verification or comparison failure,
 2 on usage errors (bad flags, malformed or nonpositive rates), 3 when a
 computation cannot be carried out as asked (for instance a horizon past the
-underflow limit of uniformization); the one-line message says what to change.
+underflow limit of uniformization, or a reference law losing mass past the
+truncation bound); the one-line message says what to change.
 """
 from __future__ import annotations
 

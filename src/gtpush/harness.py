@@ -52,12 +52,21 @@ class Pmf:
 
     @classmethod
     def from_dense_row(cls, kernel, source) -> "Pmf":
-        """Row of an intertwine.DenseKernel; the truncation bound must be
-        generous enough that escaped mass is below the Pmf closure tolerance."""
-        row = kernel.row(source)
+        """Row of an intertwine.DenseKernel."""
+        return cls.from_box_row(kernel.states, kernel.row(source))
+
+    @classmethod
+    def from_box_row(cls, states, row) -> "Pmf":
+        """Law given by a row over the states of a box.  Mass that escaped the
+        box beyond the closure tolerance is an internal limit, not bad input:
+        RuntimeError names it and the bound."""
+        lost = 1.0 - float(row.sum())
+        if lost > 1e-12:
+            bound = max(max(s) for s in states)
+            raise RuntimeError(f"the reference law lost {100 * lost:.3g}% of its mass past the "
+                               f"truncation bound {bound}: the bound must go up")
         keep = row > 0.0
-        states = tuple(s for s, k in zip(kernel.states, keep) if k)
-        return cls(states, row[keep])
+        return cls(tuple(s for s, k in zip(states, keep) if k), row[keep])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -136,7 +145,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     bound: int
-    out: str | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -236,7 +244,4 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
     vec[idx[config.z]] = 1.0
     for _ in range(int(config.horizon)):
         vec = vec @ mat
-    keep = vec > 0.0
-    if abs(vec.sum() - 1.0) > 1e-12:
-        raise ValueError("kernel power lost mass; enlarge bound")
-    return Pmf(tuple(s for s, k2 in zip(states, keep) if k2), vec[keep])
+    return Pmf.from_box_row(states, vec)

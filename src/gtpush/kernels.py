@@ -5,12 +5,15 @@ target falls outside the box are dropped, and exact assertions downstream are
 made only at interior states (all coordinates <= bound-1).  Values are exact
 rationals throughout.  The continuous-time coupling generators are read off
 the simulators' ring table (``dynamics.ring_table``), so blocking and pushing
-are stated once for the simulators and the exact half alike.
+are stated once for the simulators and the exact half alike.  One table says
+which pattern rows a variant pairs: its two-row states are the lower rows on
+the box with their ``patterns.branching`` candidates above, and its kernel
+Lambda is the pattern measure's exact law of the upper row given the lower
+(``schur.branching_law``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from . import schur
@@ -18,11 +21,10 @@ from .dynamics import NEVER, _ring_rates, ring_table
 from .patterns import (
     STANDARD,
     SYMPLECTIC,
+    branching,
     coords_of,
-    interlace_nest,
-    interlace_shift,
-    is_ordered,
     rates_of,
+    row_length,
 )
 
 POISSON = "poisson"
@@ -30,7 +32,14 @@ GEOMETRIC = "geometric"
 WALL_ODD_EVEN = "wall-odd-even"
 WALL_EVEN_ODD = "wall-even-odd"
 
-VARIANTS = (POISSON, GEOMETRIC, WALL_ODD_EVEN, WALL_EVEN_ODD)
+# variant -> (pattern kind, index of the lower row Y given its length k); the
+# upper row X is the row above Y, and a variant takes one rate per entry of Y
+_Y_ROW = {
+    POISSON: (STANDARD, lambda k: k),
+    GEOMETRIC: (STANDARD, lambda k: k),
+    WALL_ODD_EVEN: (SYMPLECTIC, lambda k: 2 * k),
+    WALL_EVEN_ODD: (SYMPLECTIC, lambda k: 2 * k - 1),
+}
 
 
 def chamber_states(n: int, bound: int) -> list[tuple[int, ...]]:
@@ -38,23 +47,18 @@ def chamber_states(n: int, bound: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(bound + 1), n))
 
 
-def nested_pairs(n: int, bound: int) -> list[tuple[tuple, tuple]]:
-    """Pairs (x, y), y one longer, x nested in y, on the box."""
-    out = []
-    for y in chamber_states(n + 1, bound):
-        for x in product(*(range(y[i], y[i + 1] + 1) for i in range(n))):
-            out.append((x, y))
-    return out
+def _y_row(variant: str, qs) -> tuple[str, int]:
+    """Pattern kind and index of the lower row Y for a variant with rates qs."""
+    if variant not in _Y_ROW:
+        raise ValueError(f"unknown variant {variant!r}")
+    kind, row = _Y_ROW[variant]
+    return kind, row(len(qs))
 
 
-def shifted_pairs(n: int, bound: int) -> list[tuple[tuple, tuple]]:
-    """Pairs (x, y) of equal length with x shifted-interlaced below y, wall at 0."""
-    out = []
-    for y in chamber_states(n, bound):
-        lows = [0 if i == 0 else y[i - 1] for i in range(n)]
-        for x in product(*(range(lo, hi + 1) for lo, hi in zip(lows, y))):
-            out.append((x, y))
-    return out
+def _pairs(kind: str, j: int, qs, bound: int) -> list[tuple[tuple, tuple]]:
+    """Pairs (x, y) on the box: every y of row j, then every candidate x for
+    the row above it in the order of ``patterns.branching``."""
+    return [(x, y) for y in chamber_states(len(qs), bound) for x, _ in branching(kind, j, y, qs)]
 
 
 def _bump(v: tuple, i: int, d: int) -> tuple:
@@ -215,21 +219,19 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     the wall) is level with it.  The diagonal is X's diagonal minus Y's
     unblocked out-rate, counted before truncation.
     """
-    if case == POISSON:
-        qs = rates_of(q, n + 1)
-        r, kind, states = n, STANDARD, nested_pairs(n, bound)
-        marginal = q_charlier(n, qs[:n], bound)
-    elif case == WALL_ODD_EVEN:
-        qs = rates_of(q, n)
-        r, kind, states = 2 * n - 1, SYMPLECTIC, shifted_pairs(n, bound)
-        marginal = q_symplectic(r, qs, bound)
-    elif case == WALL_EVEN_ODD:
-        qs = rates_of(q, n + 1)
-        r, kind, states = 2 * n, SYMPLECTIC, nested_pairs(n, bound)
-        marginal = q_symplectic(r, qs[:n], bound)
-    else:
+    if case == GEOMETRIC or case not in _Y_ROW:
         raise ValueError(f"unknown continuous-time coupling {case!r}")
-    table = ring_table(r + 1, kind)
+    qs = rates_of(q)
+    kind, j = _y_row(case, qs)
+    r = j - 1
+    if row_length(r, kind) != n:
+        raise ValueError(f"{case} coupling with {n} upper entries got {len(qs)} rates")
+    if kind == STANDARD:
+        marginal = q_charlier(n, qs[:n], bound)
+    else:
+        marginal = q_symplectic(r, qs[:n], bound)
+    states = _pairs(kind, j, qs, bound)
+    table = ring_table(j, kind)
     particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
     xbase, ybase = table.offsets[r - 1], table.offsets[r]  # flat slots of X_1 and Y_1
     ring_of = {key: i for i, key in enumerate(table.keys)}
@@ -297,7 +299,8 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     ax = Fraction(1)
     for v in qx:
         ax *= 1 - v
-    states = nested_pairs(n, bound)
+    kind, j = _y_row(GEOMETRIC, qs)
+    states = _pairs(kind, j, qs, bound)
     rows = {}
     for x, y in states:
         sx = schur.schur(x, qx)
@@ -324,59 +327,22 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
 # ---------------------------------------------------------------------------
 # the coupling weight m and the kernel it induces
 
+def _law(y: tuple, variant: str, qs: tuple) -> tuple:
+    """Exact law of the upper row x given the lower row y (``schur.branching_law``)."""
+    kind, j = _y_row(variant, qs)
+    if len(y) != len(qs):
+        raise ValueError(f"{variant} weight needs one rate per entry of y, got {len(qs)} for {y}")
+    return schur.branching_law(kind, j, y, qs)
+
+
 def m_weight(x, y, variant: str, q_ext) -> Fraction:
     """Exact conditional weight of the upper row x given the lower row y.
 
     Zero whenever the interlacing between x and y fails; for fixed y the
     weights over all admissible x sum to 1.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    x = coords_of(x)
-    y = coords_of(y)
-    qs = rates_of(q_ext)
-    return _m_weight(x, y, variant, qs)
-
-
-@lru_cache(maxsize=None)
-def _m_weight(x, y, variant, qs) -> Fraction:
-    if variant in (POISSON, GEOMETRIC):
-        n = len(x)
-        if len(y) != n + 1 or len(qs) != n + 1:
-            raise ValueError("poisson/geometric weight needs |y| = |x|+1 = |q|")
-        if not (is_ordered(x) and is_ordered(y) and interlace_nest(x, y)):
-            return Fraction(0)
-        return qs[n] ** (sum(y) - sum(x)) * schur.schur(x, qs[:n]) / schur.schur(y, qs)
-    if variant == WALL_ODD_EVEN:
-        n = len(x)
-        if len(y) != n or len(qs) != n:
-            raise ValueError("wall-odd-even weight needs |y| = |x| = |q|")
-        if not (is_ordered(x) and x[0] >= 0 and is_ordered(y) and interlace_shift(x, y)):
-            return Fraction(0)
-        return (
-            qs[n - 1] ** (sum(x) - sum(y))
-            * schur.sp_schur(2 * n - 1, x, qs)
-            / schur.sp_schur(2 * n, y, qs)
-        )
-    n = len(x)
-    if len(y) != n + 1 or len(qs) != n + 1:
-        raise ValueError("wall-even-odd weight needs |y| = |x|+1 = |q|")
-    if not (is_ordered(x) and x[0] >= 0 and is_ordered(y) and interlace_nest(x, y)):
-        return Fraction(0)
-    return (
-        qs[n] ** (sum(y) - sum(x))
-        * schur.sp_schur(2 * n, x, qs[:n])
-        / schur.sp_schur(2 * n + 1, y, qs)
-    )
-
-
-def _m_support(y, variant):
-    """All upper rows interlacing with y (a finite set, bounded by y itself)."""
-    y = coords_of(y)
-    if variant == WALL_ODD_EVEN:
-        lows = [0 if i == 0 else y[i - 1] for i in range(len(y))]
-        return [x for x in product(*(range(lo, hi + 1) for lo, hi in zip(lows, y)))]
-    return [x for x in product(*(range(y[i], y[i + 1] + 1) for i in range(len(y) - 1)))]
+    law = _law(coords_of(y), variant, rates_of(q_ext))
+    return dict(law).get(coords_of(x), Fraction(0))
 
 
 def lambda_kernel(y, variant: str, q_ext) -> list[tuple[tuple, Fraction]]:
@@ -385,21 +351,19 @@ def lambda_kernel(y, variant: str, q_ext) -> list[tuple[tuple, Fraction]]:
     The support is finite by interlacing, so no truncation bound is needed.
     """
     y = coords_of(y)
-    qs = rates_of(q_ext)
-    return [((x, y), _m_weight(x, y, variant, qs)) for x in _m_support(y, variant)]
+    return [((x, y), p) for x, p in _law(y, variant, rates_of(q_ext))]
 
 
 class LambdaKernel:
     """Markov kernel y -> (x, y) given by the coupling weight of a variant."""
 
     def __init__(self, variant: str, q_ext):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        self.variant = variant
         self.qs = rates_of(q_ext)
+        _y_row(variant, self.qs)  # rejects an unknown variant
+        self.variant = variant
 
     def weight(self, x, y) -> Fraction:
-        return _m_weight(coords_of(x), coords_of(y), self.variant, self.qs)
+        return m_weight(x, y, self.variant, self.qs)
 
     def support(self, y) -> list[tuple[tuple, Fraction]]:
         return lambda_kernel(y, self.variant, self.qs)

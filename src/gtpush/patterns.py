@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -237,40 +237,33 @@ def row_offsets(nrows: int, kind: str = STANDARD) -> tuple[int, ...]:
     return tuple(out)
 
 
+def branching(kind: str, j: int, row, qs) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Candidates for row j-1 given row j (1-based), each with its coefficient.
+
+    Row j's rate is qs[len(row) - 1].  The candidates for a standard row or
+    an odd symplectic row nest in it (one entry shorter) and take the rate to
+    the power |row| - |candidate|; those for an even symplectic row are
+    shifted-interlaced with it (same length, wall at 0) and take it to the
+    power |candidate| - |row|.  A pattern's geometric weight is the product of
+    these coefficients over its rows; ``weight`` states the same product
+    independently."""
+    t = qs[len(row) - 1]
+    s = sum(row)
+    if kind == SYMPLECTIC and j % 2 == 0:
+        return [(za, t ** (sum(za) - s)) for za in shift_candidates_below(row)]
+    return [(za, t ** (s - sum(za))) for za in nest_candidates(row)]
+
+
 @lru_cache(maxsize=None)
 def branching_cdf(kind: str, j: int, row: tuple, qs: tuple):
-    """Candidates for row j-1 given row j (1-based) and their cumulative
-    probabilities, proportional to the branching weight times the Schur value
-    of the candidate.  The cumulative sums are exact; only the final CDF is
-    rounded to floats.  Both arrays are read-only."""
+    """Candidates for row j-1 given row j (1-based) and the float cumulative
+    sums of their exact probabilities (``schur.branching_law``).  Both arrays
+    are read-only."""
     from . import schur  # deferred: schur builds on this module's geometry
 
-    if kind == STANDARD:
-        m = j  # row j uses the first j rates
-        cands = [
-            (za, qs[m - 1] ** (sum(row) - sum(za)) * schur.schur(za, qs[: m - 1]))
-            for za in nest_candidates(row)
-        ]
-    elif j % 2 == 0:
-        m = j // 2
-        cands = [
-            (za, qs[m - 1] ** (sum(za) - sum(row)) * schur.sp_schur(j - 1, za, qs[:m]))
-            for za in shift_candidates_below(row)
-        ]
-    else:
-        m = j // 2  # row j = 2m+1 sits above row 2m with m entries
-        cands = [
-            (za, qs[m] ** (sum(row) - sum(za)) * schur.sp_schur(j - 1, za, qs[:m]))
-            for za in nest_candidates(row)
-        ]
-    total = sum(w for _, w in cands)
-    acc = Fraction(0)
-    cdf = []
-    for _, w in cands:
-        acc += w
-        cdf.append(float(acc / total))
-    above = np.array([za for za, _ in cands], dtype=np.int64).reshape(len(cands), -1)
-    cdf = np.array(cdf)
+    law = schur.branching_law(kind, j, row, qs)
+    above = np.array([za for za, _ in law], dtype=np.int64).reshape(len(law), -1)
+    cdf = np.array([float(acc) for acc in accumulate(p for _, p in law)])
     above.setflags(write=False)
     cdf.setflags(write=False)
     return above, cdf
@@ -284,14 +277,9 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
     and each group draws row j-1 from the cached branching_cdf with one
     uniform per trial and row."""
     z = coords_of(z)
-    if kind == STANDARD:
-        qs = rates_of(q, len(z))
-        if nrows != len(z) or not is_ordered(z):
-            raise ValueError(f"invalid bottom row {z} for height {nrows}")
-    else:
-        qs = rates_of(q, (nrows + 1) // 2)
-        if len(z) != row_length(nrows, SYMPLECTIC) or not is_ordered(z) or (z and z[0] < 0):
-            raise ValueError(f"invalid bottom row {z} for height {nrows}")
+    qs = rates_of(q, row_length(nrows, kind))
+    if len(z) != len(qs) or not is_ordered(z) or (kind == SYMPLECTIC and z and z[0] < 0):
+        raise ValueError(f"invalid bottom row {z} for height {nrows}")
     offs = row_offsets(nrows, kind)
     out = np.empty((trials, offs[-1]), dtype=np.int64)
     out[:, offs[-2]:] = z

@@ -1,8 +1,11 @@
 """Exact evaluation of Schur and symplectic Schur functions at rational points.
 
-The workhorse is the branching recursion over interlacing rows, memoized on
-(row, rate-prefix).  A determinant ratio evaluated in exact rationals serves
-as an independent oracle for the standard case.
+Both are one recursion over ``patterns.branching``, the row-to-row rule of
+the geometric-weight pattern measure, memoized on (kind, row index, row,
+rates of that row and the rows above).  ``branching_law`` divides it out into
+the exact law of one row given the row below it: the intertwining kernels
+Lambda and the pattern samplers read that law.  A determinant ratio evaluated
+in exact rationals serves as an independent oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
@@ -14,13 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .patterns import (
+    STANDARD,
+    SYMPLECTIC,
+    branching,
     branching_cdf,
     coords_of,
-    frac,
     is_ordered,
-    nest_candidates,
     rates_of,
-    shift_candidates_below,
 )
 
 
@@ -34,18 +37,7 @@ def schur(z, q) -> Fraction:
     qs = rates_of(q, len(z))
     if not is_ordered(z):
         return Fraction(0)
-    return _schur(z, qs)
-
-
-@lru_cache(maxsize=None)
-def _schur(z: tuple, qs: tuple) -> Fraction:
-    if not z:
-        return Fraction(1)
-    total = Fraction(0)
-    s = sum(z)
-    for za in nest_candidates(z):
-        total += qs[-1] ** (s - sum(za)) * _schur(za, qs[:-1])
-    return total
+    return _value(STANDARD, len(z), z, qs)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -98,48 +90,37 @@ def sp_schur(n: int, z, q) -> Fraction:
     qs = rates_of(q, k)
     if not is_ordered(z) or (z and z[0] < 0):
         return Fraction(0)
-    return _sp_schur(n, z, qs)
+    return _value(SYMPLECTIC, n, z, qs)
 
 
 @lru_cache(maxsize=None)
-def _sp_schur(n: int, z: tuple, qs: tuple) -> Fraction:
-    if n == 0:
+def _value(kind: str, j: int, row: tuple, qs: tuple) -> Fraction:
+    """Summed weight of the patterns of height j with bottom row `row`; qs
+    holds one rate per entry of the row."""
+    if j == 0:
         return Fraction(1)
     total = Fraction(0)
-    if n % 2 == 1:
-        # strip the nested row below: coefficient q_{m+1}^{|z|-|z'|}
-        m = n // 2
-        s = sum(z)
-        for za in nest_candidates(z):
-            total += qs[m] ** (s - sum(za)) * _sp_schur(n - 1, za, qs[:m])
-    else:
-        # strip the same-length row below the even row: coefficient q_m^{|z'|-|z|}
-        m = n // 2
-        s = sum(z)
-        for za in shift_candidates_below(z):
-            total += qs[m - 1] ** (sum(za) - s) * _sp_schur(n - 1, za, qs)
+    for za, c in branching(kind, j, row, qs):
+        total += c * _value(kind, j - 1, za, qs[: len(za)])
     return total
 
 
-def branching_standard(z, q_next) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All one-shorter rows z' nested below z with coefficient q_next^(|z|-|z'|)."""
-    z = coords_of(z)
-    t = frac(q_next)
-    s = sum(z)
-    return [(za, t ** (s - sum(za))) for za in nest_candidates(z)]
-
-
-def branching_symplectic(z, q_k) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Same-length rows z' below z (wall at 0) with coefficient q_k^(|z'|-|z|)."""
-    z = coords_of(z)
-    t = frac(q_k)
-    s = sum(z)
-    return [(za, t ** (sum(za) - s)) for za in shift_candidates_below(z)]
+@lru_cache(maxsize=None)
+def branching_law(kind: str, j: int, row: tuple, qs: tuple) -> tuple:
+    """Exact law of row j-1 given row j (1-based) under the geometric-weight
+    measure with rates qs: ((candidate, probability), ...) in the order of
+    ``patterns.branching``, each probability the candidate's coefficient times
+    its Schur value over the Schur value of the row."""
+    weights = [(za, c * _value(kind, j - 1, za, qs[: len(za)]))
+               for za, c in branching(kind, j, row, qs)]
+    total = sum(w for _, w in weights)
+    return tuple((za, w / total) for za, w in weights)
 
 
 def clear_caches():
-    """Drop the memo tables, including the pattern samplers' branching CDFs
-    built from them (mostly useful when profiling memory)."""
-    _schur.cache_clear()
-    _sp_schur.cache_clear()
+    """Drop every memo table built from Schur values: the recursion, the exact
+    branching laws and the pattern samplers' float CDFs (mostly useful when
+    profiling memory)."""
+    _value.cache_clear()
+    branching_law.cache_clear()
     branching_cdf.cache_clear()

@@ -276,6 +276,28 @@ def test_cli_semigroup_past_underflow_exits_3():
     assert len(proc.stderr.splitlines()) == 1 and "underflow" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "10",
+         "--trials", "200", "--max-tv", "0.05"],
+        ["simulate", "--model", "geometric", "--n", "2", "--q", "1/2,1/3", "--horizon", "20",
+         "--trials", "200", "--max-tv", "0.05"],
+        ["coupling", "check", "--identity", "wall-sup", "--n", "1", "--q", "1/2",
+         "--trials", "200", "--horizon", "20", "--bound", "6"],
+    ],
+)
+def test_cli_lost_truncation_mass_exits_3(args):
+    # the reference law leaves the box: a bound too small for the horizon,
+    # not a usage error
+    proc = subprocess.run([sys.executable, "-m", "gtpush.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "lost" in proc.stderr and "bound" in proc.stderr
+
+
 def test_import_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gtpush; print(sorted(m for m in sys.modules"

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gtpush.kernels import (
     q_charlier,
     q_symplectic,
 )
+from gtpush.patterns import enumerate_patterns, row_length, weight
 from gtpush.schur import schur, sp_schur
 
 from _oracles import geometric_pair_prob_1d, geometric_row_total_2d
@@ -272,6 +274,31 @@ def test_m_weights_sum_to_one(variant, q, ys):
         assert sum(m for _, m in masses) == 1
         assert all(m >= 0 for _, m in masses)
         assert all(state[1] == y for state, _ in masses)
+
+
+@pytest.mark.parametrize(
+    "variant,kind,height",
+    [
+        ("poisson", "standard", 2), ("poisson", "standard", 3),
+        ("geometric", "standard", 2), ("geometric", "standard", 3),
+        ("wall-odd-even", "symplectic", 2), ("wall-odd-even", "symplectic", 4),
+        ("wall-even-odd", "symplectic", 3), ("wall-even-odd", "symplectic", 5),
+    ],
+)
+def test_lambda_is_gibbs_projection(variant, kind, height):
+    # Lambda(y, .) is the law of the row above y when the whole pattern with
+    # bottom row y is drawn with probability weight(P) / (sum of weights),
+    # built here from enumerate_patterns and weight alone
+    k = row_length(height, kind)
+    qs = Q3[:k]
+    for y in combinations_with_replacement(range(4), k):
+        masses: dict = {}
+        for p in enumerate_patterns(y, kind, nrows=height):
+            masses[p.rows[-2]] = masses.get(p.rows[-2], F(0)) + weight(p, qs)
+        total = sum(masses.values())
+        assert dict(lambda_kernel(y, variant, qs)) == {
+            (x, y): w / total for x, w in masses.items()
+        }
 
 
 def test_lambda_kernel_zero_row_is_point_mass():

@@ -1,17 +1,22 @@
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from gtpush.patterns import enumerate_patterns, weight
-from gtpush.schur import (
-    OracleInapplicableError,
-    branching_standard,
-    branching_symplectic,
-    schur,
-    schur_oracle,
-    sp_schur,
+import gtpush.kernels
+import gtpush.patterns
+import gtpush.schur
+from gtpush.kernels import lambda_kernel
+from gtpush.patterns import (
+    STANDARD,
+    SYMPLECTIC,
+    branching,
+    enumerate_patterns,
+    sample_patterns,
+    weight,
 )
+from gtpush.schur import OracleInapplicableError, clear_caches, schur, schur_oracle, sp_schur
 
 Q4 = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
 
@@ -113,22 +118,43 @@ def test_harmonicity_small():
 
 
 def test_branching_standard_examples():
+    # every rate is t, and row j's own rate is its last one
     t = F(1, 4)
-    assert branching_standard((0,), t) == [((), 1)]
-    assert branching_standard((3,), t) == [((), t ** 3)]
-    assert dict(branching_standard((0, 1), t)) == {(0,): t, (1,): F(1)}
-    assert branching_standard((2, 2), t) == [((2,), t ** 2)]
+    assert branching(STANDARD, 1, (0,), (t,)) == [((), 1)]
+    assert branching(STANDARD, 1, (3,), (t,)) == [((), t ** 3)]
+    assert dict(branching(STANDARD, 2, (0, 1), (t, t))) == {(0,): t, (1,): F(1)}
+    assert branching(STANDARD, 2, (2, 2), (t, t)) == [((2,), t ** 2)]
 
 
 def test_branching_standard_consistent_with_schur():
     qs = Q4[:3]
     z = (0, 1, 3)
-    total = sum(c * schur(za, qs[:2]) for za, c in branching_standard(z, qs[2]))
+    total = sum(c * schur(za, qs[:2]) for za, c in branching(STANDARD, 3, z, qs))
     assert total == schur(z, qs)
 
 
 def test_branching_symplectic_consistent_with_sp_schur():
     qs = Q4[:2]
+    # even row 4: same-length rows shifted below, wall at 0, q_2^(|z'|-|z|)
     z = (1, 2)
-    total = sum(c * sp_schur(3, za, qs) for za, c in branching_symplectic(z, qs[1]))
+    total = sum(c * sp_schur(3, za, qs) for za, c in branching(SYMPLECTIC, 4, z, qs))
     assert total == sp_schur(4, z, qs)
+    # odd row 3 = 2m+1 (m = 1): one-shorter rows nested below, q_{m+1}^(|z|-|z'|)
+    odd = branching(SYMPLECTIC, 3, z, qs)
+    assert dict(odd) == {(1,): qs[1] ** 2, (2,): qs[1]}
+    assert sum(c * sp_schur(2, za, qs[:1]) for za, c in odd) == sp_schur(3, z, qs)
+
+
+def test_clear_caches_empties_every_schur_memo():
+    qs = Q4[:3]
+    schur((0, 1, 2), qs)
+    sp_schur(3, (1, 2), qs[:2])
+    lambda_kernel((0, 2), "poisson", qs[:2])
+    sample_patterns((0, 1, 2), qs, STANDARD, np.random.default_rng(0), 3, 5)
+    # the memos defined in these modules (kernels also holds dynamics.ring_table)
+    memos = [f for module in (gtpush.patterns, gtpush.schur, gtpush.kernels)
+             for f in vars(module).values()
+             if callable(getattr(f, "cache_info", None)) and f.__module__ == module.__name__]
+    assert memos and all(f.cache_info().currsize > 0 for f in memos)
+    clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in memos)
