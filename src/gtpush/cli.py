@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import couplings, dynamics, harness, intertwine, kernels, schur
-from .patterns import frac, rates_of, sample_pattern
+from .patterns import frac, rates_of, row_length, sample_pattern
 
 
 def _parse_rates(text: str, open_unit: bool = False):
@@ -29,33 +29,22 @@ def _parse_row(text: str):
 
 def build_intertwining_case(case: str, n: int, q, bound: int):
     """Assemble (marginal operator, coupling kernel/generator, Lambda, checker)
-    for one intertwining case; q supplies at least the rates the case needs."""
-    qs = rates_of(q)
-    if case == "poisson":
-        ext = qs[: n + 1]
-        q_y = kernels.q_charlier(n + 1, ext, bound)
-        gen = kernels.coupling_generator("poisson", n, ext, bound)
-        lam = kernels.LambdaKernel(kernels.POISSON, ext)
-        return q_y, gen, lam, intertwine.verify_generator_intertwining
-    if case == "geometric":
-        ext = rates_of(qs[: n + 1], open_unit=True)
-        p_y = kernels.kernel_geometric(n + 1, ext, bound)
-        step = kernels.coupling_kernel_geometric(n, ext, bound)
-        lam = kernels.LambdaKernel(kernels.GEOMETRIC, ext)
-        return p_y, step, lam, intertwine.verify_kernel_intertwining
-    if case == "wall-odd-even":
-        ext = qs[:n]
-        q_y = kernels.q_symplectic(2 * n, ext, bound)
-        gen = kernels.coupling_generator("wall-odd-even", n, ext, bound)
-        lam = kernels.LambdaKernel(kernels.WALL_ODD_EVEN, ext)
-        return q_y, gen, lam, intertwine.verify_generator_intertwining
-    if case == "wall-even-odd":
-        ext = qs[: n + 1]
-        q_y = kernels.q_symplectic(2 * n + 1, ext, bound)
-        gen = kernels.coupling_generator("wall-even-odd", n, ext, bound)
-        lam = kernels.LambdaKernel(kernels.WALL_EVEN_ODD, ext)
-        return q_y, gen, lam, intertwine.verify_generator_intertwining
-    raise ValueError(f"unknown case {case!r}")
+    for one intertwining case; q supplies at least the rates the case needs.
+    The case's rows come from ``kernels._Y_ROW``: the lower row Y takes one
+    rate per entry, and the upper row X above it has n entries."""
+    if case not in kernels._Y_ROW:
+        raise ValueError(f"unknown case {case!r}")
+    kind, y_row = kernels._Y_ROW[case]
+    k = next(k for k in (n, n + 1) if row_length(y_row(k) - 1, kind) == n)
+    ext = rates_of(rates_of(q)[:k], k, open_unit=case == kernels.GEOMETRIC)
+    lam = kernels.LambdaKernel(case, ext)
+    if case == kernels.GEOMETRIC:
+        return (kernels.kernel_geometric(k, ext, bound),
+                kernels.coupling_kernel_geometric(n, ext, bound), lam,
+                intertwine.verify_kernel_intertwining)
+    return (kernels.row_generator(kind, y_row(k), ext, bound),
+            kernels.coupling_generator(case, n, ext, bound), lam,
+            intertwine.verify_generator_intertwining)
 
 
 def run_intertwine_case(case: str, n: int, q, bound: int) -> intertwine.VerificationReport:
@@ -293,8 +282,9 @@ def _cmd_simulate_endpoints(args) -> int:
     summary = {"model": args.model, "n": args.n, "trials": args.trials,
                "seed": args.seed}
     if args.max_tv is not None:
-        tv = harness.tv_distance(emp, harness.reference_endpoint_pmf(cfg))
-        summary.update({"tv": tv, "max_tv": args.max_tv})
+        ref = harness.reference_endpoint_pmf(cfg)
+        tv = harness.tv_distance(emp, ref)
+        summary.update({"tv": tv, "max_tv": args.max_tv, "escaped_mass": ref.escaped_mass})
         print(json.dumps(summary))
         return 0 if tv <= args.max_tv else 1
     print(json.dumps(summary))

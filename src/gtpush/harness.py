@@ -27,10 +27,12 @@ BLOCK_TRIALS = 4096
 
 @dataclass
 class Pmf:
-    """Finite distribution over hashable states (floats, sums to 1)."""
+    """Finite distribution over hashable states (floats, sums to 1).  A law
+    read off a truncated box records the mass that escaped it."""
 
     support: tuple
     probs: np.ndarray
+    escaped_mass: float = 0.0
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -52,21 +54,22 @@ class Pmf:
 
     @classmethod
     def from_dense_row(cls, kernel, source) -> "Pmf":
-        """Row of an intertwine.DenseKernel."""
+        """Row of a time-t kernel from ``intertwine.semigroup`` at source."""
         return cls.from_box_row(kernel.states, kernel.row(source))
 
     @classmethod
     def from_box_row(cls, states, row) -> "Pmf":
-        """Law given by a row over the states of a box.  Mass that escaped the
-        box beyond the closure tolerance is an internal limit, not bad input:
-        RuntimeError names it and the bound."""
+        """Law given by a row over the states of a box; 1 - (row sum) is
+        recorded as the escaped mass.  Mass that escaped the box beyond the
+        closure tolerance is an internal limit, not bad input: RuntimeError
+        names it and the bound."""
         lost = 1.0 - float(row.sum())
         if lost > 1e-12:
             bound = max(max(s) for s in states)
             raise RuntimeError(f"the reference law lost {100 * lost:.3g}% of its mass past the "
                                f"truncation bound {bound}: the bound must go up")
         keep = row > 0.0
-        return cls(tuple(s for s, k in zip(states, keep) if k), row[keep])
+        return cls(tuple(s for s, k in zip(states, keep) if k), row[keep], lost)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -221,7 +224,8 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
 
     The bottom row is itself Markov with the matching conditioned-walk
     operator, so the reference is a semigroup row for the continuous dynamics
-    and a kernel power for the discrete one."""
+    and a kernel power for the discrete one; either is computed by moving the
+    start vector, never a matrix."""
     from . import intertwine
 
     qs = [frac(v) for v in config.q]
@@ -233,15 +237,9 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
         k = (config.n + 1) // 2
         z = config.z if len(config.z) == k else (0,) * k
         return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), z)
-    kern = kernels.kernel_geometric(config.n, qs, config.bound)
-    states = kern.states
-    idx = {s: i for i, s in enumerate(states)}
-    mat = np.zeros((len(states), len(states)))
-    for s in states:
-        for t2, v in kern.row(s).items():
-            mat[idx[s], idx[t2]] = float(v)
-    vec = np.zeros(len(states))
-    vec[idx[config.z]] = 1.0
+    kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
+    vec = np.zeros(len(kern.states))
+    vec[kern.states.index(config.z)] = 1.0
     for _ in range(int(config.horizon)):
-        vec = vec @ mat
-    return Pmf.from_box_row(states, vec)
+        vec = kern.apply(vec)
+    return Pmf.from_box_row(kern.states, vec)

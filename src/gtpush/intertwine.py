@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import LambdaKernel, SparseGenerator, StepKernel, _fmt_state
+from .kernels import FloatKernel, LambdaKernel, SparseGenerator, StepKernel, _fmt_state
 
 
 @dataclass
@@ -129,31 +129,45 @@ def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationRep
     return report
 
 
-@dataclass
-class DenseKernel:
-    """Dense time-t transition kernel on an explicitly listed state space."""
+class Semigroup:
+    """Time-t kernel of a truncated generator, one row at a time.
 
-    states: list
-    matrix: np.ndarray
-    t: float
+    Holds the uniformized jump matrix J = I + Q/theta in sparse float form and
+    the Poisson weights w_k of the series sum_k w_k J^k; a row is the start
+    vector moved through the series, so no m x m matrix is formed.
+    """
 
-    def __post_init__(self):
-        self.index = {s: i for i, s in enumerate(self.states)}
+    def __init__(self, states, jump: FloatKernel | None, weights: list[float]):
+        self.states = states
+        self.index = {s: i for i, s in enumerate(states)}
+        self.jump = jump
+        self.weights = weights
 
-    def prob(self, s, s2) -> float:
-        return float(self.matrix[self.index[s], self.index[s2]])
+    def propagate(self, vec: np.ndarray) -> np.ndarray:
+        """The row vector vec times the time-t kernel."""
+        out = self.weights[0] * vec
+        for w in self.weights[1:]:
+            vec = self.jump.apply(vec)
+            out += w * vec
+        return out
 
     def row(self, s) -> np.ndarray:
-        return self.matrix[self.index[s]]
+        start = np.zeros(len(self.states))
+        start[self.index[s]] = 1.0
+        return self.propagate(start)
+
+    def prob(self, s, s2) -> float:
+        return float(self.row(s)[self.index[s2]])
 
 
-def semigroup(gen: SparseGenerator, t, tol: float) -> DenseKernel:
+def semigroup(gen: SparseGenerator, t, tol: float) -> Semigroup:
     """Time-t kernel of the truncated generator via uniformization.
 
     The Poissonized power series of the jump kernel is truncated once the
     remaining Poisson tail drops below tol.  Rows of the result are
     sub-stochastic near the box edge (mass killed at escape), and row sums at
-    interior states are within the escape probability of 1.
+    interior states are within the escape probability of 1.  Rows are
+    computed on demand (``Semigroup.row``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -161,38 +175,36 @@ def semigroup(gen: SparseGenerator, t, tol: float) -> DenseKernel:
     if tf < 0:
         raise ValueError("t must be nonnegative")
     states = gen.states
-    idx = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    mat = np.zeros((m, m))
+    index = {s: i for i, s in enumerate(states)}
+    src, dst, val = [], [], []
     theta = 0.0
-    for s in states:
+    for i, s in enumerate(states):
         row = gen.row(s)
         theta = max(theta, -float(row.get(s, Fraction(0))))
-        for t2, v in row.items():
-            mat[idx[s], idx[t2]] = float(v)
+        for s2, v in row.items():
+            src.append(i)
+            dst.append(index[s2])
+            val.append(float(v))
     if theta == 0.0 or tf == 0.0:
-        return DenseKernel(states, np.eye(m), tf)
-    jump = np.eye(m) + mat / theta
+        return Semigroup(states, None, [1.0])
+    diag = list(range(len(states)))  # the identity of J = I + Q/theta, as entries of its own
+    jump = FloatKernel(states, src + diag, dst + diag,
+                       np.append(np.array(val) / theta, np.ones(len(states))))
     lam = theta * tf
-    out = np.zeros((m, m))
-    power = np.eye(m)
     w = math.exp(-lam)
     if w == 0.0:
         raise RuntimeError(f"theta*t = {lam:.4g} is past the underflow limit of uniformization "
                            f"(exp(-theta*t) is 0 beyond about 745): the time t must come down")
+    weights = [w]
     covered = w
-    out += w * power
-    k = 0
     max_terms = int(lam + 20 * math.sqrt(lam + 1) + 60)
     while 1.0 - covered > tol:
-        k += 1
-        if k > max_terms:
+        if len(weights) > max_terms:
             raise RuntimeError("uniformization failed to converge; lower tol or bound")
-        power = power @ jump
-        w *= lam / k
+        w *= lam / len(weights)
         covered += w
-        out += w * power
-    return DenseKernel(states, out, tf)
+        weights.append(w)
+    return Semigroup(states, jump, weights)
 
 
 def semigroup_intertwining_gap(
@@ -203,7 +215,8 @@ def semigroup_intertwining_gap(
     tol: float,
     sources=None,
 ) -> float:
-    """Max |p_t(y,.)Lambda - Lambda q_t(.,.)| over the given source states.
+    """Max |(delta_y P_t) Lambda - (delta_y Lambda) Q_t| over the given source
+    states: two propagations per source, the second from Lambda's mixed start.
 
     Sources default to the deep interior (coordinates <= bound/4) where the
     probability of reaching the truncation edge by time t is negligible.
@@ -222,9 +235,9 @@ def semigroup_intertwining_gap(
                 continue
             for (x2, _), mass in lam.support(y2):
                 lhs[pair_idx[(x2, y2)]] += p * float(mass)
-        rhs = np.zeros(len(gen.states))
-        for (x, _), mass in lam.support(y):
-            if mass:
-                rhs += float(mass) * q_t.row((x, y))
+        start = np.zeros(len(gen.states))
+        for pair, mass in lam.support(y):
+            start[pair_idx[pair]] = float(mass)
+        rhs = q_t.propagate(start)
         gap = max(gap, float(np.max(np.abs(lhs - rhs))))
     return gap

@@ -3,18 +3,23 @@
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped, and exact assertions downstream are
 made only at interior states (all coordinates <= bound-1).  Values are exact
-rationals throughout.  The continuous-time coupling generators are read off
-the simulators' ring table (``dynamics.ring_table``), so blocking and pushing
-are stated once for the simulators and the exact half alike.  One table says
-which pattern rows a variant pairs: its two-row states are the lower rows on
-the box with their ``patterns.branching`` candidates above, and its kernel
-Lambda is the pattern measure's exact law of the upper row given the lower
-(``schur.branching_law``).
+rationals throughout, except in ``FloatKernel``, the float form the Monte
+Carlo reference laws are moved through.  The continuous-time coupling
+generators are read off the simulators' ring table (``dynamics.ring_table``),
+so blocking and pushing are stated once for the simulators and the exact half
+alike.  One table says which pattern rows a variant pairs: its two-row states
+are the lower rows on the box with their ``patterns.branching`` candidates
+above, and its kernel Lambda is the pattern measure's exact law of the upper
+row given the lower (``schur.branching_law``).
 """
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+
+import numpy as np
 
 from . import schur
 from .dynamics import NEVER, _ring_rates, ring_table
@@ -110,6 +115,21 @@ class _SparseOperator:
         return {"label": self.label, "bound": self.bound, "entries": entries}
 
 
+class FloatKernel:
+    """A float matrix on a list of states, kept as coordinate arrays (row,
+    column, value) and applied to row vectors; no m x m array is formed."""
+
+    def __init__(self, states, src, dst, val):
+        self.states = list(states)
+        self.src = np.asarray(src, dtype=np.intp)
+        self.dst = np.asarray(dst, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The row vector vec times the matrix."""
+        return np.bincount(self.dst, weights=vec[self.src] * self.val, minlength=len(self.states))
+
+
 class SparseGenerator(_SparseOperator):
     """Truncated Q-matrix: nonnegative off-diagonals, nonpositive diagonal."""
 
@@ -155,23 +175,56 @@ def q_charlier(n: int, q, bound: int) -> SparseGenerator:
     return SparseGenerator(states, rows, bound, f"charlier n={n}")
 
 
+def _step_targets(x: tuple, bound: int):
+    """Targets of one geometric step from x on the box: each entry moves right,
+    up to the old position of the entry after it (the last one up to the bound)."""
+    return product(*(range(lo, hi + 1) for lo, hi in zip(x, x[1:] + (bound,))))
+
+
 def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     """One-step kernel of ordered walkers with geometric jumps, conditioned
     to stay shifted-interlaced; rows sum to 1 over the untruncated targets."""
     qs = rates_of(q, n, open_unit=True)
-    a = Fraction(1)
-    for v in qs:
-        a *= 1 - v
+    a = math.prod(1 - v for v in qs)
     rows = {}
     states = chamber_states(n, bound)
     for x in states:
         sx = schur.schur(x, qs)
-        row = {}
-        highs = [x[i + 1] if i + 1 < n else bound for i in range(n)]
-        for xt in product(*(range(lo, hi + 1) for lo, hi in zip(x, highs))):
-            row[xt] = a * schur.schur(xt, qs) / sx
-        rows[x] = row
+        rows[x] = {xt: a * schur.schur(xt, qs) / sx for xt in _step_targets(x, bound)}
     return StepKernel(states, rows, bound, f"geometric n={n}")
+
+
+def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
+    """``kernel_geometric`` in floats: each state's Schur value h is rounded
+    once and the entry from x to xt is a h(xt) / h(x).  A Schur value outside
+    the normal float range would make these ratios 0/0 or inexact, so it is
+    refused with a RuntimeError that names the bound."""
+    qs = rates_of(q, n, open_unit=True)
+    states = chamber_states(n, bound)
+    h = np.empty(len(states))
+    for i, x in enumerate(states):
+        h[i] = float(schur.schur(x, qs))
+        if not sys.float_info.min <= h[i] < math.inf:
+            raise RuntimeError(f"the Schur value at {x} is {h[i]:.3g} in floats: the truncation "
+                               f"bound {bound} is past the float range of the geometric "
+                               f"reference and must come down")
+    index = {s: i for i, s in enumerate(states)}
+    src, dst = [], []
+    for i, x in enumerate(states):
+        targets = [index[xt] for xt in _step_targets(x, bound)]
+        src.extend([i] * len(targets))
+        dst.extend(targets)
+    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
+    return FloatKernel(states, src, dst, float(math.prod(1 - v for v in qs)) * h[dst] / h[src])
+
+
+def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
+    """Generator of row r of a pattern on its own: the conditioned walk of its
+    entries, with one rate per entry taken off the front of q."""
+    k = row_length(r, kind)
+    if kind == STANDARD:
+        return q_charlier(r, q[:k], bound)
+    return q_symplectic(r, q[:k], bound)
 
 
 def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
@@ -226,10 +279,7 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     r = j - 1
     if row_length(r, kind) != n:
         raise ValueError(f"{case} coupling with {n} upper entries got {len(qs)} rates")
-    if kind == STANDARD:
-        marginal = q_charlier(n, qs[:n], bound)
-    else:
-        marginal = q_symplectic(r, qs[:n], bound)
+    marginal = row_generator(kind, r, qs, bound)
     states = _pairs(kind, j, qs, bound)
     table = ring_table(j, kind)
     particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
@@ -296,17 +346,14 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     """One-step kernel of the paired geometric recursion (X pushes, old X blocks)."""
     qs = rates_of(q_ext, n + 1, open_unit=True)
     qx, qy = qs[:n], qs[n]
-    ax = Fraction(1)
-    for v in qx:
-        ax *= 1 - v
+    ax = math.prod(1 - v for v in qx)
     kind, j = _y_row(GEOMETRIC, qs)
     states = _pairs(kind, j, qs, bound)
     rows = {}
     for x, y in states:
         sx = schur.schur(x, qx)
         row = {}
-        xhighs = [x[i + 1] if i + 1 < n else bound for i in range(n)]
-        for xt in product(*(range(lo, hi + 1) for lo, hi in zip(x, xhighs))):
+        for xt in _step_targets(x, bound):
             px = ax * schur.schur(xt, qx) / sx
             ranges = []
             for j in range(n + 1):

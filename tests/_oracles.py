@@ -3,8 +3,11 @@
 These enumerate or sum directly from definitions so the tested code paths
 cannot leak into their own expected values.
 """
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+
+import numpy as np
 
 from gtpush.dynamics import MoveEvent, Trajectory
 from gtpush.kernels import SparseGenerator, StepKernel
@@ -164,3 +167,34 @@ def simulate_reference(op, init, horizon, rng) -> Trajectory:
     else:
         raise TypeError(f"cannot simulate a {type(op).__name__}")
     return Trajectory(coords_of(init), events, s)
+
+
+def dense_semigroup(gen: SparseGenerator, t, tol: float) -> np.ndarray:
+    """Time-t kernel of a truncated generator as one dense matrix, by the
+    uniformization series sum_k w_k J^k over whole matrix powers of
+    J = I + Q/theta (rows and columns in the order of gen.states)."""
+    states = gen.states
+    idx = {s: i for i, s in enumerate(states)}
+    m = len(states)
+    mat = np.zeros((m, m))
+    theta = 0.0
+    for s in states:
+        row = gen.row(s)
+        theta = max(theta, -float(row.get(s, Fraction(0))))
+        for t2, v in row.items():
+            mat[idx[s], idx[t2]] = float(v)
+    if theta == 0.0 or float(t) == 0.0:
+        return np.eye(m)
+    jump = np.eye(m) + mat / theta
+    lam = theta * float(t)
+    w = math.exp(-lam)
+    out = w * np.eye(m)
+    power = np.eye(m)
+    covered, k = w, 0
+    while 1.0 - covered > tol:
+        k += 1
+        power = power @ jump
+        w *= lam / k
+        covered += w
+        out += w * power
+    return out

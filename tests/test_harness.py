@@ -241,6 +241,22 @@ def test_cli_simulate_endpoint_mode(tmp_path, capsys):
     assert abs(float(emp.probs.sum()) - 1.0) < 1e-9
 
 
+def test_cli_simulate_reports_escaped_mass(capsys):
+    # the reference law's mass past an explicit bound, as 1 - (row sum)
+    from gtpush import intertwine, kernels
+
+    code = cli_dispatch(
+        ["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3",
+         "--horizon", "1", "--trials", "200", "--seed", "5", "--bound", "12", "--max-tv", "1"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    gen = kernels.q_charlier(2, (F(1, 2), F(1, 3)), 12)
+    row = intertwine.semigroup(gen, 1.0, 1e-14).row((0, 0))
+    assert doc["escaped_mass"] == 1.0 - float(row.sum())
+    assert 1e-15 < doc["escaped_mass"] <= 1e-12
+
+
 def test_endpoint_samples_respect_nonzero_start():
     # with the initial pattern drawn from the exact bottom-row measure, the
     # bottom row follows the conditioned-walk semigroup from any starting row
@@ -306,3 +322,16 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_geometric_reference_past_float_range_exits_3():
+    # schur((x,), (1/7,)) = 7^-x is below the normal floats for x > 364: the
+    # float reference refuses the box instead of forming 0/0 ratios
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtpush.cli", "simulate", "--model", "geometric", "--n", "1",
+         "--q", "1/7", "--horizon", "1", "--trials", "20", "--bound", "400", "--max-tv", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "bound 400" in proc.stderr

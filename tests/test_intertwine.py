@@ -16,6 +16,8 @@ from gtpush.intertwine import (
     verify_kernel_intertwining,
 )
 
+from _oracles import dense_semigroup
+
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
 
@@ -98,7 +100,8 @@ def test_report_json_round_trip():
 def test_semigroup_identity_at_time_zero():
     gen = kernels.q_charlier(2, Q2, 5)
     p0 = semigroup(gen, 0, 1e-12)
-    assert np.allclose(p0.matrix, np.eye(len(gen.states)))
+    for i, s in enumerate(gen.states):
+        assert np.allclose(p0.row(s), np.eye(len(gen.states))[i])
 
 
 def test_semigroup_single_walker_poisson_law():
@@ -108,6 +111,25 @@ def test_semigroup_single_walker_poisson_law():
         assert p.prob((0,), (k,)) == pytest.approx(
             math.exp(-1.0) * 1.0 ** k / math.factorial(k), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("family,height", [("charlier", 1), ("charlier", 2), ("charlier", 3),
+                                           ("symplectic", 2), ("symplectic", 3),
+                                           ("symplectic", 4)])
+@pytest.mark.parametrize("rates", [(F(1, 2), F(1, 3)), (F(3, 2), F(5, 4))])
+def test_semigroup_rows_match_dense_series(family, height, rates):
+    # the propagated rows against whole matrix powers of the same series, with
+    # rates below and above 1
+    if family == "charlier":
+        gen = kernels.q_charlier(height, (rates * 2)[:height], 6)
+    else:
+        gen = kernels.q_symplectic(height, rates[: (height + 1) // 2], 6)
+    for t in (F(1, 3), 2):
+        p = semigroup(gen, t, 1e-14)
+        dense = dense_semigroup(gen, t, 1e-14)
+        assert p.states == gen.states
+        for i, s in enumerate(gen.states):
+            assert np.max(np.abs(p.row(s) - dense[i])) <= 1e-15
 
 
 def test_semigroup_rejects_bad_tolerance():
@@ -124,7 +146,8 @@ def test_semigroup_chapman_kolmogorov():
     ps = semigroup(gen, F(1, 4), tol)
     pt = semigroup(gen, F(3, 4), tol)
     pst = semigroup(gen, 1, tol)
-    assert np.max(np.abs(ps.matrix @ pt.matrix - pst.matrix)) < 10 * tol
+    for x in gen.states:
+        assert np.max(np.abs(pt.propagate(ps.row(x)) - pst.row(x))) < 10 * tol
 
 
 def test_semigroup_interior_rows_nearly_stochastic():

@@ -65,6 +65,35 @@ def test_kernel_geometric_examples():
     assert kern.prob((0, 1), (2, 2)) == 0  # not shifted-interlaced
 
 
+@pytest.mark.parametrize("n,bound", [(1, 10), (2, 7), (3, 5)])
+def test_float_geometric_power_matches_exact_power(n, bound):
+    # the float reference kernel, stepped on a vector from every start, against
+    # exact Fraction powers of kernel_geometric, whose targets are in turn held
+    # against the shifted interlacing x_i <= xt_i <= x_{i+1} (the bound last)
+    qs = Q3[:n]
+    exact = kernel_geometric(n, qs, bound)
+    fk = kernels.kernel_geometric_float(n, qs, bound)
+    assert fk.states == exact.states
+    for x in exact.states:
+        highs = x[1:] + (bound,)
+        assert set(exact.row(x)) == {
+            xt for xt in exact.states if all(x[i] <= xt[i] <= highs[i] for i in range(n))}
+    for z in exact.states:
+        vec = np.zeros(len(fk.states))
+        vec[fk.states.index(z)] = 1.0
+        law = {z: F(1)}
+        for _ in range(4):
+            vec = fk.apply(vec)
+            step = {}
+            for x, p in law.items():
+                for xt, v in exact.row(x).items():
+                    step[xt] = step.get(xt, 0) + p * v
+            law = step
+            expected = np.array([float(law.get(s, 0)) for s in fk.states])
+            assert np.array_equal(vec > 0, expected > 0)
+            assert np.max(np.abs(vec - expected)) <= 1e-15
+
+
 def test_kernel_geometric_untruncated_rows_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(20):
