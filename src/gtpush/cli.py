@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import couplings, dynamics, harness, intertwine, kernels, schur
-from .patterns import frac, rates_of, row_length, sample_pattern
+from .patterns import SYMPLECTIC, frac, rates_of, row_length, sample_pattern
 
 
 def _parse_rates(text: str, open_unit: bool = False):
@@ -320,7 +320,7 @@ def _cmd_coupling(args) -> int:
     t = float(Fraction(args.horizon))
     open_qs = rates_of(qs[:k], open_unit=True)
     samples = couplings.wall_sup_samples(k, open_qs, t, trials, seed)
-    gen = kernels.q_symplectic(2 * k, open_qs, args.bound)
+    gen = kernels.row_generator_float(SYMPLECTIC, 2 * k, open_qs, args.bound)
     ref = harness.Pmf.from_dense_row(
         intertwine.semigroup(gen, t, 1e-14), (0,) * k)
     # the functional matches the last coordinate of the conditioned walk

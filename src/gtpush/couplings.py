@@ -8,7 +8,6 @@ distribution.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -25,19 +24,12 @@ class PoissonPanel:
     times: tuple[tuple[float, ...], ...]
     t_end: float
 
-    def to_json_dict(self):
-        return {"kind": "poisson", "t_end": self.t_end,
-                "times": [list(ts) for ts in self.times]}
-
 
 @dataclass(frozen=True)
 class GeometricPanel:
     """Nonnegative integer field eta[k][t-1], jump draws for site (t, k+1)."""
 
     eta: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self):
-        return {"kind": "geometric", "eta": [list(row) for row in self.eta]}
 
 
 @dataclass(frozen=True)
@@ -46,26 +38,6 @@ class WallPanel:
 
     jumps: tuple[tuple[tuple[float, int], ...], ...]
     t_end: float
-
-    def to_json_dict(self):
-        return {"kind": "wall", "t_end": self.t_end,
-                "jumps": [[[t, s] for t, s in comp] for comp in self.jumps]}
-
-
-def panel_from_json(payload) -> object:
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    kind = payload["kind"]
-    if kind == "poisson":
-        return PoissonPanel(tuple(tuple(ts) for ts in payload["times"]), payload["t_end"])
-    if kind == "geometric":
-        return GeometricPanel(tuple(tuple(int(v) for v in row) for row in payload["eta"]))
-    if kind == "wall":
-        return WallPanel(
-            tuple(tuple((t, int(s)) for t, s in comp) for comp in payload["jumps"]),
-            payload["t_end"],
-        )
-    raise ValueError(f"unknown panel kind {kind!r}")
 
 
 def poisson_panel(n: int, q, t_end: float, rng) -> PoissonPanel:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dynamics, kernels
-from .patterns import frac, rates_of, sample_patterns
+from .patterns import STANDARD, SYMPLECTIC, frac, rates_of, row_length, sample_patterns
 
 MODELS = ("poisson", "geometric", "wall")
 BLOCK_TRIALS = 4096
@@ -160,12 +159,6 @@ class ExperimentConfig:
         if self.bound < max(self.z, default=0) + 2:
             raise ValueError("bound must be at least max(z) + 2")
 
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["q"] = list(self.q)
-        d["z"] = list(self.z)
-        return json.dumps(d, indent=2)
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-split stream for one trial; independent of scheduling."""
@@ -220,22 +213,22 @@ def empirical_pmf(samples) -> Pmf:
 
 
 def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
-    """Reference law of the bottom row at the horizon.
+    """Reference law of the bottom row at the horizon, in floats.
 
     The bottom row is itself Markov with the matching conditioned-walk
     operator, so the reference is a semigroup row for the continuous dynamics
     and a kernel power for the discrete one; either is computed by moving the
-    start vector, never a matrix."""
+    start vector through a float operator whose Schur values come from the
+    float recursion (``schur.float_values``), never a matrix and no Fraction
+    per state."""
     from . import intertwine
 
     qs = [frac(v) for v in config.q]
-    if config.model == "poisson":
-        gen = kernels.q_charlier(config.n, qs, config.bound)
-        return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), config.z)
-    if config.model == "wall":
-        gen = kernels.q_symplectic(config.n, qs, config.bound)
-        k = (config.n + 1) // 2
-        z = config.z if len(config.z) == k else (0,) * k
+    if config.model in ("poisson", "wall"):
+        kind = SYMPLECTIC if config.model == "wall" else STANDARD
+        k = row_length(config.n, kind)
+        gen = kernels.row_generator_float(kind, config.n, rates_of(qs, k), config.bound)
+        z = config.z if kind == STANDARD or len(config.z) == k else (0,) * k
         return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), z)
     kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
     vec = np.zeros(len(kern.states))

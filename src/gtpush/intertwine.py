@@ -180,7 +180,7 @@ def semigroup(gen: SparseGenerator, t, tol: float) -> Semigroup:
     theta = 0.0
     for i, s in enumerate(states):
         row = gen.row(s)
-        theta = max(theta, -float(row.get(s, Fraction(0))))
+        theta = max(theta, -float(row.get(s, 0)))
         for s2, v in row.items():
             src.append(i)
             dst.append(index[s2])

@@ -2,9 +2,12 @@
 
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped, and exact assertions downstream are
-made only at interior states (all coordinates <= bound-1).  Values are exact
-rationals throughout, except in ``FloatKernel``, the float form the Monte
-Carlo reference laws are moved through.  The continuous-time coupling
+made only at interior states (all coordinates <= bound-1).  The exact half's
+values are exact rationals.  The Monte Carlo reference laws use float forms
+of the marginal operators, built from the same Schur recursion run on float
+rates (``schur.float_values``): ``row_generator_float`` shares the
+conditioned walk's move rule with the exact generators, and
+``kernel_geometric_float`` is a ``FloatKernel``.  The continuous-time coupling
 generators are read off the simulators' ring table (``dynamics.ring_table``),
 so blocking and pushing are stated once for the simulators and the exact half
 alike.  One table says which pattern rows a variant pairs: its two-row states
@@ -15,9 +18,8 @@ row given the lower (``schur.branching_law``).
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .patterns import (
     STANDARD,
     SYMPLECTIC,
     branching,
+    chamber_states,
     coords_of,
     rates_of,
     row_length,
@@ -45,11 +48,6 @@ _Y_ROW = {
     WALL_ODD_EVEN: (SYMPLECTIC, lambda k: 2 * k),
     WALL_EVEN_ODD: (SYMPLECTIC, lambda k: 2 * k - 1),
 }
-
-
-def chamber_states(n: int, bound: int) -> list[tuple[int, ...]]:
-    """Nondecreasing integer vectors of length n with entries in [0, bound]."""
-    return list(combinations_with_replacement(range(bound + 1), n))
 
 
 def _y_row(variant: str, qs) -> tuple[str, int]:
@@ -83,9 +81,7 @@ def _fmt_state(state):
 
 
 class _SparseOperator:
-    """Common storage: row-major sparse map state -> {state: Fraction}."""
-
-    value_key = "value"
+    """Common storage: row-major sparse map state -> {state: value}."""
 
     def __init__(self, states, rows, bound: int, label: str = ""):
         self.states = list(states)
@@ -106,14 +102,6 @@ class _SparseOperator:
     def interior_states(self):
         return [s for s in self.states if self.is_interior(s)]
 
-    def to_json_dict(self) -> dict:
-        entries = [
-            {"from": _fmt_state(s), "to": _fmt_state(t), self.value_key: str(v)}
-            for s in self.states
-            for t, v in sorted(self.rows.get(s, {}).items())
-        ]
-        return {"label": self.label, "bound": self.bound, "entries": entries}
-
 
 class FloatKernel:
     """A float matrix on a list of states, kept as coordinate arrays (row,
@@ -133,16 +121,12 @@ class FloatKernel:
 class SparseGenerator(_SparseOperator):
     """Truncated Q-matrix: nonnegative off-diagonals, nonpositive diagonal."""
 
-    value_key = "rate"
-
     def rate(self, s, t) -> Fraction:
         return self.value(s, t)
 
 
 class StepKernel(_SparseOperator):
     """Truncated one-step transition kernel: entries are probabilities."""
-
-    value_key = "prob"
 
     def prob(self, s, t) -> Fraction:
         return self.value(s, t)
@@ -151,28 +135,68 @@ class StepKernel(_SparseOperator):
 # ---------------------------------------------------------------------------
 # marginal generators / kernels
 
-def q_charlier(n: int, q, bound: int) -> SparseGenerator:
-    """Generator of n ordered walkers conditioned to stay ordered.
-
-    Off-diagonal rate to x+e_i is the ratio of Schur values; the diagonal is
-    -(sum of rates), which the harmonicity identity makes exact at every
-    chamber point.
-    """
-    qs = rates_of(q, n)
+def _conditioned_walk(kind: str, r: int, qs, bound: int, h) -> SparseGenerator:
+    """Generator of row r of a pattern on its own, with one rate per entry in
+    qs (Fractions, or floats for the reference laws) and its Schur values
+    given by the lookup h.  Each entry steps right up to the entry after it,
+    and for the wall also left down to the wall or the entry before it, at the
+    ratio h(target) / h(x).  The diagonal is minus the total step rate before
+    truncation, in the closed form that the harmonicity identity makes exact
+    at every chamber point."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    total = sum(qs)
+    k = len(qs)
+    out = sum(qs) if kind == STANDARD else sum(v + 1 / v for v in qs)
+    # an odd wall row's first entry has no left step while it stands at the wall
+    at_wall = 1 / qs[-1] if kind == SYMPLECTIC and r % 2 == 1 else 0
+    states = chamber_states(k, bound)
     rows = {}
-    states = chamber_states(n, bound)
     for x in states:
-        row = {x: -total}
-        sx = schur.schur(x, qs)
-        for i in range(n):
-            if (i == n - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
+        row = {x: at_wall - out if x[0] == 0 else -out}
+        hx = h(x)
+        for i in range(k):
+            if (i == k - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
                 xt = _bump(x, i, 1)
-                row[xt] = schur.schur(xt, qs) / sx
+                row[xt] = h(xt) / hx
+            if kind == SYMPLECTIC and x[i] - 1 >= (0 if i == 0 else x[i - 1]):
+                xt = _bump(x, i, -1)
+                row[xt] = h(xt) / hx
         rows[x] = row
-    return SparseGenerator(states, rows, bound, f"charlier n={n}")
+    family = "charlier" if kind == STANDARD else "symplectic"
+    return SparseGenerator(states, rows, bound, f"{family} n={r}")
+
+
+def q_charlier(n: int, q, bound: int) -> SparseGenerator:
+    """Generator of n ordered walkers conditioned to stay ordered: rate to
+    x+e_i the ratio of Schur values, diagonal -(sum of rates)."""
+    qs = rates_of(q, n)
+    return _conditioned_walk(STANDARD, n, qs, bound, lambda x: schur.schur(x, qs))
+
+
+def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
+    """Generator of the row-n marginal of the wall dynamics: nearest-neighbour
+    moves with symplectic-Schur ratio rates and the parity-dependent diagonal."""
+    qs = rates_of(q, (n + 1) // 2)
+    return _conditioned_walk(SYMPLECTIC, n, qs, bound, lambda x: schur.sp_schur(n, x, qs))
+
+
+def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
+    """Generator of row r of a pattern on its own: the conditioned walk of its
+    entries, with one rate per entry taken off the front of q."""
+    k = row_length(r, kind)
+    if kind == STANDARD:
+        return q_charlier(r, q[:k], bound)
+    return q_symplectic(r, q[:k], bound)
+
+
+def row_generator_float(kind: str, r: int, q, bound: int) -> SparseGenerator:
+    """``row_generator`` with float entries, for the reference laws: the rates
+    and Schur values are floats from ``schur.float_values``, and no Fraction
+    is formed per state."""
+    k = row_length(r, kind)
+    qs = tuple(float(v) for v in rates_of(q[:k], k))
+    h = dict(zip(chamber_states(k, bound), schur.float_values(kind, r, qs, bound).tolist()))
+    return _conditioned_walk(kind, r, qs, bound, h.__getitem__)
 
 
 def _step_targets(x: tuple, bound: int):
@@ -195,19 +219,11 @@ def kernel_geometric(n: int, q, bound: int) -> StepKernel:
 
 
 def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
-    """``kernel_geometric`` in floats: each state's Schur value h is rounded
-    once and the entry from x to xt is a h(xt) / h(x).  A Schur value outside
-    the normal float range would make these ratios 0/0 or inexact, so it is
-    refused with a RuntimeError that names the bound."""
+    """``kernel_geometric`` in floats: the entry from x to xt is a h(xt) / h(x),
+    with the Schur values h from ``schur.float_values``."""
     qs = rates_of(q, n, open_unit=True)
     states = chamber_states(n, bound)
-    h = np.empty(len(states))
-    for i, x in enumerate(states):
-        h[i] = float(schur.schur(x, qs))
-        if not sys.float_info.min <= h[i] < math.inf:
-            raise RuntimeError(f"the Schur value at {x} is {h[i]:.3g} in floats: the truncation "
-                               f"bound {bound} is past the float range of the geometric "
-                               f"reference and must come down")
+    h = schur.float_values(STANDARD, n, qs, bound)
     index = {s: i for i, s in enumerate(states)}
     src, dst = [], []
     for i, x in enumerate(states):
@@ -216,45 +232,6 @@ def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
         dst.extend(targets)
     src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     return FloatKernel(states, src, dst, float(math.prod(1 - v for v in qs)) * h[dst] / h[src])
-
-
-def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
-    """Generator of row r of a pattern on its own: the conditioned walk of its
-    entries, with one rate per entry taken off the front of q."""
-    k = row_length(r, kind)
-    if kind == STANDARD:
-        return q_charlier(r, q[:k], bound)
-    return q_symplectic(r, q[:k], bound)
-
-
-def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
-    """Generator of the row-n marginal of the wall dynamics: nearest-neighbour
-    moves with symplectic-Schur ratio rates and the parity-dependent diagonal."""
-    k = (n + 1) // 2
-    qs = rates_of(q, k)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    states = chamber_states(k, bound)
-    rows = {}
-    for x in states:
-        sx = schur.sp_schur(n, x, qs)
-        if n % 2 == 1:
-            diag = sum(v + 1 / v for v in qs[: k - 1]) + qs[k - 1]
-            if x[0] > 0:
-                diag += 1 / qs[k - 1]
-        else:
-            diag = sum(v + 1 / v for v in qs)
-        row = {x: -diag}
-        for i in range(k):
-            if (i == k - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
-                xt = _bump(x, i, 1)
-                row[xt] = schur.sp_schur(n, xt, qs) / sx
-            lower = 0 if i == 0 else x[i - 1]
-            if x[i] - 1 >= lower:
-                xt = _bump(x, i, -1)
-                row[xt] = schur.sp_schur(n, xt, qs) / sx
-        rows[x] = row
-    return SparseGenerator(states, rows, bound, f"symplectic n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Cone geometry for integer Gelfand-Tsetlin patterns, standard and symplectic.
 
 States are nondecreasing integer vectors (Weyl chamber points); a pattern
-stacks such rows tied together by interlacing constraints.  All weights and
-probabilities are exact ``fractions.Fraction``; the pattern samplers round
-each exact branching law to a float CDF once and draw from it.
+stacks such rows tied together by interlacing constraints.  Weights and
+probabilities are exact ``fractions.Fraction``; ``branching`` also takes
+float rates, for the float Schur values of the reference laws.  The pattern
+samplers round each exact branching law to a float CDF once and draw from it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import numpy as np
 
@@ -42,6 +43,11 @@ def coords_of(x) -> tuple[int, ...]:
 
 def is_ordered(z) -> bool:
     return all(z[i] <= z[i + 1] for i in range(len(z) - 1))
+
+
+def chamber_states(n: int, bound: int) -> list[tuple[int, ...]]:
+    """Nondecreasing integer vectors of length n with entries in [0, bound]."""
+    return list(combinations_with_replacement(range(bound + 1), n))
 
 
 def rates_of(q, expect: int | None = None, open_unit: bool = False) -> tuple[Fraction, ...]:

@@ -1,11 +1,15 @@
-"""Exact evaluation of Schur and symplectic Schur functions at rational points.
+"""Evaluation of Schur and symplectic Schur functions at positive rates.
 
 Both are one recursion over ``patterns.branching``, the row-to-row rule of
 the geometric-weight pattern measure, memoized on (kind, row index, row,
-rates of that row and the rows above).  ``branching_law`` divides it out into
-the exact law of one row given the row below it: the intertwining kernels
-Lambda and the pattern samplers read that law.  A determinant ratio evaluated
-in exact rationals serves as an independent oracle for the standard case.
+rates of that row and the rows above, number field).  It runs in exact
+rationals for the exact half, and on float rates for the Monte Carlo
+reference laws (``float_values``); the field is part of the memo key, because
+a dyadic rate and its float hash and compare equal.  ``branching_law``
+divides the exact values out into the exact law of one row given the row
+below it: the intertwining kernels Lambda and the pattern samplers read that
+law.  A determinant ratio evaluated in exact rationals serves as an
+independent oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
@@ -13,17 +17,23 @@ kernel formulas stay implicit.
 """
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .patterns import (
     STANDARD,
     SYMPLECTIC,
     branching,
     branching_cdf,
+    chamber_states,
     coords_of,
     is_ordered,
     rates_of,
+    row_length,
 )
 
 
@@ -37,7 +47,7 @@ def schur(z, q) -> Fraction:
     qs = rates_of(q, len(z))
     if not is_ordered(z):
         return Fraction(0)
-    return _value(STANDARD, len(z), z, qs)
+    return _value(STANDARD, len(z), z, qs, Fraction)
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -90,19 +100,42 @@ def sp_schur(n: int, z, q) -> Fraction:
     qs = rates_of(q, k)
     if not is_ordered(z) or (z and z[0] < 0):
         return Fraction(0)
-    return _value(SYMPLECTIC, n, z, qs)
+    return _value(SYMPLECTIC, n, z, qs, Fraction)
 
 
 @lru_cache(maxsize=None)
-def _value(kind: str, j: int, row: tuple, qs: tuple) -> Fraction:
+def _value(kind: str, j: int, row: tuple, qs: tuple, field: type):
     """Summed weight of the patterns of height j with bottom row `row`; qs
-    holds one rate per entry of the row."""
+    holds one rate per entry of the row, as elements of field (Fraction or
+    float)."""
     if j == 0:
-        return Fraction(1)
-    total = Fraction(0)
+        return field(1)
+    total = field(0)
     for za, c in branching(kind, j, row, qs):
-        total += c * _value(kind, j - 1, za, qs[: len(za)])
+        total += c * _value(kind, j - 1, za, qs[: len(za)], field)
     return total
+
+
+def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
+    """Schur values of row j (1-based; symplectic of height j for SYMPLECTIC)
+    at every state of ``chamber_states(row_length(j, kind), bound)``, in that
+    order, from the recursion run on the float rates.  The Monte Carlo
+    reference laws take ratios of these, which a value outside the normal
+    float range (0, subnormal, or a rate power past the largest float) would
+    make 0/0 or inexact: it is refused with a RuntimeError naming the bound."""
+    qs = tuple(float(v) for v in q)
+    states = chamber_states(row_length(j, kind), bound)
+    h = np.empty(len(states))
+    for i, x in enumerate(states):
+        try:
+            h[i] = _value(kind, j, x, qs, float)
+        except OverflowError:
+            h[i] = math.inf
+        if not sys.float_info.min <= h[i] < math.inf:
+            raise RuntimeError(f"the Schur value at {x} is {h[i]:.3g} in floats: the truncation "
+                               f"bound {bound} is past the float range of the reference law "
+                               f"and must come down")
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +144,7 @@ def branching_law(kind: str, j: int, row: tuple, qs: tuple) -> tuple:
     measure with rates qs: ((candidate, probability), ...) in the order of
     ``patterns.branching``, each probability the candidate's coefficient times
     its Schur value over the Schur value of the row."""
-    weights = [(za, c * _value(kind, j - 1, za, qs[: len(za)]))
+    weights = [(za, c * _value(kind, j - 1, za, qs[: len(za)], Fraction))
                for za, c in branching(kind, j, row, qs)]
     total = sum(w for _, w in weights)
     return tuple((za, w / total) for za, w in weights)

@@ -12,7 +12,6 @@ from gtpush.couplings import (
     left_edge_from_walk,
     left_edge_matches_dynamics,
     lpp_G,
-    panel_from_json,
     poisson_panel,
     right_edge_equals_lpp,
     wall_panel,
@@ -137,15 +136,3 @@ def test_wall_sup_distribution_matches_conditioned_walk():
     ref = Pmf.from_dense_row(intertwine.semigroup(gen, 1.0, 1e-14), (0,))
     ref1 = Pmf(tuple(s[0] for s in ref.support), ref.probs)
     assert chi_square_gof(samples, ref1) > 0.01
-
-
-def test_panel_json_round_trip():
-    rng = np.random.default_rng(14)
-    pp = poisson_panel(2, (F(1, 2), F(1, 3)), 1.0, rng)
-    gp = geometric_panel(2, (F(1, 2), F(1, 3)), 4, rng)
-    wp = wall_panel(1, (F(1, 2),), 1.0, rng)
-    import json
-
-    for panel in (pp, gp, wp):
-        again = panel_from_json(json.dumps(panel.to_json_dict()))
-        assert again == panel

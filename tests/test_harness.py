@@ -79,8 +79,7 @@ def test_chi_square_degenerate_errors():
 
 
 def test_config_validation():
-    cfg = ExperimentConfig("poisson", 2, ("1/2", "1/3"), (0, 0), 1.0, 10, 1, 8)
-    assert json.loads(cfg.to_json())["model"] == "poisson"
+    ExperimentConfig("poisson", 2, ("1/2", "1/3"), (0, 0), 1.0, 10, 1, 8)
     with pytest.raises(ValueError):
         ExperimentConfig("brownian", 2, ("1/2",), (0,), 1.0, 10, 1, 8)
     with pytest.raises(ValueError):
@@ -242,7 +241,8 @@ def test_cli_simulate_endpoint_mode(tmp_path, capsys):
 
 
 def test_cli_simulate_reports_escaped_mass(capsys):
-    # the reference law's mass past an explicit bound, as 1 - (row sum)
+    # the reference law's mass past an explicit bound, as 1 - (row sum); the
+    # float reference agrees with the exact generator's semigroup row
     from gtpush import intertwine, kernels
 
     code = cli_dispatch(
@@ -251,10 +251,13 @@ def test_cli_simulate_reports_escaped_mass(capsys):
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    ref = harness.reference_endpoint_pmf(
+        ExperimentConfig("poisson", 2, ("1/2", "1/3"), (0, 0), 1.0, 200, 5, 12))
+    assert doc["escaped_mass"] == 1.0 - float(ref.probs.sum())
+    assert 1e-15 < doc["escaped_mass"] <= 1e-12
     gen = kernels.q_charlier(2, (F(1, 2), F(1, 3)), 12)
     row = intertwine.semigroup(gen, 1.0, 1e-14).row((0, 0))
-    assert doc["escaped_mass"] == 1.0 - float(row.sum())
-    assert 1e-15 < doc["escaped_mass"] <= 1e-12
+    assert abs(doc["escaped_mass"] - (1.0 - float(row.sum()))) <= 1e-15
 
 
 def test_endpoint_samples_respect_nonzero_start():
@@ -335,3 +338,37 @@ def test_cli_geometric_reference_past_float_range_exits_3():
     assert proc.returncode == 3
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "bound 400" in proc.stderr
+
+
+@pytest.mark.parametrize("model,n", [("poisson", 1), ("wall", 2)])
+def test_cli_walk_reference_past_float_range_exits_3(model, n):
+    # at rate 1/7 and bound 400 the float Schur values of the poisson walk fall
+    # below the normal floats (7^-x) and those of the wall walk overflow (7^x)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtpush.cli", "simulate", "--model", model, "--n", str(n),
+         "--q", "1/7", "--horizon", "1", "--trials", "20", "--bound", "400", "--max-tv", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "bound 400" in proc.stderr
+
+
+@pytest.mark.parametrize("model,n,q,z", [("poisson", 2, ("1/2", "1/3"), (0, 0)),
+                                         ("wall", 4, ("1/2", "1/3"), (0, 1)),
+                                         ("geometric", 2, ("1/2", "1/3"), (0, 1))])
+def test_reference_laws_form_no_fraction_per_state(monkeypatch, model, n, q, z):
+    # the references run on float Schur values: the Fractions they form are
+    # the rates and constants, far fewer than the 1,326 states of the box
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    cfg = ExperimentConfig(model, n, q, z, 1, 1, 0, 50)
+    monkeypatch.setattr(F, "__new__", counting_new)
+    harness.reference_endpoint_pmf(cfg)
+    monkeypatch.undo()
+    assert len(made) < 50

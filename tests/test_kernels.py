@@ -1,11 +1,10 @@
-import json
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from gtpush import kernels
+from gtpush import intertwine, kernels
 from gtpush.kernels import (
     LambdaKernel,
     blocking_factor,
@@ -18,13 +17,29 @@ from gtpush.kernels import (
     q_charlier,
     q_symplectic,
 )
-from gtpush.patterns import enumerate_patterns, row_length, weight
-from gtpush.schur import schur, sp_schur
+from gtpush.patterns import STANDARD, SYMPLECTIC, enumerate_patterns, row_length, weight
+from gtpush.schur import float_values, schur, sp_schur
 
 from _oracles import geometric_pair_prob_1d, geometric_row_total_2d
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
+# rates for the float references against the exact-Schur ones; a dyadic rate
+# is exact in floats, so its float and its Fraction share a memo hash
+RATES = {
+    "below-1": Q3,
+    "above-1": (F(3, 2), F(5, 4), F(7, 5)),
+    "dyadic": (F(1, 2), F(1, 4), F(1, 8)),
+}
+
+
+def _assert_float_schur_values(kind, height, qs, bound):
+    # the float recursion against the exact one, within 1e-14 relative error
+    exact = [schur(x, qs) if kind == STANDARD else sp_schur(height, x, qs)
+             for x in kernels.chamber_states(len(qs), bound)]
+    approx = float_values(kind, height, qs, bound)
+    assert len(approx) == len(exact)
+    assert all(abs(F(a) - e) <= F(1, 10 ** 14) * e for a, e in zip(approx.tolist(), exact))
 
 
 def test_charlier_single_walker_rates():
@@ -92,6 +107,50 @@ def test_float_geometric_power_matches_exact_power(n, bound):
             expected = np.array([float(law.get(s, 0)) for s in fk.states])
             assert np.array_equal(vec > 0, expected > 0)
             assert np.max(np.abs(vec - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("rates", ["below-1", "dyadic"])
+@pytest.mark.parametrize("n,bound", [(1, 10), (2, 7), (3, 5)])
+def test_float_geometric_kernel_matches_exact_schur_kernel(n, bound, rates):
+    # the float-recursion kernel against one whose entries are exact ratios
+    # rounded once, stepped from every start
+    qs = RATES[rates][:n]
+    _assert_float_schur_values(STANDARD, n, qs, bound)
+    exact = kernel_geometric(n, qs, bound)
+    fk = kernels.kernel_geometric_float(n, qs, bound)
+    index = {s: i for i, s in enumerate(exact.states)}
+    entries = [(index[x], index[xt], float(v)) for x in exact.states
+               for xt, v in exact.row(x).items()]
+    rounded = kernels.FloatKernel(exact.states, *zip(*entries))
+    assert fk.states == exact.states
+    for z in exact.states:
+        vec = ref = np.eye(len(exact.states))[index[z]]
+        for _ in range(3):
+            vec, ref = fk.apply(vec), rounded.apply(ref)
+            assert np.array_equal(vec > 0, ref > 0)
+            assert np.max(np.abs(vec - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("rates", sorted(RATES))
+@pytest.mark.parametrize("kind,height", [(STANDARD, 1), (STANDARD, 2), (STANDARD, 3),
+                                         (SYMPLECTIC, 2), (SYMPLECTIC, 3), (SYMPLECTIC, 4),
+                                         (SYMPLECTIC, 5)])
+def test_float_walk_matches_exact_schur_walk(kind, height, rates):
+    # the float conditioned walk against the exact generator: the same moves,
+    # and time-1 semigroup rows from every start with the same support and
+    # within 1e-15
+    qs = RATES[rates][: row_length(height, kind)]
+    _assert_float_schur_values(kind, height, qs, 6)
+    exact = kernels.row_generator(kind, height, qs, 6)
+    approx = kernels.row_generator_float(kind, height, qs, 6)
+    assert approx.states == exact.states
+    assert all(approx.row(s).keys() == exact.row(s).keys() for s in exact.states)
+    p_exact = intertwine.semigroup(exact, 1, 1e-14)
+    p_float = intertwine.semigroup(approx, 1, 1e-14)
+    for s in exact.states:
+        a, b = p_float.row(s), p_exact.row(s)
+        assert np.array_equal(a > 0, b > 0)
+        assert np.max(np.abs(a - b)) <= 1e-15
 
 
 def test_kernel_geometric_untruncated_rows_sum_to_one():
@@ -344,14 +403,3 @@ def test_lambda_kernel_class_delegates():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         m_weight((0,), (0, 0), "brownian", Q2)
-
-
-def test_json_serialisation_shape():
-    gen = q_charlier(1, (F(1, 2),), 3)
-    doc = gen.to_json_dict()
-    assert doc["bound"] == 3
-    text = json.dumps(doc)
-    parsed = json.loads(text)
-    entries = {(tuple(e["from"]), tuple(e["to"])): e["rate"] for e in parsed["entries"]}
-    assert entries[((0,), (1,))] == "1/2"
-    assert entries[((0,), (0,))] == "-1/2"

@@ -16,7 +16,14 @@ from gtpush.patterns import (
     sample_patterns,
     weight,
 )
-from gtpush.schur import OracleInapplicableError, clear_caches, schur, schur_oracle, sp_schur
+from gtpush.schur import (
+    OracleInapplicableError,
+    branching_law,
+    clear_caches,
+    schur,
+    schur_oracle,
+    sp_schur,
+)
 
 Q4 = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
 
@@ -158,3 +165,24 @@ def test_clear_caches_empties_every_schur_memo():
     assert memos and all(f.cache_info().currsize > 0 for f in memos)
     clear_caches()
     assert all(f.cache_info().currsize == 0 for f in memos)
+
+
+def test_float_references_leave_the_exact_values_exact():
+    # 1/2 and 0.5 hash and compare equal, so a memo keyed without the number
+    # field would hand the float references' values to exact callers
+    clear_caches()
+    qs = (F(1, 2), F(1, 4))
+    gtpush.kernels.row_generator_float(STANDARD, 2, qs, 5)
+    gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
+    gtpush.kernels.kernel_geometric_float(2, qs, 5)
+    for z in chamber(2, 5):
+        value = schur(z, qs)
+        assert type(value) is F and value == schur_oracle(z, qs)
+        for za, p in branching_law(STANDARD, 2, z, qs):
+            assert type(p) is F
+            assert p == qs[1] ** (sum(z) - sum(za)) * schur_oracle(za, qs[:1]) / value
+    for z in chamber(2, 3):
+        for n in (3, 4):
+            value = sp_schur(n, z, qs)
+            assert type(value) is F
+            assert value == sum(weight(p, qs) for p in enumerate_patterns(z, SYMPLECTIC, nrows=n))
