@@ -1,5 +1,10 @@
 """Command line front end: exact verification runs, simulators and statistics.
 
+Every check sweep lives in the library module that owns its subject
+(``intertwine``, ``couplings``, ``harness``); this module parses arguments,
+calls one library function per command, prints its result and maps it to an
+exit code.
+
 Exit codes: 0 on success/pass, 1 on a verification or comparison failure,
 2 on usage errors (bad flags, malformed or nonpositive rates), 3 when a
 computation cannot be carried out as asked (for instance a horizon past the
@@ -13,43 +18,17 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import couplings, dynamics, harness, intertwine, kernels, schur
-from .patterns import SYMPLECTIC, frac, rates_of, row_length, sample_pattern
+from .intertwine import build_intertwining_case
+from .patterns import STANDARD, SYMPLECTIC, frac, rates_of, row_length, sample_pattern
 
 
-def _parse_rates(text: str, open_unit: bool = False):
-    return rates_of([frac(part.strip()) for part in text.split(",")], open_unit=open_unit)
+def _parse_rates(text: str):
+    return rates_of([frac(part.strip()) for part in text.split(",")])
 
 
 def _parse_row(text: str):
     return tuple(int(part) for part in text.split(","))
-
-
-def build_intertwining_case(case: str, n: int, q, bound: int):
-    """Assemble (marginal operator, coupling kernel/generator, Lambda, checker)
-    for one intertwining case; q supplies at least the rates the case needs.
-    The case's rows come from ``kernels._Y_ROW``: the lower row Y takes one
-    rate per entry, and the upper row X above it has n entries."""
-    if case not in kernels._Y_ROW:
-        raise ValueError(f"unknown case {case!r}")
-    kind, y_row = kernels._Y_ROW[case]
-    k = next(k for k in (n, n + 1) if row_length(y_row(k) - 1, kind) == n)
-    ext = rates_of(rates_of(q)[:k], k, open_unit=case == kernels.GEOMETRIC)
-    lam = kernels.LambdaKernel(case, ext)
-    if case == kernels.GEOMETRIC:
-        return (kernels.kernel_geometric(k, ext, bound),
-                kernels.coupling_kernel_geometric(n, ext, bound), lam,
-                intertwine.verify_kernel_intertwining)
-    return (kernels.row_generator(kind, y_row(k), ext, bound),
-            kernels.coupling_generator(case, n, ext, bound), lam,
-            intertwine.verify_generator_intertwining)
-
-
-def run_intertwine_case(case: str, n: int, q, bound: int) -> intertwine.VerificationReport:
-    q_y, gen, lam, checker = build_intertwining_case(case, n, q, bound)
-    return checker(q_y, lam, gen, case=f"{case} n={n} bound={bound}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,117 +120,55 @@ def _cmd_sp_schur(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify_report(args) -> int:
+    """verify intertwine / conservative: one exact report, printed as JSON."""
+    qs = _parse_rates(args.q)
     if args.action == "intertwine":
-        report = run_intertwine_case(args.case, args.n, _parse_rates(args.q), args.bound)
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
-        return 0 if report.passed else 1
-    if args.action == "conservative":
-        qs = _parse_rates(args.q)
-        if args.family == "charlier":
-            gen = kernels.q_charlier(args.n, qs[: args.n], args.bound)
-        else:
-            k = (args.n + 1) // 2
-            gen = kernels.q_symplectic(args.n, qs[:k], args.bound)
-        report = intertwine.verify_conservative(gen)
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        print(text)
-        return 0 if report.passed else 1
-    if args.action == "semigroup":
-        # uniformized kernels must stay intertwined up to the tolerance
-        qs = _parse_rates(args.q)
-        q_y, gen, lam, _ = build_intertwining_case("poisson", args.n, qs, args.bound)
-        gap = intertwine.semigroup_intertwining_gap(q_y, gen, lam, Fraction(args.t), args.tol)
-        print(json.dumps({"case": f"semigroup poisson n={args.n}", "t": args.t,
-                          "gap": gap, "max_gap": args.max_gap}))
-        return 0 if gap < args.max_gap else 1
-    return _cmd_verify_algebra(args)
+        report = intertwine.run_intertwine_case(args.case, args.n, qs, args.bound)
+    else:
+        kind = STANDARD if args.family == "charlier" else SYMPLECTIC
+        report = intertwine.verify_conservative(kernels.row_generator(kind, args.n, qs, args.bound))
+    text = report.to_json()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0 if report.passed else 1
+
+
+def _cmd_verify_semigroup(args) -> int:
+    # uniformized kernels must stay intertwined up to the tolerance
+    q_y, gen, lam, _ = build_intertwining_case("poisson", args.n, _parse_rates(args.q), args.bound)
+    gap = intertwine.semigroup_intertwining_gap(q_y, gen, lam, Fraction(args.t), args.tol)
+    print(json.dumps({"case": f"semigroup poisson n={args.n}", "t": args.t,
+                      "gap": gap, "max_gap": args.max_gap}))
+    return 0 if gap < args.max_gap else 1
 
 
 def _cmd_verify_algebra(args) -> int:
-    """Exact sweep: generating-function equalities, harmonicity, and the
-    integrating-out lemma, over the requested grid."""
-    from itertools import combinations_with_replacement
-
-    from .patterns import enumerate_patterns, weight
-    from .schur import schur_oracle, sp_schur
-    from .schur import schur as schur_eval
-
+    """Exact sweeps: Schur sums, harmonicity and the integrating-out lemma."""
     qs = _parse_rates(args.q)
-    top, rows_max = args.max_entry, args.max_rows
-    mismatches = checks = 0
-    for n in range(1, rows_max + 1):
-        sub_q = qs[:n]
-        for z in combinations_with_replacement(range(top + 1), n):
-            via_rec = schur_eval(z, sub_q)
-            via_det = schur_oracle(z, sub_q)
-            via_sum = sum(weight(p, sub_q) for p in enumerate_patterns(z))
-            checks += 1
-            if not (via_rec == via_det == via_sum):
-                mismatches += 1
-    for k in range(1, (rows_max + 1) // 2 + 1):
-        sub_q = qs[:k]
-        for z in combinations_with_replacement(range(min(top, 3) + 1), k):
-            for n in (2 * k - 1, 2 * k):
-                raw = sum(weight(p, sub_q)
-                          for p in enumerate_patterns(z, "symplectic", nrows=n))
-                checks += 1
-                if sp_schur(n, z, sub_q) != raw:
-                    mismatches += 1
-    for n in range(1, min(rows_max, 3) + 1):
-        sub_q = qs[:n]
-        total = sum(sub_q)
-        for x in combinations_with_replacement(range(top + 1), n):
-            lhs = Fraction(0)
-            for i in range(n):
-                if i == n - 1 or x[i] < x[i + 1]:
-                    lhs += schur_eval(x[:i] + (x[i] + 1,) + x[i + 1:], sub_q)
-            checks += 1
-            if lhs != total * schur_eval(x, sub_q):
-                mismatches += 1
-    q = qs[0]
-    for v1p in range(args.lemma_max + 1):
-        for v2 in range(v1p, args.lemma_max + 1):
-            for up in range(v1p, args.lemma_max + 1):
-                total = sum(
-                    q ** (-u) * kernels.blocking_factor(u, v1p, q)
-                    for u in range(v1p, min(v2, up) + 1)
-                ) * kernels.pushing_factor(up, v2, q)
-                checks += 1
-                if total != q ** (-up - v2):
-                    mismatches += 1
-    status = "pass" if mismatches == 0 else "fail"
-    print(json.dumps({"case": "algebra", "checks": checks,
-                      "mismatches": mismatches, "status": status}))
-    return 0 if mismatches == 0 else 1
+    reports = [intertwine.verify_schur_sums(qs, args.max_entry, args.max_rows),
+               intertwine.verify_harmonicity(qs, args.max_entry, args.max_rows),
+               intertwine.verify_integrating_out(qs[0], args.lemma_max)]
+    passed = all(r.passed for r in reports)
+    print(json.dumps({"case": "algebra", "checks": sum(r.states_checked for r in reports),
+                      "mismatches": sum(len(r.violations) for r in reports),
+                      "status": "pass" if passed else "fail"}))
+    return 0 if passed else 1
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials > 1:
-        return _cmd_simulate_endpoints(args)
     qs = _parse_rates(args.q)
+    kind = SYMPLECTIC if args.model == "wall" else STANDARD
+    z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
+    horizon = int(args.horizon) if args.model == "geometric" else float(Fraction(args.horizon))
+    if args.trials > 1:
+        return _simulate_endpoints(args, qs, z, horizon)
     rng = harness.trial_rng(args.seed, 0)
-    n = args.n
-    if args.model == "wall":
-        z = _parse_row(args.z) if args.z else (0,) * ((n + 1) // 2)
-        init = sample_pattern(z, qs, "symplectic", rng, nrows=n)
-        traj = dynamics.simulate_wall(n, qs, init, float(Fraction(args.horizon)), rng)
-    elif args.model == "poisson":
-        z = _parse_row(args.z) if args.z else (0,) * n
-        init = sample_pattern(z, qs, "standard", rng, nrows=n)
-        traj = dynamics.simulate_poisson(n, qs, init, float(Fraction(args.horizon)), rng)
-    else:
-        z = _parse_row(args.z) if args.z else (0,) * n
-        init = sample_pattern(z, qs, "standard", rng, nrows=n)
-        traj = dynamics.simulate_geometric(n, qs, init, int(args.horizon), rng)
-    header = json.dumps({"model": args.model, "n": n, "q": [str(v) for v in qs],
+    init = sample_pattern(z, qs, kind, rng, nrows=args.n)
+    traj = getattr(dynamics, f"simulate_{args.model}")(args.n, qs, init, horizon, rng)
+    header = json.dumps({"model": args.model, "n": args.n, "q": [str(v) for v in qs],
                          "z": list(z), "horizon": args.horizon, "seed": args.seed})
     body = header + "\n" + traj.to_json_lines() + "\n"
     if args.out:
@@ -262,16 +179,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_simulate_endpoints(args) -> int:
+def _simulate_endpoints(args, qs, z, horizon) -> int:
     """Monte Carlo endpoint run; with --max-tv the empirical bottom-row law is
     held against the conditioned-walk reference law of the bottom row."""
-    qs = _parse_rates(args.q)
-    k = (args.n + 1) // 2 if args.model == "wall" else args.n
-    z = _parse_row(args.z) if args.z else (0,) * k
-    if args.model == "geometric":
-        horizon: float | int = int(args.horizon)
-    else:
-        horizon = float(Fraction(args.horizon))
     bound = args.bound if args.bound is not None else max(z) + 8
     cfg = harness.ExperimentConfig(args.model, args.n, tuple(str(v) for v in qs),
                                    z, horizon, args.trials, args.seed, bound)
@@ -294,45 +204,23 @@ def _cmd_simulate_endpoints(args) -> int:
 def _cmd_coupling(args) -> int:
     qs = _parse_rates(args.q)
     n, trials, seed = args.n, args.trials, args.seed
+    if args.identity == "wall-sup":
+        # distributional match against the conditioned-walk reference
+        t = float(Fraction(args.horizon))
+        samples = couplings.wall_sup_samples(n, qs[:n], t, trials, seed)
+        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs[:n], t, args.bound))
+        print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
+                          "min_p": args.min_p}))
+        return 0 if pval > args.min_p else 1
     if args.identity == "left-edge":
-        t_end = float(Fraction(args.horizon))
-        for trial in range(trials):
-            rng = harness.trial_rng(seed, trial)
-            panel = couplings.poisson_panel(n, qs, t_end, rng)
-            if not couplings.left_edge_matches_dynamics(panel, n, qs, rng):
-                print(json.dumps({"identity": "left-edge", "trial": trial, "status": "fail"}))
-                return 1
-        print(json.dumps({"identity": "left-edge", "trials": trials, "status": "pass"}))
-        return 0
-    if args.identity == "lpp":
-        steps = int(args.horizon)
-        open_qs = rates_of(qs[:n], open_unit=True)
-        for trial in range(trials):
-            rng = harness.trial_rng(seed, trial)
-            panel = couplings.geometric_panel(n, open_qs, steps, rng)
-            if not couplings.right_edge_equals_lpp(panel, n, open_qs, steps, rng):
-                print(json.dumps({"identity": "lpp", "trial": trial, "status": "fail"}))
-                return 1
-        print(json.dumps({"identity": "lpp", "trials": trials, "status": "pass"}))
-        return 0
-    # wall-sup: distributional match against the conditioned-walk reference
-    k = n
-    t = float(Fraction(args.horizon))
-    open_qs = rates_of(qs[:k], open_unit=True)
-    samples = couplings.wall_sup_samples(k, open_qs, t, trials, seed)
-    gen = kernels.row_generator_float(SYMPLECTIC, 2 * k, open_qs, args.bound)
-    ref = harness.Pmf.from_dense_row(
-        intertwine.semigroup(gen, t, 1e-14), (0,) * k)
-    # the functional matches the last coordinate of the conditioned walk
-    collapsed: dict = {}
-    for state, p in zip(ref.support, ref.probs):
-        key = state[-1]
-        collapsed[key] = collapsed.get(key, 0.0) + float(p)
-    ref1 = harness.Pmf(tuple(sorted(collapsed)), np.array([collapsed[s] for s in sorted(collapsed)]))
-    pval = harness.chi_square_gof(samples, ref1)
-    print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
-                      "min_p": args.min_p}))
-    return 0 if pval > args.min_p else 1
+        failures = couplings.left_edge_failures(n, qs, float(Fraction(args.horizon)), trials, seed)
+    else:
+        failures = couplings.lpp_failures(n, qs[:n], int(args.horizon), trials, seed)
+    if failures:
+        print(json.dumps({"identity": args.identity, "trial": failures[0], "status": "fail"}))
+        return 1
+    print(json.dumps({"identity": args.identity, "trials": trials, "status": "pass"}))
+    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -347,27 +235,27 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+# (command, action) -> handler; argparse admits no other pair
+_COMMANDS = {
+    ("schur", "eval"): _cmd_schur,
+    ("sp-schur", "eval"): _cmd_sp_schur,
+    ("verify", "intertwine"): _cmd_verify_report,
+    ("verify", "conservative"): _cmd_verify_report,
+    ("verify", "semigroup"): _cmd_verify_semigroup,
+    ("verify", "algebra"): _cmd_verify_algebra,
+    ("simulate", None): _cmd_simulate,
+    ("coupling", "check"): _cmd_coupling,
+    ("stats", "compare"): _cmd_stats,
+}
+
+
 def cli_dispatch(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        if args.command == "schur":
-            return _cmd_schur(args)
-        if args.command == "sp-schur":
-            return _cmd_sp_schur(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "coupling":
-            return _cmd_coupling(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        return _COMMANDS[args.command, getattr(args, "action", None)](args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,10 @@
 edge processes of the pattern dynamics.
 
 A noise panel is materialised once and drives both sides of an identity, so
-equality claims are checked exactly, path by path.  The wall-sup functional is
-deterministic in its panel but only matches its conditioned-walk reference in
-distribution.
+equality claims are checked exactly, path by path.  The sweeps over trials
+draw trial i's panel from the stream (seed, i) and the rest of the pattern's
+noise from (seed + 1, i).  The wall-sup functional is deterministic in its
+panel but only matches its conditioned-walk reference in distribution.
 """
 from __future__ import annotations
 
@@ -151,6 +152,14 @@ def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng=None) -> bool
     return True
 
 
+def left_edge_failures(n: int, q, t: float, trials: int, seed: int) -> list[int]:
+    """Trials whose constructed left edge differs from the simulated one."""
+    return [trial for trial in range(trials)
+            if not left_edge_matches_dynamics(
+                poisson_panel(n, q, t, np.random.default_rng((seed, trial))), n, q,
+                np.random.default_rng((seed + 1, trial)))]
+
+
 # ---------------------------------------------------------------------------
 # last passage times
 
@@ -188,6 +197,14 @@ def right_edge_equals_lpp(
         if any(rows[k][k] != g[k][t - 1] for k in range(n)):
             return False
     return True
+
+
+def lpp_failures(n: int, q, steps: int, trials: int, seed: int) -> list[int]:
+    """Trials whose simulated right edge differs from the last passage times."""
+    return [trial for trial in range(trials)
+            if not right_edge_equals_lpp(
+                geometric_panel(n, q, steps, np.random.default_rng((seed, trial))), n, q, steps,
+                np.random.default_rng((seed + 1, trial)))]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dynamics, kernels
-from .patterns import STANDARD, SYMPLECTIC, frac, rates_of, row_length, sample_patterns
+from .patterns import STANDARD, SYMPLECTIC, frac, is_ordered, rates_of, row_length, sample_patterns
 
 MODELS = ("poisson", "geometric", "wall")
 BLOCK_TRIALS = 4096
@@ -153,6 +153,10 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {MODELS}")
         self.q = tuple(str(v) for v in self.q)
         self.z = tuple(int(c) for c in self.z)
+        k = row_length(self.n, SYMPLECTIC if self.model == "wall" else STANDARD)
+        if len(self.z) != k or not is_ordered(self.z) or min(self.z, default=0) < 0:
+            raise ValueError(f"the bottom row z of {self.model} n={self.n} takes {k} "
+                             f"nondecreasing nonnegative entries, got {self.z}")
         rates_of([frac(v) for v in self.q])
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -228,11 +232,22 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
         kind = SYMPLECTIC if config.model == "wall" else STANDARD
         k = row_length(config.n, kind)
         gen = kernels.row_generator_float(kind, config.n, rates_of(qs, k), config.bound)
-        z = config.z if kind == STANDARD or len(config.z) == k else (0,) * k
-        return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), z)
+        return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), config.z)
     kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
     vec = np.zeros(len(kern.states))
     vec[kern.states.index(config.z)] = 1.0
     for _ in range(int(config.horizon)):
         vec = kern.apply(vec)
     return Pmf.from_box_row(kern.states, vec)
+
+
+def wall_sup_reference(k: int, q, t: float, bound: int) -> Pmf:
+    """Law of the last coordinate of the height-2k wall row at time t from
+    zero, which the wall sup functional of k rates matches in distribution."""
+    config = ExperimentConfig("wall", 2 * k, tuple(str(v) for v in q), (0,) * k, t, 1, 0, bound)
+    ref = reference_endpoint_pmf(config)
+    probs: dict = {}
+    for state, p in zip(ref.support, ref.probs):
+        probs[state[-1]] = probs.get(state[-1], 0.0) + float(p)
+    support = tuple(sorted(probs))
+    return Pmf(support, np.array([probs[s] for s in support]), ref.escaped_mass)

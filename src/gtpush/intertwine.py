@@ -1,11 +1,13 @@
-"""Exact verification of kernel intertwinings, conservativeness, and the
-uniformized semigroup consequence.
+"""Exact verification of kernel intertwinings, conservativeness, the
+uniformized semigroup consequence, and the Schur-function identities behind
+them.
 
 Generator checks compare Q_Y(y, y') m(x', y') against sum_x m(x, y) A((x,y),(x',y'))
 entry by entry in exact rational arithmetic; sources are restricted to interior
 states so truncation can never manufacture a spurious violation (all jumps have
 range one).  The kernel (discrete-step) check is exact for every in-box pair
-because both sides are finite rational sums.
+because both sides are finite rational sums.  Each check sweep here returns a
+``VerificationReport`` and is the one the command line and the tests run.
 """
 from __future__ import annotations
 
@@ -16,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels, schur
 from .kernels import FloatKernel, LambdaKernel, SparseGenerator, StepKernel, _fmt_state
+from .patterns import SYMPLECTIC, chamber_states, enumerate_patterns, rates_of, row_length, weight
 
 
 @dataclass
@@ -34,63 +38,56 @@ class VerificationReport:
             self.max_discrepancy = gap
         self.status = "fail"
 
+    def check(self, left_state, right_state, lhs: Fraction, rhs: Fraction):
+        """Count one comparison; record it as a violation unless lhs == rhs."""
+        self.states_checked += 1
+        if lhs != rhs:
+            self.record(left_state, right_state, lhs, rhs)
+
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "states_checked": self.states_checked,
-            "violations": [
-                {
-                    "left": _fmt_state(a),
-                    "right": _fmt_state(b),
-                    "lhs": str(l),
-                    "rhs": str(r),
-                }
-                for a, b, l, r in self.violations
-            ],
-            "max_discrepancy": str(self.max_discrepancy),
-            "status": self.status,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        violations = [{"left": _fmt_state(a), "right": _fmt_state(b), "lhs": str(l), "rhs": str(r)}
+                      for a, b, l, r in self.violations]
+        return json.dumps({"case": self.case, "states_checked": self.states_checked,
+                           "violations": violations,
+                           "max_discrepancy": str(self.max_discrepancy),
+                           "status": self.status}, indent=2)
 
 
-def _compare_rows(report, y, lhs: dict, rhs: dict):
-    for key in sorted(set(lhs) | set(rhs)):
-        lv = lhs.get(key, Fraction(0))
-        rv = rhs.get(key, Fraction(0))
-        report.states_checked += 1
-        if lv != rv:
-            report.record(y, key, lv, rv)
+def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
+                         interior_only: bool) -> VerificationReport:
+    """Compare (op_y Lambda)(y, .) with (Lambda coupling)(y, .) entrywise, one
+    source row y at a time; op_y and coupling are both generators or both
+    step kernels."""
+    report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
+    for y in op_y.states:
+        if interior_only and not op_y.is_interior(y):
+            continue
+        lhs: dict = {}
+        for y2, value in op_y.row(y).items():
+            for (x2, _), mass in lam.support(y2):
+                if mass:
+                    key = (x2, y2)
+                    lhs[key] = lhs.get(key, Fraction(0)) + value * mass
+        rhs: dict = {}
+        for (x, _), mass in lam.support(y):
+            if not mass:
+                continue
+            for target, value in coupling.row((x, y)).items():
+                rhs[target] = rhs.get(target, Fraction(0)) + mass * value
+        for key in sorted(set(lhs) | set(rhs)):
+            report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
+    return report
 
 
 def verify_generator_intertwining(
     q_y: SparseGenerator, lam: LambdaKernel, gen: SparseGenerator, case: str = ""
 ) -> VerificationReport:
     """Check Q_Y Lambda = Lambda A entrywise over interior source states."""
-    report = VerificationReport(case or f"{q_y.label} ~ {gen.label}")
-    for y in q_y.states:
-        if not q_y.is_interior(y):
-            continue
-        support = lam.support(y)
-        lhs: dict = {}
-        for y2, rate in q_y.row(y).items():
-            for (x2, _), mass in lam.support(y2):
-                if mass:
-                    key = (x2, y2)
-                    lhs[key] = lhs.get(key, Fraction(0)) + rate * mass
-        rhs: dict = {}
-        for (x, _), mass in support:
-            if not mass:
-                continue
-            for target, rate in gen.row((x, y)).items():
-                rhs[target] = rhs.get(target, Fraction(0)) + mass * rate
-        _compare_rows(report, y, lhs, rhs)
-    return report
+    return _verify_intertwining(q_y, lam, gen, case, interior_only=True)
 
 
 def verify_kernel_intertwining(
@@ -98,34 +95,95 @@ def verify_kernel_intertwining(
 ) -> VerificationReport:
     """Check m(x',y') p_Y(y,y') = sum_x m(x,y) q((x,y),(x',y')) for all in-box
     sources and targets; each instance is a finite exact computation."""
-    report = VerificationReport(case or f"{p_y.label} ~ {q_step.label}")
-    for y in p_y.states:
-        lhs: dict = {}
-        for y2, prob in p_y.row(y).items():
-            for (x2, _), mass in lam.support(y2):
-                if mass:
-                    key = (x2, y2)
-                    lhs[key] = lhs.get(key, Fraction(0)) + prob * mass
-        rhs: dict = {}
-        for (x, _), mass in lam.support(y):
-            if not mass:
-                continue
-            for target, prob in q_step.row((x, y)).items():
-                rhs[target] = rhs.get(target, Fraction(0)) + mass * prob
-        _compare_rows(report, y, lhs, rhs)
-    return report
+    return _verify_intertwining(p_y, lam, q_step, case, interior_only=False)
+
+
+def build_intertwining_case(case: str, n: int, q, bound: int):
+    """Assemble (marginal operator, coupling kernel/generator, Lambda, checker)
+    for one intertwining case; q supplies at least the rates the case needs.
+    The case's rows come from the variant table of ``kernels``: the lower row
+    Y takes one rate per entry, and the upper row X above it has n entries."""
+    if case not in kernels._Y_ROW:
+        raise ValueError(f"unknown case {case!r}")
+    kind, y_row = kernels._Y_ROW[case]
+    k = next(k for k in (n, n + 1) if row_length(y_row(k) - 1, kind) == n)
+    ext = rates_of(rates_of(q)[:k], k, open_unit=case == kernels.GEOMETRIC)
+    lam = LambdaKernel(case, ext)
+    if case == kernels.GEOMETRIC:
+        return (kernels.kernel_geometric(k, ext, bound),
+                kernels.coupling_kernel_geometric(n, ext, bound), lam,
+                verify_kernel_intertwining)
+    return (kernels.row_generator(kind, y_row(k), ext, bound),
+            kernels.coupling_generator(case, n, ext, bound), lam,
+            verify_generator_intertwining)
+
+
+def run_intertwine_case(case: str, n: int, q, bound: int) -> VerificationReport:
+    q_y, gen, lam, checker = build_intertwining_case(case, n, q, bound)
+    return checker(q_y, lam, gen, case=f"{case} n={n} bound={bound}")
 
 
 def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationReport:
     """Interior rows must sum to exactly zero."""
     report = VerificationReport(case or f"conservative {gen.label}")
     for s in gen.states:
-        if not gen.is_interior(s):
-            continue
-        report.states_checked += 1
-        total = sum(gen.row(s).values())
-        if total != 0:
-            report.record(s, s, total, Fraction(0))
+        if gen.is_interior(s):
+            report.check(s, s, sum(gen.row(s).values()), Fraction(0))
+    return report
+
+
+def verify_schur_sums(q, max_entry: int, max_rows: int) -> VerificationReport:
+    """Three evaluations of each Schur value must agree exactly: the recursion,
+    the determinant oracle and the raw pattern sum at every z with up to
+    max_rows entries <= max_entry; then each symplectic value of heights 2k-1
+    and 2k against its pattern sum, for k <= min(max_rows, 3) and entries
+    <= min(max_entry, 3)."""
+    qs = rates_of(q)
+    report = VerificationReport("schur = oracle = pattern sum")
+    for n in range(1, max_rows + 1):
+        for z in chamber_states(n, max_entry):
+            via_rec = schur.schur(z, qs[:n])
+            via_det = schur.schur_oracle(z, qs[:n])
+            via_sum = sum(weight(p, qs[:n]) for p in enumerate_patterns(z))
+            # the right side is the other evaluation that disagrees, if one does
+            report.check(z, z, via_rec, via_det if via_det != via_rec else via_sum)
+    for k in range(1, min(max_rows, 3) + 1):
+        for z in chamber_states(k, min(max_entry, 3)):
+            for n in (2 * k - 1, 2 * k):
+                raw = sum(weight(p, qs[:k]) for p in enumerate_patterns(z, SYMPLECTIC, nrows=n))
+                report.check(z, z, schur.sp_schur(n, z, qs[:k]), raw)
+    return report
+
+
+def verify_harmonicity(q, max_entry: int, max_rows: int) -> VerificationReport:
+    """The conditioned walk's h is harmonic: sum_i h(x + e_i) over the moves
+    that stay ordered equals (q_1 + ... + q_n) h(x), for n <= min(max_rows, 3)
+    and every x with entries <= max_entry."""
+    qs = rates_of(q)
+    report = VerificationReport("harmonicity of the conditioned-walk h")
+    for n in range(1, min(max_rows, 3) + 1):
+        sub_q = qs[:n]
+        for x in chamber_states(n, max_entry):
+            lhs = sum((schur.schur(x[:i] + (x[i] + 1,) + x[i + 1:], sub_q) for i in range(n)
+                       if i == n - 1 or x[i] < x[i + 1]), Fraction(0))
+            report.check(x, x, lhs, sum(sub_q) * schur.schur(x, sub_q))
+    return report
+
+
+def verify_integrating_out(q, lemma_max: int) -> VerificationReport:
+    """The blocking/pushing integrating-out lemma at rate q: summing the
+    driven particle's position u out of q^-u blocking(u, v1') pushing(u', v2)
+    leaves q^-(u' + v2), for all 0 <= v1' <= min(v2, u') and v2, u' <= lemma_max."""
+    q = Fraction(q)
+    report = VerificationReport("blocking/pushing integrating-out lemma")
+    for v1p in range(lemma_max + 1):
+        for v2 in range(v1p, lemma_max + 1):
+            for up in range(v1p, lemma_max + 1):
+                total = sum(
+                    q ** (-u) * kernels.blocking_factor(u, v1p, q)
+                    for u in range(v1p, min(v2, up) + 1)
+                ) * kernels.pushing_factor(up, v2, q)
+                report.check((v1p, v2, up), (v1p, v2, up), total, q ** (-up - v2))
     return report
 
 

@@ -5,25 +5,20 @@ fixed master seeds, so every outcome here is reproducible bit for bit.
 """
 import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from gtpush import couplings, intertwine, kernels
-from gtpush.cli import build_intertwining_case, run_intertwine_case
 from gtpush.harness import (
     ExperimentConfig,
-    Pmf,
     chi_square_gof,
     empirical_pmf,
     endpoint_samples,
     reference_endpoint_pmf,
-    trial_rng,
     tv_distance,
+    wall_sup_reference,
 )
-from gtpush.kernels import blocking_factor, pushing_factor
-from gtpush.patterns import enumerate_patterns, weight
-from gtpush.schur import schur, schur_oracle, sp_schur
+from gtpush.intertwine import build_intertwining_case, run_intertwine_case
 
 from _oracles import lpp_brute
 
@@ -34,10 +29,6 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] criterion {num:2d} ({name}): {status}" + (f"  {detail}" if detail else ""))
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _chamber(n, top):
-    return combinations_with_replacement(range(top + 1), n)
 
 
 def test_criterion_01_poisson_intertwining_exact():
@@ -79,63 +70,25 @@ def test_criterion_03_wall_intertwinings_and_conservativeness():
 
 
 def test_criterion_04_schur_equalities_exact():
-    bad = 0
-    for n in (1, 2, 3, 4):
-        qs = Q[:n]
-        for z in _chamber(n, 4):
-            via_rec = schur(z, qs)
-            via_det = schur_oracle(z, qs)
-            via_sum = sum(weight(p, qs) for p in enumerate_patterns(z))
-            if not (via_rec == via_det == via_sum):
-                bad += 1
-    for k in (1, 2, 3):
-        qs = Q[:k]
-        for z in _chamber(k, 3):
-            for n in (2 * k - 1, 2 * k):
-                raw = sum(weight(p, qs)
-                          for p in enumerate_patterns(z, "symplectic", nrows=n))
-                if sp_schur(n, z, qs) != raw:
-                    bad += 1
-    _report(4, "schur = oracle = pattern sum (both kinds)", bad == 0,
-            f"{bad} mismatches")
+    r = intertwine.verify_schur_sums(Q, 4, 4)
+    _report(4, "schur = oracle = pattern sum (both kinds)", r.passed,
+            f"{r.states_checked} comparisons, {len(r.violations)} mismatches")
 
 
 def test_criterion_05_harmonicity_exact():
-    bad = 0
-    for n in (1, 2, 3):
-        qs = Q[:n]
-        total = sum(qs)
-        for x in _chamber(n, 4):
-            lhs = F(0)
-            for i in range(n):
-                if i == n - 1 or x[i] < x[i + 1]:
-                    lhs += schur(x[:i] + (x[i] + 1,) + x[i + 1:], qs)
-            if lhs != total * schur(x, qs):
-                bad += 1
-    _report(5, "harmonicity of the conditioned-walk h", bad == 0, f"{bad} mismatches")
+    r = intertwine.verify_harmonicity(Q, 4, 3)
+    _report(5, "harmonicity of the conditioned-walk h", r.passed,
+            f"{r.states_checked} comparisons, {len(r.violations)} mismatches")
 
 
 def test_criterion_06_integrating_out_lemma_exact():
-    q = F(1, 2)
-    bad = 0
-    for v1p in range(0, 6):
-        for v2 in range(v1p, 6):
-            for up in range(v1p, 6):
-                total = sum(
-                    q ** (-u) * blocking_factor(u, v1p, q)
-                    for u in range(v1p, min(v2, up) + 1)
-                ) * pushing_factor(up, v2, q)
-                if total != q ** (-up - v2):
-                    bad += 1
-    _report(6, "blocking/pushing integrating-out lemma", bad == 0, f"{bad} failures")
+    r = intertwine.verify_integrating_out(F(1, 2), 5)
+    _report(6, "blocking/pushing integrating-out lemma", r.passed,
+            f"{r.states_checked} comparisons, {len(r.violations)} failures")
 
 
 def test_criterion_07_lpp_pathwise_identity():
-    failures = 0
-    for trial in range(1000):
-        panel = couplings.geometric_panel(3, Q[:3], 10, trial_rng(700, trial))
-        if not couplings.right_edge_equals_lpp(panel, 3, Q[:3], 10, trial_rng(701, trial)):
-            failures += 1
+    failures = couplings.lpp_failures(3, Q[:3], 10, 1000, 700)
     rng = np.random.default_rng(702)
     oracle_bad = 0
     for _ in range(100):
@@ -147,19 +100,15 @@ def test_criterion_07_lpp_pathwise_identity():
             for tt in range(1, t + 1):
                 if g[k - 1][tt - 1] != lpp_brute(eta, k, tt):
                     oracle_bad += 1
-    ok = failures == 0 and oracle_bad == 0
+    ok = not failures and oracle_bad == 0
     _report(7, "right edge = last passage times, pathwise", ok,
-            f"{failures} trial failures, {oracle_bad} oracle mismatches")
+            f"{len(failures)} trial failures, {oracle_bad} oracle mismatches")
 
 
 def test_criterion_08_left_edge_pathwise_identity():
-    failures = 0
-    for trial in range(1000):
-        panel = couplings.poisson_panel(3, Q[:3], 2.0, trial_rng(800, trial))
-        if not couplings.left_edge_matches_dynamics(panel, 3, Q[:3], trial_rng(801, trial)):
-            failures += 1
-    _report(8, "left edge = reflection recursion, pathwise", failures == 0,
-            f"{failures} / 1000 panels failed")
+    failures = couplings.left_edge_failures(3, Q[:3], 2.0, 1000, 800)
+    _report(8, "left edge = reflection recursion, pathwise", not failures,
+            f"{len(failures)} / 1000 panels failed")
 
 
 def test_criterion_09_poisson_marginal_law():
@@ -192,9 +141,7 @@ def test_criterion_11_wall_marginal_law():
 
 
 def test_criterion_12_wall_sup_identity():
-    gen = kernels.q_symplectic(2, (F(1, 2),), 30)
-    ref = Pmf.from_dense_row(intertwine.semigroup(gen, 1.0, 1e-14), (0,))
-    ref1 = Pmf(tuple(s[0] for s in ref.support), ref.probs)
+    ref1 = wall_sup_reference(1, (F(1, 2),), 1.0, 30)
     pvals = []
     for seed in (1201, 1202, 1203):
         samples = couplings.wall_sup_samples(1, (F(1, 2),), 1.0, 100_000, seed)

@@ -1,24 +1,26 @@
 from fractions import Fraction as F
 
+import json
+
 import numpy as np
 import pytest
 
-from gtpush import intertwine, kernels
+from gtpush import couplings
+from gtpush.cli import cli_dispatch
 from gtpush.couplings import (
     GeometricPanel,
     PoissonPanel,
     WallPanel,
-    geometric_panel,
+    left_edge_failures,
     left_edge_from_walk,
-    left_edge_matches_dynamics,
     lpp_G,
-    poisson_panel,
+    lpp_failures,
     right_edge_equals_lpp,
     wall_panel,
     wall_sup_functional,
     wall_sup_samples,
 )
-from gtpush.harness import Pmf, chi_square_gof, trial_rng
+from gtpush.harness import chi_square_gof, wall_sup_reference
 
 from _oracles import lpp_brute, wall_sup_brute
 
@@ -46,9 +48,7 @@ def test_left_edge_requires_sorted_grid():
 
 
 def test_left_edge_matches_full_dynamics():
-    for trial in range(150):
-        panel = poisson_panel(3, Q3, 2.0, trial_rng(100, trial))
-        assert left_edge_matches_dynamics(panel, 3, Q3, trial_rng(101, trial))
+    assert left_edge_failures(3, Q3, 2.0, 150, 100) == []
 
 
 def test_lpp_zero_panel():
@@ -84,9 +84,7 @@ def test_right_edge_single_entry_panel():
 
 
 def test_right_edge_matches_lpp_many_panels():
-    for trial in range(150):
-        panel = geometric_panel(3, Q3, 10, trial_rng(200, trial))
-        assert right_edge_equals_lpp(panel, 3, Q3, 10, trial_rng(201, trial))
+    assert lpp_failures(3, Q3, 10, 150, 200) == []
 
 
 def test_wall_sup_zero_panel():
@@ -132,7 +130,33 @@ def test_wall_sup_constant_between_events_and_monotone_in_jumps():
 
 def test_wall_sup_distribution_matches_conditioned_walk():
     samples = wall_sup_samples(1, (F(1, 2),), 1.0, 30_000, 31)
-    gen = kernels.q_symplectic(2, (F(1, 2),), 30)
-    ref = Pmf.from_dense_row(intertwine.semigroup(gen, 1.0, 1e-14), (0,))
-    ref1 = Pmf(tuple(s[0] for s in ref.support), ref.probs)
-    assert chi_square_gof(samples, ref1) > 0.01
+    assert chi_square_gof(samples, wall_sup_reference(1, (F(1, 2),), 1.0, 30)) > 0.01
+    # with two rates the functional matches the last of the row's two coordinates
+    samples = wall_sup_samples(2, Q3[:2], 1.0, 2000, 3)
+    assert chi_square_gof(samples, wall_sup_reference(2, Q3[:2], 1.0, 30)) > 0.01
+
+
+@pytest.mark.parametrize("identity,check,sweep,horizon", [
+    ("left-edge", "left_edge_matches_dynamics", couplings.left_edge_failures, 1.0),
+    ("lpp", "right_edge_equals_lpp", couplings.lpp_failures, 5),
+])
+def test_coupling_sweeps_name_a_failing_trial(monkeypatch, capsys, identity, check, sweep,
+                                              horizon):
+    original = getattr(couplings, check)
+
+    def failing_on_trial_2():
+        calls = []
+
+        def forced(*args):
+            calls.append(args)
+            return len(calls) != 3 and original(*args)
+        return forced
+
+    monkeypatch.setattr(couplings, check, failing_on_trial_2())
+    assert sweep(2, Q3[:2], horizon, 5, 3) == [2]
+    monkeypatch.setattr(couplings, check, failing_on_trial_2())
+    code = cli_dispatch(["coupling", "check", "--identity", identity, "--n", "2", "--q",
+                         "1/2,1/3", "--trials", "5", "--horizon", str(horizon), "--seed", "3"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {"identity": identity, "trial": 2,
+                                                   "status": "fail"}

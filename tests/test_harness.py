@@ -88,6 +88,13 @@ def test_config_validation():
         ExperimentConfig("poisson", 2, ("1/2", "1/3"), (7, 7), 1.0, 10, 1, 8)
     with pytest.raises(ValueError):
         ExperimentConfig("poisson", 2, ("0", "1/3"), (0, 0), 1.0, 10, 1, 8)
+    # the bottom row must fit the model: two entries for wall n=3, in order, nonnegative
+    with pytest.raises(ValueError):
+        ExperimentConfig("wall", 3, ("1/2", "1/3"), (2, 3, 4), 1.0, 10, 0, 25)
+    with pytest.raises(ValueError):
+        ExperimentConfig("geometric", 2, ("1/2", "1/3"), (2, 1), 1, 10, 1, 8)
+    with pytest.raises(ValueError):
+        ExperimentConfig("poisson", 2, ("1/2", "1/3"), (-1, 0), 1.0, 10, 1, 8)
 
 
 def test_endpoint_samples_reproducible():
@@ -224,6 +231,20 @@ def test_cli_verify_algebra(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "pass" and doc["mismatches"] == 0
+
+
+def test_cli_verify_algebra_runs_the_criteria_grids(capsys):
+    # the default grid is that of acceptance criteria 4, 5 and 6
+    assert cli_dispatch(["verify", "algebra", "--q", "1/2,1/3,1/5,1/7"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == 193 + 55 + 91
+
+
+def test_cli_simulate_rejects_bad_bottom_row(capsys):
+    code = cli_dispatch(["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3",
+                         "--z=-1,0", "--horizon", "1", "--trials", "10", "--max-tv", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "bottom row" in out.err
 
 
 def test_cli_simulate_endpoint_mode(tmp_path, capsys):

@@ -6,14 +6,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gtpush import kernels
-from gtpush.cli import build_intertwining_case, run_intertwine_case
+from gtpush import kernels, schur
+from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
+    build_intertwining_case,
+    run_intertwine_case,
     semigroup,
     semigroup_intertwining_gap,
     verify_conservative,
     verify_generator_intertwining,
+    verify_harmonicity,
+    verify_integrating_out,
     verify_kernel_intertwining,
+    verify_schur_sums,
 )
 
 from _oracles import dense_semigroup
@@ -38,6 +43,9 @@ def test_poisson_intertwining_detects_perturbation():
     assert not rep.passed
     assert any(right == tgt for _, right, _, _ in rep.violations)
     assert rep.max_discrepancy > 0
+    doc = json.loads(rep.to_json())
+    assert doc["status"] == "fail" and len(doc["violations"]) == len(rep.violations)
+    assert [[2], [0, 2]] in [v["right"] for v in doc["violations"]]
 
 
 def test_wall_odd_even_intertwining_passes():
@@ -95,6 +103,27 @@ def test_report_json_round_trip():
     assert doc["status"] == "pass"
     assert doc["violations"] == []
     assert doc["states_checked"] == rep.states_checked
+
+
+@pytest.mark.parametrize("owner,name,mutate,expected", [
+    # pushing factor doubled at u = v = 3: the lemma fails at u' = v2 = 3, v1' = 0..3
+    (kernels, "pushing_factor",
+     lambda f: lambda u, v, q: 2 * f(u, v, q) if u == v == 3 else f(u, v, q), (0, 0, 4)),
+    # the determinant oracle shifted at one row
+    (schur, "schur_oracle", lambda f: lambda z, q: f(z, q) + (tuple(z) == (0, 1)), (1, 0, 0)),
+    # one Schur value perturbed: harmonicity fails at x = (1, 2) and at the two x
+    # one step below it, and the recursion no longer matches its oracles there
+    (schur, "schur", lambda f: lambda z, q: f(z, q) + (tuple(z) == (1, 2)), (1, 3, 0)),
+], ids=["pushing", "oracle", "harmonic"])
+def test_algebra_sweeps_report_mutants(monkeypatch, capsys, owner, name, mutate, expected):
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    reports = [verify_schur_sums(Q3, 3, 3), verify_harmonicity(Q3, 3, 3),
+               verify_integrating_out(Q3[0], 4)]
+    assert tuple(len(r.violations) for r in reports) == expected
+    code = cli_dispatch(["verify", "algebra", "--q", "1/2,1/3,1/5", "--max-entry", "3",
+                         "--max-rows", "3", "--lemma-max", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "fail" and doc["mismatches"] == sum(expected)
 
 
 def test_semigroup_identity_at_time_zero():
