@@ -32,8 +32,6 @@ from .kernels import (
     coupling_generator,
     coupling_kernel_geometric,
     kernel_geometric,
-    lambda_kernel,
-    m_weight,
     q_charlier,
     q_symplectic,
 )
@@ -76,7 +74,7 @@ __all__ = [
     # kernels
     "GEOMETRIC", "LambdaKernel", "POISSON", "SparseGenerator", "StepKernel",
     "WALL_EVEN_ODD", "WALL_ODD_EVEN", "coupling_generator", "coupling_kernel_geometric",
-    "kernel_geometric", "lambda_kernel", "m_weight", "q_charlier", "q_symplectic",
+    "kernel_geometric", "q_charlier", "q_symplectic",
     # intertwine
     "VerificationReport", "semigroup", "semigroup_intertwining_gap", "verify_conservative",
     "verify_generator_intertwining", "verify_kernel_intertwining",

@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
     kind = SYMPLECTIC if args.model == "wall" else STANDARD
     z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
     horizon = int(args.horizon) if args.model == "geometric" else float(Fraction(args.horizon))
-    if args.trials > 1:
+    if args.trials != 1:  # ExperimentConfig refuses fewer than one trial
         return _simulate_endpoints(args, qs, z, horizon)
     rng = harness.trial_rng(args.seed, 0)
     init = sample_pattern(z, qs, kind, rng, nrows=args.n)
@@ -202,20 +202,20 @@ def _simulate_endpoints(args, qs, z, horizon) -> int:
 
 
 def _cmd_coupling(args) -> int:
-    qs = _parse_rates(args.q)
     n, trials, seed = args.n, args.trials, args.seed
+    qs = _parse_rates(args.q)[:n]  # every identity takes the first n rates
     if args.identity == "wall-sup":
         # distributional match against the conditioned-walk reference
         t = float(Fraction(args.horizon))
-        samples = couplings.wall_sup_samples(n, qs[:n], t, trials, seed)
-        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs[:n], t, args.bound))
+        samples = couplings.wall_sup_samples(n, qs, t, trials, seed)
+        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs, t, args.bound))
         print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
                           "min_p": args.min_p}))
         return 0 if pval > args.min_p else 1
     if args.identity == "left-edge":
         failures = couplings.left_edge_failures(n, qs, float(Fraction(args.horizon)), trials, seed)
     else:
-        failures = couplings.lpp_failures(n, qs[:n], int(args.horizon), trials, seed)
+        failures = couplings.lpp_failures(n, qs, int(args.horizon), trials, seed)
     if failures:
         print(json.dumps({"identity": args.identity, "trial": failures[0], "status": "fail"}))
         return 1

@@ -152,8 +152,15 @@ def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng=None) -> bool
     return True
 
 
+def _check_sweep(n: int, trials: int):
+    """Refuse a sweep over trials that would check nothing."""
+    if n < 1 or trials < 1:
+        raise ValueError(f"a sweep needs n >= 1 and trials >= 1, got n = {n}, trials = {trials}")
+
+
 def left_edge_failures(n: int, q, t: float, trials: int, seed: int) -> list[int]:
     """Trials whose constructed left edge differs from the simulated one."""
+    _check_sweep(n, trials)
     return [trial for trial in range(trials)
             if not left_edge_matches_dynamics(
                 poisson_panel(n, q, t, np.random.default_rng((seed, trial))), n, q,
@@ -201,6 +208,7 @@ def right_edge_equals_lpp(
 
 def lpp_failures(n: int, q, steps: int, trials: int, seed: int) -> list[int]:
     """Trials whose simulated right edge differs from the last passage times."""
+    _check_sweep(n, trials)
     return [trial for trial in range(trials)
             if not right_edge_equals_lpp(
                 geometric_panel(n, q, steps, np.random.default_rng((seed, trial))), n, q, steps,
@@ -230,6 +238,7 @@ def wall_sup_functional(panel: WallPanel, t: float) -> int:
 
 def wall_sup_samples(k: int, q, t: float, trials: int, seed: int) -> list[int]:
     """Independent draws of the wall functional from freshly sampled panels."""
+    _check_sweep(k, trials)
     out = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))

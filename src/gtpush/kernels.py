@@ -1,24 +1,25 @@
 """Generators and transition kernels as explicit sparse maps over truncated cones.
 
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
-target falls outside the box are dropped, and exact assertions downstream are
-made only at interior states (all coordinates <= bound-1).  The exact half's
-values are exact rationals.  The Monte Carlo reference laws use float forms
-of the marginal operators, built from the same Schur recursion run on float
-rates (``schur.float_values``): ``row_generator_float`` shares the
-conditioned walk's move rule with the exact generators, and
-``kernel_geometric_float`` is a ``FloatKernel``.  The continuous-time coupling
-generators are read off the simulators' ring table (``dynamics.ring_table``),
-so blocking and pushing are stated once for the simulators and the exact half
-alike.  One table says which pattern rows a variant pairs: its two-row states
-are the lower rows on the box with their ``patterns.branching`` candidates
-above, and its kernel Lambda is the pattern measure's exact law of the upper
-row given the lower (``schur.branching_law``).
+target falls outside the box are dropped.  The exact half's values are exact
+rationals.  The Monte Carlo reference laws use float forms of the marginal
+operators, built from the same Schur recursion run on float rates
+(``schur.float_values``): ``row_generator_float`` shares the conditioned
+walk's move rule with the exact generators, and ``kernel_geometric_float`` is
+a ``FloatKernel``.  Blocking and pushing are stated once for the simulators
+and the exact half alike: the continuous-time coupling generators are read
+off the ring table (``dynamics.ring_table``), and the geometric pair kernel
+follows the max / add / min of ``dynamics.geometric_update``.
+One table says which pattern rows a variant pairs: its two-row states are the
+lower rows on the box with their ``patterns.branching`` candidates above, and
+its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the
+upper row given the lower (``schur.branching_law``).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -85,7 +86,6 @@ class _SparseOperator:
 
     def __init__(self, states, rows, bound: int, label: str = ""):
         self.states = list(states)
-        self.state_set = frozenset(self.states)
         self.rows = rows
         self.bound = bound
         self.label = label
@@ -183,6 +183,8 @@ def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
 def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
     """Generator of row r of a pattern on its own: the conditioned walk of its
     entries, with one rate per entry taken off the front of q."""
+    if r < 1:
+        raise ValueError(f"a pattern row is numbered from 1, got row {r}")
     k = row_length(r, kind)
     if kind == STANDARD:
         return q_charlier(r, q[:k], bound)
@@ -294,7 +296,8 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
 
 
 def blocking_factor(u: int, v: int, q) -> Fraction:
-    """Probability factor for the driven particle ending at v under a cap at u."""
+    """Factor of criterion 6's integrating-out lemma (no kernel reads it): the
+    driven particle ends at v under a cap at u."""
     q = Fraction(q)
     if v < u:
         return 1 - q
@@ -304,90 +307,75 @@ def blocking_factor(u: int, v: int, q) -> Fraction:
 
 
 def pushing_factor(u: int, v: int, q) -> Fraction:
-    """Rate-normalising power q^{-max(u,v)} for a particle pushed to max(u,v)."""
+    """Factor of criterion 6's integrating-out lemma (no kernel reads it): the
+    rate-normalising power q^{-max(u,v)} for a particle pushed to max(u,v)."""
     q = Fraction(q)
     return q ** (-v) if u <= v else q ** (-u)
 
 
-def _geometric_pair_step(yt, xt, x, y, qy: Fraction) -> Fraction:
-    """Conditional probability of Y-step y -> yt given X went x -> xt."""
-    n = len(x)
-    val = qy ** (yt[0] - y[0]) * blocking_factor(x[0], yt[0], qy)
-    for j in range(1, n):
-        val *= qy ** yt[j] * blocking_factor(x[j], yt[j], qy) * pushing_factor(xt[j - 1], y[j], qy)
-    val *= qy ** yt[n] * (1 - qy) * pushing_factor(xt[n - 1], y[n], qy)
-    return val
+def _landing(floor: int, cap: int | None, q: Fraction, bound: int) -> list[tuple[int, Fraction]]:
+    """Law of min(floor + jump, cap) for a jump with P(jump = k) = (1-q) q^k:
+    v below the cap has mass (1-q) q^(v-floor) and the cap keeps the rest,
+    q^(cap-floor).  With no cap the law is cut at the bound."""
+    top = bound if cap is None else cap - 1
+    law = [(v, (1 - q) * q ** (v - floor)) for v in range(floor, top + 1)]
+    if cap is not None:
+        law.append((cap, q ** (cap - floor)))
+    return law
 
 
 def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
-    """One-step kernel of the paired geometric recursion (X pushes, old X blocks)."""
+    """One-step kernel of the paired geometric rows: X (n entries) and the row
+    Y below it, with n+1 rates.
+
+    X steps by its own marginal kernel ``kernel_geometric``.  Given X's step
+    x -> xt, Y's entries move independently as ``dynamics.geometric_update``
+    moves them: Y_j is pushed up to its floor max(y_j, xt_{j-1}) (Y_0's floor
+    is y_0), jumps geometrically at the last rate and is blocked at its cap
+    x_j; the last entry has no cap.
+    """
     qs = rates_of(q_ext, n + 1, open_unit=True)
-    qx, qy = qs[:n], qs[n]
-    ax = math.prod(1 - v for v in qx)
+    qy = qs[n]
+    marginal = kernel_geometric(n, qs[:n], bound)
     kind, j = _y_row(GEOMETRIC, qs)
     states = _pairs(kind, j, qs, bound)
+    law = lru_cache(maxsize=None)(lambda floor, cap: _landing(floor, cap, qy, bound))
     rows = {}
     for x, y in states:
-        sx = schur.schur(x, qx)
+        caps = x + (None,)
         row = {}
-        for xt in _step_targets(x, bound):
-            px = ax * schur.schur(xt, qx) / sx
-            ranges = []
-            for j in range(n + 1):
-                lo = y[j] if j == 0 else max(y[j], xt[j - 1])
-                hi = min(y[j + 1], x[j]) if j < n else bound
-                if lo > hi:
-                    ranges = None
-                    break
-                ranges.append(range(lo, hi + 1))
-            if ranges is None:
-                continue
-            for yt in product(*ranges):
-                row[(xt, yt)] = _geometric_pair_step(yt, xt, x, y, qy) * px
+        for xt, px in marginal.row(x).items():
+            floors = (y[0],) + tuple(map(max, y[1:], xt))
+            joint = [((), px)]
+            for floor, cap in zip(floors, caps):
+                joint = [(yt + (v,), p * w) for yt, p in joint for v, w in law(floor, cap)]
+            row.update(((xt, yt), p) for yt, p in joint)
         rows[(x, y)] = row
     return StepKernel(states, rows, bound, f"coupling-geometric n={n}")
 
 
 # ---------------------------------------------------------------------------
-# the coupling weight m and the kernel it induces
-
-def _law(y: tuple, variant: str, qs: tuple) -> tuple:
-    """Exact law of the upper row x given the lower row y (``schur.branching_law``)."""
-    kind, j = _y_row(variant, qs)
-    if len(y) != len(qs):
-        raise ValueError(f"{variant} weight needs one rate per entry of y, got {len(qs)} for {y}")
-    return schur.branching_law(kind, j, y, qs)
-
-
-def m_weight(x, y, variant: str, q_ext) -> Fraction:
-    """Exact conditional weight of the upper row x given the lower row y.
-
-    Zero whenever the interlacing between x and y fails; for fixed y the
-    weights over all admissible x sum to 1.
-    """
-    law = _law(coords_of(y), variant, rates_of(q_ext))
-    return dict(law).get(coords_of(x), Fraction(0))
-
-
-def lambda_kernel(y, variant: str, q_ext) -> list[tuple[tuple, Fraction]]:
-    """Distribution over paired states ((x, y), weight); masses sum to 1.
-
-    The support is finite by interlacing, so no truncation bound is needed.
-    """
-    y = coords_of(y)
-    return [((x, y), p) for x, p in _law(y, variant, rates_of(q_ext))]
-
+# the coupling weight m and the kernel Lambda it induces
 
 class LambdaKernel:
-    """Markov kernel y -> (x, y) given by the coupling weight of a variant."""
+    """Markov kernel y -> (x, y) of a variant: the pattern measure's exact law
+    of the upper row x given the lower row y (``schur.branching_law``).  Its
+    support is finite by interlacing, so no truncation bound is needed."""
 
     def __init__(self, variant: str, q_ext):
         self.qs = rates_of(q_ext)
-        _y_row(variant, self.qs)  # rejects an unknown variant
         self.variant = variant
-
-    def weight(self, x, y) -> Fraction:
-        return m_weight(x, y, self.variant, self.qs)
+        self.kind, self.y_row = _y_row(variant, self.qs)  # rejects an unknown variant
 
     def support(self, y) -> list[tuple[tuple, Fraction]]:
-        return lambda_kernel(y, self.variant, self.qs)
+        """Distribution over paired states ((x, y), weight); masses sum to 1."""
+        y = coords_of(y)
+        if len(y) != len(self.qs):
+            raise ValueError(f"{self.variant} weight needs one rate per entry of y, "
+                             f"got {len(self.qs)} for {y}")
+        return [((x, y), p) for x, p in schur.branching_law(self.kind, self.y_row, y, self.qs)]
+
+    def weight(self, x, y) -> Fraction:
+        """Exact weight of x given y: zero unless x interlaces with y; for
+        fixed y the weights over all admissible x sum to 1."""
+        return dict(self.support(y)).get((coords_of(x), coords_of(y)), Fraction(0))

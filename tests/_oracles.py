@@ -125,7 +125,7 @@ def simulate_reference(op, init, horizon, rng) -> Trajectory:
     """Simulate the chain of a SparseGenerator (continuous time, exponential
     holding) or StepKernel (horizon = number of steps) from init."""
     s = coords_of(init)
-    if s not in op.state_set:
+    if s not in op.rows:
         raise ValueError(f"initial state {s} not in the operator's space")
     events: list[MoveEvent] = []
     if isinstance(op, SparseGenerator):

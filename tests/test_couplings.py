@@ -136,6 +136,17 @@ def test_wall_sup_distribution_matches_conditioned_walk():
     assert chi_square_gof(samples, wall_sup_reference(2, Q3[:2], 1.0, 30)) > 0.01
 
 
+@pytest.mark.parametrize("identity,horizon", [("left-edge", "1"), ("lpp", "3"),
+                                              ("wall-sup", "1")])
+def test_cli_coupling_takes_the_first_n_rates(capsys, identity, horizon):
+    runs = []
+    for q in ("1/2,1/3", "1/2,1/3,1/5"):
+        code = cli_dispatch(["coupling", "check", "--identity", identity, "--n", "2", "--q", q,
+                             "--trials", "200", "--horizon", horizon])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 @pytest.mark.parametrize("identity,check,sweep,horizon", [
     ("left-edge", "left_edge_matches_dynamics", couplings.left_edge_failures, 1.0),
     ("lpp", "right_edge_equals_lpp", couplings.lpp_failures, 5),

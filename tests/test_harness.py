@@ -155,6 +155,26 @@ def test_cli_unknown_flag_usage_error():
     assert cli_dispatch(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    *(["verify", "intertwine", "--case", case, "--n", "0", "--q", "1/2,1/3", "--bound", "4"]
+      for case in ("poisson", "geometric", "wall-odd-even", "wall-even-odd")),
+    *(["verify", "conservative", "--family", family, "--n", "0", "--q", "1/2", "--bound", "4"]
+      for family in ("charlier", "symplectic")),
+    ["verify", "semigroup", "--n", "0", "--q", "1/2,1/3", "--t", "1", "--bound", "4"],
+    ["coupling", "check", "--identity", "wall-sup", "--n", "0", "--q", "1/2", "--horizon", "1"],
+    ["coupling", "check", "--identity", "lpp", "--n", "0", "--q", "1/2", "--horizon", "1"],
+    ["coupling", "check", "--identity", "lpp", "--n", "1", "--q", "1/2", "--horizon", "1",
+     "--trials", "0"],
+    *(["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1",
+       "--trials", trials] for trials in ("0", "-3")),
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("--")))
+def test_cli_sizes_below_one_are_usage_errors(capsys, argv):
+    # nothing checked is neither a pass nor a failed verification
+    assert cli_dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_verify_conservative(capsys):
     code = cli_dispatch(
         ["verify", "conservative", "--family", "symplectic", "--n", "3",

@@ -9,6 +9,7 @@ import pytest
 from gtpush import kernels, schur
 from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
+    _verify_intertwining,
     build_intertwining_case,
     run_intertwine_case,
     semigroup,
@@ -95,6 +96,17 @@ def test_verify_conservative_flags_missing_entry():
     rep = verify_conservative(broken)
     assert not rep.passed
     assert rep.violations[0][0] == (2,)
+
+
+@pytest.mark.parametrize("case,n,rates,comparisons", [
+    ("poisson", 1, 3, 217), ("poisson", 2, 3, 1470),
+    ("wall-odd-even", 1, 2, 76), ("wall-odd-even", 2, 2, 882), ("wall-even-odd", 1, 2, 350),
+])
+def test_generator_intertwinings_hold_at_boundary_sources(case, n, rates, comparisons):
+    # criteria 1 and 3 at every in-box source: the interior filter only saves time
+    q_y, gen, lam, _ = build_intertwining_case(case, n, (Q3 + (F(1, 7),))[:rates], 6)
+    rep = _verify_intertwining(q_y, lam, gen, case, interior_only=False)
+    assert rep.passed and rep.states_checked == comparisons
 
 
 def test_report_json_round_trip():

@@ -1,18 +1,18 @@
+import math
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from gtpush import intertwine, kernels
+from gtpush.dynamics import geometric_step
 from gtpush.kernels import (
     LambdaKernel,
     blocking_factor,
     coupling_generator,
     coupling_kernel_geometric,
     kernel_geometric,
-    lambda_kernel,
-    m_weight,
     pushing_factor,
     q_charlier,
     q_symplectic,
@@ -256,6 +256,47 @@ def test_coupling_kernel_geometric_row_mass_reasonable():
     assert 1 - total < F(1, 1000)
 
 
+def _simulator_mismatches(kern, n, qs, bound):
+    """Compare each entry of the geometric pair kernel with the exact law of
+    the simulator's step, dynamics.geometric_step([x, y], [xt - x, xi]), times
+    X's marginal entry.  Each jump xi_j takes 0..top with mass (1-q) q^k, or
+    top + 1 with the rest, q^(top+1): a jump that large lands Y_j on its cap
+    or outside the box, and so does every larger one.  Returns the number of
+    comparisons and the mismatches."""
+    qy, top = qs[n], bound + 1
+    jumps = [(k, (1 - qy) * qy ** k) for k in range(top + 1)] + [(top + 1, qy ** (top + 1))]
+    marginal = kernel_geometric(n, qs[:n], bound)
+    compared, mismatches = 0, []
+    for x, y in kern.states:
+        row = kern.row((x, y))
+        for xt, px in marginal.row(x).items():
+            law: dict = {}
+            for draws in product(jumps, repeat=n + 1):
+                (_, yt), _ = geometric_step([x, y], [[b - a for a, b in zip(x, xt)],
+                                                     [k for k, _ in draws]])
+                if max(yt) <= bound:
+                    law[tuple(yt)] = law.get(tuple(yt), 0) + math.prod(p for _, p in draws)
+            for yt in set(law) | {yt for xt2, yt in row if xt2 == xt}:
+                compared += 1
+                if px * law.get(yt, 0) != row.get((xt, yt), 0):
+                    mismatches.append(((x, y), (xt, yt)))
+    return compared, mismatches
+
+
+@pytest.mark.parametrize("n,bound,comparisons", [(1, 6, 1386), (2, 3, 429)])
+def test_coupling_kernel_geometric_is_the_simulator_step(n, bound, comparisons):
+    # the simulators' update rule, pushed forward exactly, gives the kernel
+    qs = Q3[:n + 1]
+    kern = coupling_kernel_geometric(n, qs, bound)
+    assert _simulator_mismatches(kern, n, qs, bound) == (comparisons, [])
+    # one doubled entry is caught
+    source = kern.states[len(kern.states) // 2]
+    target, value = next(iter(kern.row(source).items()))
+    rows = {**kern.rows, source: {**kern.row(source), target: 2 * value}}
+    doubled = kernels.StepKernel(kern.states, rows, bound)
+    assert _simulator_mismatches(doubled, n, qs, bound)[1] == [(source, target)]
+
+
 def test_wall_odd_even_entries():
     q1 = (F(1, 2),)
     gen = coupling_generator("wall-odd-even", 1, q1, 6)
@@ -334,17 +375,19 @@ def test_step_kernel_entries_are_probabilities():
 
 
 def test_m_weight_poisson_examples():
-    assert m_weight((0,), (0, 0), "poisson", Q2) == 1
-    assert m_weight((0,), (0, 1), "poisson", Q2) == F(1, 3) / F(5, 6)
-    assert m_weight((1,), (0, 1), "poisson", Q2) == F(1, 2) / F(5, 6)
-    assert m_weight((2,), (0, 1), "poisson", Q2) == 0
+    lam = LambdaKernel("poisson", Q2)
+    assert lam.weight((0,), (0, 0)) == 1
+    assert lam.weight((0,), (0, 1)) == F(1, 3) / F(5, 6)
+    assert lam.weight((1,), (0, 1)) == F(1, 2) / F(5, 6)
+    assert lam.weight((2,), (0, 1)) == 0
 
 
 def test_m_weight_wall_examples():
     q1 = (F(1, 2),)
+    lam = LambdaKernel("wall-odd-even", q1)
     denom = sp_schur(2, (1,), q1)
-    assert m_weight((0,), (1,), "wall-odd-even", q1) == 2 / denom
-    assert m_weight((1,), (1,), "wall-odd-even", q1) == F(1, 2) / denom
+    assert lam.weight((0,), (1,)) == 2 / denom
+    assert lam.weight((1,), (1,)) == F(1, 2) / denom
 
 
 @pytest.mark.parametrize(
@@ -358,7 +401,7 @@ def test_m_weight_wall_examples():
 )
 def test_m_weights_sum_to_one(variant, q, ys):
     for y in ys:
-        masses = lambda_kernel(y, variant, q)
+        masses = LambdaKernel(variant, q).support(y)
         assert sum(m for _, m in masses) == 1
         assert all(m >= 0 for _, m in masses)
         assert all(state[1] == y for state, _ in masses)
@@ -384,22 +427,16 @@ def test_lambda_is_gibbs_projection(variant, kind, height):
         for p in enumerate_patterns(y, kind, nrows=height):
             masses[p.rows[-2]] = masses.get(p.rows[-2], F(0)) + weight(p, qs)
         total = sum(masses.values())
-        assert dict(lambda_kernel(y, variant, qs)) == {
+        assert dict(LambdaKernel(variant, qs).support(y)) == {
             (x, y): w / total for x, w in masses.items()
         }
 
 
 def test_lambda_kernel_zero_row_is_point_mass():
-    masses = lambda_kernel((0, 0), "poisson", Q2)
+    masses = LambdaKernel("poisson", Q2).support((0, 0))
     assert masses == [(((0,), (0, 0)), F(1))]
-
-
-def test_lambda_kernel_class_delegates():
-    lam = LambdaKernel("poisson", Q2)
-    assert lam.weight((1,), (0, 1)) == m_weight((1,), (0, 1), "poisson", Q2)
-    assert lam.support((0, 1)) == lambda_kernel((0, 1), "poisson", Q2)
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
-        m_weight((0,), (0, 0), "brownian", Q2)
+        LambdaKernel("brownian", Q2)

@@ -7,7 +7,7 @@ import pytest
 import gtpush.kernels
 import gtpush.patterns
 import gtpush.schur
-from gtpush.kernels import lambda_kernel
+from gtpush.kernels import LambdaKernel
 from gtpush.patterns import (
     STANDARD,
     SYMPLECTIC,
@@ -156,7 +156,7 @@ def test_clear_caches_empties_every_schur_memo():
     qs = Q4[:3]
     schur((0, 1, 2), qs)
     sp_schur(3, (1, 2), qs[:2])
-    lambda_kernel((0, 2), "poisson", qs[:2])
+    LambdaKernel("poisson", qs[:2]).support((0, 2))
     sample_patterns((0, 1, 2), qs, STANDARD, np.random.default_rng(0), 3, 5)
     # the memos defined in these modules (kernels also holds dynamics.ring_table)
     memos = [f for module in (gtpush.patterns, gtpush.schur, gtpush.kernels)
