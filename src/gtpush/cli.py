@@ -182,7 +182,7 @@ def _cmd_simulate(args) -> int:
 def _simulate_endpoints(args, qs, z, horizon) -> int:
     """Monte Carlo endpoint run; with --max-tv the empirical bottom-row law is
     held against the conditioned-walk reference law of the bottom row."""
-    bound = args.bound if args.bound is not None else max(z) + 8
+    bound = args.bound if args.bound is not None else max(z, default=0) + 8
     cfg = harness.ExperimentConfig(args.model, args.n, tuple(str(v) for v in qs),
                                    z, horizon, args.trials, args.seed, bound)
     emp = harness.empirical_pmf(harness.endpoint_samples(cfg))

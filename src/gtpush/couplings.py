@@ -2,10 +2,12 @@
 edge processes of the pattern dynamics.
 
 A noise panel is materialised once and drives both sides of an identity, so
-equality claims are checked exactly, path by path.  The sweeps over trials
-draw trial i's panel from the stream (seed, i) and the rest of the pattern's
-noise from (seed + 1, i).  The wall-sup functional is deterministic in its
-panel but only matches its conditioned-walk reference in distribution.
+equality claims are checked exactly, path by path.  The pathwise sweeps run
+one trial at a time: trial i's panel comes from the stream (seed, i) and the
+rest of the pattern's noise from (seed + 1, i).  The wall-sup functional is
+deterministic in its panel but only matches its conditioned-walk reference
+in distribution; its samples are drawn and evaluated as arrays, in blocks of
+WALL_BLOCK_TRIALS panels, block b from the stream (seed, b).
 """
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ import numpy as np
 
 from . import dynamics
 from .patterns import rates_of
+
+WALL_BLOCK_TRIALS = 1024
+_NOT_A_SPLIT = np.iinfo(np.int32).min // 2
 
 
 @dataclass(frozen=True)
@@ -60,16 +65,19 @@ def geometric_panel(n: int, q, t_max: int, rng) -> GeometricPanel:
 
 def wall_panel(k: int, q, t_end: float, rng) -> WallPanel:
     """Interleaved components (Z_1, Z~_1, ..., Z_k, Z~_k): Z_i steps +1 at rate
-    1/q_i and -1 at rate q_i; Z~_i is distributed as -Z_i."""
-    qs = rates_of(q, k, open_unit=True)
-    comps = []
-    for i in range(k):
-        up, down = float(1 / qs[i]), float(qs[i])
-        for a, b in ((up, down), (down, up)):
-            plus = [(t, 1) for t in dynamics._ring_times(a, t_end, rng)]
-            minus = [(t, -1) for t in dynamics._ring_times(b, t_end, rng)]
-            comps.append(tuple(sorted(plus + minus)))
-    return WallPanel(tuple(comps), t_end)
+    1/q_i and -1 at rate q_i; Z~_i is distributed as -Z_i.  Row 0 of a
+    one-trial block draw (:func:`_wall_block`)."""
+    times, codes = _wall_block(rates_of(q, k, open_unit=True), t_end, 1, rng)
+    return _row_panel(times[0], codes, 2 * k, t_end)
+
+
+def _row_panel(times, codes, m: int, t_end: float) -> WallPanel:
+    """One row of a block draw, padding dropped, as a WallPanel of m components."""
+    comps = [[] for _ in range(m)]
+    for tt, code in zip(times.tolist(), codes.tolist()):
+        if tt != np.inf:
+            comps[abs(code) - 1].append((tt, 1 if code > 0 else -1))
+    return WallPanel(tuple(tuple(sorted(c)) for c in comps), t_end)
 
 
 class _StepPath:
@@ -193,13 +201,13 @@ def right_edge_equals_lpp(
     rng = rng if rng is not None else np.random.default_rng(0)
     g = lpp_G(panel, n, t_max)
     rows = [[0] * j for j in range(1, n + 1)]
-    ps = [float(1 - v) for v in qs]
-    for t in range(1, t_max + 1):
-        xi = []
+    # every step's jumps in one draw, row r0 taking r0 + 1 columns
+    ps = [float(1 - qs[r0]) for r0 in range(n) for _ in range(r0 + 1)]
+    steps = (rng.geometric(ps, size=(t_max, len(ps))) - 1).tolist()
+    for t, draws in enumerate(steps, 1):
+        xi = [draws[r0 * (r0 + 1) // 2:(r0 + 1) * (r0 + 2) // 2] for r0 in range(n)]
         for r0 in range(n):
-            draws = [int(v) for v in rng.geometric(ps[r0], size=r0 + 1) - 1]
-            draws[r0] = panel.eta[r0][t - 1]
-            xi.append(draws)
+            xi[r0][r0] = panel.eta[r0][t - 1]
         rows, _ = dynamics.geometric_step(rows, xi)
         if any(rows[k][k] != g[k][t - 1] for k in range(n)):
             return False
@@ -218,30 +226,74 @@ def lpp_failures(n: int, q, steps: int, trials: int, seed: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # wall functional
 
+def _wall_block(qs, t_end: float, trials: int, rng):
+    """Panels of a block of trials as padded arrays: jump times (trials,
+    jumps), inf past each trial's count, and the signed component code
+    +-(c+1) of every column.
+
+    Given its Poisson count, a clock's jump times are i.i.d. uniform on
+    [0, t_end].  Draws go rate by rate, component Z_i then Z~_i, the +1
+    clock then the -1 clock."""
+    t_end = float(t_end)
+    times, codes = [], []
+    for i, v in enumerate(qs):
+        up, down = float(1 / v), float(v)
+        for c, rates in ((2 * i, (up, down)), (2 * i + 1, (down, up))):
+            for sign, rate in zip((1, -1), rates):
+                counts = rng.poisson(rate * t_end, size=trials)
+                width = int(counts.max())
+                cols = rng.random((trials, width)) * t_end
+                cols[np.arange(width) >= counts[:, None]] = np.inf
+                times.append(cols)
+                codes.append(np.full(width, sign * (c + 1), dtype=np.int8))
+    return np.hstack(times), np.concatenate(codes)
+
+
+def _wall_sup(times, codes, m: int) -> np.ndarray:
+    """Wall functional of every row of a block: the m-stage dynamic program
+    over the row's merged, sorted jump times, with time 0 in front.
+
+    Split points are the grid's times, each with its components' values after
+    every jump at that time: a grid point tied with the next jump is no split
+    point, the last one of its time stands for it.  inf marks padding, which
+    moves no component; the grid's last point is always a split point."""
+    order = np.argsort(times, axis=1, kind="stable")
+    ts = np.take_along_axis(times, order, axis=1)
+    cs = np.where(np.isfinite(ts), codes[order], 0)
+    grid = np.hstack([np.zeros((len(ts), 1)), ts])
+    tied = np.zeros(grid.shape, dtype=bool)
+    tied[:, :-1] = grid[:, :-1] == ts
+    prev = np.zeros(grid.shape, dtype=np.int32)  # component values on the grid
+    best = np.zeros(grid.shape, dtype=np.int32)
+    for c in range(m):
+        cur = np.zeros(grid.shape, dtype=np.int32)
+        np.cumsum((cs == c + 1).astype(np.int32) - (cs == -(c + 1)), axis=1, out=cur[:, 1:])
+        best += prev - cur
+        best[tied] = _NOT_A_SPLIT
+        np.maximum.accumulate(best, axis=1, out=best)
+        prev = cur
+    return prev[:, -1] + best[:, -1]
+
+
 def wall_sup_functional(panel: WallPanel, t: float) -> int:
-    """Maximal interleaved increment sum over ordered split times up to t,
-    evaluated exactly by dynamic programming over the panel's event times."""
-    comps = [_StepPath(jumps) for jumps in panel.jumps]
-    m = len(comps)
-    candidates = sorted({0.0} | {tt for jumps in panel.jumps for tt, _ in jumps if tt <= t})
-    best = None
-    for i, comp in enumerate(comps):
-        running = -(10 ** 18)
-        stage = []
-        for u in candidates:
-            inner = -comp.value(u) if i == 0 else best[len(stage)] + comps[i - 1].value(u) - comp.value(u)
-            running = max(running, inner)
-            stage.append(running)
-        best = stage
-    return comps[m - 1].value(t) + best[-1]
+    """Maximal interleaved increment sum over ordered split times up to t:
+    a one-row call of the block dynamic program, jumps after t as padding."""
+    if any(d not in (1, -1) for jumps in panel.jumps for _, d in jumps):
+        raise ValueError("the jumps of a wall panel are steps of +1 or -1")
+    times = np.array([[tt if tt <= t else np.inf for jumps in panel.jumps for tt, _ in jumps]])
+    codes = np.array([d * (c + 1) for c, jumps in enumerate(panel.jumps) for _, d in jumps],
+                     dtype=np.int8)
+    return int(_wall_sup(times, codes, len(panel.jumps))[0])
 
 
 def wall_sup_samples(k: int, q, t: float, trials: int, seed: int) -> list[int]:
-    """Independent draws of the wall functional from freshly sampled panels."""
+    """Independent draws of the wall functional, in blocks of
+    WALL_BLOCK_TRIALS panels, block b drawn from the stream (seed, b)."""
     _check_sweep(k, trials)
-    out = []
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        panel = wall_panel(k, q, t, rng)
-        out.append(wall_sup_functional(panel, t))
+    qs = rates_of(q, k, open_unit=True)
+    out: list[int] = []
+    for block, lo in enumerate(range(0, trials, WALL_BLOCK_TRIALS)):
+        rng = np.random.default_rng((seed, block))
+        times, codes = _wall_block(qs, t, min(WALL_BLOCK_TRIALS, trials - lo), rng)
+        out.extend(_wall_sup(times, codes, 2 * k).tolist())
     return out

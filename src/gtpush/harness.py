@@ -130,7 +130,10 @@ def chi_square_gof(samples, ref: Pmf) -> float:
             obs, exp = bins.pop()
             bins.append((obs + tail_obs, exp + tail_exp))
     if len(bins) < 2:
-        raise ValueError("need at least two bins for a chi-square test")
+        if np.count_nonzero(ref.probs) < 2:
+            raise ValueError("a chi-square test needs a reference law on at least two states")
+        raise ValueError(f"{n} samples fill fewer than the two bins of at least 5 expected "
+                         f"counts a chi-square test needs: more samples are needed")
     stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
     return float(chi2.sf(stat, len(bins) - 1))
 
@@ -151,6 +154,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
+        if self.n < 1:
+            raise ValueError(f"a pattern needs n >= 1 rows, got n = {self.n}")
         self.q = tuple(str(v) for v in self.q)
         self.z = tuple(int(c) for c in self.z)
         k = row_length(self.n, SYMPLECTIC if self.model == "wall" else STANDARD)

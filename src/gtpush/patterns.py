@@ -282,6 +282,8 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
     Rows are drawn bottom-up: the trials are grouped by their current row j,
     and each group draws row j-1 from the cached branching_cdf with one
     uniform per trial and row."""
+    if nrows < 1:
+        raise ValueError(f"a pattern needs n >= 1 rows, got n = {nrows}")
     z = coords_of(z)
     qs = rates_of(q, row_length(nrows, kind))
     if len(z) != len(qs) or not is_ordered(z) or (kind == SYMPLECTIC and z and z[0] < 0):

@@ -79,6 +79,26 @@ def geometric_row_total_2d(x, q1: Fraction, q2: Fraction) -> Fraction:
     return a * total / sx
 
 
+def wall_sup_dp(panel, t):
+    """Max interleaved increment sum by a per-trial dynamic program over the
+    panel's distinct event times up to t, one step function per component."""
+    from gtpush.couplings import _StepPath
+
+    comps = [_StepPath(jumps) for jumps in panel.jumps]
+    m = len(comps)
+    candidates = sorted({0.0} | {tt for jumps in panel.jumps for tt, _ in jumps if tt <= t})
+    best = None
+    for i, comp in enumerate(comps):
+        running = -(10 ** 18)
+        stage = []
+        for u in candidates:
+            inner = -comp.value(u) if i == 0 else best[len(stage)] + comps[i - 1].value(u) - comp.value(u)
+            running = max(running, inner)
+            stage.append(running)
+        best = stage
+    return comps[m - 1].value(t) + best[-1]
+
+
 def wall_sup_brute(panel, t):
     """Max interleaved increment sum by enumerating all ordered split-time
     sequences over the panel's event times (the sup is attained there)."""

@@ -22,7 +22,7 @@ from gtpush.couplings import (
 )
 from gtpush.harness import chi_square_gof, wall_sup_reference
 
-from _oracles import lpp_brute, wall_sup_brute
+from _oracles import lpp_brute, wall_sup_brute, wall_sup_dp
 
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
 
@@ -126,6 +126,54 @@ def test_wall_sup_constant_between_events_and_monotone_in_jumps():
             jumps[comp_idx] = sorted(jumps[comp_idx] + [(1.9, 1)])
             bumped = WallPanel(tuple(tuple(c) for c in jumps), panel.t_end)
             assert wall_sup_functional(bumped, 2.0) >= base
+
+
+def test_block_wall_sup_matches_per_trial_oracle():
+    # 8,400 block panels, each at its end time and cut below it
+    panels = 0
+    for k in (1, 2, 3):
+        qs = ((F(1, 7),) + Q3)[:k]
+        for t_end in (0.7, 2.0):
+            rng = np.random.default_rng((17, k, int(10 * t_end)))
+            times, codes = couplings._wall_block(qs, t_end, 1400, rng)
+            for t in (t_end, 0.6 * t_end):
+                cut = np.where(times <= t, times, np.inf)
+                got = couplings._wall_sup(cut, codes, 2 * k).tolist()
+                want = [wall_sup_dp(couplings._row_panel(row, codes, 2 * k, t_end), t)
+                        for row in times]
+                assert got == want
+            panels += len(times)
+    assert panels == 8400
+
+
+@pytest.mark.parametrize("jumps,t,value", [
+    # simultaneous jumps in two components: no split point between them
+    ((((0.5, 1),), ((0.5, 1),)), 1.0, 1),
+    ((((0.5, 1),), ((0.5, -1),)), 1.0, 1),
+    # two jumps at one time in one component
+    (((), ((0.5, -1), (0.5, 1)),), 1.0, 0),
+    ((((0.3, 1), (0.3, 1)), ((0.3, -1), (0.3, -1), (0.8, 1))), 0.5, 2),
+    # a jump at time 0 ties with the origin of the grid
+    ((((0.0, -1), (0.0, 1)), ((0.0, -1),)), 1.0, 0),
+    # a tie at the cut counts in full
+    ((((0.2, 1),), ((0.6, 1), (0.6, -1), (0.6, 1))), 0.6, 2),
+])
+def test_wall_sup_ties(jumps, t, value):
+    panel = WallPanel(jumps, 1.0)
+    assert wall_sup_functional(panel, t) == wall_sup_dp(panel, t) == wall_sup_brute(panel, t) == value
+
+
+def test_wall_sup_refuses_jumps_other_than_unit_steps():
+    with pytest.raises(ValueError, match="steps of"):
+        wall_sup_functional(WallPanel((((0.5, 2),), ()), 1.0), 1.0)
+
+
+def test_wall_sup_samples_blocks_are_stable():
+    q = (F(1, 2),)
+    first = wall_sup_samples(1, q, 1.0, 1024, 5)
+    assert wall_sup_samples(1, q, 1.0, 1500, 5)[:1024] == first
+    assert wall_sup_samples(1, q, 1.0, 1024, 5) == first
+    assert wall_sup_samples(1, q, 1.0, 1024, 6) != first
 
 
 def test_wall_sup_distribution_matches_conditioned_walk():

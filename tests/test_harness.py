@@ -243,6 +243,14 @@ def test_cli_coupling_check_wall_sup(capsys):
     assert json.loads(capsys.readouterr().out)["p_value"] > 0.01
 
 
+def test_cli_wall_sup_with_too_few_trials_asks_for_more(capsys):
+    code = cli_dispatch(["coupling", "check", "--identity", "wall-sup", "--n", "2",
+                         "--q", "1/2,1/3", "--trials", "20", "--horizon", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "20 samples" in out.err and "more samples are needed" in out.err
+
+
 def test_cli_verify_algebra(capsys):
     code = cli_dispatch(
         ["verify", "algebra", "--q", "1/2,1/3,1/5", "--max-entry", "2",
@@ -265,6 +273,16 @@ def test_cli_simulate_rejects_bad_bottom_row(capsys):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert len(out.err.splitlines()) == 1 and "bottom row" in out.err
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "5"]], ids=["one-trial", "endpoints"])
+@pytest.mark.parametrize("model", ["poisson", "wall", "geometric"])
+def test_cli_simulate_zero_rows_names_n(capsys, model, trials):
+    code = cli_dispatch(["simulate", "--model", model, "--n", "0", "--q", "1/2",
+                         "--horizon", "1"] + trials)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: a pattern needs n >= 1 rows, got n = 0\n"
 
 
 def test_cli_simulate_endpoint_mode(tmp_path, capsys):
