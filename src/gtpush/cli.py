@@ -31,6 +31,15 @@ def _parse_row(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
+def _parse_horizon(text: str, steps: bool):
+    """A horizon: a whole number of steps, or an exact time such as 3/2."""
+    try:
+        return int(text) if steps else float(Fraction(text))
+    except ValueError:
+        form = "a whole number of steps" if steps else "an exact time such as 3/2"
+        raise ValueError(f"the horizon must be {form}, got {text}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gtpush")
     sub = top.add_subparsers(dest="command", required=True)
@@ -50,19 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact verification runs")
     ps = p.add_subparsers(dest="action", required=True)
-    v = ps.add_parser("intertwine")
-    v.add_argument("--case", required=True,
-                   choices=["poisson", "geometric", "wall-odd-even", "wall-even-odd"])
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--q", required=True)
-    v.add_argument("--bound", type=int, required=True)
-    v.add_argument("--out")
-    v = ps.add_parser("conservative")
-    v.add_argument("--family", required=True, choices=["charlier", "symplectic"])
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--q", required=True)
-    v.add_argument("--bound", type=int, required=True)
-    v.add_argument("--out")
+    for action, flag, choices in (
+            ("intertwine", "--case", ["poisson", "geometric", "wall-odd-even", "wall-even-odd"]),
+            ("conservative", "--family", ["charlier", "symplectic"])):
+        v = ps.add_parser(action)
+        v.add_argument(flag, required=True, choices=choices)
+        v.add_argument("--n", type=int, required=True)
+        v.add_argument("--q", required=True)
+        v.add_argument("--bound", type=int, required=True)
+        v.add_argument("--out")
     v = ps.add_parser("semigroup")
     v.add_argument("--case", default="poisson", choices=["poisson"])
     v.add_argument("--n", type=int, required=True)
@@ -92,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coupling", help="pathwise/distributional identity checks")
     ps = p.add_subparsers(dest="action", required=True)
     c = ps.add_parser("check")
-    c.add_argument("--identity", required=True, choices=["left-edge", "lpp", "wall-sup"])
+    c.add_argument("--identity", required=True,
+                   choices=["left-edge", "lpp", "wall-edge", "wall-sup"])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--q", required=True)
     c.add_argument("--trials", type=int, default=100)
@@ -162,7 +168,7 @@ def _cmd_simulate(args) -> int:
     qs = _parse_rates(args.q)
     kind = SYMPLECTIC if args.model == "wall" else STANDARD
     z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
-    horizon = int(args.horizon) if args.model == "geometric" else float(Fraction(args.horizon))
+    horizon = _parse_horizon(args.horizon, args.model == "geometric")
     if args.trials != 1:  # ExperimentConfig refuses fewer than one trial
         return _simulate_endpoints(args, qs, z, horizon)
     rng = harness.trial_rng(args.seed, 0)
@@ -189,8 +195,7 @@ def _simulate_endpoints(args, qs, z, horizon) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(emp.to_csv())
-    summary = {"model": args.model, "n": args.n, "trials": args.trials,
-               "seed": args.seed}
+    summary = {"model": args.model, "n": args.n, "trials": args.trials, "seed": args.seed}
     if args.max_tv is not None:
         ref = harness.reference_endpoint_pmf(cfg)
         tv = harness.tv_distance(emp, ref)
@@ -204,18 +209,18 @@ def _simulate_endpoints(args, qs, z, horizon) -> int:
 def _cmd_coupling(args) -> int:
     n, trials, seed = args.n, args.trials, args.seed
     qs = _parse_rates(args.q)[:n]  # every identity takes the first n rates
+    horizon = _parse_horizon(args.horizon, args.identity == "lpp")
     if args.identity == "wall-sup":
         # distributional match against the conditioned-walk reference
-        t = float(Fraction(args.horizon))
-        samples = couplings.wall_sup_samples(n, qs, t, trials, seed)
-        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs, t, args.bound))
+        samples = couplings.wall_sup_samples(n, qs, horizon, trials, seed)
+        pval = harness.chi_square_gof(samples,
+                                      harness.wall_sup_reference(n, qs, horizon, args.bound))
         print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
                           "min_p": args.min_p}))
         return 0 if pval > args.min_p else 1
-    if args.identity == "left-edge":
-        failures = couplings.left_edge_failures(n, qs, float(Fraction(args.horizon)), trials, seed)
-    else:
-        failures = couplings.lpp_failures(n, qs, int(args.horizon), trials, seed)
+    sweep = {"left-edge": couplings.left_edge_failures, "lpp": couplings.lpp_failures,
+             "wall-edge": couplings.wall_edge_failures}[args.identity]
+    failures = sweep(n, qs, horizon, trials, seed)
     if failures:
         print(json.dumps({"identity": args.identity, "trial": failures[0], "status": "fail"}))
         return 1

@@ -172,13 +172,16 @@ def _ring_rates(table: RingTable, qs) -> list[Fraction]:
 
 
 def _simulate_rings(table: RingTable, qs, init: Pattern, t_end: float, rng) -> Trajectory:
+    if init.kind != table.kind or init.nrows != len(table.offsets) - 1 or not is_valid(init):
+        raise ValueError(f"init must be a valid {table.kind} pattern of matching size")
     rings = {key: _ring_times(float(rate), t_end, rng)
              for key, rate in zip(table.keys, _ring_rates(table, qs))}
-    return _from_rings(table, rings, init, t_end)
+    return from_rings(table, rings, init, t_end)
 
 
-def _from_rings(table: RingTable, rings: dict, init: Pattern, t_end: float) -> Trajectory:
-    """Apply candidate rings keyed (row, index, direction) in time order."""
+def from_rings(table: RingTable, rings: dict, init: Pattern, t_end: float) -> Trajectory:
+    """Run a dynamics off explicit candidate ring times, keyed (row, index,
+    direction) as in ``table.keys``, in time order up to t_end."""
     particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
     ring_of = {key: i for i, key in enumerate(table.keys)}
     place = [(r, j) for r, j, d in table.keys if d == 1]  # (row, index) of each slot
@@ -247,23 +250,10 @@ def _batch_rings(table: RingTable, qs, start: np.ndarray, t_end: float, rng) -> 
 # ---------------------------------------------------------------------------
 # rightward (continuous-time) dynamics
 
-def poisson_from_rings(n: int, rings: dict, init: Pattern, t_end: float) -> Trajectory:
-    """Run the rightward dynamics off explicit candidate ring times.
-
-    rings maps (row, index) (1-based) to sorted candidate times; a ring is
-    discarded when the particle is blocked by the row above.
-    """
-    return _from_rings(ring_table(n, STANDARD),
-                       {(k, j, 1): times for (k, j), times in rings.items()}, init, t_end)
-
-
 def simulate_poisson(n: int, q, init: Pattern, t_end: float, rng) -> Trajectory:
     """Rightward dynamics: row-k particles ring at the k-th rate, blocked by
     the particle above-left, pushing the particle below-right."""
-    qs = rates_of(q, n)
-    if init.kind != STANDARD or init.nrows != n or not is_valid(init):
-        raise ValueError("init must be a valid standard pattern of matching size")
-    return _simulate_rings(ring_table(n, STANDARD), qs, init, t_end, rng)
+    return _simulate_rings(ring_table(n, STANDARD), rates_of(q, n), init, t_end, rng)
 
 
 def batch_poisson(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
@@ -342,18 +332,11 @@ def batch_geometric(n: int, q, start: np.ndarray, steps: int, rng) -> np.ndarray
 # ---------------------------------------------------------------------------
 # wall (symplectic) dynamics
 
-def wall_from_rings(n: int, rings: dict, init: Pattern, t_end: float) -> Trajectory:
-    """Run the wall dynamics off explicit rings keyed (row, index, direction)."""
-    return _from_rings(ring_table(n, SYMPLECTIC), rings, init, t_end)
-
-
 def simulate_wall(n: int, q, init: Pattern, t_end: float, rng) -> Trajectory:
     """Two-sided dynamics behind a wall: odd rows jump right at their rate and
     left at its inverse, even rows with the rates reversed; left jumps of the
     leftmost odd-row particles are suppressed at the origin."""
     qs = rates_of(q, (n + 1) // 2, open_unit=True)
-    if init.kind != SYMPLECTIC or init.nrows != n or not is_valid(init):
-        raise ValueError("init must be a valid symplectic pattern of matching size")
     return _simulate_rings(ring_table(n, SYMPLECTIC), qs, init, t_end, rng)
 
 
@@ -363,6 +346,7 @@ def batch_wall(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
     return _batch_rings(ring_table(n, SYMPLECTIC), qs, start, t_end, rng)
 
 
+@lru_cache(maxsize=None)
 def zero_pattern(n: int, kind: str = STANDARD) -> Pattern:
     """The all-zero pattern of height n."""
     if kind == STANDARD:

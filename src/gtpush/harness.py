@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,9 +105,7 @@ def chi_square_gof(samples, ref: Pmf) -> float:
     from scipy.stats import chi2  # deferred: scipy.stats dominates import time
 
     n = len(samples)
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(samples)
     order = sorted(range(len(ref.support)), key=lambda i: -ref.probs[i])
     bins = []  # (observed, expected)
     tail_obs = 0
@@ -165,6 +164,8 @@ class ExperimentConfig:
         rates_of([frac(v) for v in self.q])
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.horizon >= 0:
+            raise ValueError(f"the horizon must be >= 0, got horizon = {self.horizon}")
         if self.bound < max(self.z, default=0) + 2:
             raise ValueError("bound must be at least max(z) + 2")
 
@@ -215,10 +216,7 @@ def endpoint_samples(config: ExperimentConfig) -> list[tuple]:
 
 
 def empirical_pmf(samples) -> Pmf:
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return Pmf.from_counts(counts, len(samples))
+    return Pmf.from_counts(Counter(samples), len(samples))
 
 
 def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:

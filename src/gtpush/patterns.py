@@ -27,6 +27,8 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 def frac(value) -> Fraction:
     """Exact rational from int, 'p/q' string or Fraction.  Float values and
     decimal notation are refused: exactness is part of the contract."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}; pass an exact rational (int, 'p/q' string or Fraction)"
@@ -80,7 +82,7 @@ class Pattern:
     kind: str = STANDARD
 
     def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if self.kind not in (STANDARD, SYMPLECTIC):
             raise ValueError(f"unknown pattern kind {self.kind!r}")

@@ -4,6 +4,7 @@ These enumerate or sum directly from definitions so the tested code paths
 cannot leak into their own expected values.
 """
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -79,12 +80,58 @@ def geometric_row_total_2d(x, q1: Fraction, q2: Fraction) -> Fraction:
     return a * total / sx
 
 
+class StepPath:
+    """Right-continuous integer step function of time."""
+
+    def __init__(self, jumps):
+        # jumps: iterable of (time, increment), time-sorted
+        self.times = [0.0]
+        self.values = [0]
+        for t, d in jumps:
+            if t == self.times[-1]:
+                self.values[-1] += d
+            else:
+                self.times.append(t)
+                self.values.append(self.values[-1] + d)
+
+    def value(self, t: float) -> int:
+        return self.values[bisect_right(self.times, t) - 1]
+
+
+def left_edge_recursion(panel, t_grid):
+    """Rows of the left-edge reflection recursion along a sorted t_grid, one
+    step function per row: row 1 is the first counting process, row k+1 adds
+    the running infimum, over the distinct event times, of (row k minus the
+    (k+1)-th process) to that process."""
+    n = len(panel.times)
+    z_paths = [StepPath((t, 1) for t in ts) for ts in panel.times]
+    event_times = sorted({t for ts in panel.times for t in ts})
+    rows = [z_paths[0]]
+    for k in range(1, n):
+        prev, z = rows[k - 1], z_paths[k]
+        inf_jumps = []
+        running = prev.value(0.0) - z.value(0.0)  # = 0 at the origin
+        level = running
+        for t in event_times:
+            diff = prev.value(t) - z.value(t)
+            if diff < running:
+                inf_jumps.append((t, diff - level))
+                level = diff
+                running = diff
+        inf_path = StepPath(inf_jumps)
+        combined = StepPath([])
+        combined.times = event_times[:] if event_times else [0.0]
+        if not combined.times or combined.times[0] != 0.0:
+            combined.times = [0.0] + combined.times
+        combined.values = [z.value(t) + inf_path.value(t) for t in combined.times]
+        rows.append(combined)
+    return [[path.value(t) for t in t_grid] for path in rows]
+
+
 def wall_sup_dp(panel, t):
     """Max interleaved increment sum by a per-trial dynamic program over the
     panel's distinct event times up to t, one step function per component."""
-    from gtpush.couplings import _StepPath
-
-    comps = [_StepPath(jumps) for jumps in panel.jumps]
+    comps = [StepPath(jumps) for jumps in panel.jumps]
     m = len(comps)
     candidates = sorted({0.0} | {tt for jumps in panel.jumps for tt, _ in jumps if tt <= t})
     best = None
@@ -102,9 +149,7 @@ def wall_sup_dp(panel, t):
 def wall_sup_brute(panel, t):
     """Max interleaved increment sum by enumerating all ordered split-time
     sequences over the panel's event times (the sup is attained there)."""
-    from gtpush.couplings import _StepPath
-
-    comps = [_StepPath(j) for j in panel.jumps]
+    comps = [StepPath(j) for j in panel.jumps]
     m = len(comps)
     cands = sorted({0.0} | {tt for jumps in panel.jumps for tt, _ in jumps if tt <= t})
     best = None

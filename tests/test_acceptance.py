@@ -155,3 +155,10 @@ def test_criterion_13_semigroup_intertwining():
     q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q[:2], 12)
     gap = intertwine.semigroup_intertwining_gap(q_y, gen, lam, F(1, 2), 1e-10)
     _report(13, "uniformized semigroup intertwining", gap < 1e-8, f"gap={gap:.2e}")
+
+
+def test_criterion_14_wall_edge_pathwise_identity():
+    failed = {k: couplings.wall_edge_failures(k, Q[:k], 1.5, 1000, 1400 + k) for k in (1, 2, 3)}
+    _report(14, "wall right edge = wall sup functional, pathwise, every row",
+            not any(failed.values()),
+            ", ".join(f"k={k}: {len(f)} / 1000 panels failed" for k, f in failed.items()))

@@ -1,11 +1,12 @@
-from fractions import Fraction as F
-
+import dataclasses
 import json
+from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from gtpush import couplings
+from gtpush import couplings, dynamics
 from gtpush.cli import cli_dispatch
 from gtpush.couplings import (
     GeometricPanel,
@@ -16,13 +17,16 @@ from gtpush.couplings import (
     lpp_G,
     lpp_failures,
     right_edge_equals_lpp,
+    wall_edge_failures,
+    wall_edge_matches_dynamics,
     wall_panel,
     wall_sup_functional,
     wall_sup_samples,
 )
 from gtpush.harness import chi_square_gof, wall_sup_reference
+from gtpush.schur import sp_schur
 
-from _oracles import lpp_brute, wall_sup_brute, wall_sup_dp
+from _oracles import left_edge_recursion, lpp_brute, wall_sup_brute, wall_sup_dp
 
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
 
@@ -49,6 +53,19 @@ def test_left_edge_requires_sorted_grid():
 
 def test_left_edge_matches_full_dynamics():
     assert left_edge_failures(3, Q3, 2.0, 150, 100) == []
+
+
+def test_left_edge_from_walk_matches_the_step_function_recursion():
+    # 2,400 panels, read at every jump time and at points between them
+    rng = np.random.default_rng(41)
+    qs = (F(1, 7),) + Q3
+    for _ in range(2400):
+        n = int(rng.integers(1, 5))
+        t = float(rng.uniform(0.5, 3.0))
+        panel = couplings.poisson_panel(n, qs[:n], t, rng)
+        grid = sorted({0.0, t, *rng.uniform(0, t, 4).tolist(),
+                       *(tt for ts in panel.times for tt in ts)})
+        assert left_edge_from_walk(panel, grid) == left_edge_recursion(panel, grid)
 
 
 def test_lpp_zero_panel():
@@ -138,12 +155,93 @@ def test_block_wall_sup_matches_per_trial_oracle():
             times, codes = couplings._wall_block(qs, t_end, 1400, rng)
             for t in (t_end, 0.6 * t_end):
                 cut = np.where(times <= t, times, np.inf)
-                got = couplings._wall_sup(cut, codes, 2 * k).tolist()
+                got = couplings._reflect(cut, codes, 2 * k, wall=True)[1][-1, :, -1].tolist()
                 want = [wall_sup_dp(couplings._row_panel(row, codes, 2 * k, t_end), t)
                         for row in times]
                 assert got == want
             panels += len(times)
     assert panels == 8400
+
+
+def test_reflect_stage_c_is_the_wall_functional_of_the_first_c_components():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        panel = wall_panel(k, Q3[:k], 1.5, rng)
+        times, codes = couplings._panel_arrays(panel.jumps, 1)
+        _, edges = couplings._reflect(times, codes, 2 * k, wall=True)
+        for c in range(2 * k):
+            first = WallPanel(panel.jumps[:c + 1], panel.t_end)
+            assert edges[c, 0, -1] == wall_sup_dp(first, 1.5)
+
+
+def test_wall_edge_matches_full_dynamics():
+    for k in (1, 2, 3):
+        assert wall_edge_failures(k, Q3[:k], 1.5, 100, 140 + k) == []
+
+
+def test_wall_edge_hand_trace():
+    # row 1 rings right at 0.2 and left at 0.4 and 0.6; the wall holds the
+    # second left step, and row 2's last particle is pushed by row 1 at 0.2
+    panel = WallPanel((((0.2, 1), (0.4, -1), (0.6, -1)), ((0.5, -1),)), 1.0)
+    assert wall_sup_functional(panel, 1.0) == 0
+    assert wall_edge_matches_dynamics(panel, 1, (F(1, 2),), np.random.default_rng(0))
+
+
+def test_edge_checks_refuse_a_panel_of_another_height():
+    with pytest.raises(ValueError, match="4 rows need 4 panel components, got 2"):
+        wall_edge_matches_dynamics(WallPanel(((), ()), 1.0), 2, Q3[:2])
+    with pytest.raises(ValueError, match="3 rows need 3 panel components, got 2"):
+        couplings.left_edge_matches_dynamics(PoissonPanel(((), ()), 1.0), 3, Q3)
+
+
+def _one_entry_changes(table):
+    """Each edge ring's blocker and push, each changed in one entry: a
+    blocker to none, or to the wall where there was none; a push to none, or
+    where there was none to the same direction's edge ring of a row beside."""
+    zero, never = table.offsets[-1], table.offsets[-1] + 1
+    for i, (r, j, d) in enumerate(table.keys):
+        if j != (r + 1) // 2:
+            continue  # not an edge particle
+        blocker, push = list(table.blocker), list(table.push)
+        blocker[i] = never if blocker[i] != never else zero
+        yield (r, j, d), "blocker", dataclasses.replace(table, blocker=tuple(blocker))
+        beside = r - 1 if r > 1 else r + 1
+        push[i] = table.idle if push[i] != table.idle \
+            else table.keys.index((beside, (beside + 1) // 2, d))
+        yield (r, j, d), "push", dataclasses.replace(table, push=tuple(push))
+
+
+def test_wall_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
+    # The left pushes of rows 2 and 3 land on particles that are no edge and
+    # never block one, so the edge cannot see them.  Row 4's left ring moves
+    # its particle only when it sits right of every other particle, so no
+    # push of it can ever fire.
+    unseen = {((2, 1, -1), "push"), ((3, 2, -1), "push"), ((4, 2, -1), "push")}
+    table = dynamics.ring_table(4, "symplectic")
+    caught = []
+    for key, column, changed in _one_entry_changes(table):
+        monkeypatch.setattr(dynamics, "ring_table", lambda n, kind, t=changed: t)
+        failures = wall_edge_failures(2, Q3[:2], 1.5, 200, 1402)
+        if (key, column) not in unseen:
+            assert failures, (key, column)
+            caught.append((key, column))
+        else:
+            assert failures == []
+    assert len(caught) == 13
+
+
+def test_sp_schur_even_heights_are_symmetric_under_inverted_rates():
+    # why a panel stepping up at 1/q_i may drive rows that ring right at q_i
+    states = 0
+    for k in (1, 2, 3):
+        q, inverted = Q3[:k], tuple(1 / v for v in Q3[:k])
+        for z in combinations_with_replacement(range(5), k):
+            assert sp_schur(2 * k, z, q) == sp_schur(2 * k, z, inverted)
+            if any(z):
+                assert sp_schur(2 * k - 1, z, q) != sp_schur(2 * k - 1, z, inverted)
+            states += 1
+    assert states == 5 + 15 + 35
 
 
 @pytest.mark.parametrize("jumps,t,value", [
@@ -185,7 +283,7 @@ def test_wall_sup_distribution_matches_conditioned_walk():
 
 
 @pytest.mark.parametrize("identity,horizon", [("left-edge", "1"), ("lpp", "3"),
-                                              ("wall-sup", "1")])
+                                              ("wall-edge", "1"), ("wall-sup", "1")])
 def test_cli_coupling_takes_the_first_n_rates(capsys, identity, horizon):
     runs = []
     for q in ("1/2,1/3", "1/2,1/3,1/5"):
@@ -198,6 +296,7 @@ def test_cli_coupling_takes_the_first_n_rates(capsys, identity, horizon):
 @pytest.mark.parametrize("identity,check,sweep,horizon", [
     ("left-edge", "left_edge_matches_dynamics", couplings.left_edge_failures, 1.0),
     ("lpp", "right_edge_equals_lpp", couplings.lpp_failures, 5),
+    ("wall-edge", "wall_edge_matches_dynamics", couplings.wall_edge_failures, 1.0),
 ])
 def test_coupling_sweeps_name_a_failing_trial(monkeypatch, capsys, identity, check, sweep,
                                               horizon):

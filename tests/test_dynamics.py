@@ -7,15 +7,14 @@ import pytest
 
 from gtpush import intertwine, kernels
 from gtpush.dynamics import (
+    from_rings,
     geometric_step,
     geometric_update,
-    poisson_from_rings,
     ring_table,
     run_rings,
     simulate_geometric,
     simulate_poisson,
     simulate_wall,
-    wall_from_rings,
     zero_pattern,
 )
 from gtpush.harness import Pmf, tv_distance
@@ -294,12 +293,8 @@ def test_batched_rings_match_event_driven_simulators(kind, n):
         init = Pattern(_unflatten(start[trial], n, kind), kind)
         times: dict = {}
         for t, ring in enumerate(rings[trial][: lengths[trial]]):
-            r, j, d = table.keys[ring]
-            times.setdefault((r, j) if kind == "standard" else (r, j, d), []).append(t + 1.0)
-        if kind == "standard":
-            final = poisson_from_rings(n, times, init, width + 1.0).final
-        else:
-            final = wall_from_rings(n, times, init, width + 1.0).final
+            times.setdefault(table.keys[ring], []).append(t + 1.0)
+        final = from_rings(table, times, init, width + 1.0).final
         assert _unflatten(batched[trial], n, kind) == final.rows
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gtpush import harness
+from gtpush import couplings, harness
 from gtpush.cli import cli_dispatch
 from gtpush.harness import (
     ExperimentConfig,
@@ -431,3 +431,31 @@ def test_reference_laws_form_no_fraction_per_state(monkeypatch, model, n, q, z):
     harness.reference_endpoint_pmf(cfg)
     monkeypatch.undo()
     assert len(made) < 50
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--model", "geometric", "--n", "2", "--q", "1/2,1/3", "--horizon", "-1",
+      "--trials", "100", "--max-tv", "1"], "horizon = -1"),
+    (["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "-1",
+      "--trials", "100", "--max-tv", "1"], "horizon = -1.0"),
+    (["coupling", "check", "--identity", "left-edge", "--n", "2", "--q", "1/2,1/3",
+      "--horizon", "-1"], "horizon = -1.0"),
+    (["coupling", "check", "--identity", "wall-sup", "--n", "1", "--q", "1/2",
+      "--horizon", "-1"], "horizon = -1.0"),
+    (["coupling", "check", "--identity", "lpp", "--n", "2", "--q", "1/2,1/3",
+      "--horizon", "1.5"], "got 1.5"),
+], ids=["simulate-geometric", "simulate-poisson", "left-edge", "wall-sup", "lpp-fraction"])
+def test_cli_refuses_a_horizon_that_checks_nothing(capsys, argv, named):
+    code = cli_dispatch(argv)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "horizon" in out.err and named in out.err
+
+
+def test_sweeps_refuse_a_zero_horizon_and_configs_accept_it():
+    with pytest.raises(ValueError, match="a horizon > 0, got .*horizon = 0$"):
+        couplings.lpp_failures(2, (F(1, 2), F(1, 3)), 0, 5, 1)
+    with pytest.raises(ValueError, match="horizon > 0"):
+        couplings.wall_edge_failures(1, (F(1, 2),), 0.0, 5, 1)
+    cfg = ExperimentConfig("poisson", 1, ("1/2",), (0,), 0.0, 10, 1, 4)
+    assert endpoint_samples(cfg) == [(0,)] * 10
