@@ -153,6 +153,8 @@ def left_edge_from_walk(panel: PoissonPanel, t_grid) -> list[list[int]]:
     grid = list(t_grid)
     if any(grid[i] > grid[i + 1] for i in range(len(grid) - 1)):
         raise ValueError("t_grid must be sorted")
+    if grid and grid[0] < 0:
+        raise ValueError(f"t_grid must start at time 0 or later, got time {grid[0]}")
     comps = [[(t, 1) for t in ts] for ts in panel.times]
     jumps, edges = _reflect(*_panel_arrays(comps, -1), len(comps), wall=False)
     return (-edges[:, 0, np.searchsorted(jumps[0], grid, side="right") - 1]).tolist()

@@ -174,6 +174,8 @@ def _ring_rates(table: RingTable, qs) -> list[Fraction]:
 def _simulate_rings(table: RingTable, qs, init: Pattern, t_end: float, rng) -> Trajectory:
     if init.kind != table.kind or init.nrows != len(table.offsets) - 1 or not is_valid(init):
         raise ValueError(f"init must be a valid {table.kind} pattern of matching size")
+    if not t_end >= 0:
+        raise ValueError(f"the horizon must be >= 0, got horizon = {t_end}")
     rings = {key: _ring_times(float(rate), t_end, rng)
              for key, rate in zip(table.keys, _ring_rates(table, qs))}
     return from_rings(table, rings, init, t_end)
@@ -309,6 +311,8 @@ def simulate_geometric(n: int, q, init: Pattern, steps: int, rng) -> Trajectory:
     qs = rates_of(q, n, open_unit=True)
     if init.kind != STANDARD or init.nrows != n or not is_valid(init):
         raise ValueError("init must be a valid standard pattern of matching size")
+    if not steps >= 0:
+        raise ValueError(f"the horizon must be >= 0 steps, got horizon = {steps}")
     rows = [list(r) for r in init.rows]
     events: list[MoveEvent] = []
     ps = [float(1 - v) for v in qs]

@@ -4,11 +4,13 @@ them.
 
 Generator checks compare Q_Y(y, y') m(x', y') against sum_x m(x, y) A((x,y),(x',y'))
 entry by entry in exact rational arithmetic, and the kernel (discrete-step)
-check the same sums for one step.  Truncation drops the same targets on both
-sides, so both hold at every in-box source; the generator checks skip sources
-with a coordinate at the bound only to save time (at n = 3, bound 8 they
-would add about 70%).  Each check sweep here returns a ``VerificationReport``
-and is the one the command line and the tests run.
+check the same sums for one step.  Each source row is summed in integers over
+one common denominator, so the comparison stays exact.  Truncation drops the
+same targets on both sides, so both hold at every in-box source; the
+generator checks skip sources with a coordinate at the bound only to save
+time (at n = 3, bound 8 they would add about 70%).  Each check sweep here
+returns a ``VerificationReport`` and is the one the command line and the
+tests run.
 """
 from __future__ import annotations
 
@@ -62,26 +64,44 @@ def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
                          interior_only: bool) -> VerificationReport:
     """Compare (op_y Lambda)(y, .) with (Lambda coupling)(y, .) entrywise, one
     source row y at a time; op_y and coupling are both generators or both
-    step kernels."""
+    step kernels.  Each product is kept as an unreduced integer pair and a
+    row is summed in integers over one common denominator L, the lcm of its
+    product denominators: exact, with no gcd per addition.  A violation is
+    recorded as a/L against b/L, the rationals a Fraction sum gives."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
     for y in op_y.states:
         if interior_only and not op_y.is_interior(y):
             continue
-        lhs: dict = {}
+        lhs_terms = []
         for y2, value in op_y.row(y).items():
-            for (x2, _), mass in lam.support(y2):
-                if mass:
-                    key = (x2, y2)
-                    lhs[key] = lhs.get(key, Fraction(0)) + value * mass
-        rhs: dict = {}
+            vn, vd = value.numerator, value.denominator
+            lhs_terms += [((x2, y2), vn * mass.numerator, vd * mass.denominator)
+                          for (x2, _), mass in lam.support(y2) if mass]
+        rhs_terms = []
         for (x, _), mass in lam.support(y):
-            if not mass:
-                continue
-            for target, value in coupling.row((x, y)).items():
-                rhs[target] = rhs.get(target, Fraction(0)) + mass * value
-        for key in sorted(set(lhs) | set(rhs)):
-            report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
+            if mass:
+                mn, md = mass.numerator, mass.denominator
+                rhs_terms += [(target, mn * value.numerator, md * value.denominator)
+                              for target, value in coupling.row((x, y)).items()]
+        dens = {d for _, _, d in lhs_terms} | {d for _, _, d in rhs_terms}
+        common = math.lcm(*dens)
+        scale = {d: common // d for d in dens}
+        lhs, rhs = _row_sum(lhs_terms, scale), _row_sum(rhs_terms, scale)
+        keys = lhs.keys() | rhs.keys()
+        report.states_checked += len(keys)
+        for key in sorted(k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)):
+            report.record(y, key, Fraction(lhs.get(key, 0), common),
+                          Fraction(rhs.get(key, 0), common))
     return report
+
+
+def _row_sum(terms, scale: dict) -> dict:
+    """Sum the terms (key, num, den) per key as numerators over the row's
+    common denominator L, where scale[den] = L // den."""
+    sums: dict = {}
+    for key, num, den in terms:
+        sums[key] = sums.get(key, 0) + num * scale[den]
+    return sums
 
 
 def verify_generator_intertwining(

@@ -11,6 +11,7 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 
 from gtpush.dynamics import MoveEvent, Trajectory
+from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
 from gtpush.patterns import coords_of, interlace_nest, interlace_shift
 
@@ -263,3 +264,29 @@ def dense_semigroup(gen: SparseGenerator, t, tol: float) -> np.ndarray:
         covered += w
         out += w * power
     return out
+
+
+def verify_intertwining_fractions(op_y, lam, coupling, case: str,
+                                  interior_only: bool) -> VerificationReport:
+    """The row comparison of ``intertwine._verify_intertwining`` summed term
+    by term in ``Fraction``s: (op_y Lambda)(y, .) against
+    (Lambda coupling)(y, .), one source row y at a time."""
+    report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
+    for y in op_y.states:
+        if interior_only and not op_y.is_interior(y):
+            continue
+        lhs: dict = {}
+        for y2, value in op_y.row(y).items():
+            for (x2, _), mass in lam.support(y2):
+                if mass:
+                    key = (x2, y2)
+                    lhs[key] = lhs.get(key, Fraction(0)) + value * mass
+        rhs: dict = {}
+        for (x, _), mass in lam.support(y):
+            if not mass:
+                continue
+            for target, value in coupling.row((x, y)).items():
+                rhs[target] = rhs.get(target, Fraction(0)) + mass * value
+        for key in sorted(set(lhs) | set(rhs)):
+            report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
+    return report

@@ -51,6 +51,13 @@ def test_left_edge_requires_sorted_grid():
         left_edge_from_walk(panel, [0.5, 0.1])
 
 
+def test_left_edge_refuses_a_time_before_the_origin():
+    panel = PoissonPanel(((0.5,), ()), 1.0)
+    with pytest.raises(ValueError, match="got time -1.0"):
+        left_edge_from_walk(panel, [-1.0, 0.2, 1.0])
+    assert left_edge_from_walk(panel, [0.0, 0.2, 1.0])[0] == [0, 0, 1]
+
+
 def test_left_edge_matches_full_dynamics():
     assert left_edge_failures(3, Q3, 2.0, 150, 100) == []
 

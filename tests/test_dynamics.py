@@ -311,3 +311,16 @@ def test_batched_geometric_update_matches_step(n):
             draws = [xi[trial, a:b] for a, b in zip(offs, offs[1:])]
             assert geometric_step(rows, draws)[0] == [list(r) for r in _unflatten(new[trial], n, "standard")]
         x = new
+
+
+@pytest.mark.parametrize("simulate,n,q,kind", [
+    (simulate_poisson, 2, (F(1, 2), F(1, 3)), "standard"),
+    (simulate_geometric, 2, (F(1, 2), F(1, 3)), "standard"),
+    (simulate_wall, 2, (F(1, 2),), "symplectic"),
+])
+def test_simulators_refuse_a_negative_horizon_and_keep_zero(simulate, n, q, kind):
+    init = zero_pattern(n, kind)
+    with pytest.raises(ValueError, match="horizon = -1"):
+        simulate(n, q, init, -1, np.random.default_rng(0))
+    traj = simulate(n, q, init, 0, np.random.default_rng(0))
+    assert traj.events == [] and traj.final == init

@@ -444,7 +444,14 @@ def test_reference_laws_form_no_fraction_per_state(monkeypatch, model, n, q, z):
       "--horizon", "-1"], "horizon = -1.0"),
     (["coupling", "check", "--identity", "lpp", "--n", "2", "--q", "1/2,1/3",
       "--horizon", "1.5"], "got 1.5"),
-], ids=["simulate-geometric", "simulate-poisson", "left-edge", "wall-sup", "lpp-fraction"])
+    (["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "-1"],
+     "horizon = -1.0"),
+    (["simulate", "--model", "geometric", "--n", "2", "--q", "1/2,1/3", "--horizon", "-1"],
+     "horizon = -1"),
+    (["simulate", "--model", "wall", "--n", "2", "--q", "1/2", "--horizon", "-1"],
+     "horizon = -1.0"),
+], ids=["simulate-geometric", "simulate-poisson", "left-edge", "wall-sup", "lpp-fraction",
+        "one-trajectory-poisson", "one-trajectory-geometric", "one-trajectory-wall"])
 def test_cli_refuses_a_horizon_that_checks_nothing(capsys, argv, named):
     code = cli_dispatch(argv)
     out = capsys.readouterr()

@@ -22,7 +22,7 @@ from gtpush.intertwine import (
     verify_schur_sums,
 )
 
-from _oracles import dense_semigroup
+from _oracles import dense_semigroup, verify_intertwining_fractions
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -47,6 +47,53 @@ def test_poisson_intertwining_detects_perturbation():
     doc = json.loads(rep.to_json())
     assert doc["status"] == "fail" and len(doc["violations"]) == len(rep.violations)
     assert [[2], [0, 2]] in [v["right"] for v in doc["violations"]]
+
+
+def _same_report(case, q_y, lam, coupling, interior_only):
+    """Run the integer check and the Fraction oracle; both reports must agree."""
+    new = _verify_intertwining(q_y, lam, coupling, case, interior_only)
+    ref = verify_intertwining_fractions(q_y, lam, coupling, case, interior_only)
+    assert (new.states_checked, new.violations, new.max_discrepancy, new.status) == \
+        (ref.states_checked, ref.violations, ref.max_discrepancy, ref.status)
+    assert new.to_json() == ref.to_json()
+    return new
+
+
+def _moved(op, moves, label):
+    """Copy of a sparse operator with entry (s, t) moved by d for each (s, t, d)."""
+    rows = dict(op.rows)
+    for s, t, d in moves:
+        rows[s] = {**rows[s], t: rows[s][t] + d}
+    return type(op)(op.states, rows, op.bound, f"{op.label} {label}")
+
+
+@pytest.mark.parametrize("case,bound", [
+    ("poisson", 5), ("wall-odd-even", 6), ("wall-even-odd", 5), ("geometric", 5)])
+def test_integer_row_sums_match_the_fraction_oracle(case, bound):
+    """The check and its Fraction oracle give equal reports on the case and on
+    perturbed operators; in 20 seeded interior rows the coupling's entry at a
+    charged pair moves off the diagonal by 1/97, and separately the marginal's
+    diagonal moves by -1/97.  Each move must show exactly where it lands."""
+    q_y, gen, lam, checker = build_intertwining_case(case, 2, Q3 + (F(1, 7),), bound)
+    interior_only = checker is verify_generator_intertwining
+    assert _same_report(case, q_y, lam, gen, interior_only).passed
+    rng = np.random.default_rng(1200 + bound)
+    inner = q_y.interior_states()
+    rows = [inner[i] for i in rng.choice(len(inner), size=20, replace=False)]
+    off, expected_off, diag, expected_diag = [], set(), [], set()
+    for y in rows:
+        charged = [pair for pair, mass in lam.support(y) if mass]
+        pair = charged[rng.integers(len(charged))]
+        targets = sorted(t for t in gen.row(pair) if t != pair)
+        target = targets[rng.integers(len(targets))]
+        off.append((pair, target, F(1, 97)))
+        expected_off.add((y, target))
+        diag.append((y, y, F(-1, 97)))
+        expected_diag |= {(y, pair) for pair in charged}
+    for broken_y, broken_gen, expected in ((q_y, _moved(gen, off, "off-diagonal"), expected_off),
+                                           (_moved(q_y, diag, "diagonal"), gen, expected_diag)):
+        rep = _same_report(case, broken_y, lam, broken_gen, interior_only)
+        assert {(y, key) for y, key, _, _ in rep.violations} == expected
 
 
 def test_wall_odd_even_intertwining_passes():
