@@ -43,14 +43,7 @@ from .intertwine import (
     verify_generator_intertwining,
     verify_kernel_intertwining,
 )
-from .dynamics import (
-    MoveEvent,
-    Trajectory,
-    simulate_geometric,
-    simulate_poisson,
-    simulate_wall,
-    zero_pattern,
-)
+from .dynamics import simulate, zero_pattern
 from .couplings import (
     GeometricPanel,
     PoissonPanel,
@@ -79,8 +72,7 @@ __all__ = [
     "VerificationReport", "semigroup", "semigroup_intertwining_gap", "verify_conservative",
     "verify_generator_intertwining", "verify_kernel_intertwining",
     # dynamics
-    "MoveEvent", "Trajectory", "simulate_geometric", "simulate_poisson", "simulate_wall",
-    "zero_pattern",
+    "simulate", "zero_pattern",
     # couplings
     "GeometricPanel", "PoissonPanel", "WallPanel", "geometric_panel", "left_edge_from_walk",
     "lpp_G", "poisson_panel", "right_edge_equals_lpp", "wall_panel", "wall_sup_functional",

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         v.add_argument("--bound", type=int, required=True)
         v.add_argument("--out")
     v = ps.add_parser("semigroup")
-    v.add_argument("--case", default="poisson", choices=["poisson"])
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--q", required=True)
     v.add_argument("--t", required=True)
@@ -173,10 +172,11 @@ def _cmd_simulate(args) -> int:
         return _simulate_endpoints(args, qs, z, horizon)
     rng = harness.trial_rng(args.seed, 0)
     init = sample_pattern(z, qs, kind, rng, nrows=args.n)
-    traj = getattr(dynamics, f"simulate_{args.model}")(args.n, qs, init, horizon, rng)
+    _, log = dynamics.simulate(args.model, args.n, qs, init, horizon, rng)
     header = json.dumps({"model": args.model, "n": args.n, "q": [str(v) for v in qs],
                          "z": list(z), "horizon": args.horizon, "seed": args.seed})
-    body = header + "\n" + traj.to_json_lines() + "\n"
+    body = header + "\n" + "\n".join(
+        json.dumps(dict(zip(("t", "row", "i", "d", "cause"), move))) for move in log) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body)

@@ -4,9 +4,12 @@ edge processes of the pattern dynamics.
 A noise panel is materialised once and drives both sides of an identity, so
 equality claims are checked exactly, path by path.  Both continuous-time
 edges are one reflection map, _reflect: the wall edge (the wall functional)
-with the wall at stage 0, the left edge on negated paths with no wall.  The
-pathwise sweeps run one trial at a time, trial i's panel from the stream
-(seed, i) and the rest of its noise from (seed + 1, i).  The wall
+with the wall at stage 0, the left edge on negated paths with no wall.  On
+the dynamics' side a panel rings the edge particles, every other ring comes
+from the ring superposition of ``dynamics``, and the merged ring sequence
+runs through the one-trial loop ``dynamics.trace_rings``.  The pathwise
+sweeps run one trial at a time, trial i's panel from the stream (seed, i)
+and the rest of its noise from (seed + 1, i).  The wall
 functional's samples are reflected in blocks of WALL_BLOCK_TRIALS panels,
 block b from the stream (seed, b).
 """
@@ -47,8 +50,21 @@ class WallPanel:
     t_end: float
 
 
+def _ring_times(rate: float, t_end: float, rng) -> list[float]:
+    """Jump times of a rate-`rate` counting process before t_end, by
+    exponential gaps."""
+    if rate <= 0.0:
+        return []
+    out = []
+    t = rng.exponential(1.0 / rate)
+    while t < t_end:
+        out.append(t)
+        t += rng.exponential(1.0 / rate)
+    return out
+
+
 def poisson_panel(n: int, q, t_end: float, rng) -> PoissonPanel:
-    times = tuple(tuple(dynamics._ring_times(float(v), t_end, rng)) for v in rates_of(q, n))
+    times = tuple(tuple(_ring_times(float(v), t_end, rng)) for v in rates_of(q, n))
     return PoissonPanel(times, t_end)
 
 
@@ -119,13 +135,16 @@ def _reflect(times, codes, m: int, wall: bool):
     set and E_0 = V_0 if not.  Returns (grid, E of shape (m, rows, grid)).
 
     A split point holds the values after every jump at its time: a grid point
-    tied with the next jump is none, and E is read at the last of its time."""
+    tied with the next jump is none, and E is read at the last of its time.
+    The origin is a split point too, with the values from before any jump,
+    as the dynamics starts there."""
     ts, cs = np.sort(times, axis=1), codes[times.argsort(axis=1, kind="stable")]
     cs[ts == np.inf] = 0
     grid = np.zeros((len(ts), ts.shape[1] + 1))
     grid[:, 1:] = ts
     tied = np.zeros(grid.shape, dtype=bool)
     np.equal(grid[:, :-1], ts, out=tied[:, :-1])
+    tied[:, 0] = False  # the origin, even when a jump falls at time 0
     paths = np.zeros((m,) + grid.shape, dtype=np.int32)  # every V_c in one cumsum
     steps = np.sign(cs) * (np.abs(cs) == np.arange(1, m + 1, dtype=np.int8).reshape(m, 1, 1))
     np.cumsum(steps, axis=2, dtype=np.int32, out=paths[:, :, 1:])
@@ -164,34 +183,36 @@ def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> b
     """The body of both edge checks.  Row r's edge particle (first of a
     standard row, last of a symplectic one) rings d at the steps d of panel
     component r-1, comps[r-1] = ((time, d), ...); the other rings of
-    ``dynamics.ring_table(n, kind)`` are drawn in the table's order at their
-    rates.  Under the event-driven engine each row's edge must equal its
-    stage of the reflection map at every panel jump time and at t_end."""
+    ``dynamics.ring_table(n, kind)`` are one superposed draw at their rates,
+    with uniform times.  Both run, merged in time order, through
+    ``dynamics.trace_rings`` from the zero pattern, and each row's edge must
+    equal its stage of the reflection map at every panel jump time and at
+    t_end."""
     if len(comps) != n:
         raise ValueError(f"{n} rows need {n} panel components, got {len(comps)}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     table = dynamics.ring_table(n, kind)
     wall = kind == SYMPLECTIC
-    edge = {r: row_length(r, kind) if wall else 1 for r in range(1, n + 1)}
-    panel_rings = {(r, edge[r], d): [t for t, step in jumps if step == d]
-                   for r, jumps in enumerate(comps, 1) for d in (1, -1)}
-    rings = {key: panel_rings[key] if key in panel_rings
-             else dynamics._ring_times(float(rate), t_end, rng)
-             for key, rate in zip(table.keys, dynamics._ring_rates(table, qs))}
-    traj = dynamics.from_rings(table, rings, dynamics.zero_pattern(n, kind), t_end)
+    edge = [row_length(r, kind) if wall else 1 for r in range(n + 1)]
+    rates = [0 if j == edge[r] else rate
+             for (r, j, _), rate in zip(table.keys, dynamics._ring_rates(table, qs))]
+    other = dynamics._ring_draws(rates, t_end, 1, rng)[0].tolist()
+    ring_of = {key: i for i, key in enumerate(table.keys)}
+    timed = [(t, ring_of[r, edge[r], d]) for r, jumps in enumerate(comps, 1) for t, d in jumps]
+    timed += zip((rng.random(len(other)) * t_end).tolist(), other)
+    _, moves = dynamics.trace_rings(table, [0] * table.offsets[-1], sorted(timed))
     sign = 1 if wall else -1
     grid, edges = _reflect(*_panel_arrays(comps, sign), n, wall)
     cuts = grid[0].tolist() + [t_end]
     want = (sign * edges[:, 0, np.searchsorted(grid[0], cuts, side="right") - 1]).tolist()
     got = [[0] * len(cuts) for _ in range(n)]
-    for e in traj.events:  # an edge move counts at every cut from its time on
-        if e.index == edge[e.row]:
-            for i in range(bisect_left(cuts, e.time), len(cuts)):
-                got[e.row - 1][i] += e.displacement
+    for t, r, j, d, _ in moves:  # an edge move counts at every cut from its time on
+        if j == edge[r]:
+            for i in range(bisect_left(cuts, t), len(cuts)):
+                got[r - 1][i] += d
     return got == want
 
 
-def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng=None) -> bool:
+def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng) -> bool:
     """Exact pathwise equality between the constructed left edge and the left
     edge of the full simulated pattern driven by the same panel: row k's
     first particle rings at the jump times of the panel's k-th process."""
@@ -199,7 +220,7 @@ def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng=None) -> bool
     return _edge_matches_dynamics(STANDARD, n, rates_of(q, n), comps, panel.t_end, rng)
 
 
-def wall_edge_matches_dynamics(panel: WallPanel, k: int, q, rng=None) -> bool:
+def wall_edge_matches_dynamics(panel: WallPanel, k: int, q, rng) -> bool:
     """Exact pathwise equality between the wall functional of the first r
     components and the last particle of row r of the height-2k wall dynamics,
     whose rings (r, last, +-1) are component r-1's steps +-1.
@@ -255,14 +276,13 @@ def lpp_G(panel: GeometricPanel, n: int, t_max: int | None = None) -> list[list[
     return [row[1:] for row in g[1:]]
 
 
-def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int | None = None,
-                          rng=None) -> bool:
+def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int | None, rng) -> bool:
     """True iff the simulated right edge equals the last passage times at
-    every step, when the diagonal particles consume the panel draws."""
+    every step up to t_max (None: the panel's length), when the diagonal
+    particles consume the panel draws."""
     qs = rates_of(q, n, open_unit=True)
     if t_max is None:
         t_max = len(panel.eta[0])
-    rng = rng if rng is not None else np.random.default_rng(0)
     g = lpp_G(panel, n, t_max)
     rows = [[0] * j for j in range(1, n + 1)]
     # every step's jumps in one draw, row r0 taking r0 + 1 columns

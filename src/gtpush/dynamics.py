@@ -1,22 +1,23 @@
-"""Simulators for the three pattern dynamics: event-driven trajectories, and a
-batched engine that moves many independent trials at once as int arrays
-(trials, particles).
+"""Simulators for the three pattern dynamics.
 
-Continuous-time dynamics use per-particle exponential candidate clocks
-(regenerated after every event, so independent Poisson candidate streams are
-exact); a candidate ring that is blocked is discarded.  Push and drag cascades
-resolve recursively downward within a single timestamp.  Blocking and pushing
-are read from one neighbour table per dynamics (ring_table) and ring rates
-from _ring_rates: both simulators use them, and so do the exact two-row
-coupling generators of ``kernels.coupling_generator``.  As every clock has a
-constant rate, the batched engine draws each trial's ring count and then each
-ring's clock in proportion to its rate.  Discrete time updates rows strictly
-top to bottom with the old row above blocking and the new row above pushing.
+Every particle moves on its own, on constant-rate ring clocks in continuous
+time or by a geometric jump per step, and one blocking and pushing rule acts
+on top.  For the continuous-time dynamics the rule is one neighbour table per
+dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
+coupling generators of ``kernels.coupling_generator`` read the same table.
+The ring clocks superpose: a trial draws N ~ Poisson(t * total rate) rings,
+each picked in proportion to its rate (_ring_draws), and one time-ordered
+sequence of ring indices is the only input of two loops.  run_rings moves a
+block of trials as int arrays (trials, particles); trace_rings moves one
+trial and reports each move, and ``simulate`` gives it sorted uniform times.
+A blocked ring is discarded, and a push cascade resolves downward at its
+ring's time.  Discrete time updates rows strictly top to bottom with the old
+row above blocking and the new row above pushing: geometric_step for one
+trial, geometric_update for a block.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,64 +31,6 @@ from .patterns import (
     rates_of,
     row_offsets,
 )
-
-
-@dataclass(frozen=True)
-class MoveEvent:
-    time: float | int
-    row: int
-    index: int
-    displacement: int
-    cause: str  # "self" | "push"
-
-
-@dataclass
-class Trajectory:
-    initial: object  # Pattern or chamber tuple
-    events: list[MoveEvent] = field(default_factory=list)
-    final: object = None
-
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps(
-                {"t": e.time, "row": e.row, "i": e.index, "d": e.displacement,
-                 "cause": e.cause}
-            )
-            for e in self.events
-        )
-
-    def replay(self, validate: bool = False):
-        """Re-apply the events to the initial state; optionally check cone
-        membership after every timestamp (cascades share a timestamp)."""
-        if isinstance(self.initial, Pattern):
-            rows = [list(r) for r in self.initial.rows]
-            kind = self.initial.kind
-            last_t = None
-            for e in self.events:
-                if validate and last_t is not None and e.time != last_t:
-                    if not is_valid(Pattern(tuple(tuple(r) for r in rows), kind)):
-                        raise AssertionError(f"invalid state before t={e.time}")
-                rows[e.row - 1][e.index - 1] += e.displacement
-                last_t = e.time
-            state = Pattern(tuple(tuple(r) for r in rows), kind)
-            if validate and not is_valid(state):
-                raise AssertionError("invalid final state")
-            return state
-        state = list(self.initial)
-        for e in self.events:
-            state[e.index - 1] += e.displacement
-        return tuple(state)
-
-
-def _ring_times(rate: float, t_end: float, rng) -> list[float]:
-    if rate <= 0.0:
-        return []
-    out = []
-    t = rng.exponential(1.0 / rate)
-    while t < t_end:
-        out.append(t)
-        t += rng.exponential(1.0 / rate)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,47 +114,28 @@ def _ring_rates(table: RingTable, qs) -> list[Fraction]:
     return [qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d) for r, _, d in table.keys]
 
 
-def _simulate_rings(table: RingTable, qs, init: Pattern, t_end: float, rng) -> Trajectory:
-    if init.kind != table.kind or init.nrows != len(table.offsets) - 1 or not is_valid(init):
-        raise ValueError(f"init must be a valid {table.kind} pattern of matching size")
-    if not t_end >= 0:
-        raise ValueError(f"the horizon must be >= 0, got horizon = {t_end}")
-    rings = {key: _ring_times(float(rate), t_end, rng)
-             for key, rate in zip(table.keys, _ring_rates(table, qs))}
-    return from_rings(table, rings, init, t_end)
+# ---------------------------------------------------------------------------
+# ring sequences: a block of trials, or one trial with its moves
 
-
-def from_rings(table: RingTable, rings: dict, init: Pattern, t_end: float) -> Trajectory:
-    """Run a dynamics off explicit candidate ring times, keyed (row, index,
-    direction) as in ``table.keys``, in time order up to t_end."""
-    particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
-    ring_of = {key: i for i, key in enumerate(table.keys)}
-    place = [(r, j) for r, j, d in table.keys if d == 1]  # (row, index) of each slot
-    x = [c for row in init.rows for c in row] + [0, NEVER]
-    events: list[MoveEvent] = []
-    agenda = sorted(
-        (t, key) for key, times in rings.items() for t in times if t < t_end
-    )
-    for t, key in agenda:
-        ring = ring_of[key]
-        pre = x[particle[ring]]
-        if pre == x[blocker[ring]]:
-            continue  # blocked
-        cause = "self"
-        while x[particle[ring]] == pre:
-            slot = particle[ring]
-            x[slot] = pre + step[ring]
-            events.append(MoveEvent(t, *place[slot], step[ring], cause))
-            ring, cause = push[ring], "push"
-    offs = table.offsets
-    final = Pattern(tuple(tuple(x[a:b]) for a, b in zip(offs, offs[1:])), init.kind)
-    return Trajectory(init, events, final)
+def _ring_draws(rates, t_end: float, trials: int, rng) -> np.ndarray:
+    """Superposition of ring clocks at the given rates: per trial
+    N ~ Poisson(t_end * total rate) rings, each picked with probability
+    rate / total, in rows padded with the idle ring len(rates)."""
+    rates = [float(v) for v in rates]
+    total = sum(rates)
+    counts = rng.poisson(total * t_end, size=trials)
+    width = int(counts.max(initial=0))
+    cdf = np.cumsum(rates) / (total or 1.0)
+    rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
+                       len(rates) - 1)
+    rings[np.arange(width) >= counts[:, None]] = len(rates)
+    return rings
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """Batched form of the event-driven simulators: apply ring sequences,
-    rings[trial] in order and padded with ``table.idle``, to the flat
-    patterns start[trial]; returns the final flat patterns."""
+    """Apply ring sequences, rings[trial] in order and padded with
+    ``table.idle``, to the flat patterns start[trial]; returns the final flat
+    patterns."""
     trials, size = start.shape
     x = np.empty((trials, size + 2), dtype=np.int64)
     x[:, :size] = start
@@ -235,32 +159,40 @@ def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndar
     return x[:, :size]
 
 
+def trace_rings(table: RingTable, flat, timed_rings) -> tuple[list[int], list[tuple]]:
+    """One-trial form of run_rings: apply timed_rings, pairs (time, ring) in
+    time order, to the flat pattern.  Returns the final flat pattern and every
+    move (time, row, index, displacement, cause), cause "self" for the ringing
+    particle and "push" for those its cascade carries."""
+    particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
+    x = list(flat) + [0, NEVER]
+    moves = []
+    for t, ring in timed_rings:
+        pre = x[particle[ring]]
+        if pre == x[blocker[ring]]:
+            continue  # blocked
+        cause = "self"
+        while x[particle[ring]] == pre:
+            x[particle[ring]] += step[ring]
+            moves.append((t, *table.keys[ring], cause))
+            ring, cause = push[ring], "push"
+    return x[:-2], moves
+
+
 def _batch_rings(table: RingTable, qs, start: np.ndarray, t_end: float, rng) -> np.ndarray:
-    """Superposition of the ring clocks: per trial N ~ Poisson(t * total rate)
-    rings, each ring picked with probability rate / total."""
-    rates = [float(v) for v in _ring_rates(table, qs)]
-    total = sum(rates)
-    counts = rng.poisson(total * t_end, size=len(start))
-    width = int(counts.max(initial=0))
-    cdf = np.cumsum(rates) / total
-    rings = np.minimum(np.searchsorted(cdf, rng.random((len(start), width)), side="right"),
-                       len(rates) - 1)
-    rings[np.arange(width) >= counts[:, None]] = table.idle
-    return run_rings(table, start, rings)
-
-
-# ---------------------------------------------------------------------------
-# rightward (continuous-time) dynamics
-
-def simulate_poisson(n: int, q, init: Pattern, t_end: float, rng) -> Trajectory:
-    """Rightward dynamics: row-k particles ring at the k-th rate, blocked by
-    the particle above-left, pushing the particle below-right."""
-    return _simulate_rings(ring_table(n, STANDARD), rates_of(q, n), init, t_end, rng)
+    """Final flat patterns of a block of trials, one ring sequence each."""
+    return run_rings(table, start, _ring_draws(_ring_rates(table, qs), t_end, len(start), rng))
 
 
 def batch_poisson(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
     """Final flat patterns of the rightward dynamics from each row of start."""
     return _batch_rings(ring_table(n, STANDARD), rates_of(q, n), start, t_end, rng)
+
+
+def batch_wall(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
+    """Final flat patterns of the wall dynamics from each row of start."""
+    qs = rates_of(q, (n + 1) // 2, open_unit=True)
+    return _batch_rings(ring_table(n, SYMPLECTIC), qs, start, t_end, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +238,6 @@ def geometric_update(x: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     return new
 
 
-def simulate_geometric(n: int, q, init: Pattern, steps: int, rng) -> Trajectory:
-    """Discrete dynamics with geometric jumps, P(jump = j) = (1-q) q^j."""
-    qs = rates_of(q, n, open_unit=True)
-    if init.kind != STANDARD or init.nrows != n or not is_valid(init):
-        raise ValueError("init must be a valid standard pattern of matching size")
-    if not steps >= 0:
-        raise ValueError(f"the horizon must be >= 0 steps, got horizon = {steps}")
-    rows = [list(r) for r in init.rows]
-    events: list[MoveEvent] = []
-    ps = [float(1 - v) for v in qs]
-    for step in range(1, steps + 1):
-        xi = [rng.geometric(ps[r0], size=r0 + 1) - 1 for r0 in range(n)]
-        rows, moves = geometric_step(rows, xi)
-        events.extend(MoveEvent(step, r, j, d, c) for r, j, d, c in moves)
-    return Trajectory(init, events, Pattern(tuple(tuple(r) for r in rows), STANDARD))
-
-
 def batch_geometric(n: int, q, start: np.ndarray, steps: int, rng) -> np.ndarray:
     """Final flat patterns of the geometric dynamics from each row of start."""
     qs = rates_of(q, n, open_unit=True)
@@ -334,20 +249,37 @@ def batch_geometric(n: int, q, start: np.ndarray, steps: int, rng) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# wall (symplectic) dynamics
+# one trial of any dynamics, with its log of moves
 
-def simulate_wall(n: int, q, init: Pattern, t_end: float, rng) -> Trajectory:
-    """Two-sided dynamics behind a wall: odd rows jump right at their rate and
-    left at its inverse, even rows with the rates reversed; left jumps of the
-    leftmost odd-row particles are suppressed at the origin."""
-    qs = rates_of(q, (n + 1) // 2, open_unit=True)
-    return _simulate_rings(ring_table(n, SYMPLECTIC), qs, init, t_end, rng)
-
-
-def batch_wall(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
-    """Final flat patterns of the wall dynamics from each row of start."""
-    qs = rates_of(q, (n + 1) // 2, open_unit=True)
-    return _batch_rings(ring_table(n, SYMPLECTIC), qs, start, t_end, rng)
+def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Pattern, list[tuple]]:
+    """One trial of the "poisson", "wall" or "geometric" dynamics from init up
+    to the horizon, a time or, for the geometric model, a number of steps.
+    Returns the final pattern and the log of moves (t, row, index,
+    displacement, cause) in order: a cascade shares its ring's time, and a
+    geometric move carries the number of its step."""
+    if model not in ("poisson", "wall", "geometric"):
+        raise ValueError(f"unknown model {model!r}")
+    kind = SYMPLECTIC if model == "wall" else STANDARD
+    qs = rates_of(q, (n + 1) // 2 if model == "wall" else n, open_unit=model != "poisson")
+    if init.kind != kind or init.nrows != n or not is_valid(init):
+        raise ValueError(f"init must be a valid {kind} pattern of matching size")
+    if not horizon >= 0:
+        raise ValueError(f"the horizon must be >= 0, got horizon = {horizon}")
+    if model == "geometric":
+        rows, log = [list(r) for r in init.rows], []
+        ps = [float(1 - v) for v in qs]
+        for t in range(1, horizon + 1):
+            rows, moves = geometric_step(
+                rows, [rng.geometric(p, size=r0 + 1) - 1 for r0, p in enumerate(ps)])
+            log.extend((t, *move) for move in moves)
+        return Pattern(tuple(map(tuple, rows)), kind), log
+    table = ring_table(n, kind)
+    rings = _ring_draws(_ring_rates(table, qs), horizon, 1, rng)[0]
+    times = np.sort(rng.random(len(rings))) * horizon
+    flat, log = trace_rings(table, [c for row in init.rows for c in row],
+                            zip(times.tolist(), rings.tolist()))
+    offs = table.offsets
+    return Pattern(tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:])), kind), log
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,9 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from gtpush.dynamics import MoveEvent, Trajectory
 from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
-from gtpush.patterns import coords_of, interlace_nest, interlace_shift
+from gtpush.patterns import Pattern, coords_of, interlace_nest, interlace_shift, is_valid
 
 
 def count_patterns_brute(z, kind="standard", nrows=None):
@@ -181,19 +180,22 @@ def geometric_pair_prob_1d(x, y, xt, yt, qy: Fraction) -> Fraction:
     return p1 * p2
 
 
-def _coordinate_events(time, old, new, events):
+def _coordinate_events(time, old, new, log):
     for i, (a, b) in enumerate(zip(old, new)):
         if a != b:
-            events.append(MoveEvent(time, 0, i + 1, b - a, "self"))
+            log.append((time, 0, i + 1, b - a, "self"))
 
 
-def simulate_reference(op, init, horizon, rng) -> Trajectory:
+def simulate_reference(op, init, horizon, rng):
     """Simulate the chain of a SparseGenerator (continuous time, exponential
-    holding) or StepKernel (horizon = number of steps) from init."""
+    holding) or StepKernel (horizon = number of steps) from init.  Returns the
+    final state and the log of moves in the form of ``dynamics.simulate``,
+    (t, 0, index, displacement, "self"): row 0 stands for the walk's
+    coordinates."""
     s = coords_of(init)
     if s not in op.rows:
         raise ValueError(f"initial state {s} not in the operator's space")
-    events: list[MoveEvent] = []
+    log: list[tuple] = []
     if isinstance(op, SparseGenerator):
         t = 0.0
         while True:
@@ -214,7 +216,7 @@ def simulate_reference(op, init, horizon, rng) -> Trajectory:
                     break
             if chosen is None:
                 raise RuntimeError("trajectory escaped the truncation; enlarge bound")
-            _coordinate_events(t, s, chosen, events)
+            _coordinate_events(t, s, chosen, log)
             s = chosen
     elif isinstance(op, StepKernel):
         for step in range(1, int(horizon) + 1):
@@ -228,11 +230,27 @@ def simulate_reference(op, init, horizon, rng) -> Trajectory:
                     break
             if chosen is None:
                 raise RuntimeError("trajectory escaped the truncation; enlarge bound")
-            _coordinate_events(step, s, chosen, events)
+            _coordinate_events(step, s, chosen, log)
             s = chosen
     else:
         raise TypeError(f"cannot simulate a {type(op).__name__}")
-    return Trajectory(coords_of(init), events, s)
+    return s, log
+
+
+def replay_log(init: Pattern, log) -> Pattern:
+    """Apply a log of moves (t, row, index, displacement, cause) to init and
+    return the final pattern, asserting that the pattern is valid before
+    every new timestamp and at the end (a cascade shares its timestamp)."""
+    rows = [list(r) for r in init.rows]
+    last = None
+    for t, r, j, d, _ in log:
+        if last is not None and t != last:
+            assert is_valid(Pattern(tuple(map(tuple, rows)), init.kind)), f"invalid before t={t}"
+        rows[r - 1][j - 1] += d
+        last = t
+    final = Pattern(tuple(map(tuple, rows)), init.kind)
+    assert is_valid(final), "invalid final state"
+    return final
 
 
 def dense_semigroup(gen: SparseGenerator, t, tol: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -104,7 +104,7 @@ def test_right_edge_single_entry_panel():
     # wait: eta rows must have t_max entries each; single step, eta_2(1)=5
     g = lpp_G(panel, 2, 1)
     assert g[1][0] == 5
-    assert right_edge_equals_lpp(panel, 2, (F(1, 2), F(1, 3)), 1)
+    assert right_edge_equals_lpp(panel, 2, (F(1, 2), F(1, 3)), 1, np.random.default_rng(0))
 
 
 def test_right_edge_matches_lpp_many_panels():
@@ -197,9 +197,39 @@ def test_wall_edge_hand_trace():
 
 def test_edge_checks_refuse_a_panel_of_another_height():
     with pytest.raises(ValueError, match="4 rows need 4 panel components, got 2"):
-        wall_edge_matches_dynamics(WallPanel(((), ()), 1.0), 2, Q3[:2])
+        wall_edge_matches_dynamics(WallPanel(((), ()), 1.0), 2, Q3[:2], np.random.default_rng(0))
     with pytest.raises(ValueError, match="3 rows need 3 panel components, got 2"):
-        couplings.left_edge_matches_dynamics(PoissonPanel(((), ()), 1.0), 3, Q3)
+        couplings.left_edge_matches_dynamics(PoissonPanel(((), ()), 1.0), 3, Q3,
+                                             np.random.default_rng(0))
+
+
+def test_a_jump_at_time_zero_leaves_the_origin_a_split_point():
+    # the dynamics starts from zero before any jump, also one at time 0
+    rng = np.random.default_rng(0)
+    for times, rows in ((((0.0,), ()), [[1, 1], [0, 0]]), (((), (0.0,)), [[0, 0], [0, 0]])):
+        panel = PoissonPanel(times, 1.0)
+        assert left_edge_from_walk(panel, [0.0, 1.0]) == rows
+        assert couplings.left_edge_matches_dynamics(panel, 2, Q3[:2], rng)
+    # one jump at time 0 added to random panels, in each component and sign
+    checked = 0
+    for k in (1, 2):
+        for _ in range(60):
+            panel = wall_panel(k, Q3[:k], 1.5, rng)
+            for c, d in product(range(2 * k), (1, -1)):
+                jumps = list(panel.jumps)
+                jumps[c] = ((0.0, d),) + jumps[c]
+                assert wall_edge_matches_dynamics(WallPanel(tuple(jumps), 1.5), k, Q3[:k], rng)
+                checked += 1
+    for n in (2, 3):
+        for _ in range(60):
+            panel = couplings.poisson_panel(n, Q3[:n], 2.0, rng)
+            for c in range(n):
+                times = list(panel.times)
+                times[c] = (0.0,) + times[c]
+                assert couplings.left_edge_matches_dynamics(PoissonPanel(tuple(times), 2.0),
+                                                            n, Q3[:n], rng)
+                checked += 1
+    assert checked == 60 * (4 + 8) + 60 * (2 + 3)
 
 
 def _one_entry_changes(table):

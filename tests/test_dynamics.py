@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -6,36 +7,36 @@ import numpy as np
 import pytest
 
 from gtpush import intertwine, kernels
+from gtpush.cli import cli_dispatch
 from gtpush.dynamics import (
-    from_rings,
     geometric_step,
     geometric_update,
     ring_table,
     run_rings,
-    simulate_geometric,
-    simulate_poisson,
-    simulate_wall,
+    simulate,
+    trace_rings,
     zero_pattern,
 )
-from gtpush.harness import Pmf, tv_distance
+from gtpush.harness import Pmf, trial_rng, tv_distance
 from gtpush.patterns import (
     Pattern,
     enumerate_patterns,
     is_valid,
     row_offsets,
+    sample_pattern,
     sample_patterns,
 )
 
-from _oracles import simulate_reference
+from _oracles import replay_log, simulate_reference
 
 Q2 = (F(1, 2), F(1, 3))
 
 
 def test_zero_horizon_gives_empty_trajectory():
     rng = np.random.default_rng(0)
-    assert simulate_poisson(2, Q2, zero_pattern(2), 0.0, rng).events == []
-    assert simulate_geometric(2, Q2, zero_pattern(2), 0, rng).events == []
-    assert simulate_wall(2, (F(1, 2),), zero_pattern(2, "symplectic"), 0.0, rng).events == []
+    assert simulate("poisson", 2, Q2, zero_pattern(2), 0.0, rng)[1] == []
+    assert simulate("geometric", 2, Q2, zero_pattern(2), 0, rng)[1] == []
+    assert simulate("wall", 2, (F(1, 2),), zero_pattern(2, "symplectic"), 0.0, rng)[1] == []
 
 
 def test_poisson_single_particle_counts():
@@ -44,7 +45,7 @@ def test_poisson_single_particle_counts():
     n_runs, q, t = 40_000, 0.5, 1.0
     total = 0
     for _ in range(n_runs):
-        total += len(simulate_poisson(1, (F(1, 2),), zero_pattern(1), t, rng).events)
+        total += len(simulate("poisson", 1, (F(1, 2),), zero_pattern(1), t, rng)[1])
     mean = total / n_runs
     sigma = math.sqrt(q * t / n_runs)
     assert abs(mean - q * t) < 3 * sigma
@@ -53,12 +54,11 @@ def test_poisson_single_particle_counts():
 def test_poisson_states_stay_valid_and_pushes_note_cause():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        traj = simulate_poisson(3, (F(1, 2), F(1, 2), F(1, 2)), zero_pattern(3), 2.0, rng)
-        final = traj.replay(validate=True)
-        assert final.rows == traj.final.rows
-        for e in traj.events:
-            assert e.cause in ("self", "push")
-            assert e.displacement == 1
+        final, log = simulate("poisson", 3, (F(1, 2), F(1, 2), F(1, 2)), zero_pattern(3), 2.0, rng)
+        assert replay_log(zero_pattern(3), log) == final
+        for _, _, _, d, cause in log:
+            assert cause in ("self", "push")
+            assert d == 1
 
 
 def test_poisson_rejects_invalid_init():
@@ -67,13 +67,13 @@ def test_poisson_rejects_invalid_init():
     object.__setattr__(bad, "rows", ((5,), (0, 2)))
     object.__setattr__(bad, "kind", "standard")
     with pytest.raises(ValueError):
-        simulate_poisson(2, Q2, bad, 1.0, rng)
+        simulate("poisson", 2, Q2, bad, 1.0, rng)
 
 
 def test_geometric_zero_steps_identity():
     rng = np.random.default_rng(0)
-    traj = simulate_geometric(2, Q2, zero_pattern(2), 0, rng)
-    assert traj.final.rows == zero_pattern(2).rows
+    final, _ = simulate("geometric", 2, Q2, zero_pattern(2), 0, rng)
+    assert final.rows == zero_pattern(2).rows
 
 
 def test_geometric_single_particle_mean():
@@ -83,7 +83,7 @@ def test_geometric_single_particle_mean():
     q = 0.5
     total = 0
     for _ in range(n_runs):
-        total += simulate_geometric(1, (F(1, 2),), zero_pattern(1), steps, rng).final.rows[0][0]
+        total += simulate("geometric", 1, (F(1, 2),), zero_pattern(1), steps, rng)[0].rows[0][0]
     mean_per_step = total / n_runs / steps
     var_one = q / (1 - q) ** 2
     sigma = math.sqrt(var_one / (n_runs * steps))
@@ -118,8 +118,7 @@ def test_wall_single_particle_birth_death():
     trials, t = 30_000, 1.0
     counts: dict = {}
     for _ in range(trials):
-        traj = simulate_wall(1, (F(1, 2),), zero_pattern(1, "symplectic"), t, rng)
-        s = traj.final.rows[0]
+        s = simulate("wall", 1, (F(1, 2),), zero_pattern(1, "symplectic"), t, rng)[0].rows[0]
         counts[s] = counts.get(s, 0) + 1
     gen = kernels.q_symplectic(1, (F(1, 2),), 30)
     ref = Pmf.from_dense_row(intertwine.semigroup(gen, t, 1e-14), (0,))
@@ -130,33 +129,31 @@ def test_wall_single_particle_birth_death():
 def test_wall_states_stay_valid():
     rng = np.random.default_rng(6)
     for _ in range(60):
-        traj = simulate_wall(3, Q2, zero_pattern(3, "symplectic"), 1.5, rng)
-        final = traj.replay(validate=True)
-        assert final.rows == traj.final.rows
-        assert all(abs(e.displacement) == 1 for e in traj.events)
+        final, log = simulate("wall", 3, Q2, zero_pattern(3, "symplectic"), 1.5, rng)
+        assert replay_log(zero_pattern(3, "symplectic"), log) == final
+        assert all(abs(d) == 1 for _, _, _, d, _ in log)
 
 
 def test_wall_never_crosses_origin():
     rng = np.random.default_rng(7)
     for _ in range(40):
-        traj = simulate_wall(2, (F(1, 3),), zero_pattern(2, "symplectic"), 3.0, rng)
-        rows = [list(r) for r in traj.initial.rows]
-        for e in traj.events:
-            rows[e.row - 1][e.index - 1] += e.displacement
+        _, log = simulate("wall", 2, (F(1, 3),), zero_pattern(2, "symplectic"), 3.0, rng)
+        rows = [list(r) for r in zero_pattern(2, "symplectic").rows]
+        for _, r, j, d, _ in log:
+            rows[r - 1][j - 1] += d
             assert min(min(r) for r in rows) >= 0
 
 
 def test_reference_absorbing_generator():
     gen = kernels.SparseGenerator([(0,)], {(0,): {}}, 5)
-    traj = simulate_reference(gen, (0,), 10.0, np.random.default_rng(0))
-    assert traj.events == [] and traj.final == (0,)
+    assert simulate_reference(gen, (0,), 10.0, np.random.default_rng(0)) == ((0,), [])
 
 
 def test_reference_single_walker_poisson_counts():
     gen = kernels.q_charlier(1, (F(1, 2),), 40)
     rng = np.random.default_rng(8)
     runs = 20_000
-    total = sum(len(simulate_reference(gen, (0,), 1.0, rng).events) for _ in range(runs))
+    total = sum(len(simulate_reference(gen, (0,), 1.0, rng)[1]) for _ in range(runs))
     sigma = math.sqrt(0.5 / runs)
     assert abs(total / runs - 0.5) < 3 * sigma
 
@@ -167,7 +164,7 @@ def test_reference_matches_semigroup_two_walkers():
     trials, t = 100_000, 1.0
     counts: dict = {}
     for _ in range(trials):
-        s = simulate_reference(gen, (0, 0), t, rng).final
+        s = simulate_reference(gen, (0, 0), t, rng)[0]
         counts[s] = counts.get(s, 0) + 1
     ref = Pmf.from_dense_row(intertwine.semigroup(gen, t, 1e-14), (0, 0))
     assert tv_distance(Pmf.from_counts(counts, trials), ref) < 0.02
@@ -180,8 +177,7 @@ def test_poisson_three_row_marginal_matches_semigroup():
     q3 = (F(1, 2), F(1, 3), F(1, 5))
     counts: dict = {}
     for _ in range(trials):
-        traj = simulate_poisson(3, q3, zero_pattern(3), t, rng)
-        s = traj.final.bottom_row
+        s = simulate("poisson", 3, q3, zero_pattern(3), t, rng)[0].bottom_row
         counts[s] = counts.get(s, 0) + 1
     gen = kernels.q_charlier(3, q3, 14)
     ref = Pmf.from_dense_row(intertwine.semigroup(gen, t, 1e-14), (0, 0, 0))
@@ -192,7 +188,7 @@ def test_reference_kernel_stepping():
     kern = kernels.kernel_geometric(1, (F(1, 2),), 60)
     rng = np.random.default_rng(10)
     runs, steps = 20_000, 3
-    total = sum(simulate_reference(kern, (0,), steps, rng).final[0] for _ in range(runs))
+    total = sum(simulate_reference(kern, (0,), steps, rng)[0][0] for _ in range(runs))
     mean = total / runs
     sigma = math.sqrt(steps * 2.0 / runs)  # var of a geometric(1/2) jump is 2
     assert abs(mean - steps * 1.0) < 3 * sigma
@@ -205,26 +201,36 @@ def test_reference_rejects_foreign_state():
 
 
 def test_fixed_seed_reproduces_trajectory_bytes():
-    a = simulate_poisson(3, (F(1, 2), F(1, 3), F(1, 5)), zero_pattern(3), 2.0,
-                         np.random.default_rng(123)).to_json_lines()
-    b = simulate_poisson(3, (F(1, 2), F(1, 3), F(1, 5)), zero_pattern(3), 2.0,
-                         np.random.default_rng(123)).to_json_lines()
-    assert a == b and a
-    c = simulate_wall(3, Q2, zero_pattern(3, "symplectic"), 1.0,
-                      np.random.default_rng(5)).to_json_lines()
-    d = simulate_wall(3, Q2, zero_pattern(3, "symplectic"), 1.0,
-                      np.random.default_rng(5)).to_json_lines()
+    q3 = (F(1, 2), F(1, 3), F(1, 5))
+    a = simulate("poisson", 3, q3, zero_pattern(3), 2.0, np.random.default_rng(123))
+    b = simulate("poisson", 3, q3, zero_pattern(3), 2.0, np.random.default_rng(123))
+    assert a == b and a[1]
+    c = simulate("wall", 3, Q2, zero_pattern(3, "symplectic"), 1.0, np.random.default_rng(5))
+    d = simulate("wall", 3, Q2, zero_pattern(3, "symplectic"), 1.0, np.random.default_rng(5))
     assert c == d
 
 
-def test_trajectory_json_lines_format():
-    import json as _json
-
-    rng = np.random.default_rng(11)
-    traj = simulate_geometric(2, Q2, zero_pattern(2), 3, rng)
-    for line in traj.to_json_lines().splitlines():
-        doc = _json.loads(line)
-        assert set(doc) == {"t", "row", "i", "d", "cause"}
+def test_trajectory_json_lines_format(tmp_path):
+    # the log of `simulate --trials 1` is the library's log: it replays to the
+    # library's final pattern and stays in the cone at every timestamp
+    for model, n, q, z, horizon in (("poisson", 3, "1/2,1/3,1/5", "0,1,3", "2"),
+                                    ("geometric", 2, "1/2,1/3", "1,2", "6"),
+                                    ("wall", 4, "1/2,1/3", "1,2", "3/2")):
+        out = tmp_path / f"{model}.jsonl"
+        assert cli_dispatch(["simulate", "--model", model, "--n", str(n), "--q", q, "--z", z,
+                             "--horizon", horizon, "--seed", "11", "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        assert json.loads(header)["model"] == model and docs
+        assert all(set(doc) == {"t", "row", "i", "d", "cause"} for doc in docs)
+        kind = "symplectic" if model == "wall" else "standard"
+        qs = tuple(F(v) for v in q.split(","))
+        rng = trial_rng(11, 0)
+        init = sample_pattern(tuple(map(int, z.split(","))), qs, kind, rng, nrows=n)
+        final, log = simulate(model, n, qs, init, int(horizon) if model == "geometric"
+                              else float(F(horizon)), rng)
+        assert [tuple(doc.values()) for doc in docs] == log
+        assert replay_log(init, log) == final
 
 
 def _sampled_starts(n, kind, rng, trials):
@@ -281,7 +287,7 @@ def test_batched_rings_match_event_driven_simulators(kind, n):
     moved = [_unflatten(flat, n, kind) for flat in run_rings(table, start, rings)]
     assert moved == [_oracle_ring(rows, kind, *key) for rows in cone for key in table.keys]
     # the same ring sequences, of unequal lengths, from the same sampled
-    # nonzero starts through the batched engine and the event-driven simulator
+    # nonzero starts through the block loop and the one-trial loop
     rng = np.random.default_rng(300 + n)
     trials, width = 300, 40
     start = _sampled_starts(n, kind, rng, trials)
@@ -291,11 +297,10 @@ def test_batched_rings_match_event_driven_simulators(kind, n):
     batched = run_rings(table, start, rings)
     for trial in range(trials):
         init = Pattern(_unflatten(start[trial], n, kind), kind)
-        times: dict = {}
-        for t, ring in enumerate(rings[trial][: lengths[trial]]):
-            times.setdefault(table.keys[ring], []).append(t + 1.0)
-        final = from_rings(table, times, init, width + 1.0).final
-        assert _unflatten(batched[trial], n, kind) == final.rows
+        flat, moves = trace_rings(table, start[trial].tolist(), enumerate(rings[trial].tolist()))
+        assert flat == batched[trial].tolist()
+        assert replay_log(init, moves).rows == _unflatten(batched[trial], n, kind)
+        assert all(t < lengths[trial] for t, *_ in moves)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -313,14 +318,13 @@ def test_batched_geometric_update_matches_step(n):
         x = new
 
 
-@pytest.mark.parametrize("simulate,n,q,kind", [
-    (simulate_poisson, 2, (F(1, 2), F(1, 3)), "standard"),
-    (simulate_geometric, 2, (F(1, 2), F(1, 3)), "standard"),
-    (simulate_wall, 2, (F(1, 2),), "symplectic"),
-])
-def test_simulators_refuse_a_negative_horizon_and_keep_zero(simulate, n, q, kind):
+@pytest.mark.parametrize("model,n,q,kind", [
+    ("poisson", 2, (F(1, 2), F(1, 3)), "standard"),
+    ("geometric", 2, (F(1, 2), F(1, 3)), "standard"),
+    ("wall", 2, (F(1, 2),), "symplectic"),
+], ids=["poisson", "geometric", "wall"])
+def test_simulators_refuse_a_negative_horizon_and_keep_zero(model, n, q, kind):
     init = zero_pattern(n, kind)
     with pytest.raises(ValueError, match="horizon = -1"):
-        simulate(n, q, init, -1, np.random.default_rng(0))
-    traj = simulate(n, q, init, 0, np.random.default_rng(0))
-    assert traj.events == [] and traj.final == init
+        simulate(model, n, q, init, -1, np.random.default_rng(0))
+    assert simulate(model, n, q, init, 0, np.random.default_rng(0)) == (init, [])

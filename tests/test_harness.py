@@ -232,6 +232,9 @@ def test_cli_verify_semigroup(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["gap"] < 1e-8
+    # the semigroup check is of the poisson case only and takes no --case
+    assert cli_dispatch(["verify", "semigroup", "--case", "poisson", "--n", "1", "--q", "1/2,1/3",
+                         "--t", "1/4", "--bound", "8"]) == 2
 
 
 def test_cli_coupling_check_wall_sup(capsys):
