@@ -2,16 +2,16 @@
 edge processes of the pattern dynamics.
 
 A noise panel is materialised once and drives both sides of an identity, so
-equality claims are checked exactly, path by path.  Both continuous-time
-edges are one reflection map, _reflect: the wall edge (the wall functional)
-with the wall at stage 0, the left edge on negated paths with no wall.  On
-the dynamics' side a panel rings the edge particles, every other ring comes
-from the ring superposition of ``dynamics``, and the merged ring sequence
-runs through the one-trial loop ``dynamics.trace_rings``.  The pathwise
-sweeps run one trial at a time, trial i's panel from the stream (seed, i)
-and the rest of its noise from (seed + 1, i).  The wall
-functional's samples are reflected in blocks of WALL_BLOCK_TRIALS panels,
-block b from the stream (seed, b).
+equality claims are checked exactly, path by path.  Poisson and wall panels
+are ring clocks drawn by ``dynamics._ring_draws``, a clock being a component
+or a (component, sign).  Both continuous-time edges are one reflection map,
+_reflect: the wall edge (the wall functional) with the wall at stage 0, the
+left edge on negated paths with no wall.  On the dynamics' side a panel rings
+the edge particles, the other rings come from one more _ring_draws draw, and
+the merged sequence runs through ``dynamics.trace_rings``.  The pathwise
+sweeps run one trial at a time, trial i's panel from the stream (seed, i) and
+the rest of its noise from (seed + 1, i).  The wall functional's samples are
+reflected in blocks of WALL_BLOCK_TRIALS panels, block b from (seed, b).
 """
 from __future__ import annotations
 
@@ -50,22 +50,14 @@ class WallPanel:
     t_end: float
 
 
-def _ring_times(rate: float, t_end: float, rng) -> list[float]:
-    """Jump times of a rate-`rate` counting process before t_end, by
-    exponential gaps."""
-    if rate <= 0.0:
-        return []
-    out = []
-    t = rng.exponential(1.0 / rate)
-    while t < t_end:
-        out.append(t)
-        t += rng.exponential(1.0 / rate)
-    return out
-
-
 def poisson_panel(n: int, q, t_end: float, rng) -> PoissonPanel:
-    times = tuple(tuple(_ring_times(float(v), t_end, rng)) for v in rates_of(q, n))
-    return PoissonPanel(times, t_end)
+    """Component c rings at rate q_{c+1}: one trial of the ring clocks of
+    ``dynamics._ring_draws``, a ring's index its component."""
+    rings, times = dynamics._ring_draws(rates_of(q, n), t_end, 1, rng)
+    comps = [[] for _ in range(n)]
+    for c, t in zip(rings[0].tolist(), times[0].tolist()):
+        comps[c].append(t)
+    return PoissonPanel(tuple(map(tuple, comps)), t_end)
 
 
 def geometric_panel(n: int, q, t_max: int, rng) -> GeometricPanel:
@@ -78,30 +70,22 @@ def wall_panel(k: int, q, t_end: float, rng) -> WallPanel:
     1/q_i and -1 at rate q_i; Z~_i is distributed as -Z_i.  Row 0 of a
     one-trial block draw (:func:`_wall_block`)."""
     times, codes = _wall_block(rates_of(q, k, open_unit=True), t_end, 1, rng)
-    return _row_panel(times[0], codes, 2 * k, t_end)
+    return _row_panel(times[0], codes[0], 2 * k, t_end)
 
 
 def _wall_block(qs, t_end: float, trials: int, rng):
     """Panels of a block of trials as padded arrays: jump times (trials,
-    jumps), inf past each trial's count, and the signed component code
-    +-(c+1) of every column.
-
-    Given its Poisson count, a clock's jump times are i.i.d. uniform on
-    [0, t_end].  Draws go rate by rate, component Z_i then Z~_i, the +1
+    jumps), sorted and inf past each trial's count, and the signed component
+    code +-(c+1) of every jump, 0 at the padding.  One draw of the 4k ring
+    clocks of ``dynamics._ring_draws``, clock by clock Z_i then Z~_i, the +1
     clock then the -1 clock."""
-    t_end = float(t_end)
-    times, codes = [], []
+    rates, codes = [], []
     for i, v in enumerate(qs):
-        up, down = float(1 / v), float(v)
-        for c, rates in ((2 * i, (up, down)), (2 * i + 1, (down, up))):
-            for sign, rate in zip((1, -1), rates):
-                counts = rng.poisson(rate * t_end, size=trials)
-                width = int(counts.max())
-                cols = rng.random((trials, width)) * t_end
-                cols[np.arange(width) >= counts[:, None]] = np.inf
-                times.append(cols)
-                codes.append(np.full(width, sign * (c + 1), dtype=np.int8))
-    return np.hstack(times), np.concatenate(codes)
+        for c, up, down in ((2 * i + 1, 1 / v, v), (2 * i + 2, v, 1 / v)):
+            rates += [up, down]
+            codes += [c, -c]
+    rings, times = dynamics._ring_draws(rates, t_end, trials, rng)
+    return times, np.array(codes + [0], dtype=np.int8)[rings]
 
 
 def _row_panel(times, codes, m: int, t_end: float) -> WallPanel:
@@ -110,14 +94,14 @@ def _row_panel(times, codes, m: int, t_end: float) -> WallPanel:
     for tt, code in zip(times.tolist(), codes.tolist()):
         if tt != np.inf:
             comps[abs(code) - 1].append((tt, 1 if code > 0 else -1))
-    return WallPanel(tuple(tuple(sorted(c)) for c in comps), t_end)
+    return WallPanel(tuple(map(tuple, comps)), t_end)
 
 
 def _panel_arrays(comps, sign: int):
-    """One row of jump times and the code sign * d * (c+1) of every jump
-    (time, d) of component c, as the reflection map takes them."""
+    """Jump times and the codes sign * d * (c+1) of every jump (time, d) of
+    component c, as one row of the reflection map's input."""
     times = np.array([[t for jumps in comps for t, _ in jumps]], dtype=float)
-    codes = np.array([sign * d * c for c, jumps in enumerate(comps, 1) for _, d in jumps],
+    codes = np.array([[sign * d * c for c, jumps in enumerate(comps, 1) for _, d in jumps]],
                      dtype=np.int8)
     return times, codes
 
@@ -128,7 +112,7 @@ def _panel_arrays(comps, sign: int):
 def _reflect(times, codes, m: int, wall: bool):
     """Every stage E_c of the reflection map, for each row of a block.
 
-    A row's jumps, times[row] (inf: padding) with codes[column] = +-(c+1) for
+    A row's jumps, times[row] (inf: padding) with codes[row] = +-(c+1) for
     a step +-1 of component c, are sorted into a grid with time 0 in front,
     where V_c is component c's path.  E_c(u) = V_c(u) + max over split points
     s <= u of (E_{c-1}(s) - V_c(s)), with E_{-1} = 0 (the wall) if wall is
@@ -138,7 +122,8 @@ def _reflect(times, codes, m: int, wall: bool):
     tied with the next jump is none, and E is read at the last of its time.
     The origin is a split point too, with the values from before any jump,
     as the dynamics starts there."""
-    ts, cs = np.sort(times, axis=1), codes[times.argsort(axis=1, kind="stable")]
+    order = np.arange(len(times))[:, None], times.argsort(axis=1, kind="stable")
+    ts, cs = times[order], codes[order]
     cs[ts == np.inf] = 0
     grid = np.zeros((len(ts), ts.shape[1] + 1))
     grid[:, 1:] = ts
@@ -195,10 +180,10 @@ def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> b
     edge = [row_length(r, kind) if wall else 1 for r in range(n + 1)]
     rates = [0 if j == edge[r] else rate
              for (r, j, _), rate in zip(table.keys, dynamics._ring_rates(table, qs))]
-    other = dynamics._ring_draws(rates, t_end, 1, rng)[0].tolist()
-    ring_of = {key: i for i, key in enumerate(table.keys)}
-    timed = [(t, ring_of[r, edge[r], d]) for r, jumps in enumerate(comps, 1) for t, d in jumps]
-    timed += zip((rng.random(len(other)) * t_end).tolist(), other)
+    rings, times = dynamics._ring_draws(rates, t_end, 1, rng)
+    timed = [(t, table.ring_of[r, edge[r], d])
+             for r, jumps in enumerate(comps, 1) for t, d in jumps]
+    timed += zip(times[0].tolist(), rings[0].tolist())
     _, moves = dynamics.trace_rings(table, [0] * table.offsets[-1], sorted(timed))
     sign = 1 if wall else -1
     grid, edges = _reflect(*_panel_arrays(comps, sign), n, wall)
@@ -216,7 +201,7 @@ def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng) -> bool:
     """Exact pathwise equality between the constructed left edge and the left
     edge of the full simulated pattern driven by the same panel: row k's
     first particle rings at the jump times of the panel's k-th process."""
-    comps = [[(t, 1) for t in ts] for ts in panel.times[:n]]
+    comps = [[(t, 1) for t in ts] for ts in panel.times]
     return _edge_matches_dynamics(STANDARD, n, rates_of(q, n), comps, panel.t_end, rng)
 
 

@@ -5,21 +5,21 @@ time or by a geometric jump per step, and one blocking and pushing rule acts
 on top.  For the continuous-time dynamics the rule is one neighbour table per
 dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
 coupling generators of ``kernels.coupling_generator`` read the same table.
-The ring clocks superpose: a trial draws N ~ Poisson(t * total rate) rings,
-each picked in proportion to its rate (_ring_draws), and one time-ordered
-sequence of ring indices is the only input of two loops.  run_rings moves a
-block of trials as int arrays (trials, particles); trace_rings moves one
-trial and reports each move, and ``simulate`` gives it sorted uniform times.
-A blocked ring is discarded, and a push cascade resolves downward at its
-ring's time.  Discrete time updates rows strictly top to bottom with the old
-row above blocking and the new row above pushing: geometric_step for one
-trial, geometric_update for a block.
+_ring_draws is the package's one sampler of ring clocks: they superpose, so a
+trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
+its rate, at sorted uniform times.  Ring sequences drive two loops: run_rings
+moves a block of trials as int arrays, trace_rings one trial, reporting each
+move.  A blocked ring is discarded; a push cascade resolves downward at its
+ring's time.  Discrete time updates rows top to bottom, the old row above
+blocking and the new row above pushing: geometric_step for one trial,
+geometric_update for a block.  run_block and simulate run any model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class RingTable:
     step: tuple[int, ...]
     blocker: tuple[int, ...]
     push: tuple[int, ...]
+    ring_of: MappingProxyType = field(compare=False, repr=False)  # key -> ring, read-only
 
     @property
     def idle(self) -> int:
@@ -102,7 +103,7 @@ def ring_table(n: int, kind: str) -> RingTable:
         push.append(ring_of.get((r + 1, below, d), len(keys)))
     return RingTable(kind, offs, keys, tuple(particle) + (never,),
                      tuple(d for _, _, d in keys) + (0,), tuple(blocker) + (never,),
-                     tuple(push) + (len(keys),))
+                     tuple(push) + (len(keys),), MappingProxyType(ring_of))
 
 
 def _ring_rates(table: RingTable, qs) -> list[Fraction]:
@@ -117,19 +118,24 @@ def _ring_rates(table: RingTable, qs) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # ring sequences: a block of trials, or one trial with its moves
 
-def _ring_draws(rates, t_end: float, trials: int, rng) -> np.ndarray:
-    """Superposition of ring clocks at the given rates: per trial
-    N ~ Poisson(t_end * total rate) rings, each picked with probability
-    rate / total, in rows padded with the idle ring len(rates)."""
-    rates = [float(v) for v in rates]
+def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Superposition of ring clocks at the given rates on [0, t_end]: per
+    trial N ~ Poisson(t_end * total rate) rings, each picked with probability
+    rate / total, at sorted uniform times.  Returns rings and times, rows
+    padded with the idle ring len(rates) at time inf."""
+    if not t_end >= 0:
+        raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
+    rates, t_end = [float(v) for v in rates], float(t_end)
     total = sum(rates)
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
-    cdf = np.cumsum(rates) / (total or 1.0)
+    cdf = np.array(rates).cumsum() / (total or 1.0)
     rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
                        len(rates) - 1)
-    rings[np.arange(width) >= counts[:, None]] = len(rates)
-    return rings
+    times = np.sort(rng.random((trials, width)), axis=1) * t_end
+    pad = np.arange(width) >= counts[:, None]
+    rings[pad], times[pad] = len(rates), np.inf
+    return rings, times
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:
@@ -179,22 +185,6 @@ def trace_rings(table: RingTable, flat, timed_rings) -> tuple[list[int], list[tu
     return x[:-2], moves
 
 
-def _batch_rings(table: RingTable, qs, start: np.ndarray, t_end: float, rng) -> np.ndarray:
-    """Final flat patterns of a block of trials, one ring sequence each."""
-    return run_rings(table, start, _ring_draws(_ring_rates(table, qs), t_end, len(start), rng))
-
-
-def batch_poisson(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
-    """Final flat patterns of the rightward dynamics from each row of start."""
-    return _batch_rings(ring_table(n, STANDARD), rates_of(q, n), start, t_end, rng)
-
-
-def batch_wall(n: int, q, start: np.ndarray, t_end: float, rng) -> np.ndarray:
-    """Final flat patterns of the wall dynamics from each row of start."""
-    qs = rates_of(q, (n + 1) // 2, open_unit=True)
-    return _batch_rings(ring_table(n, SYMPLECTIC), qs, start, t_end, rng)
-
-
 # ---------------------------------------------------------------------------
 # discrete-time geometric dynamics
 
@@ -238,46 +228,57 @@ def geometric_update(x: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     return new
 
 
-def batch_geometric(n: int, q, start: np.ndarray, steps: int, rng) -> np.ndarray:
-    """Final flat patterns of the geometric dynamics from each row of start."""
-    qs = rates_of(q, n, open_unit=True)
-    ps = np.repeat([float(1 - v) for v in qs], range(1, n + 1))
-    x = start
-    for _ in range(steps):
-        x = geometric_update(x, rng.geometric(ps, size=x.shape) - 1, n)
-    return x
-
-
 # ---------------------------------------------------------------------------
-# one trial of any dynamics, with its log of moves
+# runs of any dynamics: a block of trials, or one trial with its log of moves
 
-def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Pattern, list[tuple]]:
-    """One trial of the "poisson", "wall" or "geometric" dynamics from init up
-    to the horizon, a time or, for the geometric model, a number of steps.
-    Returns the final pattern and the log of moves (t, row, index,
-    displacement, cause) in order: a cascade shares its ring's time, and a
-    geometric move carries the number of its step."""
+def _model_rates(model: str, n: int, q, horizon) -> tuple[str, tuple[Fraction, ...]]:
+    """Pattern kind and exact rates of a run of the "poisson", "wall" or
+    "geometric" dynamics on n rows up to the horizon, a time or, for the
+    geometric model, a whole number of steps."""
     if model not in ("poisson", "wall", "geometric"):
         raise ValueError(f"unknown model {model!r}")
     kind = SYMPLECTIC if model == "wall" else STANDARD
     qs = rates_of(q, (n + 1) // 2 if model == "wall" else n, open_unit=model != "poisson")
+    if not horizon >= 0 or model == "geometric" and not float(horizon).is_integer():
+        form = "a whole number of steps >= 0" if model == "geometric" else ">= 0"
+        raise ValueError(f"the horizon must be {form}, got horizon = {horizon}")
+    return kind, qs
+
+
+def run_block(model: str, n: int, q, start: np.ndarray, horizon, rng) -> np.ndarray:
+    """Final flat patterns of a block of trials of the dynamics up to the
+    horizon, trial i from the flat pattern start[i]."""
+    kind, qs = _model_rates(model, n, q, horizon)
+    if model == "geometric":
+        ps = np.repeat([float(1 - v) for v in qs], range(1, n + 1))
+        x = start
+        for _ in range(int(horizon)):
+            x = geometric_update(x, rng.geometric(ps, size=x.shape) - 1, n)
+        return x
+    table = ring_table(n, kind)
+    return run_rings(table, start, _ring_draws(_ring_rates(table, qs), horizon, len(start), rng)[0])
+
+
+def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Pattern, list[tuple]]:
+    """One trial of the dynamics from init up to the horizon, as run_block.
+    Returns the final pattern and the log of moves (t, row, index,
+    displacement, cause) in order: a cascade shares its ring's time, and a
+    geometric move carries the number of its step."""
+    kind, qs = _model_rates(model, n, q, horizon)
     if init.kind != kind or init.nrows != n or not is_valid(init):
         raise ValueError(f"init must be a valid {kind} pattern of matching size")
-    if not horizon >= 0:
-        raise ValueError(f"the horizon must be >= 0, got horizon = {horizon}")
     if model == "geometric":
         rows, log = [list(r) for r in init.rows], []
         ps = [float(1 - v) for v in qs]
-        for t in range(1, horizon + 1):
+        for t in range(1, int(horizon) + 1):
             rows, moves = geometric_step(
                 rows, [rng.geometric(p, size=r0 + 1) - 1 for r0, p in enumerate(ps)])
             log.extend((t, *move) for move in moves)
         return Pattern(tuple(map(tuple, rows)), kind), log
     table = ring_table(n, kind)
-    rings = _ring_draws(_ring_rates(table, qs), horizon, 1, rng)[0]
-    times = np.sort(rng.random(len(rings))) * horizon
+    rings, times = _ring_draws(_ring_rates(table, qs), horizon, 1, rng)
     flat, log = trace_rings(table, [c for row in init.rows for c in row],
-                            zip(times.tolist(), rings.tolist()))
+                            zip(times[0].tolist(), rings[0].tolist()))
     offs = table.offsets
     return Pattern(tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:])), kind), log
 

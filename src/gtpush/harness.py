@@ -1,7 +1,7 @@
 """Statistics, experiment configuration and reproducible Monte Carlo runs.
 
-Marginal-law runs move their trials in blocks of BLOCK_TRIALS through the
-batched engine of `dynamics`.  Each block draws from its own RNG stream,
+Marginal-law runs move their trials in blocks of BLOCK_TRIALS through
+``dynamics.run_block``.  Each block draws from its own RNG stream,
 derived from (master seed, block index), so results are byte-identical no
 matter how blocks are scheduled; GTPUSH_THREADS > 1 fans blocks out over a
 process pool and merges them in block order.
@@ -161,11 +161,9 @@ class ExperimentConfig:
         if len(self.z) != k or not is_ordered(self.z) or min(self.z, default=0) < 0:
             raise ValueError(f"the bottom row z of {self.model} n={self.n} takes {k} "
                              f"nondecreasing nonnegative entries, got {self.z}")
-        rates_of([frac(v) for v in self.q])
+        dynamics._model_rates(self.model, self.n, self.q, self.horizon)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.horizon >= 0:
-            raise ValueError(f"the horizon must be >= 0, got horizon = {self.horizon}")
         if self.bound < max(self.z, default=0) + 2:
             raise ValueError("bound must be at least max(z) + 2")
 
@@ -182,12 +180,7 @@ def _endpoint_block(payload):
     rng = np.random.default_rng((seed, block))
     kind = "symplectic" if model == "wall" else "standard"
     start = sample_patterns(z, qs, kind, rng, n, trials)
-    if model == "poisson":
-        final = dynamics.batch_poisson(n, qs, start, horizon, rng)
-    elif model == "geometric":
-        final = dynamics.batch_geometric(n, qs, start, int(horizon), rng)
-    else:
-        final = dynamics.batch_wall(n, qs, start, horizon, rng)
+    final = dynamics.run_block(model, n, qs, start, horizon, rng)
     return list(map(tuple, final[:, -len(z):].tolist()))
 
 

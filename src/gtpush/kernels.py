@@ -263,7 +263,6 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     table = ring_table(j, kind)
     particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
     xbase, ybase = table.offsets[r - 1], table.offsets[r]  # flat slots of X_1 and Y_1
-    ring_of = {key: i for i, key in enumerate(table.keys)}
     rates = _ring_rates(table, qs)
     y_rings = [(i, rates[i]) for i, key in enumerate(table.keys) if key[0] == r + 1]
     x_moves = {}  # x -> [(xt, rate, ring of the moving X particle)]
@@ -272,7 +271,7 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
         for xt, rate in marginal.row(x).items():
             if xt != x:
                 i = next(i for i in range(len(x)) if xt[i] != x[i])
-                moves.append((xt, rate, ring_of[(r, i + 1, xt[i] - x[i])]))
+                moves.append((xt, rate, table.ring_of[(r, i + 1, xt[i] - x[i])]))
     rows = {}
     for x, y in states:
         slots = [0] * xbase + [*x, *y, 0, NEVER]  # the rows above X are never read

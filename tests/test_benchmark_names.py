@@ -1,13 +1,17 @@
 """The benchmark calls the library by name: every attribute of a gtpush module
 that perfbench/workloads.py reaches must exist, and every call it makes must
 bind to the library's signature, so a removed name or a changed signature
-fails here rather than in a benchmark run.  The benchmark is only read."""
+fails here rather than in a benchmark run.  The names the tracer of
+perfbench/spans.py wraps are held to a fixed list of known gaps.  The
+benchmark is only read."""
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _gtpush_modules(tree) -> dict[str, str]:
@@ -88,4 +92,34 @@ def test_the_call_scan_sees_a_changed_arity():
         "gtpush.couplings.left_edge_matches_dynamics: missing a required argument: 'rng'",
         "gtpush.dynamics.geometric_step: too many positional arguments",
         "gtpush.couplings.lpp_G: got an unexpected keyword argument 'steps'",
+    ]
+
+
+def _traced_names() -> list[tuple[str, bool]]:
+    """(owner.name, present) for every name the benchmark's Tracer asks to
+    wrap, read by a Tracer whose wrapping step only records."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    seen = []
+
+    class Recorder(spans.Tracer):
+        def _add(self, owner, attr, *args, **kwargs):
+            seen.append((f"{owner.__name__.removeprefix('gtpush.')}.{attr}",
+                         attr in owner.__dict__))
+
+    Recorder()
+    return seen
+
+
+def test_the_tracer_misses_only_the_known_gone_names():
+    # the tracer skips a name the library lacks, so its time goes to no layer;
+    # these six went with earlier simplifications and wait for the benchmark's
+    # next change
+    traced = _traced_names()
+    assert len(traced) >= 25
+    assert sorted(name for name, present in traced if not present) == [
+        "dynamics.simulate_geometric", "dynamics.simulate_poisson", "dynamics.simulate_wall",
+        "kernels.coupling_generator_poisson", "kernels.coupling_generator_wall_even_odd",
+        "kernels.coupling_generator_wall_odd_even",
     ]

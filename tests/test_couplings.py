@@ -111,6 +111,36 @@ def test_right_edge_matches_lpp_many_panels():
     assert lpp_failures(3, Q3, 10, 150, 200) == []
 
 
+def test_panel_clocks_ring_at_their_rates():
+    # component c of a Poisson panel rings at q_{c+1}; Z_i of a wall panel
+    # steps +1 at 1/q_i and -1 at q_i, and Z~_i the other way round
+    rng = np.random.default_rng(61)
+    trials, t = 2000, 1.5
+    counts, want = np.zeros(3), np.array([float(v) for v in Q3]) * t
+    for _ in range(trials):
+        for c, times in enumerate(couplings.poisson_panel(3, Q3, t, rng).times):
+            assert list(times) == sorted(times) and all(0 <= tt <= t for tt in times)
+            counts[c] += len(times)
+    assert np.all(np.abs(counts / trials - want) < 4 * np.sqrt(want / trials))
+    counts = np.zeros((4, 2))  # component, sign +1 / -1
+    want = np.array([[float(1 / v), float(v)][::s] for v in Q3[:2] for s in (1, -1)]) * t
+    for _ in range(trials):
+        for c, jumps in enumerate(wall_panel(2, Q3[:2], t, rng).jumps):
+            times = [tt for tt, _ in jumps]
+            assert times == sorted(times) and all(0 <= tt <= t for tt in times)
+            for _, d in jumps:
+                counts[c, (1 - d) // 2] += 1
+    assert np.all(np.abs(counts / trials - want) < 4 * np.sqrt(want / trials))
+
+
+def test_panels_refuse_a_negative_end_time():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="t_end = -1.0"):
+        couplings.poisson_panel(2, Q3[:2], -1.0, rng)
+    with pytest.raises(ValueError, match="t_end = -1.0"):
+        wall_panel(1, Q3[:1], -1.0, rng)
+
+
 def test_wall_sup_zero_panel():
     panel = WallPanel(((), ()), 1.0)
     assert wall_sup_functional(panel, 1.0) == 0
@@ -163,8 +193,8 @@ def test_block_wall_sup_matches_per_trial_oracle():
             for t in (t_end, 0.6 * t_end):
                 cut = np.where(times <= t, times, np.inf)
                 got = couplings._reflect(cut, codes, 2 * k, wall=True)[1][-1, :, -1].tolist()
-                want = [wall_sup_dp(couplings._row_panel(row, codes, 2 * k, t_end), t)
-                        for row in times]
+                want = [wall_sup_dp(couplings._row_panel(row, code_row, 2 * k, t_end), t)
+                        for row, code_row in zip(times, codes)]
                 assert got == want
             panels += len(times)
     assert panels == 8400
@@ -200,6 +230,9 @@ def test_edge_checks_refuse_a_panel_of_another_height():
         wall_edge_matches_dynamics(WallPanel(((), ()), 1.0), 2, Q3[:2], np.random.default_rng(0))
     with pytest.raises(ValueError, match="3 rows need 3 panel components, got 2"):
         couplings.left_edge_matches_dynamics(PoissonPanel(((), ()), 1.0), 3, Q3,
+                                             np.random.default_rng(0))
+    with pytest.raises(ValueError, match="3 rows need 3 panel components, got 4"):
+        couplings.left_edge_matches_dynamics(PoissonPanel(((),) * 4, 1.0), 3, Q3,
                                              np.random.default_rng(0))
 
 

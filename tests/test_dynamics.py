@@ -12,6 +12,7 @@ from gtpush.dynamics import (
     geometric_step,
     geometric_update,
     ring_table,
+    run_block,
     run_rings,
     simulate,
     trace_rings,
@@ -278,6 +279,7 @@ def _oracle_ring(rows, kind, r, j, d):
                                      ("symplectic", 5)])
 def test_batched_rings_match_event_driven_simulators(kind, n):
     table = ring_table(n, kind)
+    assert [table.ring_of[key] for key in table.keys] == list(range(table.idle))
     # every ring from every pattern with entries in 0..3, against the oracle
     k = n if kind == "standard" else (n + 1) // 2
     cone = [p.rows for z in combinations_with_replacement(range(4), k)
@@ -325,6 +327,20 @@ def test_batched_geometric_update_matches_step(n):
 ], ids=["poisson", "geometric", "wall"])
 def test_simulators_refuse_a_negative_horizon_and_keep_zero(model, n, q, kind):
     init = zero_pattern(n, kind)
+    start = np.array([[c for row in init.rows for c in row]] * 3)
     with pytest.raises(ValueError, match="horizon = -1"):
         simulate(model, n, q, init, -1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="horizon = -1"):
+        run_block(model, n, q, start, -1, np.random.default_rng(0))
     assert simulate(model, n, q, init, 0, np.random.default_rng(0)) == (init, [])
+    assert run_block(model, n, q, start, 0, np.random.default_rng(0)).tolist() == start.tolist()
+
+
+def test_runs_refuse_an_unknown_model_and_a_fractional_step_count():
+    start, rng = np.zeros((2, 3), dtype=np.int64), np.random.default_rng(0)
+    for model, horizon, named in (("brownian", 1.0, "unknown model 'brownian'"),
+                                  ("geometric", 1.5, "steps >= 0, got horizon = 1.5")):
+        with pytest.raises(ValueError, match=named):
+            run_block(model, 2, Q2, start, horizon, rng)
+        with pytest.raises(ValueError, match=named):
+            simulate(model, 2, Q2, zero_pattern(2), horizon, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import subprocess
@@ -95,6 +96,20 @@ def test_config_validation():
         ExperimentConfig("geometric", 2, ("1/2", "1/3"), (2, 1), 1, 10, 1, 8)
     with pytest.raises(ValueError):
         ExperimentConfig("poisson", 2, ("1/2", "1/3"), (-1, 0), 1.0, 10, 1, 8)
+    # the rates are checked as a run checks them: their count, and below 1 but for poisson
+    with pytest.raises(ValueError, match="expected 2 rates, got 3"):
+        ExperimentConfig("poisson", 2, ("1/2", "1/3", "1/5"), (0, 0), 1.0, 10, 1, 8)
+    with pytest.raises(ValueError, match="open interval"):
+        ExperimentConfig("geometric", 2, ("1/2", "3/2"), (0, 0), 1, 10, 1, 8)
+
+
+def test_a_fractional_geometric_horizon_is_refused():
+    # int(2.5) would silently run 2 steps
+    with pytest.raises(ValueError, match="whole number of steps >= 0, got horizon = 2.5"):
+        ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2.5, 10, 1, 8)
+    # a whole number of steps written as a float runs that many steps
+    whole = ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2.0, 300, 1, 8)
+    assert endpoint_samples(whole) == endpoint_samples(dataclasses.replace(whole, horizon=2))
 
 
 def test_endpoint_samples_reproducible():
