@@ -132,10 +132,11 @@ def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.n
     cdf = np.array(rates).cumsum() / (total or 1.0)
     rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
                        len(rates) - 1)
-    times = np.sort(rng.random((trials, width)), axis=1) * t_end
+    times = rng.random((trials, width)) * t_end
     pad = np.arange(width) >= counts[:, None]
+    # pad before sorting, so a row's times are the order statistics of its own count
     rings[pad], times[pad] = len(rates), np.inf
-    return rings, times
+    return rings, np.sort(times, axis=1)
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:

@@ -131,6 +131,12 @@ def test_panel_clocks_ring_at_their_rates():
             for _, d in jumps:
                 counts[c, (1 - d) // 2] += 1
     assert np.all(np.abs(counts / trials - want) < 4 * np.sqrt(want / trials))
+    # a block draw rings on the same clocks: each row's jumps before t/2 are
+    # Poisson(rate * t/2) per component and sign, whatever the block's width
+    times, codes = couplings._wall_block(Q3[:2], t, trials, rng)
+    early = np.where(times < t / 2, codes, 0)
+    counts = np.array([[(early == s * c).sum() for s in (1, -1)] for c in range(1, 5)])
+    assert np.all(np.abs(counts / trials - want / 2) < 4 * np.sqrt(want / 2 / trials))
 
 
 def test_panels_refuse_a_negative_end_time():
