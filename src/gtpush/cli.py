@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,18 @@ def _parse_horizon(text: str, steps: bool):
     except ValueError:
         form = "a whole number of steps" if steps else "an exact time such as 3/2"
         raise ValueError(f"the horizon must be {form}, got {text}") from None
+
+
+def _join_negative_rows(argv: list[str]) -> list[str]:
+    """'--row -1,0' as '--row=-1,0': argparse takes a word that starts with
+    '-' and is no plain number, such as -1,0, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and re.fullmatch(r"-\d+(,\s*-?\d+)+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,7 +269,8 @@ _COMMANDS = {
 
 def cli_dispatch(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_join_negative_rows(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:

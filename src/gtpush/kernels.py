@@ -2,14 +2,17 @@
 
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped.  The exact half's values are exact
-rationals.  The Monte Carlo reference laws use float forms of the marginal
-operators, built from the same Schur recursion run on float rates
-(``schur.float_values``): ``row_generator_float`` shares the conditioned
-walk's move rule with the exact generators, and ``kernel_geometric_float`` is
-a ``FloatKernel``.  Blocking and pushing are stated once for the simulators
-and the exact half alike: the continuous-time coupling generators are read
-off the ring table (``dynamics.ring_table``), and the geometric pair kernel
-follows the max / add / min of ``dynamics.geometric_update``.
+rationals: the exact marginal operators read the Schur values of the box as
+integers over powers of one scale (``schur.exact_values``) and form each
+entry as one Fraction of two integers.  The Monte Carlo reference laws use
+float forms of the marginal operators, built from the same Schur recursion
+run on float rates (``schur.float_values``): ``row_generator_float`` shares
+the conditioned walk's move rule with the exact generators, and
+``kernel_geometric_float`` is a ``FloatKernel``.  Blocking and pushing are
+stated once for the simulators and the exact half alike: the continuous-time
+coupling generators are read off the ring table (``dynamics.ring_table``),
+and the geometric pair kernel follows the max / add / min of
+``dynamics.geometric_update``.
 One table says which pattern rows a variant pairs: its two-row states are the
 lower rows on the box with their ``patterns.branching`` candidates above, and
 its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the
@@ -18,6 +21,7 @@ upper row given the lower (``schur.branching_law``).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -29,11 +33,12 @@ from .dynamics import NEVER, _ring_rates, ring_table
 from .patterns import (
     STANDARD,
     SYMPLECTIC,
-    branching,
     chamber_states,
     coords_of,
     rates_of,
     row_length,
+    scaled_rates,
+    upper_candidates,
 )
 
 POISSON = "poisson"
@@ -61,8 +66,9 @@ def _y_row(variant: str, qs) -> tuple[str, int]:
 
 def _pairs(kind: str, j: int, qs, bound: int) -> list[tuple[tuple, tuple]]:
     """Pairs (x, y) on the box: every y of row j, then every candidate x for
-    the row above it in the order of ``patterns.branching``."""
-    return [(x, y) for y in chamber_states(len(qs), bound) for x, _ in branching(kind, j, y, qs)]
+    the row above it (``patterns.upper_candidates``, the order of
+    ``patterns.branching``)."""
+    return [(x, y) for y in chamber_states(len(qs), bound) for x in upper_candidates(kind, j, y)]
 
 
 def _bump(v: tuple, i: int, d: int) -> tuple:
@@ -135,32 +141,36 @@ class StepKernel(_SparseOperator):
 # ---------------------------------------------------------------------------
 # marginal generators / kernels
 
-def _conditioned_walk(kind: str, r: int, qs, bound: int, h) -> SparseGenerator:
+def _conditioned_walk(kind: str, r: int, qs, bound: int, scale, h: dict, ratio) -> SparseGenerator:
     """Generator of row r of a pattern on its own, with one rate per entry in
-    qs (Fractions, or floats for the reference laws) and its Schur values
-    given by the lookup h.  Each entry steps right up to the entry after it,
-    and for the wall also left down to the wall or the entry before it, at the
-    ratio h(target) / h(x).  The diagonal is minus the total step rate before
-    truncation, in the closed form that the harmonicity identity makes exact
-    at every chamber point."""
+    qs (Fractions, or floats for the reference laws).  h holds each state's
+    Schur value times scale^|x| (``schur.exact_values``, or float values at
+    scale 1), and ratio(a, b) is a / b in the operator's field.  Each entry
+    steps right up to the entry after it, and for the wall also left down to
+    the wall or the entry before it, at the ratio of the Schur values of
+    target and x: h(target) / (scale h(x)) right, scale h(target) / h(x)
+    left.  The diagonal is minus the total step rate before truncation, in
+    the closed form that the harmonicity identity makes exact at every
+    chamber point."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     k = len(qs)
     out = sum(qs) if kind == STANDARD else sum(v + 1 / v for v in qs)
     # an odd wall row's first entry has no left step while it stands at the wall
     at_wall = 1 / qs[-1] if kind == SYMPLECTIC and r % 2 == 1 else 0
+    diag, wall_diag = -out, at_wall - out
     states = chamber_states(k, bound)
     rows = {}
     for x in states:
-        row = {x: at_wall - out if x[0] == 0 else -out}
-        hx = h(x)
+        row = {x: wall_diag if x[0] == 0 else diag}
+        hx = h[x]
         for i in range(k):
             if (i == k - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
                 xt = _bump(x, i, 1)
-                row[xt] = h(xt) / hx
+                row[xt] = ratio(h[xt], scale * hx)
             if kind == SYMPLECTIC and x[i] - 1 >= (0 if i == 0 else x[i - 1]):
                 xt = _bump(x, i, -1)
-                row[xt] = h(xt) / hx
+                row[xt] = ratio(scale * h[xt], hx)
         rows[x] = row
     family = "charlier" if kind == STANDARD else "symplectic"
     return SparseGenerator(states, rows, bound, f"{family} n={r}")
@@ -170,14 +180,16 @@ def q_charlier(n: int, q, bound: int) -> SparseGenerator:
     """Generator of n ordered walkers conditioned to stay ordered: rate to
     x+e_i the ratio of Schur values, diagonal -(sum of rates)."""
     qs = rates_of(q, n)
-    return _conditioned_walk(STANDARD, n, qs, bound, lambda x: schur.schur(x, qs))
+    return _conditioned_walk(STANDARD, n, qs, bound, *schur.exact_values(STANDARD, n, qs, bound),
+                             Fraction)
 
 
 def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
     """Generator of the row-n marginal of the wall dynamics: nearest-neighbour
     moves with symplectic-Schur ratio rates and the parity-dependent diagonal."""
     qs = rates_of(q, (n + 1) // 2)
-    return _conditioned_walk(SYMPLECTIC, n, qs, bound, lambda x: schur.sp_schur(n, x, qs))
+    return _conditioned_walk(SYMPLECTIC, n, qs, bound,
+                             *schur.exact_values(SYMPLECTIC, n, qs, bound), Fraction)
 
 
 def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
@@ -198,7 +210,7 @@ def row_generator_float(kind: str, r: int, q, bound: int) -> SparseGenerator:
     k = row_length(r, kind)
     qs = tuple(float(v) for v in rates_of(q[:k], k))
     h = dict(zip(chamber_states(k, bound), schur.float_values(kind, r, qs, bound).tolist()))
-    return _conditioned_walk(kind, r, qs, bound, h.__getitem__)
+    return _conditioned_walk(kind, r, qs, bound, 1.0, h, operator.truediv)
 
 
 def _step_targets(x: tuple, bound: int):
@@ -212,11 +224,14 @@ def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     to stay shifted-interlaced; rows sum to 1 over the untruncated targets."""
     qs = rates_of(q, n, open_unit=True)
     a = math.prod(1 - v for v in qs)
+    scale, h = schur.exact_values(STANDARD, n, qs, bound)
     rows = {}
     states = chamber_states(n, bound)
     for x in states:
-        sx = schur.schur(x, qs)
-        rows[x] = {xt: a * schur.schur(xt, qs) / sx for xt in _step_targets(x, bound)}
+        # a s(xt) / s(x), with s(x) = h[x] / scale^|x|
+        num, den, sx = a.numerator, a.denominator * h[x], sum(x)
+        rows[x] = {xt: Fraction(num * h[xt], den * scale ** (sum(xt) - sx))
+                   for xt in _step_targets(x, bound)}
     return StepKernel(states, rows, bound, f"geometric n={n}")
 
 
@@ -249,7 +264,8 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     table on r+1 rows: each X move pushes or drags Y through ``push``, and Y
     rings at its ``_ring_rates`` rate unless its ``blocker`` (an X particle or
     the wall) is level with it.  The diagonal is X's diagonal minus Y's
-    unblocked out-rate, counted before truncation.
+    unblocked out-rate, counted before truncation, and is formed once per x
+    and set of unblocked Y rings.
     """
     if case == GEOMETRIC or case not in _Y_ROW:
         raise ValueError(f"unknown continuous-time coupling {case!r}")
@@ -272,7 +288,7 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
             if xt != x:
                 i = next(i for i in range(len(x)) if xt[i] != x[i])
                 moves.append((xt, rate, table.ring_of[(r, i + 1, xt[i] - x[i])]))
-    rows = {}
+    rows, diags = {}, {}  # diags: (x, unblocked Y rings) -> diagonal
     for x, y in states:
         slots = [0] * xbase + [*x, *y, 0, NEVER]  # the rows above X are never read
         row = {}
@@ -281,15 +297,18 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
             if slots[particle[pushed]] == slots[particle[ring]]:
                 yt = _bump(y, particle[pushed] - ybase, step[pushed])
             row[(xt, yt)] = rate
-        diag = marginal.row(x)[x]
+        free = []
         for ring, rate in y_rings:
             if slots[particle[ring]] == slots[blocker[ring]]:
                 continue  # blocked
-            diag -= rate
+            free.append(ring)
             j = particle[ring] - ybase
             if y[j] + step[ring] <= bound:
                 row[(x, _bump(y, j, step[ring]))] = rate
-        row[(x, y)] = diag
+        key = (x, tuple(free))
+        if key not in diags:
+            diags[key] = marginal.row(x)[x] - sum(rates[ring] for ring in free)
+        row[(x, y)] = diags[key]
         rows[(x, y)] = row
     return SparseGenerator(states, rows, bound, f"coupling-{case} n={n}")
 
@@ -365,6 +384,7 @@ class LambdaKernel:
         self.qs = rates_of(q_ext)
         self.variant = variant
         self.kind, self.y_row = _y_row(variant, self.qs)  # rejects an unknown variant
+        _, self._up, self._down = scaled_rates(self.qs)
 
     def support(self, y) -> list[tuple[tuple, Fraction]]:
         """Distribution over paired states ((x, y), weight); masses sum to 1."""
@@ -372,7 +392,8 @@ class LambdaKernel:
         if len(y) != len(self.qs):
             raise ValueError(f"{self.variant} weight needs one rate per entry of y, "
                              f"got {len(self.qs)} for {y}")
-        return [((x, y), p) for x, p in schur.branching_law(self.kind, self.y_row, y, self.qs)]
+        law = schur.branching_law(self.kind, self.y_row, y, self._up, self._down)
+        return [((x, y), p) for x, p in law]
 
     def weight(self, x, y) -> Fraction:
         """Exact weight of x given y: zero unless x interlaces with y; for

@@ -2,12 +2,14 @@
 
 States are nondecreasing integer vectors (Weyl chamber points); a pattern
 stacks such rows tied together by interlacing constraints.  Weights and
-probabilities are exact ``fractions.Fraction``; ``branching`` also takes
-float rates, for the float Schur values of the reference laws.  The pattern
+probabilities are exact ``fractions.Fraction``.  ``branching`` takes exact
+rates, their integer form (``scaled_rates``) for the Schur recursion, or
+float rates for the float Schur values of the reference laws.  The pattern
 samplers round each exact branching law to a float CDF once and draw from it.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from dataclasses import dataclass
@@ -62,6 +64,14 @@ def rates_of(q, expect: int | None = None, open_unit: bool = False) -> tuple[Fra
     if open_unit and any(v >= 1 for v in qs):
         raise ValueError("rates must lie in the open interval (0,1)")
     return qs
+
+
+def scaled_rates(qs) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Integer form of exact rates q_i = a_i / b_i: L, the lcm of every a_i and
+    b_i, with the rates u_i = q_i L and their inverses d_i = L / q_i."""
+    scale = math.lcm(*(v.numerator for v in qs), *(v.denominator for v in qs))
+    return (scale, tuple(v.numerator * (scale // v.denominator) for v in qs),
+            tuple(v.denominator * (scale // v.numerator) for v in qs))
 
 
 def row_length(j: int, kind: str) -> int:
@@ -172,8 +182,9 @@ def shift_candidates_below(z):
         yield c
 
 
-def _upper_row_candidates(row, kind, j):
-    """Candidates for row j-1 given row j (1-based row index)."""
+def upper_candidates(kind: str, j: int, row):
+    """Candidates for row j-1 given row j (1-based row index): nested in a
+    standard or odd symplectic row, shifted below an even symplectic row."""
     if kind == STANDARD or j % 2 == 1:
         return nest_candidates(row)
     return shift_candidates_below(row)
@@ -209,7 +220,7 @@ def enumerate_patterns(z, kind: str = STANDARD, nrows: int | None = None) -> lis
         if j == 1:
             out.append(Pattern(tuple(reversed(stack)), kind))
             return
-        for above in _upper_row_candidates(stack[-1], kind, j):
+        for above in upper_candidates(kind, j, stack[-1]):
             descend(stack + [above])
 
     descend([z])
@@ -245,31 +256,35 @@ def row_offsets(nrows: int, kind: str = STANDARD) -> tuple[int, ...]:
     return tuple(out)
 
 
-def branching(kind: str, j: int, row, qs) -> list[tuple[tuple[int, ...], Fraction]]:
+def branching(kind: str, j: int, row, qs, inverses=None) -> list[tuple[tuple[int, ...], Fraction]]:
     """Candidates for row j-1 given row j (1-based), each with its coefficient.
 
-    Row j's rate is qs[len(row) - 1].  The candidates for a standard row or
-    an odd symplectic row nest in it (one entry shorter) and take the rate to
-    the power |row| - |candidate|; those for an even symplectic row are
-    shifted-interlaced with it (same length, wall at 0) and take it to the
-    power |candidate| - |row|.  A pattern's geometric weight is the product of
-    these coefficients over its rows; ``weight`` states the same product
+    Row j's rate t is qs[i], i = len(row) - 1, and its inverse 1/t is
+    inverses[i] (1 / qs[i] when no inverses are given).  The candidates for a
+    standard row or an odd symplectic row nest in it (one entry shorter) and
+    take t to the power |row| - |candidate|; those for an even symplectic row
+    are shifted-interlaced with it (same length, wall at 0) and take 1/t to
+    the power |row| - |candidate|.  On rows with nonnegative entries both
+    powers are >= 0, so the Schur recursion runs on the integers L t and L / t
+    of ``scaled_rates``.  A pattern's geometric weight is the product of these
+    coefficients over its rows; ``weight`` states the same product
     independently."""
-    t = qs[len(row) - 1]
-    s = sum(row)
+    i = len(row) - 1
+    t = qs[i]
     if kind == SYMPLECTIC and j % 2 == 0:
-        return [(za, t ** (sum(za) - s)) for za in shift_candidates_below(row)]
-    return [(za, t ** (s - sum(za))) for za in nest_candidates(row)]
+        t = 1 / t if inverses is None else inverses[i]
+    s = sum(row)
+    return [(za, t ** (s - sum(za))) for za in upper_candidates(kind, j, row)]
 
 
 @lru_cache(maxsize=None)
-def branching_cdf(kind: str, j: int, row: tuple, qs: tuple):
+def branching_cdf(kind: str, j: int, row: tuple, up: tuple, down: tuple):
     """Candidates for row j-1 given row j (1-based) and the float cumulative
-    sums of their exact probabilities (``schur.branching_law``).  Both arrays
-    are read-only."""
+    sums of their exact probabilities (``schur.branching_law``, at the integer
+    rates up, down of ``scaled_rates``).  Both arrays are read-only."""
     from . import schur  # deferred: schur builds on this module's geometry
 
-    law = schur.branching_law(kind, j, row, qs)
+    law = schur.branching_law(kind, j, row, up, down)
     above = np.array([za for za, _ in law], dtype=np.int64).reshape(len(law), -1)
     cdf = np.array([float(acc) for acc in accumulate(p for _, p in law)])
     above.setflags(write=False)
@@ -290,6 +305,7 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
     qs = rates_of(q, row_length(nrows, kind))
     if len(z) != len(qs) or not is_ordered(z) or (kind == SYMPLECTIC and z and z[0] < 0):
         raise ValueError(f"invalid bottom row {z} for height {nrows}")
+    _, up, down = scaled_rates(qs)
     offs = row_offsets(nrows, kind)
     out = np.empty((trials, offs[-1]), dtype=np.int64)
     out[:, offs[-2]:] = z
@@ -299,7 +315,7 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
         for i, row in enumerate(map(tuple, out[:, offs[j - 1]:offs[j]].tolist())):
             groups.setdefault(row, []).append(i)
         for row, members in groups.items():
-            cands, cdf = branching_cdf(kind, j, row, qs)
+            cands, cdf = branching_cdf(kind, j, row, up, down)
             out[members, offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[members])]
     return out
 

@@ -1,19 +1,25 @@
 """Evaluation of Schur and symplectic Schur functions at positive rates.
 
 Both are one recursion over ``patterns.branching``, the row-to-row rule of
-the geometric-weight pattern measure, memoized on (kind, row index, row,
-rates of that row and the rows above, number field).  It runs in exact
-rationals for the exact half, and on float rates for the Monte Carlo
-reference laws (``float_values``); the field is part of the memo key, because
-a dyadic rate and its float hash and compare equal.  ``branching_law``
-divides the exact values out into the exact law of one row given the row
-below it: the intertwining kernels Lambda and the pattern samplers read that
-law.  A determinant ratio evaluated in exact rationals serves as an
-independent oracle for the standard case.
+the geometric-weight pattern measure.  At exact rates q_i = a_i / b_i, with L
+the lcm of every a_i and b_i, the value at a row of sum s is N / L^s for an
+integer N.  The recursion computes N in Python integers from the integer
+rates L q_i and L / q_i (``patterns.scaled_rates``), and is memoized on (kind,
+row index, row, those rates, number field).  The Monte Carlo reference laws
+run it on the float rates q and 1/q (``float_values``).  The field is part of
+the memo key, because at L = 1 the integer rates and their floats hash and
+compare equal.  ``schur`` and ``sp_schur`` form one Fraction per value;
+``exact_values`` hands the integers N of a whole box to the exact operators,
+which form each entry as one Fraction of integers; ``branching_law`` divides
+integer weights out into the exact law of one row given the row below it:
+the intertwining kernels Lambda and the pattern samplers read that law.  A
+determinant ratio evaluated in exact rationals serves as an independent
+oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
-kernel formulas stay implicit.
+kernel formulas stay implicit.  A standard row with negative entries is
+moved into the nonnegative chamber by s_{z+c}(q) = (q_1 ... q_n)^c s_z(q).
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .patterns import (
     is_ordered,
     rates_of,
     row_length,
+    scaled_rates,
 )
 
 
@@ -47,7 +54,17 @@ def schur(z, q) -> Fraction:
     qs = rates_of(q, len(z))
     if not is_ordered(z):
         return Fraction(0)
-    return _value(STANDARD, len(z), z, qs, Fraction)
+    scale, up, down = scaled_rates(qs)
+    c = _shift(z)
+    zc = tuple(v + c for v in z)
+    # s_z = s_zc / (q_1 ... q_n)^c, with s_zc = N / L^|zc| and q_i = u_i / L
+    value = _value(STANDARD, len(z), zc, up, down, int)
+    return Fraction(value * scale ** (len(z) * c), scale ** sum(zc) * math.prod(up) ** c)
+
+
+def _shift(z) -> int:
+    """The c >= 0 that moves an ordered row z into the nonnegative chamber."""
+    return max(0, -z[0]) if z else 0
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
@@ -100,20 +117,32 @@ def sp_schur(n: int, z, q) -> Fraction:
     qs = rates_of(q, k)
     if not is_ordered(z) or (z and z[0] < 0):
         return Fraction(0)
-    return _value(SYMPLECTIC, n, z, qs, Fraction)
+    scale, up, down = scaled_rates(qs)
+    return Fraction(_value(SYMPLECTIC, n, z, up, down, int), scale ** sum(z))
 
 
 @lru_cache(maxsize=None)
-def _value(kind: str, j: int, row: tuple, qs: tuple, field: type):
-    """Summed weight of the patterns of height j with bottom row `row`; qs
-    holds one rate per entry of the row, as elements of field (Fraction or
-    float)."""
+def _value(kind: str, j: int, row: tuple, up: tuple, down: tuple, field: type):
+    """Summed weight of the patterns of height j with bottom row `row`, times
+    L^|row|: the recursion on rates up (L q) and inverse rates down (L / q),
+    one of each per entry of the row, in integers (field int) or floats at
+    L = 1 (field float).  The row's entries are nonnegative."""
     if j == 0:
         return field(1)
-    total = field(0)
-    for za, c in branching(kind, j, row, qs):
-        total += c * _value(kind, j - 1, za, qs[: len(za)], field)
-    return total
+    terms = branching(kind, j, row, up, down)
+    k = len(terms[0][0])  # the candidates of one row share a length
+    up, down = up[:k], down[:k]
+    return sum((c * _value(kind, j - 1, za, up, down, field) for za, c in terms), field(0))
+
+
+def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, dict]:
+    """L and the integer N(x) = L^|x| s(x) at every state x of
+    ``chamber_states(row_length(j, kind), bound)``, where s is the Schur value
+    (symplectic of height j for SYMPLECTIC) at the exact rates q: the exact
+    operators take their ratios from these integers."""
+    k = row_length(j, kind)
+    scale, up, down = scaled_rates(rates_of(q, k))
+    return scale, {x: _value(kind, j, x, up, down, int) for x in chamber_states(k, bound)}
 
 
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
@@ -124,11 +153,12 @@ def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
     float range (0, subnormal, or a rate power past the largest float) would
     make 0/0 or inexact: it is refused with a RuntimeError naming the bound."""
     qs = tuple(float(v) for v in q)
+    inverses = tuple(1 / v for v in qs)
     states = chamber_states(row_length(j, kind), bound)
     h = np.empty(len(states))
     for i, x in enumerate(states):
         try:
-            h[i] = _value(kind, j, x, qs, float)
+            h[i] = _value(kind, j, x, qs, inverses, float)
         except OverflowError:
             h[i] = math.inf
         if not sys.float_info.min <= h[i] < math.inf:
@@ -139,15 +169,18 @@ def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def branching_law(kind: str, j: int, row: tuple, qs: tuple) -> tuple:
+def branching_law(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> tuple:
     """Exact law of row j-1 given row j (1-based) under the geometric-weight
-    measure with rates qs: ((candidate, probability), ...) in the order of
-    ``patterns.branching``, each probability the candidate's coefficient times
-    its Schur value over the Schur value of the row."""
-    weights = [(za, c * _value(kind, j - 1, za, qs[: len(za)], Fraction))
-               for za, c in branching(kind, j, row, qs)]
+    measure whose rates have the integer form up, down (``scaled_rates``):
+    ((candidate, probability), ...) in the order of ``patterns.branching``,
+    each probability the candidate's integer coefficient times its integer
+    value N over their sum.  A standard row with negative entries takes the
+    law of its shift into the chamber, shifted back."""
+    shift = _shift(row)
+    weights = [(za, c * _value(kind, j - 1, za, up[:len(za)], down[:len(za)], int))
+               for za, c in branching(kind, j, tuple(v + shift for v in row), up, down)]
     total = sum(w for _, w in weights)
-    return tuple((za, w / total) for za, w in weights)
+    return tuple((tuple(v - shift for v in za), Fraction(w, total)) for za, w in weights)
 
 
 def clear_caches():

@@ -12,7 +12,15 @@ import numpy as np
 
 from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
-from gtpush.patterns import Pattern, coords_of, interlace_nest, interlace_shift, is_valid
+from gtpush.patterns import (
+    Pattern,
+    coords_of,
+    enumerate_patterns,
+    interlace_nest,
+    interlace_shift,
+    is_valid,
+    weight,
+)
 
 
 def count_patterns_brute(z, kind="standard", nrows=None):
@@ -43,6 +51,20 @@ def count_patterns_brute(z, kind="standard", nrows=None):
         return total
 
     return extend(tuple(z), nrows)
+
+
+def pattern_sum(z, kind, nrows, qs) -> Fraction:
+    """Schur value at z as the raw sum of pattern weights (one rate per entry)."""
+    return sum(weight(p, qs[:len(z)]) for p in enumerate_patterns(z, kind, nrows=nrows))
+
+
+def row_above_law(z, kind, nrows, qs) -> dict:
+    """Law of the row above the bottom row z, from the pattern weights alone."""
+    masses: dict = {}
+    for p in enumerate_patterns(z, kind, nrows=nrows):
+        masses[p.rows[-2]] = masses.get(p.rows[-2], Fraction(0)) + weight(p, qs[:len(z)])
+    total = sum(masses.values())
+    return {za: w / total for za, w in masses.items()}
 
 
 def lpp_brute(eta, k, t):

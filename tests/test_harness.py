@@ -142,6 +142,17 @@ def test_cli_sp_schur_eval(capsys):
     assert capsys.readouterr().out.strip() == "5/2"
 
 
+def test_cli_reads_a_negative_row_after_a_space(capsys):
+    # argparse takes a word such as -1,0 for an option unless it is joined to
+    # its flag; s_(-1,0) = s_(0,1) / (q1 q2) = (5/6) / (1/6)
+    for row in (["--row", "-1,0"], ["--row=-1,0"]):
+        assert cli_dispatch(["schur", "eval", *row, "--q", "1/2,1/3"]) == 0
+        assert capsys.readouterr().out.strip() == "5"
+    # the wall's chamber is nonnegative: 0 off it
+    assert cli_dispatch(["sp-schur", "eval", "--n", "3", "--row", "-1,0", "--q", "1/2,1/3"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def test_cli_verify_intertwine_pass(capsys):
     code = cli_dispatch(
         ["verify", "intertwine", "--case", "poisson", "--n", "1",

@@ -17,10 +17,18 @@ from gtpush.kernels import (
     q_charlier,
     q_symplectic,
 )
-from gtpush.patterns import STANDARD, SYMPLECTIC, enumerate_patterns, row_length, weight
+from gtpush.patterns import (
+    STANDARD,
+    SYMPLECTIC,
+    enumerate_patterns,
+    interlace_nest,
+    interlace_shift,
+    row_length,
+    weight,
+)
 from gtpush.schur import float_values, schur, sp_schur
 
-from _oracles import geometric_pair_prob_1d, geometric_row_total_2d
+from _oracles import geometric_pair_prob_1d, geometric_row_total_2d, pattern_sum
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -151,6 +159,62 @@ def test_float_walk_matches_exact_schur_walk(kind, height, rates):
         a, b = p_float.row(s), p_exact.row(s)
         assert np.array_equal(a > 0, b > 0)
         assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def _pattern_sums(kind, height, qs, bound):
+    # Schur values of the box as raw pattern sums, no recursion involved
+    return {x: pattern_sum(x, kind, height, qs)
+            for x in combinations_with_replacement(range(bound + 1), row_length(height, kind))}
+
+
+def test_exact_operators_match_pattern_sum_ratios():
+    # every off-diagonal rate of the conditioned walks and every geometric
+    # kernel entry, as a ratio of pattern sums, at rates with numerators > 1
+    std, wall = (F(2, 3), F(3, 7), F(5, 9)), (F(2, 3), F(3, 2), F(5, 7))
+    for n in (1, 2, 3):
+        s = _pattern_sums(STANDARD, n, std, 4)
+        gen = q_charlier(n, std[:n], 4)
+        kern = kernel_geometric(n, std[:n], 4)
+        a = math.prod(1 - v for v in std[:n])
+        for x in gen.states:
+            assert all(v == s[t] / s[x] for t, v in gen.row(x).items() if t != x)
+            assert all(v == a * s[t] / s[x] for t, v in kern.row(x).items())
+            assert len(kern.row(x)) == math.prod(hi - lo + 1 for lo, hi in zip(x, x[1:] + (4,)))
+    for height in range(1, 7):
+        bound = 4 if height < 5 else 2
+        s = _pattern_sums(SYMPLECTIC, height, wall, bound)
+        gen = q_symplectic(height, wall[:row_length(height, SYMPLECTIC)], bound)
+        for x in gen.states:
+            assert all(v == s[t] / s[x] for t, v in gen.row(x).items() if t != x)
+
+
+@pytest.mark.parametrize("case", ("poisson", "wall-odd-even", "wall-even-odd"))
+def test_coupling_diagonals_on_every_row(case):
+    # the diagonal is X's diagonal minus the rate of every Y ring that is not
+    # blocked, counted ring by ring, on boundary rows too; a Y move is blocked
+    # when it would break the interlacing with X or cross the wall
+    for n in (1, 2, 3):
+        k = n if case == "wall-odd-even" else n + 1
+        qs = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:k]
+        gen = coupling_generator(case, n, qs, 4)
+        kind = STANDARD if case == "poisson" else SYMPLECTIC
+        r = {"poisson": n, "wall-odd-even": 2 * n - 1, "wall-even-odd": 2 * n}[case]
+        marginal = kernels.row_generator(kind, r, qs, 4)
+        if case == "poisson":
+            moves = [(1, qs[-1])]
+        elif case == "wall-odd-even":  # Y is an even row
+            moves = [(1, 1 / qs[-1]), (-1, qs[-1])]
+        else:
+            moves = [(1, qs[-1]), (-1, 1 / qs[-1])]
+        for x, y in gen.states:
+            diag = marginal.rate(x, x)
+            for j, (d, rate) in product(range(len(y)), moves):
+                yt = y[:j] + (y[j] + d,) + y[j + 1:]
+                if kind == SYMPLECTIC and yt[0] < 0:
+                    continue  # the wall
+                if interlace_nest(x, yt) if len(yt) > len(x) else interlace_shift(x, yt):
+                    diag -= rate
+            assert gen.rate((x, y), (x, y)) == diag, (case, n, x, y)
 
 
 def test_kernel_geometric_untruncated_rows_sum_to_one():

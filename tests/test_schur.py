@@ -14,6 +14,7 @@ from gtpush.patterns import (
     branching,
     enumerate_patterns,
     sample_patterns,
+    scaled_rates,
     weight,
 )
 from gtpush.schur import (
@@ -24,6 +25,8 @@ from gtpush.schur import (
     schur_oracle,
     sp_schur,
 )
+
+from _oracles import pattern_sum, row_above_law
 
 Q4 = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
 
@@ -168,21 +171,53 @@ def test_clear_caches_empties_every_schur_memo():
 
 
 def test_float_references_leave_the_exact_values_exact():
-    # 1/2 and 0.5 hash and compare equal, so a memo keyed without the number
-    # field would hand the float references' values to exact callers
-    clear_caches()
-    qs = (F(1, 2), F(1, 4))
-    gtpush.kernels.row_generator_float(STANDARD, 2, qs, 5)
-    gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
-    gtpush.kernels.kernel_geometric_float(2, qs, 5)
-    for z in chamber(2, 5):
-        value = schur(z, qs)
-        assert type(value) is F and value == schur_oracle(z, qs)
-        for za, p in branching_law(STANDARD, 2, z, qs):
-            assert type(p) is F
-            assert p == qs[1] ** (sum(z) - sum(za)) * schur_oracle(za, qs[:1]) / value
-    for z in chamber(2, 3):
-        for n in (3, 4):
-            value = sp_schur(n, z, qs)
-            assert type(value) is F
-            assert value == sum(weight(p, qs) for p in enumerate_patterns(z, SYMPLECTIC, nrows=n))
+    # at rates 1 the integer form has L = 1, so the exact recursion's rates
+    # (1, 1) and the float references' (1.0, 1.0) hash and compare equal: a
+    # memo keyed without the number field would hand float values to exact
+    # callers.  Each value is held against its pattern sum.
+    for qs in ((F(1, 2), F(1, 4)), (F(1), F(1))):
+        clear_caches()
+        gtpush.kernels.row_generator_float(STANDARD, 2, qs, 5)
+        gtpush.kernels.row_generator_float(SYMPLECTIC, 3, qs, 5)
+        gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
+        if all(v < 1 for v in qs):
+            gtpush.kernels.kernel_geometric_float(2, qs, 5)
+        _, up, down = scaled_rates(qs)
+        for z in chamber(2, 5):
+            value = schur(z, qs)
+            assert type(value) is F and value == pattern_sum(z, STANDARD, 2, qs)
+            for za, p in branching_law(STANDARD, 2, z, up, down):
+                assert type(p) is F
+                assert p == qs[1] ** (sum(z) - sum(za)) * pattern_sum(za, STANDARD, 1, qs) / value
+        for z in chamber(2, 3):
+            for n in (3, 4):
+                value = sp_schur(n, z, qs)
+                assert type(value) is F and value == pattern_sum(z, SYMPLECTIC, n, qs)
+
+
+def test_integer_recursion_away_from_unit_numerators():
+    # rates a/b with a > 1, some above 1, and L (the lcm of every a and b)
+    # unequal to the product of the denominators
+    std = (F(2, 3), F(3, 7), F(5, 9))
+    wall = (F(2, 3), F(3, 2), F(5, 7))
+    assert scaled_rates(wall) == (210, (140, 315, 150), (315, 140, 294))
+    _, up, down = scaled_rates(std)
+    for n in (1, 2, 3):
+        rows = chamber(n, 3) + [tuple(v - 2 for v in z) for z in chamber(n, 2)]
+        for z in rows:
+            value = schur(z, std[:n])
+            assert type(value) is F and value == pattern_sum(z, STANDARD, n, std)
+            if n > 1:
+                law = branching_law(STANDARD, n, z, up[:n], down[:n])
+                assert all(type(p) is F for _, p in law)
+                assert dict(law) == row_above_law(z, STANDARD, n, std)
+    _, up, down = scaled_rates(wall)
+    for k in (1, 2, 3):
+        for z in chamber(k, 3 if k < 3 else 2):
+            for n in (2 * k - 1, 2 * k):
+                value = sp_schur(n, z, wall[:k])
+                assert type(value) is F and value == pattern_sum(z, SYMPLECTIC, n, wall)
+                if n > 1:
+                    law = branching_law(SYMPLECTIC, n, z, up[:k], down[:k])
+                    assert all(type(p) is F for _, p in law)
+                    assert dict(law) == row_above_law(z, SYMPLECTIC, n, wall)
