@@ -218,9 +218,9 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
     The bottom row is itself Markov with the matching conditioned-walk
     operator, so the reference is a semigroup row for the continuous dynamics
     and a kernel power for the discrete one; either is computed by moving the
-    start vector through a float operator whose Schur values come from the
-    float recursion (``schur.float_values``), never a matrix and no Fraction
-    per state."""
+    start vector through a float operator whose Schur values come from one
+    float array pass over the box (``schur.float_values``), never a matrix
+    and no Fraction per state."""
     from . import intertwine
 
     qs = [frac(v) for v in config.q]

@@ -5,8 +5,9 @@ target falls outside the box are dropped.  The exact half's values are exact
 rationals: the exact marginal operators read the Schur values of the box as
 integers over powers of one scale (``schur.exact_values``) and form each
 entry as one Fraction of two integers.  The Monte Carlo reference laws use
-float forms of the marginal operators, built from the same Schur recursion
-run on float rates (``schur.float_values``): ``row_generator_float`` shares
+float forms of the marginal operators, built from the float Schur values
+of the whole box (``schur.float_values``, the same row rule run on float
+arrays): ``row_generator_float`` shares
 the conditioned walk's move rule with the exact generators, and
 ``kernel_geometric_float`` is a ``FloatKernel``.  Blocking and pushing are
 stated once for the simulators and the exact half alike: the continuous-time

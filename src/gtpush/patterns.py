@@ -2,10 +2,12 @@
 
 States are nondecreasing integer vectors (Weyl chamber points); a pattern
 stacks such rows tied together by interlacing constraints.  Weights and
-probabilities are exact ``fractions.Fraction``.  ``branching`` takes exact
-rates, their integer form (``scaled_rates``) for the Schur recursion, or
-float rates for the float Schur values of the reference laws.  The pattern
-samplers round each exact branching law to a float CDF once and draw from it.
+probabilities are exact ``fractions.Fraction``.  ``branching_rule`` states
+once which candidates a row takes for the row above it and at which rate
+power: ``branching`` reads it on exact rates or on their integer form
+(``scaled_rates``) for the Schur recursion, and ``schur.float_values`` reads
+it for the float Schur values of a whole box.  The pattern samplers round
+each exact branching law to a float CDF once and draw from it.
 """
 from __future__ import annotations
 
@@ -164,30 +166,35 @@ def is_valid(p: Pattern) -> bool:
 # ---------------------------------------------------------------------------
 # interlacing-bounded candidate enumeration
 
-def nest_candidates(z):
-    """All z' one entry shorter with z' nested below z (z'_i in [z_i, z_{i+1}])."""
-    z = coords_of(z)
-    if len(z) == 1:
-        yield ()
-        return
-    for c in product(*(range(z[i], z[i + 1] + 1) for i in range(len(z) - 1))):
-        yield c
+def branching_rule(kind: str, j: int, qs=None, inverses=None) -> tuple[int, object]:
+    """How row j (1-based) branches into row j-1, as (drop, t); t is None
+    when no rates are given.
 
-
-def shift_candidates_below(z):
-    """Same-length z' with z' shifted-interlaced below z and z'_1 >= 0."""
-    z = coords_of(z)
-    lows = [0 if i == 0 else z[i - 1] for i in range(len(z))]
-    for c in product(*(range(lo, hi + 1) for lo, hi in zip(lows, z))):
-        yield c
+    Put the wall z_0 = 0 in front of row j's entries z_1 <= ... <= z_k.  A
+    candidate z' for row j-1 has coordinates z'_i in [z_{i-1}, z_i]; a
+    standard or odd symplectic row drops z'_1 (drop 1: its candidates are one
+    entry shorter and nest in it), an even symplectic row keeps all k (drop
+    0: its candidates are shifted below it, above the wall).  The candidate
+    takes t to the power |z| - |z'|, where t is the rate of row j's last
+    entry, qs[k-1], when it drops one and its inverse (inverses[k-1], or
+    1 / qs[k-1]) when it drops none.  On rows with nonnegative entries both
+    powers are >= 0, so the Schur recursion runs on the integers L q and L / q
+    of ``scaled_rates``."""
+    k = row_length(j, kind)
+    drop = 1 if kind == STANDARD or j % 2 == 1 else 0
+    if qs is None:
+        return drop, None
+    if drop:
+        return drop, qs[k - 1]
+    return drop, 1 / qs[k - 1] if inverses is None else inverses[k - 1]
 
 
 def upper_candidates(kind: str, j: int, row):
-    """Candidates for row j-1 given row j (1-based row index): nested in a
-    standard or odd symplectic row, shifted below an even symplectic row."""
-    if kind == STANDARD or j % 2 == 1:
-        return nest_candidates(row)
-    return shift_candidates_below(row)
+    """Candidates for row j-1 given row j (1-based row index), in
+    lexicographic order, by ``branching_rule``."""
+    z = coords_of(row)
+    drop, _ = branching_rule(kind, j)
+    return product(*(range(lo, hi + 1) for lo, hi in zip(((0,) + z)[drop:], z[drop:])))
 
 
 def enumerate_patterns(z, kind: str = STANDARD, nrows: int | None = None) -> list[Pattern]:
@@ -257,22 +264,12 @@ def row_offsets(nrows: int, kind: str = STANDARD) -> tuple[int, ...]:
 
 
 def branching(kind: str, j: int, row, qs, inverses=None) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Candidates for row j-1 given row j (1-based), each with its coefficient.
-
-    Row j's rate t is qs[i], i = len(row) - 1, and its inverse 1/t is
-    inverses[i] (1 / qs[i] when no inverses are given).  The candidates for a
-    standard row or an odd symplectic row nest in it (one entry shorter) and
-    take t to the power |row| - |candidate|; those for an even symplectic row
-    are shifted-interlaced with it (same length, wall at 0) and take 1/t to
-    the power |row| - |candidate|.  On rows with nonnegative entries both
-    powers are >= 0, so the Schur recursion runs on the integers L t and L / t
-    of ``scaled_rates``.  A pattern's geometric weight is the product of these
-    coefficients over its rows; ``weight`` states the same product
-    independently."""
-    i = len(row) - 1
-    t = qs[i]
-    if kind == SYMPLECTIC and j % 2 == 0:
-        t = 1 / t if inverses is None else inverses[i]
+    """Candidates for row j-1 given row j (1-based), each with its coefficient
+    t^(|row| - |candidate|) by ``branching_rule``, on exact rates or their
+    integer form (rates up = L q, inverses down = L / q).  A pattern's
+    geometric weight is the product of these coefficients over its rows;
+    ``weight`` states the same product independently."""
+    _, t = branching_rule(kind, j, qs, inverses)
     s = sum(row)
     return [(za, t ** (s - sum(za))) for za in upper_candidates(kind, j, row)]
 

@@ -5,16 +5,16 @@ the geometric-weight pattern measure.  At exact rates q_i = a_i / b_i, with L
 the lcm of every a_i and b_i, the value at a row of sum s is N / L^s for an
 integer N.  The recursion computes N in Python integers from the integer
 rates L q_i and L / q_i (``patterns.scaled_rates``), and is memoized on (kind,
-row index, row, those rates, number field).  The Monte Carlo reference laws
-run it on the float rates q and 1/q (``float_values``).  The field is part of
-the memo key, because at L = 1 the integer rates and their floats hash and
-compare equal.  ``schur`` and ``sp_schur`` form one Fraction per value;
-``exact_values`` hands the integers N of a whole box to the exact operators,
-which form each entry as one Fraction of integers; ``branching_law`` divides
-integer weights out into the exact law of one row given the row below it:
-the intertwining kernels Lambda and the pattern samplers read that law.  A
-determinant ratio evaluated in exact rationals serves as an independent
-oracle for the standard case.
+row index, row, those rates).  ``schur`` and ``sp_schur`` form one Fraction
+per value; ``exact_values`` hands the integers N of a whole box to the exact
+operators, which form each entry as one Fraction of integers;
+``branching_law`` divides integer weights out into the exact law of one row
+given the row below it: the intertwining kernels Lambda and the pattern
+samplers read that law.  The Monte Carlo reference laws take float values of
+a whole box from ``float_values``, which applies the same row rule
+(``patterns.branching_rule``) to float arrays over the box, one row at a
+time, with no memo.  A determinant ratio evaluated in exact rationals serves
+as an independent oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
@@ -35,6 +35,7 @@ from .patterns import (
     SYMPLECTIC,
     branching,
     branching_cdf,
+    branching_rule,
     chamber_states,
     coords_of,
     is_ordered,
@@ -58,7 +59,7 @@ def schur(z, q) -> Fraction:
     c = _shift(z)
     zc = tuple(v + c for v in z)
     # s_z = s_zc / (q_1 ... q_n)^c, with s_zc = N / L^|zc| and q_i = u_i / L
-    value = _value(STANDARD, len(z), zc, up, down, int)
+    value = _value(STANDARD, len(z), zc, up, down)
     return Fraction(value * scale ** (len(z) * c), scale ** sum(zc) * math.prod(up) ** c)
 
 
@@ -118,21 +119,21 @@ def sp_schur(n: int, z, q) -> Fraction:
     if not is_ordered(z) or (z and z[0] < 0):
         return Fraction(0)
     scale, up, down = scaled_rates(qs)
-    return Fraction(_value(SYMPLECTIC, n, z, up, down, int), scale ** sum(z))
+    return Fraction(_value(SYMPLECTIC, n, z, up, down), scale ** sum(z))
 
 
 @lru_cache(maxsize=None)
-def _value(kind: str, j: int, row: tuple, up: tuple, down: tuple, field: type):
+def _value(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> int:
     """Summed weight of the patterns of height j with bottom row `row`, times
-    L^|row|: the recursion on rates up (L q) and inverse rates down (L / q),
-    one of each per entry of the row, in integers (field int) or floats at
-    L = 1 (field float).  The row's entries are nonnegative."""
+    L^|row|: the recursion in integers on rates up (L q) and inverse rates
+    down (L / q), one of each per entry of the row.  The row's entries are
+    nonnegative."""
     if j == 0:
-        return field(1)
+        return 1
     terms = branching(kind, j, row, up, down)
     k = len(terms[0][0])  # the candidates of one row share a length
     up, down = up[:k], down[:k]
-    return sum((c * _value(kind, j - 1, za, up, down, field) for za, c in terms), field(0))
+    return sum(c * _value(kind, j - 1, za, up, down) for za, c in terms)
 
 
 def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, dict]:
@@ -142,30 +143,46 @@ def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, dict]:
     operators take their ratios from these integers."""
     k = row_length(j, kind)
     scale, up, down = scaled_rates(rates_of(q, k))
-    return scale, {x: _value(kind, j, x, up, down, int) for x in chamber_states(k, bound)}
+    return scale, {x: _value(kind, j, x, up, down) for x in chamber_states(k, bound)}
 
 
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
     """Schur values of row j (1-based; symplectic of height j for SYMPLECTIC)
     at every state of ``chamber_states(row_length(j, kind), bound)``, in that
-    order, from the recursion run on the float rates.  The Monte Carlo
-    reference laws take ratios of these, which a value outside the normal
-    float range (0, subnormal, or a rate power past the largest float) would
-    make 0/0 or inexact: it is refused with a RuntimeError naming the bound."""
+    order, at the float rates q.
+
+    One pass per pattern row over the cube [0, bound]^k of the row: row r's
+    values are summed from row r-1's by ``patterns.branching_rule``, one
+    candidate coordinate z'_i at a time, as a product with the triangular
+    matrix of the powers t^(z_i - z'_i) on z'_i <= z_i after the entries below
+    z_{i-1} are set to 0 (a dropped z'_1 is pinned at 0), so every sum has
+    only positive terms.  The Monte Carlo reference laws take ratios of these
+    values, which a value outside the normal float range (0, subnormal, or
+    past the largest float) would make 0/0 or inexact: it is refused with a
+    RuntimeError naming the bound."""
     qs = tuple(float(v) for v in q)
-    inverses = tuple(1 / v for v in qs)
-    states = chamber_states(row_length(j, kind), bound)
-    h = np.empty(len(states))
-    for i, x in enumerate(states):
-        try:
-            h[i] = _value(kind, j, x, qs, inverses, float)
-        except OverflowError:
-            h[i] = math.inf
-        if not sys.float_info.min <= h[i] < math.inf:
-            raise RuntimeError(f"the Schur value at {x} is {h[i]:.3g} in floats: the truncation "
-                               f"bound {bound} is past the float range of the reference law "
-                               f"and must come down")
-    return h
+    b = np.arange(bound + 1)
+    below = b[:, None] <= b  # below[a, z]: a <= z
+    h = np.ones(())  # row 0, the empty row
+    with np.errstate(all="ignore"):
+        for r in range(1, j + 1):
+            drop, t = branching_rule(kind, r, qs)
+            powers = np.where(below, t ** (b - b[:, None]), 0.0)
+            # axes of h: the candidate's coordinates z'_i, ... still to sum,
+            # then the row's entries z_1, ..., z_{i-1} summed in so far
+            h = h[None] if drop else h
+            for i in range(1, row_length(r, kind) + 1):
+                if i > 1:  # z'_i >= z_{i-1}: the first axis against the last
+                    h = np.where(below.T.reshape(len(b), *(1,) * (h.ndim - 2), len(b)), h, 0.0)
+                h = np.tensordot(h, powers[:len(h)], axes=(0, 0))  # z'_i <= z_i
+        states = chamber_states(row_length(j, kind), bound)
+        values = h[tuple(np.array(states).T)]
+        bad = np.flatnonzero(~((values >= sys.float_info.min) & (values < math.inf)))
+    if len(bad):
+        raise RuntimeError(f"the Schur value at {states[bad[0]]} is {values[bad[0]]:.3g} in "
+                           f"floats: the truncation bound {bound} is past the float range of "
+                           f"the reference law and must come down")
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +194,7 @@ def branching_law(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> tupl
     value N over their sum.  A standard row with negative entries takes the
     law of its shift into the chamber, shifted back."""
     shift = _shift(row)
-    weights = [(za, c * _value(kind, j - 1, za, up[:len(za)], down[:len(za)], int))
+    weights = [(za, c * _value(kind, j - 1, za, up[:len(za)], down[:len(za)]))
                for za, c in branching(kind, j, tuple(v + shift for v in row), up, down)]
     total = sum(w for _, w in weights)
     return tuple((tuple(v - shift for v in za), Fraction(w, total)) for za, w in weights)

@@ -33,7 +33,7 @@ from _oracles import geometric_pair_prob_1d, geometric_row_total_2d, pattern_sum
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
 # rates for the float references against the exact-Schur ones; a dyadic rate
-# is exact in floats, so its float and its Fraction share a memo hash
+# is exact in floats
 RATES = {
     "below-1": Q3,
     "above-1": (F(3, 2), F(5, 4), F(7, 5)),
@@ -42,7 +42,8 @@ RATES = {
 
 
 def _assert_float_schur_values(kind, height, qs, bound):
-    # the float recursion against the exact one, within 1e-14 relative error
+    # the float box pass against the exact recursion, within 1e-14 relative
+    # error at every state
     exact = [schur(x, qs) if kind == STANDARD else sp_schur(height, x, qs)
              for x in kernels.chamber_states(len(qs), bound)]
     approx = float_values(kind, height, qs, bound)
@@ -159,6 +160,34 @@ def test_float_walk_matches_exact_schur_walk(kind, height, rates):
         a, b = p_float.row(s), p_exact.row(s)
         assert np.array_equal(a > 0, b > 0)
         assert np.max(np.abs(a - b)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind,height,qs,bound", [
+    (STANDARD, 3, Q3, 18),
+    (STANDARD, 2, (F(1, 3), F(1, 5)), 35),
+    (SYMPLECTIC, 3, Q2, 21),
+    (SYMPLECTIC, 4, Q2, 28),
+])
+def test_float_schur_values_on_long_ranges(kind, height, qs, bound):
+    # the boxes of the benchmark's shifted-start reference laws, where each
+    # candidate coordinate ranges over up to bound + 1 values
+    _assert_float_schur_values(kind, height, qs, bound)
+
+
+@pytest.mark.parametrize("kind,height,qs,last", [
+    (STANDARD, 1, (F(1, 7),), 364),
+    (SYMPLECTIC, 1, (F(1, 7),), 364),
+    (SYMPLECTIC, 2, (F(1, 7),), 364),
+    (STANDARD, 2, (F(1, 7), F(1, 5)), 199),
+    (SYMPLECTIC, 4, (F(1, 3), F(1, 7)), 233),
+])
+def test_float_schur_values_refuse_past_the_float_range(kind, height, qs, last):
+    # the last bound whose values all stay normal floats: 7^-364 is normal and
+    # 7^-365 subnormal, (1/35)^199 normal and (1/35)^200 subnormal, and the
+    # wall values overflow past 7^364 (height 2) and at (231, 234) (height 4)
+    assert len(float_values(kind, height, qs, last)) == math.comb(last + len(qs), len(qs))
+    with pytest.raises(RuntimeError, match=f"bound {last + 1} is past the float range"):
+        float_values(kind, height, qs, last + 1)
 
 
 def _pattern_sums(kind, height, qs, bound):

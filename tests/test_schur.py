@@ -173,8 +173,9 @@ def test_clear_caches_empties_every_schur_memo():
 def test_float_references_leave_the_exact_values_exact():
     # at rates 1 the integer form has L = 1, so the exact recursion's rates
     # (1, 1) and the float references' (1.0, 1.0) hash and compare equal: a
-    # memo keyed without the number field would hand float values to exact
-    # callers.  Each value is held against its pattern sum.
+    # float value left in the recursion's memo would reach exact callers.  The
+    # float references fill no memo, and each exact value is held against its
+    # pattern sum.
     for qs in ((F(1, 2), F(1, 4)), (F(1), F(1))):
         clear_caches()
         gtpush.kernels.row_generator_float(STANDARD, 2, qs, 5)
@@ -182,6 +183,7 @@ def test_float_references_leave_the_exact_values_exact():
         gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
         if all(v < 1 for v in qs):
             gtpush.kernels.kernel_geometric_float(2, qs, 5)
+        assert gtpush.schur._value.cache_info().currsize == 0
         _, up, down = scaled_rates(qs)
         for z in chamber(2, 5):
             value = schur(z, qs)
