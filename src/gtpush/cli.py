@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -36,9 +37,16 @@ def _parse_horizon(text: str, steps: bool):
     """A horizon: a whole number of steps, or an exact time such as 3/2."""
     try:
         return int(text) if steps else float(Fraction(text))
-    except ValueError:
+    except (ValueError, OverflowError):
         form = "a whole number of steps" if steps else "an exact time such as 3/2"
         raise ValueError(f"the horizon must be {form}, got {text}") from None
+
+
+def _threshold(text: str) -> float:
+    """A float gate; NaN, which fails every comparison, is refused."""
+    if math.isnan(value := float(text)):
+        raise argparse.ArgumentTypeError(f"a threshold must be a number, got {text}")
+    return value
 
 
 def _join_negative_rows(argv: list[str]) -> list[str]:
@@ -86,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--q", required=True)
     v.add_argument("--t", required=True)
     v.add_argument("--bound", type=int, required=True)
-    v.add_argument("--tol", type=float, default=1e-10)
-    v.add_argument("--max-gap", type=float, default=1e-8)
+    v.add_argument("--tol", type=_threshold, default=1e-10)
+    v.add_argument("--max-gap", type=_threshold, default=1e-8)
     v = ps.add_parser("algebra")
     v.add_argument("--q", required=True)
     v.add_argument("--max-entry", type=int, default=4)
@@ -103,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--max-tv", type=float, default=None)
+    p.add_argument("--max-tv", type=_threshold, default=None)
     p.add_argument("--out")
 
     p = sub.add_parser("coupling", help="pathwise/distributional identity checks")
@@ -117,14 +125,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--horizon", required=True)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--bound", type=int, default=30)
-    c.add_argument("--min-p", type=float, default=0.01)
+    c.add_argument("--min-p", type=_threshold, default=0.01)
 
     p = sub.add_parser("stats", help="distribution file comparisons")
     ps = p.add_subparsers(dest="action", required=True)
     c = ps.add_parser("compare")
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
-    c.add_argument("--max-tv", type=float, default=None)
+    c.add_argument("--max-tv", type=_threshold, default=None)
     return top
 
 
@@ -177,10 +185,9 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    qs = _parse_rates(args.q)
-    kind = SYMPLECTIC if args.model == "wall" else STANDARD
-    z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
     horizon = _parse_horizon(args.horizon, args.model == "geometric")
+    kind, qs = dynamics._model_rates(args.model, args.n, _parse_rates(args.q), horizon)
+    z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
     if args.trials != 1:  # ExperimentConfig refuses fewer than one trial
         return _simulate_endpoints(args, qs, z, horizon)
     rng = harness.trial_rng(args.seed, 0)

@@ -261,13 +261,11 @@ def lpp_G(panel: GeometricPanel, n: int, t_max: int | None = None) -> list[list[
     return [row[1:] for row in g[1:]]
 
 
-def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int | None, rng) -> bool:
+def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int, rng) -> bool:
     """True iff the simulated right edge equals the last passage times at
-    every step up to t_max (None: the panel's length), when the diagonal
-    particles consume the panel draws."""
+    every step up to t_max, when the diagonal particles consume the panel
+    draws."""
     qs = rates_of(q, n, open_unit=True)
-    if t_max is None:
-        t_max = len(panel.eta[0])
     g = lpp_G(panel, n, t_max)
     rows = [[0] * j for j in range(1, n + 1)]
     # every step's jumps in one draw, row r0 taking r0 + 1 columns

@@ -27,8 +27,10 @@ from .patterns import (
     Pattern,
     STANDARD,
     SYMPLECTIC,
+    branching_rule,
     is_valid,
     rates_of,
+    row_length,
     row_offsets,
 )
 
@@ -37,6 +39,7 @@ from .patterns import (
 # blocking and pushing: one neighbour table per continuous-time dynamics
 
 NEVER = np.iinfo(np.int64).min  # value of the slot no particle ever reaches
+MAX_RING_EVENTS = 1 << 22  # most events one ring draw may expect: about 26 bytes each
 
 
 @dataclass(frozen=True)
@@ -73,18 +76,15 @@ def ring_table(n: int, kind: str) -> RingTable:
     """The neighbour table of the rightward (standard) or wall (symplectic)
     dynamics on n rows.
 
-    Adjacent rows either nest (the lower row is one longer, l_i <= u_i <=
-    l_{i+1}) or, for symplectic row pairs (2i-1, 2i), shift (equal lengths,
-    u_i <= l_i <= u_{i+1}).  A move by d is blocked by the neighbour on side d
-    in the row above and pushes the neighbour on side d in the row below;
-    left of a symplectic row's first particle sits the wall.  Standard
-    patterns ring rightwards only.
+    Adjacent rows r-1 and r either nest (the lower row is one longer, l_i <=
+    u_i <= l_{i+1}) or shift (equal lengths, u_i <= l_i <= u_{i+1}), as row r
+    drops an entry or not (``patterns.branching_rule``).  A move by d is
+    blocked by the neighbour on side d in the row above and pushes the
+    neighbour on side d in the row below; left of a symplectic row's first
+    particle sits the wall.  Standard patterns ring rightwards only.
     """
     offs = row_offsets(n, kind)
     zero, never = offs[-1], offs[-1] + 1
-
-    def nests(r):  # rows r-1 and r nest; the empty row 0 nests above row 1
-        return kind == STANDARD or r % 2 == 1
 
     def slot(r, j, default):
         return offs[r - 1] + j - 1 if r >= 1 and 1 <= j <= offs[r] - offs[r - 1] else default
@@ -96,23 +96,21 @@ def ring_table(n: int, kind: str) -> RingTable:
     particle, blocker, push = [], [], []
     for r, j, d in keys:
         particle.append(offs[r - 1] + j - 1)
-        above = j + (d - 1) // 2 if nests(r) else j + (d + 1) // 2
+        above = j + (d - 1) // 2 if branching_rule(kind, r)[0] else j + (d + 1) // 2
         wall = zero if kind == SYMPLECTIC and above < 1 else never
         blocker.append(slot(r - 1, above, wall))
-        below = j + (d + 1) // 2 if nests(r + 1) else j + (d - 1) // 2
+        below = j + (d + 1) // 2 if branching_rule(kind, r + 1)[0] else j + (d - 1) // 2
         push.append(ring_of.get((r + 1, below, d), len(keys)))
     return RingTable(kind, offs, keys, tuple(particle) + (never,),
                      tuple(d for _, _, d in keys) + (0,), tuple(blocker) + (never,),
                      tuple(push) + (len(keys),), MappingProxyType(ring_of))
 
 
-def _ring_rates(table: RingTable, qs) -> list[Fraction]:
-    """Exact rate of every ring: row r rings at q_r (rightward dynamics); odd
-    rows of the wall dynamics ring right at q_k and left at 1/q_k, even rows
-    the other way round."""
-    if table.kind == STANDARD:
-        return [qs[r - 1] for r, _, _ in table.keys]
-    return [qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d) for r, _, d in table.keys]
+@lru_cache(maxsize=None)
+def _ring_rates(table: RingTable, qs: tuple) -> tuple[Fraction, ...]:
+    """Exact rate t ** d of every ring (r, j, d), t being row r's rate by
+    ``patterns.branching_rule``; cached, as each edge check asks once."""
+    return tuple(branching_rule(table.kind, r, qs)[1] ** d for r, _, d in table.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +120,16 @@ def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.n
     """Superposition of ring clocks at the given rates on [0, t_end]: per
     trial N ~ Poisson(t_end * total rate) rings, each picked with probability
     rate / total, at sorted uniform times.  Returns rings and times, rows
-    padded with the idle ring len(rates) at time inf."""
+    padded with the idle ring len(rates) at time inf.  A draw expecting more
+    than MAX_RING_EVENTS rings is refused before anything is drawn."""
     if not t_end >= 0:
         raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
     rates, t_end = [float(v) for v in rates], float(t_end)
     total = sum(rates)
+    if trials * total * t_end > MAX_RING_EVENTS:
+        raise RuntimeError(f"the horizon t_end = {t_end:g} asks for {trials * total * t_end:.3g} "
+                           f"ring events (trials = {trials}), past the {MAX_RING_EVENTS} of one "
+                           f"draw: the horizon or the trial count must come down")
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
     cdf = np.array(rates).cumsum() / (total or 1.0)
@@ -235,11 +238,13 @@ def geometric_update(x: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
 def _model_rates(model: str, n: int, q, horizon) -> tuple[str, tuple[Fraction, ...]]:
     """Pattern kind and exact rates of a run of the "poisson", "wall" or
     "geometric" dynamics on n rows up to the horizon, a time or, for the
-    geometric model, a whole number of steps."""
+    geometric model, a whole number of steps: the one model-to-kind map."""
     if model not in ("poisson", "wall", "geometric"):
         raise ValueError(f"unknown model {model!r}")
+    if n < 1:
+        raise ValueError(f"a pattern needs n >= 1 rows, got n = {n}")
     kind = SYMPLECTIC if model == "wall" else STANDARD
-    qs = rates_of(q, (n + 1) // 2 if model == "wall" else n, open_unit=model != "poisson")
+    qs = rates_of(q, row_length(n, kind), open_unit=model != "poisson")
     if not horizon >= 0 or model == "geometric" and not float(horizon).is_integer():
         form = "a whole number of steps >= 0" if model == "geometric" else ">= 0"
         raise ValueError(f"the horizon must be {form}, got horizon = {horizon}")
@@ -287,6 +292,4 @@ def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Patter
 @lru_cache(maxsize=None)
 def zero_pattern(n: int, kind: str = STANDARD) -> Pattern:
     """The all-zero pattern of height n."""
-    if kind == STANDARD:
-        return Pattern(tuple((0,) * j for j in range(1, n + 1)), kind)
-    return Pattern(tuple((0,) * ((j + 1) // 2) for j in range(1, n + 1)), kind)
+    return Pattern(tuple((0,) * row_length(j, kind) for j in range(1, n + 1)), kind)

@@ -14,14 +14,12 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import dynamics, kernels
-from .patterns import STANDARD, SYMPLECTIC, frac, is_ordered, rates_of, row_length, sample_patterns
+from .patterns import check_bottom_row, sample_patterns
 
-MODELS = ("poisson", "geometric", "wall")
 BLOCK_TRIALS = 4096
 
 
@@ -151,21 +149,14 @@ class ExperimentConfig:
     bound: int
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
-        if self.n < 1:
-            raise ValueError(f"a pattern needs n >= 1 rows, got n = {self.n}")
         self.q = tuple(str(v) for v in self.q)
-        self.z = tuple(int(c) for c in self.z)
-        k = row_length(self.n, SYMPLECTIC if self.model == "wall" else STANDARD)
-        if len(self.z) != k or not is_ordered(self.z) or min(self.z, default=0) < 0:
-            raise ValueError(f"the bottom row z of {self.model} n={self.n} takes {k} "
-                             f"nondecreasing nonnegative entries, got {self.z}")
-        dynamics._model_rates(self.model, self.n, self.q, self.horizon)
+        kind, _ = dynamics._model_rates(self.model, self.n, self.q, self.horizon)
+        self.z, _ = check_bottom_row(self.z, kind, self.n)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.bound < max(self.z, default=0) + 2:
-            raise ValueError("bound must be at least max(z) + 2")
+        if min(self.z) < 0 or self.bound < max(self.z) + 2:  # the reference law's box
+            raise ValueError(f"the bottom row z = {self.z} must lie in [0, bound - 2], "
+                             f"got bound = {self.bound}")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -176,9 +167,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def _endpoint_block(payload):
     """Bottom rows of one block of trials, drawn from the stream (seed, block)."""
     model, n, q, z, horizon, seed, block, trials = payload
-    qs = [Fraction(v) for v in q]
+    kind, qs = dynamics._model_rates(model, n, q, horizon)
     rng = np.random.default_rng((seed, block))
-    kind = "symplectic" if model == "wall" else "standard"
     start = sample_patterns(z, qs, kind, rng, n, trials)
     final = dynamics.run_block(model, n, qs, start, horizon, rng)
     return list(map(tuple, final[:, -len(z):].tolist()))
@@ -223,11 +213,9 @@ def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
     and no Fraction per state."""
     from . import intertwine
 
-    qs = [frac(v) for v in config.q]
-    if config.model in ("poisson", "wall"):
-        kind = SYMPLECTIC if config.model == "wall" else STANDARD
-        k = row_length(config.n, kind)
-        gen = kernels.row_generator_float(kind, config.n, rates_of(qs, k), config.bound)
+    kind, qs = dynamics._model_rates(config.model, config.n, config.q, config.horizon)
+    if config.model != "geometric":
+        gen = kernels.row_generator_float(kind, config.n, qs, config.bound)
         return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), config.z)
     kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
     vec = np.zeros(len(kern.states))

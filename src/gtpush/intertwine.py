@@ -250,7 +250,7 @@ def semigroup(gen: SparseGenerator, t, tol: float) -> Semigroup:
     interior states are within the escape probability of 1.  Rows are
     computed on demand (``Semigroup.row``).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     tf = float(t)
     if tf < 0:
@@ -294,19 +294,15 @@ def semigroup_intertwining_gap(
     lam: LambdaKernel,
     t,
     tol: float,
-    sources=None,
 ) -> float:
-    """Max |(delta_y P_t) Lambda - (delta_y Lambda) Q_t| over the given source
-    states: two propagations per source, the second from Lambda's mixed start.
-
-    Sources default to the deep interior (coordinates <= bound/4) where the
-    probability of reaching the truncation edge by time t is negligible.
-    """
+    """Max |(delta_y P_t) Lambda - (delta_y Lambda) Q_t| over the sources y of
+    the deep interior (coordinates <= bound/4), where the probability of
+    reaching the truncation edge by time t is negligible: two propagations
+    per source, the second from Lambda's mixed start."""
     p_t = semigroup(q_y, t, tol)
     q_t = semigroup(gen, t, tol)
-    if sources is None:
-        cut = q_y.bound // 4
-        sources = [y for y in q_y.states if all(c <= cut for c in y)]
+    cut = q_y.bound // 4
+    sources = [y for y in q_y.states if all(c <= cut for c in y)]
     pair_idx = q_t.index
     gap = 0.0
     for y in sources:

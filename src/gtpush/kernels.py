@@ -34,6 +34,7 @@ from .dynamics import NEVER, _ring_rates, ring_table
 from .patterns import (
     STANDARD,
     SYMPLECTIC,
+    branching_rule,
     chamber_states,
     coords_of,
     rates_of,
@@ -157,8 +158,9 @@ def _conditioned_walk(kind: str, r: int, qs, bound: int, scale, h: dict, ratio) 
         raise ValueError("bound must be >= 1")
     k = len(qs)
     out = sum(qs) if kind == STANDARD else sum(v + 1 / v for v in qs)
-    # an odd wall row's first entry has no left step while it stands at the wall
-    at_wall = 1 / qs[-1] if kind == SYMPLECTIC and r % 2 == 1 else 0
+    # a wall row that drops an entry rings left at 1/t, barred at the wall
+    drop, t = branching_rule(kind, r, qs)
+    at_wall = 1 / t if kind == SYMPLECTIC and drop else 0
     diag, wall_diag = -out, at_wall - out
     states = chamber_states(k, bound)
     rows = {}
@@ -223,6 +225,8 @@ def _step_targets(x: tuple, bound: int):
 def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     """One-step kernel of ordered walkers with geometric jumps, conditioned
     to stay shifted-interlaced; rows sum to 1 over the untruncated targets."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     qs = rates_of(q, n, open_unit=True)
     a = math.prod(1 - v for v in qs)
     scale, h = schur.exact_values(STANDARD, n, qs, bound)

@@ -4,10 +4,12 @@ States are nondecreasing integer vectors (Weyl chamber points); a pattern
 stacks such rows tied together by interlacing constraints.  Weights and
 probabilities are exact ``fractions.Fraction``.  ``branching_rule`` states
 once which candidates a row takes for the row above it and at which rate
-power: ``branching`` reads it on exact rates or on their integer form
-(``scaled_rates``) for the Schur recursion, and ``schur.float_values`` reads
-it for the float Schur values of a whole box.  The pattern samplers round
-each exact branching law to a float CDF once and draw from it.
+power: ``is_valid`` and ``upper_candidates`` read its candidate box,
+``branching`` its coefficients on exact or integer rates (``scaled_rates``),
+``schur.float_values`` the float Schur values of a whole box, and
+``dynamics`` its nest/shift test and ring rates.  ``check_bottom_row`` is the
+one check of a bottom row.  The pattern samplers round each exact branching
+law to a float CDF once and draw from it.
 """
 from __future__ import annotations
 
@@ -139,28 +141,16 @@ def interlace_nest(x, y) -> bool:
 
 
 def is_valid(p: Pattern) -> bool:
-    """All row-pair interlacings (plus nonnegativity for symplectic) hold."""
+    """The bottom row passes :func:`check_bottom_row` and every row above it
+    lies in the candidate box of the row below (``branching_rule``)."""
     rows = p.rows
-    for row in rows:
-        if not is_ordered(row):
-            return False
-        if p.kind == SYMPLECTIC and row and row[0] < 0:
-            return False
-    for j in range(1, len(rows)):
-        upper, lower = rows[j - 1], rows[j]
-        if p.kind == STANDARD:
-            if not interlace_nest(upper, lower):
-                return False
-        else:
-            # row pair (2i-1, 2i) shares a length and interlaces shifted;
-            # pair (2i, 2i+1) nests.
-            if len(upper) == len(lower):
-                if not interlace_shift(upper, lower):
-                    return False
-            else:
-                if not interlace_nest(upper, lower):
-                    return False
-    return True
+    try:
+        if rows:
+            check_bottom_row(rows[-1], p.kind, len(rows))
+    except ValueError:
+        return False
+    return all(lo <= c <= hi for j in range(2, len(rows) + 1)
+               for c, (lo, hi) in zip(rows[j - 2], _candidate_box(p.kind, j, rows[j - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +167,10 @@ def branching_rule(kind: str, j: int, qs=None, inverses=None) -> tuple[int, obje
     0: its candidates are shifted below it, above the wall).  The candidate
     takes t to the power |z| - |z'|, where t is the rate of row j's last
     entry, qs[k-1], when it drops one and its inverse (inverses[k-1], or
-    1 / qs[k-1]) when it drops none.  On rows with nonnegative entries both
-    powers are >= 0, so the Schur recursion runs on the integers L q and L / q
-    of ``scaled_rates``."""
+    1 / qs[k-1]) when it drops none: q_j on a standard row, q_k on an odd
+    symplectic row and 1/q_k on an even one.  On rows with nonnegative
+    entries both powers are >= 0, so the Schur recursion runs on the integers
+    L q and L / q of ``scaled_rates``."""
     k = row_length(j, kind)
     drop = 1 if kind == STANDARD or j % 2 == 1 else 0
     if qs is None:
@@ -189,37 +180,43 @@ def branching_rule(kind: str, j: int, qs=None, inverses=None) -> tuple[int, obje
     return drop, 1 / qs[k - 1] if inverses is None else inverses[k - 1]
 
 
+def _candidate_box(kind: str, j: int, row):
+    """The range (lo, hi) of each coordinate of a candidate for row j-1 given
+    row j (1-based), by ``branching_rule``."""
+    z = coords_of(row)
+    drop, _ = branching_rule(kind, j)
+    return zip(((0,) + z)[drop:], z[drop:])
+
+
 def upper_candidates(kind: str, j: int, row):
     """Candidates for row j-1 given row j (1-based row index), in
     lexicographic order, by ``branching_rule``."""
-    z = coords_of(row)
-    drop, _ = branching_rule(kind, j)
-    return product(*(range(lo, hi + 1) for lo, hi in zip(((0,) + z)[drop:], z[drop:])))
+    return product(*(range(lo, hi + 1) for lo, hi in _candidate_box(kind, j, row)))
+
+
+def check_bottom_row(z, kind: str, nrows: int | None = None) -> tuple[tuple[int, ...], int]:
+    """z as the bottom row of a pattern of nrows rows, with nrows: a standard
+    pattern is as high as z is long unless told otherwise, a symplectic one
+    must be told (rows 2k-1 and 2k share a length).  ValueError unless the
+    height is >= 1 and z has its row's length, is nondecreasing and, in a
+    symplectic pattern, stands right of the wall at 0."""
+    z = coords_of(z)
+    if nrows is None:
+        if kind != STANDARD:
+            raise ValueError("a symplectic pattern needs nrows (2k-1 or 2k)")
+        nrows = len(z)
+    if nrows < 1:
+        raise ValueError(f"a pattern needs n >= 1 rows, got n = {nrows}")
+    if len(z) != row_length(nrows, kind) or not is_ordered(z) or (
+            kind == SYMPLECTIC and z and z[0] < 0):
+        raise ValueError(f"invalid bottom row {z} for a {kind} pattern of height {nrows}")
+    return z, nrows
 
 
 def enumerate_patterns(z, kind: str = STANDARD, nrows: int | None = None) -> list[Pattern]:
-    """Exhaustive list of patterns with bottom row z.  Desk scale only.
-
-    For symplectic patterns the height is ambiguous given the bottom row
-    (rows 2k-1 and 2k share a length), so ``nrows`` must be supplied.
-    """
-    z = coords_of(z)
-    if kind == STANDARD:
-        if nrows is None:
-            nrows = len(z)
-        if nrows != len(z):
-            raise ValueError("standard pattern height must equal the bottom row length")
-        if not is_ordered(z):
-            raise ValueError(f"bottom row must be nondecreasing: {z}")
-    else:
-        if nrows is None:
-            raise ValueError("symplectic enumeration needs nrows (2k-1 or 2k)")
-        if len(z) != row_length(nrows, SYMPLECTIC):
-            raise ValueError(f"bottom row of height-{nrows} pattern needs "
-                             f"{row_length(nrows, SYMPLECTIC)} entries")
-        if not is_ordered(z) or (z and z[0] < 0):
-            raise ValueError(f"bottom row must be in the nonnegative chamber: {z}")
-
+    """Exhaustive list of patterns with bottom row z (``check_bottom_row``).
+    Desk scale only."""
+    z, nrows = check_bottom_row(z, kind, nrows)
     out: list[Pattern] = []
 
     def descend(stack):
@@ -237,8 +234,7 @@ def enumerate_patterns(z, kind: str = STANDARD, nrows: int | None = None) -> lis
 def weight(p: Pattern, q) -> Fraction:
     """Geometric pattern weight: the product of per-row rate powers."""
     n = p.nrows
-    expect = n if p.kind == STANDARD else (n + 1) // 2
-    qs = rates_of(q, expect)
+    qs = rates_of(q, row_length(n, p.kind))
     sums = [0] + [sum(row) for row in p.rows]
     w = Fraction(1)
     if p.kind == STANDARD:
@@ -296,13 +292,8 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
     Rows are drawn bottom-up: the trials are grouped by their current row j,
     and each group draws row j-1 from the cached branching_cdf with one
     uniform per trial and row."""
-    if nrows < 1:
-        raise ValueError(f"a pattern needs n >= 1 rows, got n = {nrows}")
-    z = coords_of(z)
-    qs = rates_of(q, row_length(nrows, kind))
-    if len(z) != len(qs) or not is_ordered(z) or (kind == SYMPLECTIC and z and z[0] < 0):
-        raise ValueError(f"invalid bottom row {z} for height {nrows}")
-    _, up, down = scaled_rates(qs)
+    z, nrows = check_bottom_row(z, kind, nrows)
+    _, up, down = scaled_rates(rates_of(q, len(z)))
     offs = row_offsets(nrows, kind)
     out = np.empty((trials, offs[-1]), dtype=np.int64)
     out[:, offs[-2]:] = z
@@ -322,10 +313,7 @@ def sample_pattern(z, q, kind: str = STANDARD, rng=None, nrows: int | None = Non
     distribution: a one-trial call of :func:`sample_patterns`."""
     if rng is None:
         raise ValueError("sample_pattern needs an explicit rng")
-    if nrows is None:
-        if kind != STANDARD:
-            raise ValueError("symplectic sampling needs nrows (2k-1 or 2k)")
-        nrows = len(coords_of(z))
+    z, nrows = check_bottom_row(z, kind, nrows)
     flat = sample_patterns(z, q, kind, rng, nrows, 1)[0].tolist()
     offs = row_offsets(nrows, kind)
     return Pattern(tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:])), kind)

@@ -7,9 +7,11 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from types import MappingProxyType
 
 import numpy as np
 
+from gtpush.dynamics import RingTable
 from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
 from gtpush.patterns import (
@@ -19,6 +21,7 @@ from gtpush.patterns import (
     interlace_nest,
     interlace_shift,
     is_valid,
+    row_offsets,
     weight,
 )
 
@@ -330,3 +333,62 @@ def verify_intertwining_fractions(op_y, lam, coupling, case: str,
         for key in sorted(set(lhs) | set(rhs)):
             report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
     return report
+
+
+def is_valid_by_interlacing(p: Pattern) -> bool:
+    """Every row ordered (and, symplectic, nonnegative), and every pair of
+    adjacent rows interlaced by the predicates, the pair's case written out:
+    standard rows nest, symplectic rows of equal length shift, others nest."""
+    rows = p.rows
+    for row in rows:
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return False
+        if p.kind == "symplectic" and row and row[0] < 0:
+            return False
+    for j in range(1, len(rows)):
+        upper, lower = rows[j - 1], rows[j]
+        if p.kind == "symplectic" and len(upper) == len(lower):
+            if not interlace_shift(upper, lower):
+                return False
+        elif not interlace_nest(upper, lower):
+            return False
+    return True
+
+
+def ring_table_by_parity(n: int, kind: str) -> RingTable:
+    """The neighbour table of ``dynamics.ring_table`` with the nest/shift test
+    written out by row parity: rows r-1 and r nest when the pattern is
+    standard or r is odd, and shift otherwise."""
+    offs = row_offsets(n, kind)
+    zero, never = offs[-1], offs[-1] + 1
+
+    def nests(r):  # the empty row 0 nests above row 1
+        return kind == "standard" or r % 2 == 1
+
+    def slot(r, j, default):
+        return offs[r - 1] + j - 1 if r >= 1 and 1 <= j <= offs[r] - offs[r - 1] else default
+
+    keys = tuple((r, j, d) for r in range(1, n + 1)
+                 for j in range(1, offs[r] - offs[r - 1] + 1)
+                 for d in ((1,) if kind == "standard" else (1, -1)))
+    ring_of = {key: i for i, key in enumerate(keys)}
+    particle, blocker, push = [], [], []
+    for r, j, d in keys:
+        particle.append(offs[r - 1] + j - 1)
+        above = j + (d - 1) // 2 if nests(r) else j + (d + 1) // 2
+        wall = zero if kind == "symplectic" and above < 1 else never
+        blocker.append(slot(r - 1, above, wall))
+        below = j + (d + 1) // 2 if nests(r + 1) else j + (d - 1) // 2
+        push.append(ring_of.get((r + 1, below, d), len(keys)))
+    return RingTable(kind, offs, keys, tuple(particle) + (never,),
+                     tuple(d for _, _, d in keys) + (0,), tuple(blocker) + (never,),
+                     tuple(push) + (len(keys),), MappingProxyType(ring_of))
+
+
+def ring_rates_by_parity(kind: str, keys, qs) -> list:
+    """Rate of every ring (r, j, d) written out by row parity: row r rings at
+    q_r in the standard dynamics; odd rows of the wall dynamics ring right at
+    q_k and left at 1/q_k, even rows the other way round."""
+    if kind == "standard":
+        return [qs[r - 1] for r, _, _ in keys]
+    return [qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d) for r, _, d in keys]

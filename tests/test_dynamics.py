@@ -9,6 +9,8 @@ import pytest
 from gtpush import intertwine, kernels
 from gtpush.cli import cli_dispatch
 from gtpush.dynamics import (
+    _ring_draws,
+    _ring_rates,
     geometric_step,
     geometric_update,
     ring_table,
@@ -23,12 +25,13 @@ from gtpush.patterns import (
     Pattern,
     enumerate_patterns,
     is_valid,
+    row_length,
     row_offsets,
     sample_pattern,
     sample_patterns,
 )
 
-from _oracles import replay_log, simulate_reference
+from _oracles import replay_log, ring_rates_by_parity, ring_table_by_parity, simulate_reference
 
 Q2 = (F(1, 2), F(1, 3))
 
@@ -344,3 +347,23 @@ def test_runs_refuse_an_unknown_model_and_a_fractional_step_count():
             run_block(model, 2, Q2, start, horizon, rng)
         with pytest.raises(ValueError, match=named):
             simulate(model, 2, Q2, zero_pattern(2), horizon, rng)
+
+
+@pytest.mark.parametrize("kind", ["standard", "symplectic"])
+def test_ring_table_and_rates_read_the_row_rule(kind):
+    # against the nest test and the rate powers written out by row parity
+    qs = (F(1, 2), F(1, 3), F(1, 5), F(2, 7), F(3, 11), F(5, 13))
+    for n in range(1, 7):
+        table, by_parity = ring_table(n, kind), ring_table_by_parity(n, kind)
+        assert table == by_parity and dict(table.ring_of) == dict(by_parity.ring_of)
+        assert (list(_ring_rates(table, qs[:row_length(n, kind)]))
+                == ring_rates_by_parity(kind, table.keys, qs))
+
+
+def test_ring_draws_refuse_a_horizon_past_the_event_cap():
+    # refused before anything is drawn: the stream is left as it was
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="t_end = 1e[+]15 asks for 8.33e[+]14 ring events"):
+        _ring_draws([F(1, 2), F(1, 3)], 1e15, 1, rng)
+    assert rng.bit_generator.state == state

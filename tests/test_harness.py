@@ -193,12 +193,57 @@ def test_cli_unknown_flag_usage_error():
      "--trials", "0"],
     *(["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1",
        "--trials", trials] for trials in ("0", "-3")),
+    *(["verify", "intertwine", "--case", case, "--n", "1", "--q", "1/2,1/3", "--bound", bound]
+      for case in ("poisson", "geometric", "wall-odd-even", "wall-even-odd")
+      for bound in ("0", "-2")),
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("--")))
 def test_cli_sizes_below_one_are_usage_errors(capsys, argv):
     # nothing checked is neither a pass nor a failed verification
     assert cli_dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["stats", "compare", "--a", "{a}", "--b", "{b}", "--max-tv", "nan"], "--max-tv"),
+    (["simulate", "--model", "poisson", "--n", "1", "--q", "1/2", "--horizon", "1",
+      "--trials", "10", "--max-tv", "nan"], "--max-tv"),
+    (["coupling", "check", "--identity", "wall-sup", "--n", "1", "--q", "1/2", "--horizon", "1",
+      "--min-p", "nan"], "--min-p"),
+    (["verify", "semigroup", "--n", "1", "--q", "1/2,1/3", "--t", "1", "--bound", "4",
+      "--max-gap", "nan"], "--max-gap"),
+    (["verify", "semigroup", "--n", "1", "--q", "1/2,1/3", "--t", "1", "--bound", "4",
+      "--tol", "nan"], "--tol"),
+    (["simulate", "--model", "poisson", "--n", "1", "--q", "1/2", "--horizon", "1e400"],
+     "got 1e400"),
+    (["coupling", "check", "--identity", "left-edge", "--n", "1", "--q", "1/2",
+      "--horizon", "1e400"], "got 1e400"),
+], ids=["stats-max-tv", "simulate-max-tv", "min-p", "max-gap", "tol", "simulate-horizon",
+        "coupling-horizon"])
+def test_cli_refuses_nan_gates_and_an_overflowing_horizon(tmp_path, capsys, argv, named):
+    # a NaN gate passes or fails whatever is measured, and a horizon past the
+    # float range is no time: both are usage errors, not results
+    law = Pmf(((0,), (1,)), np.array([0.5, 0.5])).to_csv()
+    (tmp_path / "a.csv").write_text(law)
+    (tmp_path / "b.csv").write_text(law)
+    paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+    assert cli_dispatch([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coupling", "check", "--identity", "left-edge", "--n", "2", "--q", "1/2,1/3",
+     "--horizon", "1e15", "--trials", "1"],
+    ["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1e15"],
+    ["simulate", "--model", "wall", "--n", "2", "--q", "1/2", "--horizon", "1e15",
+     "--trials", "2"],
+], ids=["left-edge", "one-trajectory", "endpoints"])
+def test_cli_a_horizon_past_the_ring_event_cap_exits_3(capsys, argv):
+    # refused before a draw is made, rather than exhausting memory
+    assert cli_dispatch(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "t_end = 1e+15" in err
 
 
 def test_cli_verify_conservative(capsys):

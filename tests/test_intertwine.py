@@ -224,6 +224,8 @@ def test_semigroup_rejects_bad_tolerance():
     gen = kernels.q_charlier(1, (F(1, 2),), 5)
     with pytest.raises(ValueError):
         semigroup(gen, 1, 0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        semigroup(gen, 1, float("nan"))  # NaN would stop uniformization after one term
     with pytest.raises(ValueError):
         semigroup(gen, -1, 1e-8)
 

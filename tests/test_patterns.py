@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gtpush.patterns import (
     interlace_shift,
     is_valid,
     rates_of,
+    row_length,
     row_offsets,
     sample_pattern,
     sample_patterns,
@@ -18,7 +20,7 @@ from gtpush.patterns import (
 from gtpush import schur as schur_mod
 from gtpush.harness import Pmf, tv_distance
 
-from _oracles import count_patterns_brute
+from _oracles import count_patterns_brute, is_valid_by_interlacing
 
 
 def test_interlace_shift_examples():
@@ -65,6 +67,24 @@ def test_is_valid_examples():
     assert not is_valid(Pattern(((1,), (2, 3))))
     assert is_valid(Pattern(((0,), (1,)), kind="symplectic"))
     assert not is_valid(Pattern(((2,), (1,)), kind="symplectic"))
+
+
+@pytest.mark.parametrize("kind,checked,valid", [("standard", 43_756, 1_007),
+                                                ("symplectic", 16_281, 240)])
+def test_is_valid_agrees_with_the_interlacing_predicates(kind, checked, valid):
+    # every configuration of up to 4 rows with entries in -1..3, valid or not;
+    # of the 4-row standard ones (10 entries) those with ordered rows and
+    # entries in 0..3, disorder inside a row being covered by the others
+    seen = []
+    for nrows in range(5):
+        every = kind == "symplectic" or nrows < 4
+        rows = [[r for r in product(range(-1 if every else 0, 4), repeat=row_length(j, kind))
+                 if every or list(r) == sorted(r)] for j in range(1, nrows + 1)]
+        for config in product(*rows):
+            p = Pattern(config, kind)
+            assert is_valid(p) == is_valid_by_interlacing(p), config
+            seen.append(is_valid(p))
+    assert (len(seen), sum(seen)) == (checked, valid)
 
 
 def test_is_valid_catches_disorder_inside_rows():
