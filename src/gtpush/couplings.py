@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
+from .harness import trial_rng
 from .patterns import STANDARD, SYMPLECTIC, rates_of, row_length
 
 WALL_BLOCK_TRIALS = 1024
@@ -230,8 +231,7 @@ def _sweep(n: int, horizon, trials: int, seed: int, panel_of, check) -> list[int
     the rest of its noise from (seed + 1, i)."""
     _check_sweep(n, trials, horizon)
     return [trial for trial in range(trials)
-            if not check(panel_of(np.random.default_rng((seed, trial))),
-                         np.random.default_rng((seed + 1, trial)))]
+            if not check(panel_of(trial_rng(seed, trial)), trial_rng(seed + 1, trial))]
 
 
 def left_edge_failures(n: int, q, t: float, trials: int, seed: int) -> list[int]:
@@ -307,7 +307,7 @@ def wall_sup_samples(k: int, q, t: float, trials: int, seed: int) -> list[int]:
     qs = rates_of(q, k, open_unit=True)
     out: list[int] = []
     for block, lo in enumerate(range(0, trials, WALL_BLOCK_TRIALS)):
-        rng = np.random.default_rng((seed, block))
+        rng = trial_rng(seed, block)
         times, codes = _wall_block(qs, t, min(WALL_BLOCK_TRIALS, trials - lo), rng)
         out.extend(_reflect(times, codes, 2 * k, wall=True)[1][-1, :, -1].tolist())
     return out

@@ -1,18 +1,15 @@
 """Statistics, experiment configuration and reproducible Monte Carlo runs.
 
 Marginal-law runs move their trials in blocks of BLOCK_TRIALS through
-``dynamics.run_block``.  Each block draws from its own RNG stream,
-derived from (master seed, block index), so results are byte-identical no
-matter how blocks are scheduled; GTPUSH_THREADS > 1 fans blocks out over a
-process pool and merges them in block order.
+``dynamics.run_block``, one block after another.  Each block draws from its
+own RNG stream, derived from (master seed, block index) by ``trial_rng``, so
+a block's samples do not depend on how many trials follow it.
 """
 from __future__ import annotations
 
 import csv
 import io
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +18,7 @@ from . import dynamics, kernels
 from .patterns import check_bottom_row, sample_patterns
 
 BLOCK_TRIALS = 4096
+REFERENCE_TOL = 1e-14  # Poisson tail left out of the uniformized reference laws
 
 
 @dataclass
@@ -45,22 +43,17 @@ class Pmf:
         return dict(zip(self.support, (float(p) for p in self.probs)))
 
     @classmethod
-    def from_counts(cls, counts: dict, total: int | None = None) -> "Pmf":
-        total = total if total is not None else sum(counts.values())
+    def from_counts(cls, counts: dict, total: int) -> "Pmf":
         states = sorted(counts)
         return cls(tuple(states), np.array([counts[s] / total for s in states]))
 
     @classmethod
     def from_dense_row(cls, kernel, source) -> "Pmf":
-        """Row of a time-t kernel from ``intertwine.semigroup`` at source."""
-        return cls.from_box_row(kernel.states, kernel.row(source))
-
-    @classmethod
-    def from_box_row(cls, states, row) -> "Pmf":
-        """Law given by a row over the states of a box; 1 - (row sum) is
-        recorded as the escaped mass.  Mass that escaped the box beyond the
-        closure tolerance is an internal limit, not bad input: RuntimeError
-        names it and the bound."""
+        """Row at source of a time-t kernel over the states of a box (an
+        ``intertwine.Semigroup``); 1 - (row sum) is recorded as the escaped
+        mass.  Mass that escaped the box beyond the closure tolerance is an
+        internal limit, not bad input: RuntimeError names it and the bound."""
+        states, row = kernel.states, kernel.row(source)
         lost = 1.0 - float(row.sum())
         if lost > 1e-12:
             bound = max(max(s) for s in states)
@@ -160,41 +153,26 @@ class ExperimentConfig:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-split stream for one trial; independent of scheduling."""
+    """The counter-split stream (seed, trial) of one trial or block; seed >= 0."""
+    if seed < 0:
+        raise ValueError(f"the seed must be >= 0, got {seed}")
     return np.random.default_rng((seed, trial))
 
 
-def _endpoint_block(payload):
+def _endpoint_block(config: ExperimentConfig, block: int, trials: int) -> list[tuple]:
     """Bottom rows of one block of trials, drawn from the stream (seed, block)."""
-    model, n, q, z, horizon, seed, block, trials = payload
-    kind, qs = dynamics._model_rates(model, n, q, horizon)
-    rng = np.random.default_rng((seed, block))
-    start = sample_patterns(z, qs, kind, rng, n, trials)
-    final = dynamics.run_block(model, n, qs, start, horizon, rng)
-    return list(map(tuple, final[:, -len(z):].tolist()))
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GTPUSH_THREADS", "1")))
-    except ValueError:
-        return 1
+    kind, qs = dynamics._model_rates(config.model, config.n, config.q, config.horizon)
+    rng = trial_rng(config.seed, block)
+    start = sample_patterns(config.z, qs, kind, rng, config.n, trials)
+    final = dynamics.run_block(config.model, config.n, qs, start, config.horizon, rng)
+    return list(map(tuple, final[:, -len(config.z):].tolist()))
 
 
 def endpoint_samples(config: ExperimentConfig) -> list[tuple]:
     """Bottom-row states at the horizon for config.trials independent runs."""
-    args = (config.model, config.n, config.q, config.z, config.horizon, config.seed)
-    payloads = [args + (block, min(BLOCK_TRIALS, config.trials - lo))
-                for block, lo in enumerate(range(0, config.trials, BLOCK_TRIALS))]
-    workers = min(worker_count(), len(payloads))
     out: list[tuple] = []
-    if workers == 1:
-        for payload in payloads:
-            out.extend(_endpoint_block(payload))
-        return out
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_endpoint_block, payloads):
-            out.extend(part)
+    for block, lo in enumerate(range(0, config.trials, BLOCK_TRIALS)):
+        out.extend(_endpoint_block(config, block, min(BLOCK_TRIALS, config.trials - lo)))
     return out
 
 
@@ -202,27 +180,25 @@ def empirical_pmf(samples) -> Pmf:
     return Pmf.from_counts(Counter(samples), len(samples))
 
 
-def reference_endpoint_pmf(config: ExperimentConfig, tol: float = 1e-14) -> Pmf:
+def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
     """Reference law of the bottom row at the horizon, in floats.
 
     The bottom row is itself Markov with the matching conditioned-walk
-    operator, so the reference is a semigroup row for the continuous dynamics
-    and a kernel power for the discrete one; either is computed by moving the
-    start vector through a float operator whose Schur values come from one
-    float array pass over the box (``schur.float_values``), never a matrix
-    and no Fraction per state."""
+    operator, so the reference is a row of one time-t operator
+    (``intertwine.Semigroup``): the uniformized series of the generator for
+    the continuous dynamics, the t-th power of the step kernel for the
+    discrete one.  Its Schur values come from one float array pass over the
+    box (``schur.float_values``), never a matrix and no Fraction per state."""
     from . import intertwine
 
     kind, qs = dynamics._model_rates(config.model, config.n, config.q, config.horizon)
     if config.model != "geometric":
         gen = kernels.row_generator_float(kind, config.n, qs, config.bound)
-        return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, tol), config.z)
-    kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
-    vec = np.zeros(len(kern.states))
-    vec[kern.states.index(config.z)] = 1.0
-    for _ in range(int(config.horizon)):
-        vec = kern.apply(vec)
-    return Pmf.from_box_row(kern.states, vec)
+        law = intertwine.semigroup(gen, config.horizon, REFERENCE_TOL)
+    else:
+        kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
+        law = intertwine.Semigroup(kern.states, kern, [0.0] * int(config.horizon) + [1.0])
+    return Pmf.from_dense_row(law, config.z)
 
 
 def wall_sup_reference(k: int, q, t: float, bound: int) -> Pmf:

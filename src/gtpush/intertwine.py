@@ -161,6 +161,8 @@ def verify_schur_sums(q, max_entry: int, max_rows: int) -> VerificationReport:
     max_rows entries <= max_entry; then each symplectic value of heights 2k-1
     and 2k against its pattern sum, for k <= min(max_rows, 3) and entries
     <= min(max_entry, 3)."""
+    if max_entry < 0 or max_rows < 1:
+        raise ValueError(f"max_entry must be >= 0 and max_rows >= 1, got {max_entry}, {max_rows}")
     qs = rates_of(q)
     report = VerificationReport("schur = oracle = pattern sum")
     for n in range(1, max_rows + 1):
@@ -182,6 +184,8 @@ def verify_harmonicity(q, max_entry: int, max_rows: int) -> VerificationReport:
     """The conditioned walk's h is harmonic: sum_i h(x + e_i) over the moves
     that stay ordered equals (q_1 + ... + q_n) h(x), for n <= min(max_rows, 3)
     and every x with entries <= max_entry."""
+    if max_entry < 0 or max_rows < 1:
+        raise ValueError(f"max_entry must be >= 0 and max_rows >= 1, got {max_entry}, {max_rows}")
     qs = rates_of(q)
     report = VerificationReport("harmonicity of the conditioned-walk h")
     for n in range(1, min(max_rows, 3) + 1):
@@ -197,6 +201,8 @@ def verify_integrating_out(q, lemma_max: int) -> VerificationReport:
     """The blocking/pushing integrating-out lemma at rate q: summing the
     driven particle's position u out of q^-u blocking(u, v1') pushing(u', v2)
     leaves q^-(u' + v2), for all 0 <= v1' <= min(v2, u') and v2, u' <= lemma_max."""
+    if lemma_max < 0:
+        raise ValueError(f"lemma_max must be >= 0, got {lemma_max}")
     q = Fraction(q)
     report = VerificationReport("blocking/pushing integrating-out lemma")
     for v1p in range(lemma_max + 1):
@@ -211,11 +217,10 @@ def verify_integrating_out(q, lemma_max: int) -> VerificationReport:
 
 
 class Semigroup:
-    """Time-t kernel of a truncated generator, one row at a time.
-
-    Holds the uniformized jump matrix J = I + Q/theta in sparse float form and
-    the Poisson weights w_k of the series sum_k w_k J^k; a row is the start
-    vector moved through the series, so no m x m matrix is formed.
+    """Time-t kernel sum_k w_k J^k over a box, one row at a time: a generator's
+    uniformized series (J = I + Q/theta, Poisson weights w_k, ``semigroup``) or
+    a step kernel's t-th power (J = K, w_t = 1 and every other w_k = 0).  A row
+    is the start vector moved through the series, so no m x m matrix is formed.
     """
 
     def __init__(self, states, jump: FloatKernel | None, weights: list[float]):

@@ -37,6 +37,7 @@ from .patterns import (
     branching_cdf,
     branching_rule,
     chamber_states,
+    check_bottom_row,
     coords_of,
     is_ordered,
     rates_of,
@@ -108,14 +109,12 @@ def schur_oracle(z, q) -> Fraction:
 
 
 def sp_schur(n: int, z, q) -> Fraction:
-    """Symplectic Schur function of pattern height n (= 2k-1 or 2k) at z."""
-    if n < 1:
-        raise ValueError("pattern height must be >= 1")
-    k = (n + 1) // 2
+    """Symplectic Schur function of pattern height n (= 2k-1 or 2k) at z; a bad
+    height or length is refused as ``check_bottom_row`` refuses it."""
     z = coords_of(z)
-    if len(z) != k:
-        raise ValueError(f"height-{n} bottom row needs {k} entries, got {len(z)}")
-    qs = rates_of(q, k)
+    if n < 1 or len(z) != row_length(n, SYMPLECTIC):
+        check_bottom_row(z, SYMPLECTIC, n)
+    qs = rates_of(q, len(z))
     if not is_ordered(z) or (z and z[0] < 0):
         return Fraction(0)
     scale, up, down = scaled_rates(qs)

@@ -120,16 +120,15 @@ def test_endpoint_samples_reproducible():
     assert all(len(s) == 2 for s in a)
 
 
-def test_endpoint_samples_threads_agree(monkeypatch):
-    # 48 trials fit in one block; the second count spans two blocks and a
-    # remainder, so the worker processes' blocks are merged
-    for trials in (48, 2 * harness.BLOCK_TRIALS + 5):
-        cfg = ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2, trials, 22, 30)
-        monkeypatch.delenv("GTPUSH_THREADS", raising=False)
-        serial = endpoint_samples(cfg)
-        monkeypatch.setenv("GTPUSH_THREADS", "2")
-        threaded = endpoint_samples(cfg)
-        assert len(serial) == trials and serial == threaded
+def test_endpoint_samples_block_zero_does_not_depend_on_the_trial_count():
+    # two full blocks and a remainder; block 0 draws from the stream (seed, 0)
+    # whatever follows it, so its samples are those of a one-block run
+    trials = 2 * harness.BLOCK_TRIALS + 5
+    cfg = ExperimentConfig("geometric", 2, ("1/2", "1/3"), (0, 0), 2, trials, 22, 30)
+    samples = endpoint_samples(cfg)
+    one_block = endpoint_samples(dataclasses.replace(cfg, trials=harness.BLOCK_TRIALS))
+    assert len(samples) == trials
+    assert samples[:harness.BLOCK_TRIALS] == one_block
 
 
 def test_cli_schur_eval(capsys):
@@ -196,6 +195,10 @@ def test_cli_unknown_flag_usage_error():
     *(["verify", "intertwine", "--case", case, "--n", "1", "--q", "1/2,1/3", "--bound", bound]
       for case in ("poisson", "geometric", "wall-odd-even", "wall-even-odd")
       for bound in ("0", "-2")),
+    ["sp-schur", "eval", "--n", "0", "--row", "1", "--q", "1/2"],
+    ["verify", "algebra", "--q", "1/2", "--max-rows", "0", "--lemma-max", "-1"],
+    ["verify", "algebra", "--q", "1/2", "--max-entry", "-1", "--lemma-max", "-1"],
+    ["verify", "algebra", "--q", "1/2", "--max-entry", "0", "--max-rows", "1", "--lemma-max", "-1"],
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("--")))
 def test_cli_sizes_below_one_are_usage_errors(capsys, argv):
     # nothing checked is neither a pass nor a failed verification
@@ -333,6 +336,35 @@ def test_cli_verify_algebra(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "pass" and doc["mismatches"] == 0
+
+
+def test_algebra_sweeps_refuse_empty_grids():
+    from gtpush import intertwine
+
+    q = (F(1, 2),)
+    for sweep in (intertwine.verify_schur_sums, intertwine.verify_harmonicity):
+        with pytest.raises(ValueError, match="max_entry must be >= 0 and max_rows >= 1, got 2, 0"):
+            sweep(q, 2, 0)
+        with pytest.raises(ValueError, match="got -1, 2"):
+            sweep(q, -1, 2)
+    with pytest.raises(ValueError, match="lemma_max must be >= 0, got -1"):
+        intertwine.verify_integrating_out(q[0], -1)
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1"], "-1"),
+    (["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1",
+      "--trials", "5"], "-1"),
+    (["coupling", "check", "--identity", "lpp", "--n", "2", "--q", "1/2,1/3", "--horizon", "2"],
+     "-2"),
+    (["coupling", "check", "--identity", "wall-sup", "--n", "1", "--q", "1/2", "--horizon", "1"],
+     "-2"),
+], ids=["one-trial", "endpoints", "lpp", "wall-sup"])
+def test_cli_refuses_a_negative_seed(capsys, argv, seed):
+    # every stream comes from harness.trial_rng, which names the seed
+    assert cli_dispatch(argv + ["--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the seed must be >= 0, got {seed}\n"
 
 
 def test_cli_verify_algebra_runs_the_criteria_grids(capsys):

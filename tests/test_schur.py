@@ -89,6 +89,15 @@ def test_sp_schur_examples():
 def test_sp_schur_invalid_rows_zero():
     assert sp_schur(2, (-1,), (F(1, 2),)) == 0
     assert sp_schur(3, (2, 1), (F(1, 2), F(1, 3))) == 0
+    assert sp_schur(3, (-1, 2), (F(1, 2), F(1, 3))) == 0
+
+
+def test_sp_schur_refuses_a_height_or_length_as_the_samplers_do():
+    with pytest.raises(ValueError, match=r"^a pattern needs n >= 1 rows, got n = 0$"):
+        sp_schur(0, (), ())
+    with pytest.raises(ValueError,
+                       match=r"^invalid bottom row \(0,\) for a symplectic pattern of height 3$"):
+        sp_schur(3, (0,), (F(1, 2), F(1, 3)))
 
 
 def test_sp_schur_matches_pattern_sum_both_parities():
