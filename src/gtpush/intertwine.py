@@ -246,10 +246,12 @@ class Semigroup:
         return float(self.row(s)[self.index[s2]])
 
 
-def semigroup(gen: SparseGenerator, t, tol: float) -> Semigroup:
+def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
     """Time-t kernel of the truncated generator via uniformization.
 
-    The Poissonized power series of the jump kernel is truncated once the
+    The generator is a float Q-matrix (``kernels.row_generator_float``), or
+    an exact ``SparseGenerator`` first read into one row by row.  The
+    Poissonized power series of the jump kernel is truncated once the
     remaining Poisson tail drops below tol.  Rows of the result are
     sub-stochastic near the box edge (mass killed at escape), and row sums at
     interior states are within the escape probability of 1.  Rows are
@@ -260,22 +262,18 @@ def semigroup(gen: SparseGenerator, t, tol: float) -> Semigroup:
     tf = float(t)
     if tf < 0:
         raise ValueError("t must be nonnegative")
+    if isinstance(gen, SparseGenerator):
+        index = {s: i for i, s in enumerate(gen.states)}
+        entries = [(i, index[s2], float(v)) for i, s in enumerate(gen.states)
+                   for s2, v in gen.row(s).items()]
+        gen = FloatKernel(gen.states, *np.array(entries, dtype=float).reshape(-1, 3).T)
     states = gen.states
-    index = {s: i for i, s in enumerate(states)}
-    src, dst, val = [], [], []
-    theta = 0.0
-    for i, s in enumerate(states):
-        row = gen.row(s)
-        theta = max(theta, -float(row.get(s, 0)))
-        for s2, v in row.items():
-            src.append(i)
-            dst.append(index[s2])
-            val.append(float(v))
+    theta = float(np.max(-gen.val[gen.src == gen.dst], initial=0.0))
     if theta == 0.0 or tf == 0.0:
         return Semigroup(states, None, [1.0])
-    diag = list(range(len(states)))  # the identity of J = I + Q/theta, as entries of its own
-    jump = FloatKernel(states, src + diag, dst + diag,
-                       np.append(np.array(val) / theta, np.ones(len(states))))
+    diag = np.arange(len(states))  # the identity of J, as entries of its own
+    jump = FloatKernel(states, np.append(gen.src, diag), np.append(gen.dst, diag),
+                       np.append(gen.val / theta, np.ones(len(states))))
     lam = theta * tf
     w = math.exp(-lam)
     if w == 0.0:

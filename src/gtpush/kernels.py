@@ -2,14 +2,13 @@
 
 Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped.  The exact half's values are exact
-rationals: the exact marginal operators read the Schur values of the box as
-integers over powers of one scale (``schur.exact_values``) and form each
-entry as one Fraction of two integers.  The Monte Carlo reference laws use
-float forms of the marginal operators, built from the float Schur values
-of the whole box (``schur.float_values``, the same row rule run on float
-arrays): ``row_generator_float`` shares
-the conditioned walk's move rule with the exact generators, and
-``kernel_geometric_float`` is a ``FloatKernel``.  Blocking and pushing are
+rationals.  Each marginal operator's moves are written once, as index arrays
+over the box (``_walk_moves`` for the conditioned walk, ``_step_moves`` for
+the geometric step): the exact operators form one Fraction per entry from
+the integer Schur values of ``schur.exact_values``, and their float forms
+for the Monte Carlo reference laws (``row_generator_float``,
+``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
+values of the whole box (``schur.float_values``).  Blocking and pushing are
 stated once for the simulators and the exact half alike: the continuous-time
 coupling generators are read off the ring table (``dynamics.ring_table``),
 and the geometric pair kernel follows the max / add / min of
@@ -22,10 +21,8 @@ upper row given the lower (``schur.branching_law``).
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -143,38 +140,89 @@ class StepKernel(_SparseOperator):
 # ---------------------------------------------------------------------------
 # marginal generators / kernels
 
-def _conditioned_walk(kind: str, r: int, qs, bound: int, scale, h: dict, ratio) -> SparseGenerator:
-    """Generator of row r of a pattern on its own, with one rate per entry in
-    qs (Fractions, or floats for the reference laws).  h holds each state's
-    Schur value times scale^|x| (``schur.exact_values``, or float values at
-    scale 1), and ratio(a, b) is a / b in the operator's field.  Each entry
-    steps right up to the entry after it, and for the wall also left down to
-    the wall or the entry before it, at the ratio of the Schur values of
-    target and x: h(target) / (scale h(x)) right, scale h(target) / h(x)
-    left.  The diagonal is minus the total step rate before truncation, in
-    the closed form that the harmonicity identity makes exact at every
-    chamber point."""
+def _box_coords(k: int, bound: int):
+    """The states of ``chamber_states(k, bound)``; their coordinates as an
+    m x (k+2) array between a column of 0s and a column of bounds, the limits
+    of the first and the last entry; a flat cube of side bound + 1 holding
+    each state's index (-1 off the chamber); and each state's place in it."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    k = len(qs)
+    states = chamber_states(k, bound)
+    coords = np.pad(np.array(states, dtype=np.intp).reshape(len(states), k), ((0, 0), (1, 1)),
+                    constant_values=((0, 0), (0, bound)))
+    flat = np.ravel_multi_index(tuple(coords[:, 1:-1].T), (bound + 1,) * k)
+    cube = np.full((bound + 1) ** k, -1, dtype=np.intp)
+    cube[flat] = np.arange(len(states))
+    return states, coords, cube, flat
+
+
+def _walk_moves(kind: str, k: int, bound: int):
+    """(states, src, dst): every move of the conditioned walk of k entries on
+    the box, as index arrays.  Entry i steps right to x + e_i up to the entry
+    after it (the last one up to the bound), and for the wall also left to
+    x - e_i down to the entry before it (the first one down to the wall).
+    Each source lists its diagonal, then entry i right and left, i = 1..k."""
+    states, coords, cube, flat = _box_coords(k, bound)
+    src, dst = [np.arange(len(states))], [np.arange(len(states))]
+    for i in range(1, k + 1):
+        for d in (1, -1) if kind == SYMPLECTIC else (1,):
+            ok = np.flatnonzero(coords[:, i] != coords[:, i + d])
+            src.append(ok)
+            dst.append(cube[flat[ok] + d * (bound + 1) ** (k - i)])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order = np.argsort(src, kind="stable")
+    return states, src[order], dst[order]
+
+
+def _step_moves(n: int, bound: int):
+    """(states, src, dst): every pair of a state x of the box and a target xt
+    of one geometric step, x_i <= xt_i <= x_{i+1} (the bound last), as index
+    arrays, by source and then target in the order of the states."""
+    states, coords, cube, _ = _box_coords(n, bound)
+    src = np.arange(len(states))
+    flat = np.zeros(len(states), dtype=np.intp)  # the target's cube index so far
+    for i in range(1, n + 1):
+        lo = coords[src, i]
+        counts = coords[src, i + 1] - lo + 1
+        # one arange(lo, hi + 1) per source, run together
+        ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        src = np.repeat(src, counts)
+        flat = np.repeat(flat * (bound + 1) + lo, counts) + ramp
+    return states, src, cube[flat]
+
+
+def _ratio_rows(states, src, dst, scale: int, h: dict, a: Fraction) -> dict:
+    """Exact rows x -> {xt: a s(xt) / s(x)} over the (source, target) arrays,
+    each one Fraction of integers, with s(x) = h[x] / scale^|x|."""
+    rows = {x: {} for x in states}
+    for i, j in zip(src.tolist(), dst.tolist()):
+        x, xt = states[i], states[j]
+        d = sum(xt) - sum(x)
+        rows[x][xt] = Fraction(a.numerator * h[xt] * scale ** max(-d, 0),
+                               a.denominator * h[x] * scale ** max(d, 0))
+    return rows
+
+
+def _walk_diagonal(kind: str, r: int, qs) -> tuple:
+    """Diagonal of the conditioned walk of row r off the wall and at it: minus
+    the total step rate before truncation, in the closed form that the
+    harmonicity identity makes exact at every chamber point."""
     out = sum(qs) if kind == STANDARD else sum(v + 1 / v for v in qs)
     # a wall row that drops an entry rings left at 1/t, barred at the wall
     drop, t = branching_rule(kind, r, qs)
     at_wall = 1 / t if kind == SYMPLECTIC and drop else 0
-    diag, wall_diag = -out, at_wall - out
-    states = chamber_states(k, bound)
-    rows = {}
-    for x in states:
-        row = {x: wall_diag if x[0] == 0 else diag}
-        hx = h[x]
-        for i in range(k):
-            if (i == k - 1 or x[i] < x[i + 1]) and x[i] + 1 <= bound:
-                xt = _bump(x, i, 1)
-                row[xt] = ratio(h[xt], scale * hx)
-            if kind == SYMPLECTIC and x[i] - 1 >= (0 if i == 0 else x[i - 1]):
-                xt = _bump(x, i, -1)
-                row[xt] = ratio(scale * h[xt], hx)
-        rows[x] = row
+    return -out, at_wall - out
+
+
+def _conditioned_walk(kind: str, r: int, qs, bound: int) -> SparseGenerator:
+    """Generator of row r of a pattern on its own, with one rate per entry in
+    qs: each move of ``_walk_moves`` at the ratio of the Schur values of
+    target and x, and the diagonal of ``_walk_diagonal``."""
+    states, src, dst = _walk_moves(kind, len(qs), bound)
+    diag, wall_diag = _walk_diagonal(kind, r, qs)
+    rows = _ratio_rows(states, src, dst, *schur.exact_values(kind, r, qs, bound), Fraction(1))
+    for x, row in rows.items():
+        row[x] = wall_diag if x[0] == 0 else diag
     family = "charlier" if kind == STANDARD else "symplectic"
     return SparseGenerator(states, rows, bound, f"{family} n={r}")
 
@@ -182,17 +230,13 @@ def _conditioned_walk(kind: str, r: int, qs, bound: int, scale, h: dict, ratio) 
 def q_charlier(n: int, q, bound: int) -> SparseGenerator:
     """Generator of n ordered walkers conditioned to stay ordered: rate to
     x+e_i the ratio of Schur values, diagonal -(sum of rates)."""
-    qs = rates_of(q, n)
-    return _conditioned_walk(STANDARD, n, qs, bound, *schur.exact_values(STANDARD, n, qs, bound),
-                             Fraction)
+    return _conditioned_walk(STANDARD, n, rates_of(q, n), bound)
 
 
 def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
     """Generator of the row-n marginal of the wall dynamics: nearest-neighbour
     moves with symplectic-Schur ratio rates and the parity-dependent diagonal."""
-    qs = rates_of(q, (n + 1) // 2)
-    return _conditioned_walk(SYMPLECTIC, n, qs, bound,
-                             *schur.exact_values(SYMPLECTIC, n, qs, bound), Fraction)
+    return _conditioned_walk(SYMPLECTIC, n, rates_of(q, (n + 1) // 2), bound)
 
 
 def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
@@ -206,37 +250,27 @@ def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
     return q_symplectic(r, q[:k], bound)
 
 
-def row_generator_float(kind: str, r: int, q, bound: int) -> SparseGenerator:
-    """``row_generator`` with float entries, for the reference laws: the rates
-    and Schur values are floats from ``schur.float_values``, and no Fraction
-    is formed per state."""
+def row_generator_float(kind: str, r: int, q, bound: int) -> FloatKernel:
+    """``row_generator`` in floats, for the reference laws: a ``FloatKernel``
+    of the Q-matrix, diagonal included, over the moves of ``_walk_moves`` in
+    the exact rows' order, with the Schur values of ``schur.float_values``."""
     k = row_length(r, kind)
     qs = tuple(float(v) for v in rates_of(q[:k], k))
-    h = dict(zip(chamber_states(k, bound), schur.float_values(kind, r, qs, bound).tolist()))
-    return _conditioned_walk(kind, r, qs, bound, 1.0, h, operator.truediv)
-
-
-def _step_targets(x: tuple, bound: int):
-    """Targets of one geometric step from x on the box: each entry moves right,
-    up to the old position of the entry after it (the last one up to the bound)."""
-    return product(*(range(lo, hi + 1) for lo, hi in zip(x, x[1:] + (bound,))))
+    states, src, dst = _walk_moves(kind, k, bound)
+    h = schur.float_values(kind, r, qs, bound)
+    diag, wall_diag = _walk_diagonal(kind, r, qs)
+    val = h[dst] / h[src]
+    val[src == dst] = np.where(np.array(states)[:, 0] == 0, wall_diag, diag)
+    return FloatKernel(states, src, dst, val)
 
 
 def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     """One-step kernel of ordered walkers with geometric jumps, conditioned
     to stay shifted-interlaced; rows sum to 1 over the untruncated targets."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     qs = rates_of(q, n, open_unit=True)
-    a = math.prod(1 - v for v in qs)
-    scale, h = schur.exact_values(STANDARD, n, qs, bound)
-    rows = {}
-    states = chamber_states(n, bound)
-    for x in states:
-        # a s(xt) / s(x), with s(x) = h[x] / scale^|x|
-        num, den, sx = a.numerator, a.denominator * h[x], sum(x)
-        rows[x] = {xt: Fraction(num * h[xt], den * scale ** (sum(xt) - sx))
-                   for xt in _step_targets(x, bound)}
+    states, src, dst = _step_moves(n, bound)
+    rows = _ratio_rows(states, src, dst, *schur.exact_values(STANDARD, n, qs, bound),
+                       math.prod(1 - v for v in qs))
     return StepKernel(states, rows, bound, f"geometric n={n}")
 
 
@@ -244,15 +278,8 @@ def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
     """``kernel_geometric`` in floats: the entry from x to xt is a h(xt) / h(x),
     with the Schur values h from ``schur.float_values``."""
     qs = rates_of(q, n, open_unit=True)
-    states = chamber_states(n, bound)
+    states, src, dst = _step_moves(n, bound)
     h = schur.float_values(STANDARD, n, qs, bound)
-    index = {s: i for i, s in enumerate(states)}
-    src, dst = [], []
-    for i, x in enumerate(states):
-        targets = [index[xt] for xt in _step_targets(x, bound)]
-        src.extend([i] * len(targets))
-        dst.extend(targets)
-    src, dst = np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp)
     return FloatKernel(states, src, dst, float(math.prod(1 - v for v in qs)) * h[dst] / h[src])
 
 

@@ -21,6 +21,7 @@ from gtpush.intertwine import (
     verify_kernel_intertwining,
     verify_schur_sums,
 )
+from gtpush.patterns import STANDARD, SYMPLECTIC
 
 from _oracles import dense_semigroup, verify_intertwining_fractions
 
@@ -218,6 +219,20 @@ def test_semigroup_rows_match_dense_series(family, height, rates):
         assert p.states == gen.states
         for i, s in enumerate(gen.states):
             assert np.max(np.abs(p.row(s) - dense[i])) <= 1e-15
+
+
+@pytest.mark.parametrize("kind,height,qs", [(STANDARD, 3, Q3), (SYMPLECTIC, 4, Q2)],
+                         ids=["poisson n=3", "wall n=4"])
+def test_semigroup_reads_an_exact_generator_as_its_float_form(kind, height, qs):
+    # one path: an exact generator and its entries in floats, row by row,
+    # give bit-identical semigroup rows
+    gen = kernels.row_generator(kind, height, qs, 8)
+    index = {s: i for i, s in enumerate(gen.states)}
+    entries = [(index[s], index[s2], float(v)) for s in gen.states for s2, v in gen.row(s).items()]
+    p_exact = semigroup(gen, F(1, 2), 1e-14)
+    p_float = semigroup(kernels.FloatKernel(gen.states, *zip(*entries)), F(1, 2), 1e-14)
+    for s in gen.states:
+        assert np.array_equal(p_exact.row(s), p_float.row(s))
 
 
 def test_semigroup_rejects_bad_tolerance():

@@ -145,21 +145,77 @@ def test_float_geometric_kernel_matches_exact_schur_kernel(n, bound, rates):
                                          (SYMPLECTIC, 2), (SYMPLECTIC, 3), (SYMPLECTIC, 4),
                                          (SYMPLECTIC, 5)])
 def test_float_walk_matches_exact_schur_walk(kind, height, rates):
-    # the float conditioned walk against the exact generator: the same moves,
-    # and time-1 semigroup rows from every start with the same support and
-    # within 1e-15
+    # the float conditioned walk against the exact generator: the same
+    # (source, target) pairs in the same order, and time-1 semigroup rows from
+    # every start with the same support and within 1e-15
     qs = RATES[rates][: row_length(height, kind)]
     _assert_float_schur_values(kind, height, qs, 6)
     exact = kernels.row_generator(kind, height, qs, 6)
     approx = kernels.row_generator_float(kind, height, qs, 6)
     assert approx.states == exact.states
-    assert all(approx.row(s).keys() == exact.row(s).keys() for s in exact.states)
+    pairs = [(x, xt) for x in exact.states for xt in exact.row(x)]
+    assert [(approx.states[i], approx.states[j])
+            for i, j in zip(approx.src.tolist(), approx.dst.tolist())] == pairs
     p_exact = intertwine.semigroup(exact, 1, 1e-14)
     p_float = intertwine.semigroup(approx, 1, 1e-14)
     for s in exact.states:
         a, b = p_float.row(s), p_exact.row(s)
         assert np.array_equal(a > 0, b > 0)
         assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def _pairs_of(states, src, dst):
+    return [(states[i], states[j]) for i, j in zip(src.tolist(), dst.tolist())]
+
+
+@pytest.mark.parametrize("kind,height", [(STANDARD, 1), (STANDARD, 2), (STANDARD, 3),
+                                         (SYMPLECTIC, 2), (SYMPLECTIC, 3), (SYMPLECTIC, 4),
+                                         (SYMPLECTIC, 5)])
+def test_walk_moves_match_brute_force(kind, height):
+    # every (x, xt) of the box with xt = x, or xt = x + e_i (and x - e_i for
+    # the wall) still ordered and in [0, 6]: the chamber holds exactly the
+    # ordered targets right of the wall.  Each source lists its diagonal,
+    # then entry i right, then entry i left.
+    k = row_length(height, kind)
+    states, src, dst = kernels._walk_moves(kind, k, 6)
+    assert states == kernels.chamber_states(k, 6)
+    steps = (1, -1) if kind == SYMPLECTIC else (1,)
+
+    def rank(x, xt):  # the place of xt in x's row, or None if no move leads there
+        diff = [(i, b - a) for i, (a, b) in enumerate(zip(x, xt)) if b != a]
+        if not diff:
+            return 0
+        if len(diff) == 1 and diff[0][1] in steps:
+            return 1 + 2 * diff[0][0] + (diff[0][1] < 0)
+        return None
+
+    expected = [(x, xt) for x in states
+                for _, xt in sorted((rank(x, xt), xt) for xt in states if rank(x, xt) is not None)]
+    assert _pairs_of(states, src, dst) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_moves_match_brute_force(n):
+    # every (x, xt) of the box with x_i <= xt_i <= x_{i+1} (6 last), by source
+    # and then target in the order of the states
+    states, src, dst = kernels._step_moves(n, 6)
+    assert states == kernels.chamber_states(n, 6)
+    expected = [(x, xt) for x in states for xt in states
+                if all(a <= b <= c for a, b, c in zip(x, xt, x[1:] + (6,)))]
+    assert _pairs_of(states, src, dst) == expected
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_operator_builders_refuse_a_bound_below_one(bound):
+    builders = [lambda: q_charlier(2, Q2, bound),
+                lambda: q_symplectic(3, Q2, bound),
+                lambda: kernels.row_generator_float(STANDARD, 2, Q2, bound),
+                lambda: kernels.row_generator_float(SYMPLECTIC, 3, Q2, bound),
+                lambda: kernel_geometric(2, Q2, bound),
+                lambda: kernels.kernel_geometric_float(2, Q2, bound)]
+    for build in builders:
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            build()
 
 
 @pytest.mark.parametrize("kind,height,qs,bound", [
