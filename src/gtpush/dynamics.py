@@ -5,14 +5,15 @@ time or by a geometric jump per step, and one blocking and pushing rule acts
 on top.  For the continuous-time dynamics the rule is one neighbour table per
 dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
 coupling generators of ``kernels.coupling_generator`` read the same table.
-_ring_draws is the package's one sampler of ring clocks: they superpose, so a
+_ring_picks is the package's one sampler of ring clocks: they superpose, so a
 trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
-its rate, at sorted uniform times.  Ring sequences drive two loops: run_rings
-moves a block of trials as int arrays, trace_rings one trial, reporting each
-move.  A blocked ring is discarded; a push cascade resolves downward at its
-ring's time.  Discrete time updates rows top to bottom, the old row above
-blocking and the new row above pushing: geometric_step for one trial,
-geometric_update for a block.  run_block and simulate run any model.
+its rate; _ring_draws adds their sorted uniform times.  Ring sequences drive
+two loops: run_rings moves a block of trials in one flat int array,
+trace_rings one trial, reporting each move.  A blocked ring is discarded; a
+push cascade resolves downward at its ring's time.  Discrete time updates rows
+top to bottom, the old row above blocking and the new row above pushing:
+geometric_step for one trial, geometric_update for a block.  run_block and
+simulate run any model.
 """
 from __future__ import annotations
 
@@ -116,12 +117,12 @@ def _ring_rates(table: RingTable, qs: tuple) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # ring sequences: a block of trials, or one trial with its moves
 
-def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Superposition of ring clocks at the given rates on [0, t_end]: per
-    trial N ~ Poisson(t_end * total rate) rings, each picked with probability
-    rate / total, at sorted uniform times.  Returns rings and times, rows
-    padded with the idle ring len(rates) at time inf.  A draw expecting more
-    than MAX_RING_EVENTS rings is refused before anything is drawn."""
+def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
+    """The rings of a superposition of ring clocks at the given rates on [0,
+    t_end], without their times: per trial N ~ Poisson(t_end * total rate)
+    rings, each picked with probability rate / total, rows padded with the
+    idle ring len(rates).  A draw expecting more than MAX_RING_EVENTS rings
+    is refused before anything is drawn."""
     if not t_end >= 0:
         raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
     rates, t_end = [float(v) for v in rates], float(t_end)
@@ -135,17 +136,26 @@ def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.n
     cdf = np.array(rates).cumsum() / (total or 1.0)
     rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
                        len(rates) - 1)
-    times = rng.random((trials, width)) * t_end
-    pad = np.arange(width) >= counts[:, None]
-    # pad before sorting, so a row's times are the order statistics of its own count
-    rings[pad], times[pad] = len(rates), np.inf
+    rings[np.arange(width) >= counts[:, None]] = len(rates)
+    return rings
+
+
+def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """_ring_picks, then their times drawn after them: sorted uniforms on [0,
+    t_end], inf where the idle ring pads (set before sorting, so a row's times
+    are the order statistics of its own count)."""
+    rings = _ring_picks(rates, t_end, trials, rng)
+    times = rng.random(rings.shape) * float(t_end)
+    times[rings == len(rates)] = np.inf
     return rings, np.sort(times, axis=1)
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:
     """Apply ring sequences, rings[trial] in order and padded with
     ``table.idle``, to the flat patterns start[trial]; returns the final flat
-    patterns."""
+    patterns.  Slot s of trial i is flat[i * (size + 2) + s] of one flat view;
+    a ring moves the trials it is not blocked in, then cascades over the trials
+    it moved until no pushed particle sits level with the mover's old position."""
     trials, size = start.shape
     x = np.empty((trials, size + 2), dtype=np.int64)
     x[:, :size] = start
@@ -153,19 +163,17 @@ def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndar
     x[:, size + 1] = NEVER
     particle, step, blocker, push = (np.array(v) for v in (
         table.particle, table.step, table.blocker, table.push))
-    row = np.arange(trials)
-    depth = len(table.offsets) - 2  # a cascade moves at most one particle per lower row
+    flat, base = x.reshape(-1), np.arange(trials) * (size + 2)
     for col in rings.T:
-        slot = particle[col]
-        pre = x[row, slot]
-        moved = pre != x[row, blocker[col]]
-        x[row, slot] = pre + step[col] * moved
-        ring = push[col]
-        for _ in range(depth):
-            slot = particle[ring]
-            moved &= x[row, slot] == pre
-            x[row, slot] += step[ring] * moved
+        slot = base + particle[col]
+        pre = flat[slot]
+        hit, ring, at = np.flatnonzero(pre != flat[base + blocker[col]]), col, base
+        while hit.size:
+            ring, pre, at = ring[hit], pre[hit], at[hit]
+            flat[slot[hit]] = pre + step[ring]
             ring = push[ring]
+            slot = at + particle[ring]
+            hit = np.flatnonzero(flat[slot] == pre)
     return x[:, :size]
 
 
@@ -262,7 +270,7 @@ def run_block(model: str, n: int, q, start: np.ndarray, horizon, rng) -> np.ndar
             x = geometric_update(x, rng.geometric(ps, size=x.shape) - 1, n)
         return x
     table = ring_table(n, kind)
-    return run_rings(table, start, _ring_draws(_ring_rates(table, qs), horizon, len(start), rng)[0])
+    return run_rings(table, start, _ring_picks(_ring_rates(table, qs), horizon, len(start), rng))
 
 
 def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Pattern, list[tuple]]:

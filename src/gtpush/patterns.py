@@ -289,22 +289,24 @@ def sample_patterns(z, q, kind: str, rng, nrows: int, trials: int) -> np.ndarray
     """Independent draws of patterns with bottom row z from the geometric-weight
     measure, as an int array (trials, particles) laid out by row_offsets.
 
-    Rows are drawn bottom-up: the trials are grouped by their current row j,
-    and each group draws row j-1 from the cached branching_cdf with one
-    uniform per trial and row."""
+    Rows are drawn bottom-up: each trial takes one uniform for row j-1, then
+    the trials are sorted by their row j (np.lexsort) and each run of equal
+    rows draws row j-1 from the cached branching_cdf; 0 trials draw nothing."""
     z, nrows = check_bottom_row(z, kind, nrows)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got trials = {trials}")
     _, up, down = scaled_rates(rates_of(q, len(z)))
     offs = row_offsets(nrows, kind)
     out = np.empty((trials, offs[-1]), dtype=np.int64)
     out[:, offs[-2]:] = z
-    for j in range(nrows, 1, -1):
+    for j in range(nrows, 1, -1) if trials else ():
         u = rng.random(trials)
-        groups: dict = {}
-        for i, row in enumerate(map(tuple, out[:, offs[j - 1]:offs[j]].tolist())):
-            groups.setdefault(row, []).append(i)
-        for row, members in groups.items():
-            cands, cdf = branching_cdf(kind, j, row, up, down)
-            out[members, offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[members])]
+        order = np.lexsort(out[:, offs[j - 1]:offs[j]].T)
+        rows = out[order, offs[j - 1]:offs[j]]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        for a, b, row in zip(starts, [*starts[1:], trials], rows[starts].tolist()):
+            cands, cdf = branching_cdf(kind, j, tuple(row), up, down)
+            out[order[a:b], offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[order[a:b]])]
     return out
 
 

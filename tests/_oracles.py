@@ -16,12 +16,16 @@ from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
 from gtpush.patterns import (
     Pattern,
+    branching_cdf,
+    check_bottom_row,
     coords_of,
     enumerate_patterns,
     interlace_nest,
     interlace_shift,
     is_valid,
+    rates_of,
     row_offsets,
+    scaled_rates,
     weight,
 )
 
@@ -392,3 +396,23 @@ def ring_rates_by_parity(kind: str, keys, qs) -> list:
     if kind == "standard":
         return [qs[r - 1] for r, _, _ in keys]
     return [qs[(r + 1) // 2 - 1] ** (d if r % 2 else -d) for r, _, d in keys]
+
+
+def sample_patterns_by_dict(z, q, kind, rng, nrows, trials):
+    """``patterns.sample_patterns`` with its trials grouped by a dict keyed on
+    each trial's row j, filled in a per-trial loop: one uniform per trial and
+    row, drawn before grouping, so the grouping cannot change a sample."""
+    z, nrows = check_bottom_row(z, kind, nrows)
+    _, up, down = scaled_rates(rates_of(q, len(z)))
+    offs = row_offsets(nrows, kind)
+    out = np.empty((trials, offs[-1]), dtype=np.int64)
+    out[:, offs[-2]:] = z
+    for j in range(nrows, 1, -1):
+        u = rng.random(trials)
+        groups: dict = {}
+        for i, row in enumerate(map(tuple, out[:, offs[j - 1]:offs[j]].tolist())):
+            groups.setdefault(row, []).append(i)
+        for row, members in groups.items():
+            cands, cdf = branching_cdf(kind, j, row, up, down)
+            out[members, offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[members])]
+    return out

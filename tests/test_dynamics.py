@@ -10,6 +10,7 @@ from gtpush import intertwine, kernels
 from gtpush.cli import cli_dispatch
 from gtpush.dynamics import (
     _ring_draws,
+    _ring_picks,
     _ring_rates,
     geometric_step,
     geometric_update,
@@ -240,7 +241,7 @@ def test_trajectory_json_lines_format(tmp_path):
 def _sampled_starts(n, kind, rng, trials):
     """Flat patterns drawn above random nonzero bottom rows, one per trial."""
     k = n if kind == "standard" else (n + 1) // 2
-    q = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:k]
+    q = (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13))[:k]
     rows = [tuple(sorted(int(v) for v in rng.integers(0, 4, size=k))) for _ in range(trials)]
     return np.concatenate([sample_patterns(z, q, kind, rng, n, 1) for z in rows])
 
@@ -279,13 +280,16 @@ def _oracle_ring(rows, kind, r, j, d):
 
 @pytest.mark.parametrize("kind, n", [("standard", 3), ("standard", 4),
                                      ("symplectic", 3), ("symplectic", 4),
-                                     ("symplectic", 5)])
+                                     ("symplectic", 5), ("standard", 6),
+                                     ("symplectic", 6)])
 def test_batched_rings_match_event_driven_simulators(kind, n):
     table = ring_table(n, kind)
     assert [table.ring_of[key] for key in table.keys] == list(range(table.idle))
-    # every ring from every pattern with entries in 0..3, against the oracle
+    # every ring from every pattern with entries in 0..3 (0..1 at n = 6, where
+    # the 0..3 cone holds 27,456 standard patterns), against the oracle
     k = n if kind == "standard" else (n + 1) // 2
-    cone = [p.rows for z in combinations_with_replacement(range(4), k)
+    top = 3 if n < 6 else 1
+    cone = [p.rows for z in combinations_with_replacement(range(top + 1), k)
             for p in enumerate_patterns(z, kind, nrows=n)]
     start = np.repeat([[c for row in rows for c in row] for rows in cone], table.idle, axis=0)
     rings = np.tile(np.arange(table.idle), len(cone))[:, None]
@@ -300,12 +304,21 @@ def test_batched_rings_match_event_driven_simulators(kind, n):
     lengths = rng.integers(0, width + 1, size=trials)
     rings[np.arange(width) >= lengths[:, None]] = table.idle
     batched = run_rings(table, start, rings)
+    depths = []  # pushes of each cascade
     for trial in range(trials):
         init = Pattern(_unflatten(start[trial], n, kind), kind)
         flat, moves = trace_rings(table, start[trial].tolist(), enumerate(rings[trial].tolist()))
         assert flat == batched[trial].tolist()
         assert replay_log(init, moves).rows == _unflatten(batched[trial], n, kind)
         assert all(t < lengths[trial] for t, *_ in moves)
+        for *_, cause in moves:
+            if cause == "self":
+                depths.append(0)
+            else:
+                depths[-1] += 1
+    # some cascade runs from row 1 to row n: a block loop that stops one
+    # level early parts from the one-trial loop there
+    assert max(depths) == n - 1
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -361,9 +374,27 @@ def test_ring_table_and_rates_read_the_row_rule(kind):
 
 
 def test_ring_draws_refuse_a_horizon_past_the_event_cap():
-    # refused before anything is drawn: the stream is left as it was
+    # refused before anything is drawn, with or without the times: the stream
+    # is left as it was
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    with pytest.raises(RuntimeError, match="t_end = 1e[+]15 asks for 8.33e[+]14 ring events"):
-        _ring_draws([F(1, 2), F(1, 3)], 1e15, 1, rng)
-    assert rng.bit_generator.state == state
+    for draw in (_ring_draws, _ring_picks):
+        with pytest.raises(RuntimeError, match="t_end = 1e[+]15 asks for 8.33e[+]14 ring events"):
+            draw([F(1, 2), F(1, 3)], 1e15, 1, rng)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("trials, t_end", [(500, 1.0), (1, 3.0), (7, 0.0), (0, 1.0)])
+def test_ring_picks_are_the_rings_of_ring_draws(trials, t_end):
+    # on one stream the picks are the rings of a full draw, whose times follow
+    # them: inf exactly where the idle ring pads, sorted uniforms on [0, t_end]
+    rates = _ring_rates(ring_table(4, "symplectic"), (F(1, 2), F(1, 3)))
+    picks = _ring_picks(rates, t_end, trials, np.random.default_rng(17))
+    rings, times = _ring_draws(rates, t_end, trials, np.random.default_rng(17))
+    assert picks.shape == rings.shape == times.shape and picks.shape[0] == trials
+    assert picks.tobytes() == rings.tobytes()
+    idle = rings == len(rates)
+    assert (idle == (np.arange(rings.shape[1]) >= (~idle).sum(axis=1)[:, None])).all()
+    assert np.isinf(times[idle]).all()
+    assert ((times[~idle] >= 0) & (times[~idle] <= t_end)).all()
+    assert (times[:, 1:] >= times[:, :-1]).all()

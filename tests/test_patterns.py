@@ -20,7 +20,7 @@ from gtpush.patterns import (
 from gtpush import schur as schur_mod
 from gtpush.harness import Pmf, tv_distance
 
-from _oracles import count_patterns_brute, is_valid_by_interlacing
+from _oracles import count_patterns_brute, is_valid_by_interlacing, sample_patterns_by_dict
 
 
 def test_interlace_shift_examples():
@@ -196,6 +196,38 @@ def test_sampler_matches_measure_standard():
 def test_sampler_matches_measure_symplectic():
     tv = _measure_pattern_tv((0, 2), (F(1, 2), F(1, 3)), "symplectic", 4, 30_000, 43)
     assert tv <= 0.02
+
+
+Q5 = (F(1, 2), F(1, 3), F(1, 5), F(2, 3), F(5, 7))
+
+
+@pytest.mark.parametrize("z, kind, nrows, trials", [
+    ((-2, 0, 3), "standard", 3, 3000),
+    ((1, 4), "symplectic", 3, 2000),
+    ((1, 4), "symplectic", 4, 2000),
+    ((1, 4, 6), "symplectic", 5, 2000),
+    ((0, 2, 3, 5, 8), "standard", 5, 3000),
+    ((-2, 0, 3), "standard", 3, 1),
+    ((-2, 0, 3), "standard", 3, 0),
+    ((1, 4, 6), "symplectic", 5, 0),
+], ids=["negative", "wall-3", "wall-4", "wall-5", "wide", "one-trial", "no-trials",
+        "wall-no-trials"])
+def test_sampler_matches_dict_grouping(z, kind, nrows, trials):
+    # sorted runs of equal rows draw what the dict groups drew, byte for byte,
+    # and leave the stream where they did
+    rng, oracle_rng = np.random.default_rng(61), np.random.default_rng(61)
+    got = sample_patterns(z, Q5[:len(z)], kind, rng, nrows, trials)
+    want = sample_patterns_by_dict(z, Q5[:len(z)], kind, oracle_rng, nrows, trials)
+    assert got.shape == want.shape == (trials, row_offsets(nrows, kind)[-1])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if z == (0, 2, 3, 5, 8):  # many runs: row 4 has 72 candidates, all drawn at this seed
+        assert len({tuple(row) for row in got[:, 6:10].tolist()}) > 50
+
+
+def test_sampler_refuses_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials = -1"):
+        sample_patterns((0, 1), (F(1, 2), F(1, 3)), "standard", np.random.default_rng(0), 2, -1)
 
 
 def test_sampler_two_pattern_split():
