@@ -4,25 +4,33 @@ edge processes of the pattern dynamics.
 A noise panel is materialised once and drives both sides of an identity, so
 equality claims are checked exactly, path by path.  Poisson and wall panels
 are ring clocks drawn by ``dynamics._ring_draws``, a clock being a component
-or a (component, sign).  Both continuous-time edges are one reflection map,
-_reflect: the wall edge (the wall functional) with the wall at stage 0, the
-left edge on negated paths with no wall.  On the dynamics' side a panel rings
-the edge particles, the other rings come from one more _ring_draws draw, and
-the merged sequence runs through ``dynamics.trace_rings``.  The pathwise
-sweeps run one trial at a time, trial i's panel from the stream (seed, i) and
-the rest of its noise from (seed + 1, i).  The wall functional's samples are
-reflected in blocks of WALL_BLOCK_TRIALS panels, block b from (seed, b).
+or a (component, sign).  Both continuous-time edges are one reflection map:
+the wall edge (the wall functional) with the wall at stage 0, the left edge on
+negated paths with no wall.  It has two forms, as ``dynamics`` has run_rings
+and trace_rings: _reflect runs a block of padded array rows, for the blocks of
+wall_sup_samples, and _reflect_row one panel's merged (time, code) jumps in a
+list loop, for left_edge_from_walk, wall_sup_functional and both edge checks.
+On the dynamics' side a panel rings the edge particles, the other rings come
+from one more _ring_draws draw, and the merged sequence runs through
+``dynamics.trace_rings``.  The float rates of that draw, keyed on the ring
+table itself, are cached like the picks' CDF and the geometric jump
+probabilities in ``dynamics``, so a one-panel check pays for its draws and
+list loops.  The pathwise sweeps run one trial at a time, trial i's panel from
+the stream (seed, i) and the rest of its noise from (seed + 1, i).  The wall
+functional's samples are reflected in blocks of WALL_BLOCK_TRIALS panels,
+block b from (seed, b).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import dynamics
 from .harness import trial_rng
-from .patterns import STANDARD, SYMPLECTIC, rates_of, row_length
+from .patterns import STANDARD, SYMPLECTIC, rates_of
 
 WALL_BLOCK_TRIALS = 1024
 _NOT_A_SPLIT = np.iinfo(np.int32).min // 2
@@ -62,8 +70,20 @@ def poisson_panel(n: int, q, t_end: float, rng) -> PoissonPanel:
 
 
 def geometric_panel(n: int, q, t_max: int, rng) -> GeometricPanel:
-    return GeometricPanel(tuple(tuple((rng.geometric(float(1 - v), size=t_max) - 1).tolist())
-                                for v in rates_of(q, n, open_unit=True)))
+    """Row k-1 holds the t_max jumps of the diagonal particle of row k, the
+    failures before a success of probability 1 - q_k, drawn row by row."""
+    ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
+    _check_geometric_draw(n, t_max)
+    return GeometricPanel(tuple(tuple((rng.geometric(p, size=t_max) - 1).tolist()) for p in ps))
+
+
+def _check_geometric_draw(per_step: int, t_max: int) -> None:
+    """Refuse, before anything is drawn, a draw of per_step geometric jumps
+    at each of t_max steps past the ``dynamics.MAX_RING_EVENTS`` of one draw."""
+    if per_step * t_max > dynamics.MAX_RING_EVENTS:
+        raise RuntimeError(f"the horizon t_max = {t_max} asks for {per_step * t_max:.3g} geometric "
+                           f"jumps, past the {dynamics.MAX_RING_EVENTS} of one draw: the horizon "
+                           f"must come down")
 
 
 def wall_panel(k: int, q, t_end: float, rng) -> WallPanel:
@@ -98,13 +118,10 @@ def _row_panel(times, codes, m: int, t_end: float) -> WallPanel:
     return WallPanel(tuple(map(tuple, comps)), t_end)
 
 
-def _panel_arrays(comps, sign: int):
-    """Jump times and the codes sign * d * (c+1) of every jump (time, d) of
-    component c, as one row of the reflection map's input."""
-    times = np.array([[t for jumps in comps for t, _ in jumps]], dtype=float)
-    codes = np.array([[sign * d * c for c, jumps in enumerate(comps, 1) for _, d in jumps]],
-                     dtype=np.int8)
-    return times, codes
+def _merged(comps, sign: int) -> list[tuple[float, int]]:
+    """Every jump (time, d) of component c as (time, sign * d * (c+1)), in
+    time order: one row of the reflection map's input."""
+    return sorted((t, sign * d * c) for c, jumps in enumerate(comps, 1) for t, d in jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +162,36 @@ def _reflect(times, codes, m: int, wall: bool):
     return grid, paths
 
 
+def _reflect_row(jumps, m: int, wall: bool) -> tuple[list[float], list[list[int]]]:
+    """_reflect for one row: its jumps (time, +-(c+1)) in time order, no
+    padding.  Returns the times [0, t_1, t_2, ...] of the origin and of each
+    later distinct jump time, and [E_0, ..., E_{m-1}] at each, read after
+    every jump at that time (at time 0 too).
+
+    The origin is a split point with every value 0, so each running maximum
+    starts at 0; then the end of each run of tied jumps is a split point."""
+    path = [0] * m  # V_c
+    best = [0] * m  # max of E_{c-1}(s) - V_c(s) over the split points s so far
+    times, stages = [0.0], [[0] * m]
+    for i, (t, code) in enumerate(jumps):
+        path[abs(code) - 1] += 1 if code > 0 else -1
+        if i + 1 < len(jumps) and jumps[i + 1][0] == t:
+            continue  # tied with the next jump: no split point
+        stage, above = [], 0  # the wall
+        for c, v in enumerate(path):
+            if c or wall:
+                best[c] = max(best[c], above - v)
+                v += best[c]
+            stage.append(v)
+            above = v
+        if t == times[-1]:
+            stages[-1] = stage  # a jump at time 0
+        else:
+            times.append(t)
+            stages.append(stage)
+    return times, stages
+
+
 # ---------------------------------------------------------------------------
 # the continuous-time edges
 
@@ -161,8 +208,22 @@ def left_edge_from_walk(panel: PoissonPanel, t_grid) -> list[list[int]]:
     if grid and grid[0] < 0:
         raise ValueError(f"t_grid must start at time 0 or later, got time {grid[0]}")
     comps = [[(t, 1) for t in ts] for ts in panel.times]
-    jumps, edges = _reflect(*_panel_arrays(comps, -1), len(comps), wall=False)
-    return (-edges[:, 0, np.searchsorted(jumps[0], grid, side="right") - 1]).tolist()
+    times, stages = _reflect_row(_merged(comps, -1), len(comps), wall=False)
+    at = [stages[bisect_right(times, t) - 1] for t in grid]
+    return [[-stage[c] for stage in at] for c in range(len(comps))]
+
+
+@lru_cache(maxsize=None)
+def _edge_rings(table: dynamics.RingTable, qs: tuple) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Row r's edge particle edge[r] (first of a standard row, last of a
+    symplectic one), and the float rates of the table's rings at qs with the
+    edge rings' set to 0, as a panel rings those.  Keyed on the table itself,
+    so that a changed table gets its own."""
+    offs = table.offsets
+    edge = (0,) + tuple(offs[r] - offs[r - 1] if table.kind == SYMPLECTIC else 1
+                        for r in range(1, len(offs)))
+    return edge, tuple(0.0 if j == edge[r] else float(rate)
+                       for (r, j, _), rate in zip(table.keys, dynamics._ring_rates(table, qs)))
 
 
 def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> bool:
@@ -177,24 +238,22 @@ def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> b
     if len(comps) != n:
         raise ValueError(f"{n} rows need {n} panel components, got {len(comps)}")
     table = dynamics.ring_table(n, kind)
-    wall = kind == SYMPLECTIC
-    edge = [row_length(r, kind) if wall else 1 for r in range(n + 1)]
-    rates = [0 if j == edge[r] else rate
-             for (r, j, _), rate in zip(table.keys, dynamics._ring_rates(table, qs))]
+    edge, rates = _edge_rings(table, qs)
     rings, times = dynamics._ring_draws(rates, t_end, 1, rng)
     timed = [(t, table.ring_of[r, edge[r], d])
              for r, jumps in enumerate(comps, 1) for t, d in jumps]
     timed += zip(times[0].tolist(), rings[0].tolist())
     _, moves = dynamics.trace_rings(table, [0] * table.offsets[-1], sorted(timed))
+    wall = kind == SYMPLECTIC
     sign = 1 if wall else -1
-    grid, edges = _reflect(*_panel_arrays(comps, sign), n, wall)
-    cuts = grid[0].tolist() + [t_end]
-    want = (sign * edges[:, 0, np.searchsorted(grid[0], cuts, side="right") - 1]).tolist()
-    got = [[0] * len(cuts) for _ in range(n)]
+    cuts, want = _reflect_row(_merged(comps, sign), n, wall)
+    want.append(want[bisect_right(cuts, t_end) - 1])
+    cuts.append(t_end)
+    got = [[0] * n for _ in cuts]
     for t, r, j, d, _ in moves:  # an edge move counts at every cut from its time on
         if j == edge[r]:
             for i in range(bisect_left(cuts, t), len(cuts)):
-                got[r - 1][i] += d
+                got[i][r - 1] += sign * d
     return got == want
 
 
@@ -250,33 +309,42 @@ def wall_edge_failures(k: int, q, t: float, trials: int, seed: int) -> list[int]
 # last passage times
 
 def lpp_G(panel: GeometricPanel, n: int, t_max: int | None = None) -> list[list[int]]:
-    """Last passage times G[k-1][t-1] into (t, k) by the corner recursion."""
+    """Last passage times G[k-1][t-1] into (t, k) by the corner recursion,
+    on a panel of n rows of t_max draws or more (by default its first row's)."""
     eta = panel.eta
     if t_max is None:
         t_max = len(eta[0]) if eta else 0
-    g = [[0] * (t_max + 1) for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for t in range(1, t_max + 1):
-            g[k][t] = max(g[k - 1][t], g[k][t - 1]) + eta[k - 1][t - 1]
-    return [row[1:] for row in g[1:]]
+    if len(eta) != n or any(len(row) < t_max for row in eta):
+        raise ValueError(f"{n} rows up to step {t_max} need a panel of {n} rows of at least "
+                         f"{t_max} draws, got rows of {[len(row) for row in eta]} draws")
+    g, above = [], [0] * t_max
+    for row_eta in eta:
+        row, last = [], 0
+        for up, e in zip(above, row_eta):
+            last = (up if up > last else last) + e  # max(G(t, k-1), G(t-1, k)) + eta
+            row.append(last)
+        g.append(row)
+        above = row
+    return g
 
 
 def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int, rng) -> bool:
     """True iff the simulated right edge equals the last passage times at
     every step up to t_max, when the diagonal particles consume the panel
-    draws."""
-    qs = rates_of(q, n, open_unit=True)
-    g = lpp_G(panel, n, t_max)
+    draws.  A panel of another height, or shorter than t_max, is refused
+    before anything is drawn."""
+    want = list(map(list, zip(*lpp_G(panel, n, t_max))))  # refuses a misshapen panel
+    ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
+    # every step's jumps in one draw, row r0 in columns lo:hi, its last one
+    # (the diagonal particle's) taken from the panel
+    bounds = [(r0 * (r0 + 1) // 2, (r0 + 1) * (r0 + 2) // 2) for r0 in range(n)]
+    _check_geometric_draw(bounds[-1][1], t_max)
+    steps = rng.geometric(np.repeat(ps, range(1, n + 1)), size=(t_max, bounds[-1][1])) - 1
+    steps[:, [hi - 1 for _, hi in bounds]] = np.array([row[:t_max] for row in panel.eta]).T
     rows = [[0] * j for j in range(1, n + 1)]
-    # every step's jumps in one draw, row r0 taking r0 + 1 columns
-    ps = [float(1 - qs[r0]) for r0 in range(n) for _ in range(r0 + 1)]
-    steps = (rng.geometric(ps, size=(t_max, len(ps))) - 1).tolist()
-    for t, draws in enumerate(steps, 1):
-        xi = [draws[r0 * (r0 + 1) // 2:(r0 + 1) * (r0 + 2) // 2] for r0 in range(n)]
-        for r0 in range(n):
-            xi[r0][r0] = panel.eta[r0][t - 1]
-        rows, _ = dynamics.geometric_step(rows, xi)
-        if any(rows[k][k] != g[k][t - 1] for k in range(n)):
+    for t, draws in enumerate(steps.tolist()):
+        rows, _ = dynamics.geometric_step(rows, [draws[lo:hi] for lo, hi in bounds])
+        if [row[-1] for row in rows] != want[t]:
             return False
     return True
 
@@ -295,9 +363,8 @@ def wall_sup_functional(panel: WallPanel, t: float) -> int:
     the last stage of a one-row reflection, jumps after t as padding."""
     if any(d not in (1, -1) for jumps in panel.jumps for _, d in jumps):
         raise ValueError("the jumps of a wall panel are steps of +1 or -1")
-    times, codes = _panel_arrays(panel.jumps, 1)
-    _, edges = _reflect(np.where(times <= t, times, np.inf), codes, len(panel.jumps), wall=True)
-    return int(edges[-1, 0, -1])
+    jumps = [jump for jump in _merged(panel.jumps, 1) if jump[0] <= t]
+    return _reflect_row(jumps, len(panel.jumps), wall=True)[1][-1][-1]
 
 
 def wall_sup_samples(k: int, q, t: float, trials: int, seed: int) -> list[int]:

@@ -7,9 +7,11 @@ dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
 coupling generators of ``kernels.coupling_generator`` read the same table.
 _ring_picks is the package's one sampler of ring clocks: they superpose, so a
 trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
-its rate; _ring_draws adds their sorted uniform times.  Ring sequences drive
-two loops: run_rings moves a block of trials in one flat int array,
-trace_rings one trial, reporting each move.  A blocked ring is discarded; a
+its rate; _ring_draws adds their sorted uniform times.  The float constants of
+a rate vector (the picks' total and CDF, the geometric jump probabilities)
+are cached, as a sweep of one-trial draws asks for the same ones each trial.
+Ring sequences drive two loops: run_rings moves a block of trials in one flat
+int array, trace_rings one trial, reporting each move.  A blocked ring is discarded; a
 push cascade resolves downward at its ring's time.  Discrete time updates rows
 top to bottom, the old row above blocking and the new row above pushing:
 geometric_step for one trial, geometric_update for a block.  run_block and
@@ -40,7 +42,8 @@ from .patterns import (
 # blocking and pushing: one neighbour table per continuous-time dynamics
 
 NEVER = np.iinfo(np.int64).min  # value of the slot no particle ever reaches
-MAX_RING_EVENTS = 1 << 22  # most events one ring draw may expect: about 26 bytes each
+MAX_RING_EVENTS = 1 << 22  # most events one ring draw may expect (about 26 bytes each),
+# and most geometric jumps one draw of ``couplings`` may hold
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,24 @@ def _ring_rates(table: RingTable, qs: tuple) -> tuple[Fraction, ...]:
     return tuple(branching_rule(table.kind, r, qs)[1] ** d for r, _, d in table.keys)
 
 
+@lru_cache(maxsize=None)
+def _jump_probs(qs: tuple) -> tuple[float, ...]:
+    """Success probability 1 - q of each row's geometric jumps, as floats."""
+    return tuple(float(1 - v) for v in qs)
+
+
 # ---------------------------------------------------------------------------
 # ring sequences: a block of trials, or one trial with its moves
+
+@lru_cache(maxsize=None)
+def _pick_cdf(rates: tuple) -> tuple[float, np.ndarray]:
+    """Total rate and read-only CDF of the picks among ring clocks at rates."""
+    rates = [float(v) for v in rates]
+    total = sum(rates)
+    cdf = np.array(rates).cumsum() / (total or 1.0)
+    cdf.flags.writeable = False
+    return total, cdf
+
 
 def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
     """The rings of a superposition of ring clocks at the given rates on [0,
@@ -125,18 +144,18 @@ def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
     is refused before anything is drawn."""
     if not t_end >= 0:
         raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
-    rates, t_end = [float(v) for v in rates], float(t_end)
-    total = sum(rates)
+    t_end = float(t_end)
+    total, cdf = _pick_cdf(tuple(rates))
     if trials * total * t_end > MAX_RING_EVENTS:
         raise RuntimeError(f"the horizon t_end = {t_end:g} asks for {trials * total * t_end:.3g} "
                            f"ring events (trials = {trials}), past the {MAX_RING_EVENTS} of one "
                            f"draw: the horizon or the trial count must come down")
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
-    cdf = np.array(rates).cumsum() / (total or 1.0)
     rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
-                       len(rates) - 1)
-    rings[np.arange(width) >= counts[:, None]] = len(rates)
+                       len(cdf) - 1)
+    if trials > 1:  # one trial is never padded
+        rings[np.arange(width) >= counts[:, None]] = len(cdf)
     return rings
 
 
@@ -146,8 +165,10 @@ def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.n
     are the order statistics of its own count)."""
     rings = _ring_picks(rates, t_end, trials, rng)
     times = rng.random(rings.shape) * float(t_end)
-    times[rings == len(rates)] = np.inf
-    return rings, np.sort(times, axis=1)
+    if trials > 1:
+        times[rings == len(rates)] = np.inf
+    times.sort(axis=1)
+    return rings, times
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:
@@ -209,21 +230,21 @@ def geometric_step(rows, xi):
     """
     new_rows: list[list[int]] = []
     moves = []
+    old = new = None  # the row above, before and after this step
     for r0, row in enumerate(rows):
-        new_row = []
+        jumps, new_row = xi[r0], []
         for j0, pos in enumerate(row):
-            inter = pos
-            cause = "self"
-            if r0 > 0 and j0 > 0 and new_rows[r0 - 1][j0 - 1] > inter:
-                inter = new_rows[r0 - 1][j0 - 1]
-                cause = "push"
-            nxt = inter + int(xi[r0][j0])
-            if r0 > 0 and j0 < len(rows[r0 - 1]):
-                nxt = min(nxt, rows[r0 - 1][j0])
+            inter, cause = pos, "self"
+            if r0 and j0 and new[j0 - 1] > pos:
+                inter, cause = new[j0 - 1], "push"
+            nxt = inter + int(jumps[j0])
+            if r0 and j0 < len(old) and old[j0] < nxt:
+                nxt = old[j0]
             new_row.append(nxt)
             if nxt != pos:
                 moves.append((r0 + 1, j0 + 1, nxt - pos, cause))
         new_rows.append(new_row)
+        old, new = row, new_row
     return new_rows, moves
 
 
@@ -264,7 +285,7 @@ def run_block(model: str, n: int, q, start: np.ndarray, horizon, rng) -> np.ndar
     horizon, trial i from the flat pattern start[i]."""
     kind, qs = _model_rates(model, n, q, horizon)
     if model == "geometric":
-        ps = np.repeat([float(1 - v) for v in qs], range(1, n + 1))
+        ps = np.repeat(_jump_probs(qs), range(1, n + 1))
         x = start
         for _ in range(int(horizon)):
             x = geometric_update(x, rng.geometric(ps, size=x.shape) - 1, n)
@@ -283,7 +304,7 @@ def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Patter
         raise ValueError(f"init must be a valid {kind} pattern of matching size")
     if model == "geometric":
         rows, log = [list(r) for r in init.rows], []
-        ps = [float(1 - v) for v in qs]
+        ps = _jump_probs(qs)
         for t in range(1, int(horizon) + 1):
             rows, moves = geometric_step(
                 rows, [rng.geometric(p, size=r0 + 1) - 1 for r0, p in enumerate(ps)])

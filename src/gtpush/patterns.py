@@ -63,9 +63,9 @@ def rates_of(q, expect: int | None = None, open_unit: bool = False) -> tuple[Fra
     qs = tuple(frac(v) for v in q)
     if expect is not None and len(qs) != expect:
         raise ValueError(f"expected {expect} rates, got {len(qs)}")
-    if any(v <= 0 for v in qs):
+    if any(v.numerator <= 0 for v in qs):  # a Fraction's denominator is positive
         raise ValueError("rates must be positive")
-    if open_unit and any(v >= 1 for v in qs):
+    if open_unit and any(v.numerator >= v.denominator for v in qs):
         raise ValueError("rates must lie in the open interval (0,1)")
     return qs
 

@@ -207,15 +207,61 @@ def test_block_wall_sup_matches_per_trial_oracle():
 
 
 def test_reflect_stage_c_is_the_wall_functional_of_the_first_c_components():
+    # in both forms: the array rows of a block and the list loop of one panel
     rng = np.random.default_rng(23)
     for _ in range(200):
         k = int(rng.integers(1, 4))
-        panel = wall_panel(k, Q3[:k], 1.5, rng)
-        times, codes = couplings._panel_arrays(panel.jumps, 1)
+        times, codes = couplings._wall_block(Q3[:k], 1.5, 1, rng)
+        panel = couplings._row_panel(times[0], codes[0], 2 * k, 1.5)
         _, edges = couplings._reflect(times, codes, 2 * k, wall=True)
+        _, stages = couplings._reflect_row(couplings._merged(panel.jumps, 1), 2 * k, wall=True)
         for c in range(2 * k):
             first = WallPanel(panel.jumps[:c + 1], panel.t_end)
-            assert edges[c, 0, -1] == wall_sup_dp(first, 1.5)
+            assert edges[c, 0, -1] == stages[-1][c] == wall_sup_dp(first, 1.5)
+
+
+def _random_jumps(rng, m: int, wall: bool) -> list[tuple[float, int]]:
+    """Merged (time, code) jumps of one row: a drawn panel (wall or poisson),
+    or jumps on a grid of quarter times, so that many tie within and across
+    components, with a jump at time 0 added to some; small counts leave
+    components empty."""
+    kind = int(rng.integers(3))
+    if kind == 0 and wall:
+        return couplings._merged(wall_panel(m // 2, Q3[:m // 2], 1.5, rng).jumps, 1)
+    if kind == 0:
+        panel = couplings.poisson_panel(m, Q3[:m], 2.0, rng)
+        return couplings._merged([[(t, 1) for t in ts] for ts in panel.times], -1)
+    count = int(rng.integers(0, 10))
+    times = rng.integers(0, 5, count) / 4 if kind == 1 else rng.uniform(0, 2, count)
+    codes = rng.choice([-1, 1], count) * rng.integers(1, m + 1, count)
+    jumps = list(zip(times.tolist(), codes.tolist()))
+    if rng.random() < 0.3:
+        jumps.append((0.0, int(rng.choice([-1, 1]) * rng.integers(1, m + 1))))
+    return sorted(jumps)
+
+
+def test_the_list_reflection_agrees_with_reflect():
+    # _reflect_row serves the one-panel callers, _reflect the blocks: at the
+    # origin and at every distinct jump time, read after every jump at it,
+    # the list loop's stages are the array form's
+    rng = np.random.default_rng(37)
+    ties = at_zero = empty = 0
+    for _ in range(3000):
+        wall = bool(rng.integers(2))
+        k = int(rng.integers(1, 4))
+        m = 2 * k if wall else k
+        jumps = _random_jumps(rng, m, wall)
+        times = np.array([[t for t, _ in jumps]], dtype=float)
+        codes = np.array([[c for _, c in jumps]], dtype=np.int8)
+        grid, edges = couplings._reflect(times, codes, m, wall)
+        at, stages = couplings._reflect_row(jumps, m, wall)
+        assert at == sorted({0.0, *(t for t, _ in jumps)})
+        read = np.searchsorted(grid[0], at, side="right") - 1
+        assert edges[:, 0, read].T.tolist() == stages
+        ties += len(at) < len(jumps) + 1 - any(t == 0 for t, _ in jumps)
+        at_zero += any(t == 0 for t, _ in jumps)
+        empty += len({abs(c) for _, c in jumps}) < m
+    assert min(ties, at_zero, empty) > 300
 
 
 def test_wall_edge_matches_full_dynamics():
@@ -229,6 +275,43 @@ def test_wall_edge_hand_trace():
     panel = WallPanel((((0.2, 1), (0.4, -1), (0.6, -1)), ((0.5, -1),)), 1.0)
     assert wall_sup_functional(panel, 1.0) == 0
     assert wall_edge_matches_dynamics(panel, 1, (F(1, 2),), np.random.default_rng(0))
+
+
+def test_lpp_checks_refuse_a_misshapen_panel():
+    # a panel of another height, or shorter than t_max, before anything is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for panel, n, t_max, shape in [(GeometricPanel(((1, 2),)), 2, 2, "[2]"),
+                                   (GeometricPanel(((1, 2), (3, 4), (5, 6))), 2, 2, "[2, 2, 2]"),
+                                   (GeometricPanel(((1, 2), (3,))), 2, 2, "[2, 1]")]:
+        message = rf"{n} rows up to step {t_max} need a panel of {n} rows of at least " \
+                  rf"{t_max} draws, got rows of \{shape}"
+        with pytest.raises(ValueError, match=message):
+            right_edge_equals_lpp(panel, n, Q3[:n], t_max, rng)
+        with pytest.raises(ValueError, match=message):
+            lpp_G(panel, n, t_max)
+    assert rng.bit_generator.state == state
+    # rows longer than t_max are read up to it
+    assert right_edge_equals_lpp(GeometricPanel(((1, 2, 9), (3, 4, 9))), 2, Q3[:2], 2, rng)
+
+
+def test_lpp_draws_refuse_a_horizon_past_the_event_cap(monkeypatch, capsys):
+    # the panel draw and the step draw are refused before anything is drawn
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="t_max = 100000000 asks for 3e[+]08 geometric jumps"):
+        couplings.geometric_panel(3, Q3, 10 ** 8, rng)
+    assert rng.bit_generator.state == state
+    monkeypatch.setattr(dynamics, "MAX_RING_EVENTS", 50)  # a panel of 30 jumps, steps of 60
+    panel = couplings.geometric_panel(3, Q3, 10, np.random.default_rng(4))
+    with pytest.raises(RuntimeError, match="t_max = 10 asks for 60 geometric jumps, past the 50"):
+        right_edge_equals_lpp(panel, 3, Q3, 10, rng)
+    assert rng.bit_generator.state == state
+    monkeypatch.undo()
+    assert cli_dispatch(["coupling", "check", "--identity", "lpp", "--n", "3", "--q",
+                         "1/2,1/3,1/5", "--horizon", "100000000", "--trials", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "t_max = 100000000" in err
 
 
 def test_edge_checks_refuse_a_panel_of_another_height():
@@ -274,17 +357,21 @@ def test_a_jump_at_time_zero_leaves_the_origin_a_split_point():
 def _one_entry_changes(table):
     """Each edge ring's blocker and push, each changed in one entry: a
     blocker to none, or to the wall where there was none; a push to none, or
-    where there was none to the same direction's edge ring of a row beside."""
+    where there was none to the same direction's edge ring of a row beside.
+    The edge is a standard row's first particle, a symplectic row's last."""
     zero, never = table.offsets[-1], table.offsets[-1] + 1
+
+    def edge(r):
+        return 1 if table.kind == "standard" else (r + 1) // 2
     for i, (r, j, d) in enumerate(table.keys):
-        if j != (r + 1) // 2:
+        if j != edge(r):
             continue  # not an edge particle
         blocker, push = list(table.blocker), list(table.push)
         blocker[i] = never if blocker[i] != never else zero
         yield (r, j, d), "blocker", dataclasses.replace(table, blocker=tuple(blocker))
         beside = r - 1 if r > 1 else r + 1
         push[i] = table.idle if push[i] != table.idle \
-            else table.keys.index((beside, (beside + 1) // 2, d))
+            else table.keys.index((beside, edge(beside), d))
         yield (r, j, d), "push", dataclasses.replace(table, push=tuple(push))
 
 
@@ -305,6 +392,22 @@ def test_wall_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
         else:
             assert failures == []
     assert len(caught) == 13
+
+
+def test_left_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
+    # A first particle pushes the second of the row below, which is no edge
+    # and never blocks one, so no push change can show on the left edge.
+    table = dynamics.ring_table(3, "standard")
+    caught = []
+    for key, column, changed in _one_entry_changes(table):
+        monkeypatch.setattr(dynamics, "ring_table", lambda n, kind, t=changed: t)
+        failures = left_edge_failures(3, Q3, 2.0, 200, 1402)
+        if column == "blocker":
+            assert failures, key
+            caught.append(key)
+        else:
+            assert failures == [], key
+    assert caught == [(1, 1, 1), (2, 1, 1), (3, 1, 1)]
 
 
 def test_sp_schur_even_heights_are_symmetric_under_inverted_rates():
