@@ -73,17 +73,8 @@ def geometric_panel(n: int, q, t_max: int, rng) -> GeometricPanel:
     """Row k-1 holds the t_max jumps of the diagonal particle of row k, the
     failures before a success of probability 1 - q_k, drawn row by row."""
     ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
-    _check_geometric_draw(n, t_max)
+    dynamics._check_draw_size(n * t_max, f"t_max = {t_max}", "geometric jumps")
     return GeometricPanel(tuple(tuple((rng.geometric(p, size=t_max) - 1).tolist()) for p in ps))
-
-
-def _check_geometric_draw(per_step: int, t_max: int) -> None:
-    """Refuse, before anything is drawn, a draw of per_step geometric jumps
-    at each of t_max steps past the ``dynamics.MAX_RING_EVENTS`` of one draw."""
-    if per_step * t_max > dynamics.MAX_RING_EVENTS:
-        raise RuntimeError(f"the horizon t_max = {t_max} asks for {per_step * t_max:.3g} geometric "
-                           f"jumps, past the {dynamics.MAX_RING_EVENTS} of one draw: the horizon "
-                           f"must come down")
 
 
 def wall_panel(k: int, q, t_end: float, rng) -> WallPanel:
@@ -338,7 +329,7 @@ def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int, rng) -> 
     # every step's jumps in one draw, row r0 in columns lo:hi, its last one
     # (the diagonal particle's) taken from the panel
     bounds = [(r0 * (r0 + 1) // 2, (r0 + 1) * (r0 + 2) // 2) for r0 in range(n)]
-    _check_geometric_draw(bounds[-1][1], t_max)
+    dynamics._check_draw_size(bounds[-1][1] * t_max, f"t_max = {t_max}", "geometric jumps")
     steps = rng.geometric(np.repeat(ps, range(1, n + 1)), size=(t_max, bounds[-1][1])) - 1
     steps[:, [hi - 1 for _, hi in bounds]] = np.array([row[:t_max] for row in panel.eta]).T
     rows = [[0] * j for j in range(1, n + 1)]

@@ -136,6 +136,15 @@ def _pick_cdf(rates: tuple) -> tuple[float, np.ndarray]:
     return total, cdf
 
 
+def _check_draw_size(events, horizon: str, what: str, cut: str = "the horizon") -> None:
+    """Refuse, before anything is drawn, a draw expecting more than
+    MAX_RING_EVENTS events: horizon names the horizon, what the events and
+    cut what must come down."""
+    if events > MAX_RING_EVENTS:
+        raise RuntimeError(f"the horizon {horizon} asks for {events:.3g} {what}, past the "
+                           f"{MAX_RING_EVENTS} of one draw: {cut} must come down")
+
+
 def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
     """The rings of a superposition of ring clocks at the given rates on [0,
     t_end], without their times: per trial N ~ Poisson(t_end * total rate)
@@ -146,10 +155,8 @@ def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
         raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
     t_end = float(t_end)
     total, cdf = _pick_cdf(tuple(rates))
-    if trials * total * t_end > MAX_RING_EVENTS:
-        raise RuntimeError(f"the horizon t_end = {t_end:g} asks for {trials * total * t_end:.3g} "
-                           f"ring events (trials = {trials}), past the {MAX_RING_EVENTS} of one "
-                           f"draw: the horizon or the trial count must come down")
+    _check_draw_size(trials * total * t_end, f"t_end = {t_end:g}",
+                     f"ring events (trials = {trials})", "the horizon or the trial count")
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
     rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),

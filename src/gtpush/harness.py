@@ -63,12 +63,15 @@ class Pmf:
         return cls(tuple(s for s, k in zip(states, keep) if k), row[keep], lost)
 
     def to_csv(self) -> str:
+        """A header, then one row per state: its coordinates joined by commas,
+        and its probability.  Only tuple states have this form."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["state", "prob"])
         for s, p in zip(self.support, self.probs):
-            label = ",".join(str(c) for c in s) if isinstance(s, tuple) else str(s)
-            writer.writerow([label, repr(float(p))])
+            if not isinstance(s, tuple):
+                raise ValueError(f"the CSV form holds tuple states only, got the state {s!r}")
+            writer.writerow([",".join(map(str, s)), repr(float(p))])
         return buf.getvalue()
 
     @classmethod

@@ -20,6 +20,7 @@ upper row given the lower (``schur.branching_law``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -363,17 +364,6 @@ def pushing_factor(u: int, v: int, q) -> Fraction:
     return q ** (-v) if u <= v else q ** (-u)
 
 
-def _landing(floor: int, cap: int | None, q: Fraction, bound: int) -> list[tuple[int, Fraction]]:
-    """Law of min(floor + jump, cap) for a jump with P(jump = k) = (1-q) q^k:
-    v below the cap has mass (1-q) q^(v-floor) and the cap keeps the rest,
-    q^(cap-floor).  With no cap the law is cut at the bound."""
-    top = bound if cap is None else cap - 1
-    law = [(v, (1 - q) * q ** (v - floor)) for v in range(floor, top + 1)]
-    if cap is not None:
-        law.append((cap, q ** (cap - floor)))
-    return law
-
-
 def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     """One-step kernel of the paired geometric rows: X (n entries) and the row
     Y below it, with n+1 rates.
@@ -381,25 +371,30 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     X steps by its own marginal kernel ``kernel_geometric``.  Given X's step
     x -> xt, Y's entries move independently as ``dynamics.geometric_update``
     moves them: Y_j is pushed up to its floor max(y_j, xt_{j-1}) (Y_0's floor
-    is y_0), jumps geometrically at the last rate and is blocked at its cap
-    x_j; the last entry has no cap.
+    is y_0), jumps geometrically at the last rate q and is blocked at its cap
+    x_j; the last entry has no cap and is cut at the bound.  So Y lands on
+    each yt of the box between floors and caps with mass q^rise (1-q)^free:
+    rise = |yt| - |floors|, and free counts the entries below their cap, the
+    last one always.
     """
     qs = rates_of(q_ext, n + 1, open_unit=True)
-    qy = qs[n]
+    a, b = qs[n].numerator, qs[n].denominator
     marginal = kernel_geometric(n, qs[:n], bound)
     kind, j = _y_row(GEOMETRIC, qs)
     states = _pairs(kind, j, qs, bound)
-    law = lru_cache(maxsize=None)(lambda floor, cap: _landing(floor, cap, qy, bound))
+    # q^rise (1-q)^free as integers over b^(rise+free), for q = a/b
+    weight = lru_cache(maxsize=None)(lambda rise, free: ((b - a) ** free * a ** rise,
+                                                         b ** (free + rise)))
     rows = {}
     for x, y in states:
-        caps = x + (None,)
+        stops = tuple(c + 1 for c in x) + (bound + 1,)
         row = {}
         for xt, px in marginal.row(x).items():
             floors = (y[0],) + tuple(map(max, y[1:], xt))
-            joint = [((), px)]
-            for floor, cap in zip(floors, caps):
-                joint = [(yt + (v,), p * w) for yt, p in joint for v, w in law(floor, cap)]
-            row.update(((xt, yt), p) for yt, p in joint)
+            base = sum(floors)
+            for yt in itertools.product(*map(range, floors, stops)):
+                num, den = weight(sum(yt) - base, 1 + sum(map(int.__lt__, yt, x)))
+                row[(xt, yt)] = Fraction(px.numerator * num, px.denominator * den)
         rows[(x, y)] = row
     return StepKernel(states, rows, bound, f"coupling-geometric n={n}")
 

@@ -37,10 +37,14 @@ def test_pmf_validation():
 
 
 def test_pmf_csv_round_trip():
-    p = Pmf(((0, 1), (2, 3)), np.array([0.25, 0.75]))
-    again = Pmf.from_csv(p.to_csv())
-    assert again.support == p.support
-    assert np.allclose(again.probs, p.probs)
+    for p in (Pmf(((0, 1), (2, 3)), np.array([0.25, 0.75])),
+              Pmf(((0,), (1,), (2,)), np.array([0.5, 0.25, 0.25]))):
+        again = Pmf.from_csv(p.to_csv())
+        assert again.support == p.support
+        assert np.allclose(again.probs, p.probs)
+    # an int state would read back as a 1-tuple, another state
+    with pytest.raises(ValueError, match="tuple states only, got the state 0"):
+        Pmf((0, 1, 2), np.array([0.5, 0.25, 0.25])).to_csv()
 
 
 def test_chi_square_null_is_calibrated():

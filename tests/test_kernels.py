@@ -432,10 +432,10 @@ def _simulator_mismatches(kern, n, qs, bound):
     return compared, mismatches
 
 
-@pytest.mark.parametrize("n,bound,comparisons", [(1, 6, 1386), (2, 3, 429)])
+@pytest.mark.parametrize("n,bound,comparisons", [(1, 6, 1386), (2, 3, 429), (3, 2, 168)])
 def test_coupling_kernel_geometric_is_the_simulator_step(n, bound, comparisons):
     # the simulators' update rule, pushed forward exactly, gives the kernel
-    qs = Q3[:n + 1]
+    qs = (*Q3, F(1, 7))[:n + 1]
     kern = coupling_kernel_geometric(n, qs, bound)
     assert _simulator_mismatches(kern, n, qs, bound) == (comparisons, [])
     # one doubled entry is caught
