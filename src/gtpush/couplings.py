@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dynamics
 from .harness import trial_rng
-from .patterns import STANDARD, SYMPLECTIC, rates_of
+from .patterns import STANDARD, SYMPLECTIC, rates_of, row_offsets
 
 WALL_BLOCK_TRIALS = 1024
 _NOT_A_SPLIT = np.iinfo(np.int32).min // 2
@@ -326,15 +326,15 @@ def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int, rng) -> 
     before anything is drawn."""
     want = list(map(list, zip(*lpp_G(panel, n, t_max))))  # refuses a misshapen panel
     ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
-    # every step's jumps in one draw, row r0 in columns lo:hi, its last one
-    # (the diagonal particle's) taken from the panel
-    bounds = [(r0 * (r0 + 1) // 2, (r0 + 1) * (r0 + 2) // 2) for r0 in range(n)]
-    dynamics._check_draw_size(bounds[-1][1] * t_max, f"t_max = {t_max}", "geometric jumps")
-    steps = rng.geometric(np.repeat(ps, range(1, n + 1)), size=(t_max, bounds[-1][1])) - 1
-    steps[:, [hi - 1 for _, hi in bounds]] = np.array([row[:t_max] for row in panel.eta]).T
+    # every step's jumps in one draw, laid out as the flat pattern, each row's
+    # last one (the diagonal particle's) taken from the panel
+    offs = row_offsets(n)
+    dynamics._check_draw_size(offs[-1] * t_max, f"t_max = {t_max}", "geometric jumps")
+    steps = rng.geometric(np.repeat(ps, range(1, n + 1)), size=(t_max, offs[-1])) - 1
+    steps[:, [hi - 1 for hi in offs[1:]]] = np.array([row[:t_max] for row in panel.eta]).T
     rows = [[0] * j for j in range(1, n + 1)]
     for t, draws in enumerate(steps.tolist()):
-        rows, _ = dynamics.geometric_step(rows, [draws[lo:hi] for lo, hi in bounds])
+        rows, _ = dynamics.geometric_step(rows, [draws[lo:hi] for lo, hi in zip(offs, offs[1:])])
         if [row[-1] for row in rows] != want[t]:
             return False
     return True

@@ -270,12 +270,14 @@ def geometric_update(x: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # runs of any dynamics: a block of trials, or one trial with its log of moves
+MODELS = ("poisson", "geometric", "wall")  # the three dynamics a run may name
+
 
 def _model_rates(model: str, n: int, q, horizon) -> tuple[str, tuple[Fraction, ...]]:
-    """Pattern kind and exact rates of a run of the "poisson", "wall" or
-    "geometric" dynamics on n rows up to the horizon, a time or, for the
-    geometric model, a whole number of steps: the one model-to-kind map."""
-    if model not in ("poisson", "wall", "geometric"):
+    """Pattern kind and exact rates of a run of one of the MODELS on n rows
+    up to the horizon, a time or, for the geometric model, a whole number of
+    steps: the one model-to-kind map."""
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if n < 1:
         raise ValueError(f"a pattern needs n >= 1 rows, got n = {n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,9 +93,9 @@ def tv_distance(p: Pmf, r: Pmf) -> float:
 
 
 def chi_square_gof(samples, ref: Pmf) -> float:
-    """Chi-square goodness of fit p-value; bins under 5 expected counts are
-    merged into a tail bin (which also absorbs unlisted states and any mass
-    the reference lost to truncation)."""
+    """Chi-square goodness of fit p-value (0 if a sample falls where the
+    reference has no mass); bins under 5 expected counts are merged into a
+    tail bin, which also absorbs unlisted states and mass lost to truncation."""
     from scipy.stats import chi2  # deferred: scipy.stats dominates import time
 
     n = len(samples)
@@ -127,27 +127,30 @@ def chi_square_gof(samples, ref: Pmf) -> float:
             raise ValueError("a chi-square test needs a reference law on at least two states")
         raise ValueError(f"{n} samples fill fewer than the two bins of at least 5 expected "
                          f"counts a chi-square test needs: more samples are needed")
+    if tail_obs and tail_exp <= 0.0:
+        return 0.0
     stat = sum((obs - exp) ** 2 / exp for obs, exp in bins)
     return float(chi2.sf(stat, len(bins) - 1))
 
 
 @dataclass
 class ExperimentConfig:
-    """A reproducible Monte Carlo run of one of the three dynamics."""
+    """A reproducible Monte Carlo run of one of the three dynamics.  Its model
+    and rates (exact, or "p/q" strings) resolve once, to kind and exact q."""
 
     model: str
     n: int
-    q: tuple[str, ...]
+    q: tuple
     z: tuple[int, ...]
     horizon: float | int
     trials: int
     seed: int
     bound: int
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        self.q = tuple(str(v) for v in self.q)
-        kind, _ = dynamics._model_rates(self.model, self.n, self.q, self.horizon)
-        self.z, _ = check_bottom_row(self.z, kind, self.n)
+        self.kind, self.q = dynamics._model_rates(self.model, self.n, self.q, self.horizon)
+        self.z, _ = check_bottom_row(self.z, self.kind, self.n)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if min(self.z) < 0 or self.bound < max(self.z) + 2:  # the reference law's box
@@ -164,10 +167,9 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def _endpoint_block(config: ExperimentConfig, block: int, trials: int) -> list[tuple]:
     """Bottom rows of one block of trials, drawn from the stream (seed, block)."""
-    kind, qs = dynamics._model_rates(config.model, config.n, config.q, config.horizon)
     rng = trial_rng(config.seed, block)
-    start = sample_patterns(config.z, qs, kind, rng, config.n, trials)
-    final = dynamics.run_block(config.model, config.n, qs, start, config.horizon, rng)
+    start = sample_patterns(config.z, config.q, config.kind, rng, config.n, trials)
+    final = dynamics.run_block(config.model, config.n, config.q, start, config.horizon, rng)
     return list(map(tuple, final[:, -len(config.z):].tolist()))
 
 
@@ -194,12 +196,11 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
     box (``schur.float_values``), never a matrix and no Fraction per state."""
     from . import intertwine
 
-    kind, qs = dynamics._model_rates(config.model, config.n, config.q, config.horizon)
     if config.model != "geometric":
-        gen = kernels.row_generator_float(kind, config.n, qs, config.bound)
+        gen = kernels.row_generator_float(config.kind, config.n, config.q, config.bound)
         law = intertwine.semigroup(gen, config.horizon, REFERENCE_TOL)
     else:
-        kern = kernels.kernel_geometric_float(config.n, qs, config.bound)
+        kern = kernels.kernel_geometric_float(config.n, config.q, config.bound)
         law = intertwine.Semigroup(kern.states, kern, [0.0] * int(config.horizon) + [1.0])
     return Pmf.from_dense_row(law, config.z)
 
@@ -207,7 +208,7 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
 def wall_sup_reference(k: int, q, t: float, bound: int) -> Pmf:
     """Law of the last coordinate of the height-2k wall row at time t from
     zero, which the wall sup functional of k rates matches in distribution."""
-    config = ExperimentConfig("wall", 2 * k, tuple(str(v) for v in q), (0,) * k, t, 1, 0, bound)
+    config = ExperimentConfig("wall", 2 * k, q, (0,) * k, t, 1, 0, bound)
     ref = reference_endpoint_pmf(config)
     probs: dict = {}
     for state, p in zip(ref.support, ref.probs):

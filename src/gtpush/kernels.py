@@ -8,11 +8,11 @@ the geometric step): the exact operators form one Fraction per entry from
 the integer Schur values of ``schur.exact_values``, and their float forms
 for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
-values of the whole box (``schur.float_values``).  Blocking and pushing are
-stated once for the simulators and the exact half alike: the continuous-time
-coupling generators are read off the ring table (``dynamics.ring_table``),
-and the geometric pair kernel follows the max / add / min of
-``dynamics.geometric_update``.
+values of the whole box (``schur.float_values``).  The continuous-time
+coupling generators read blocking and pushing off the simulators' ring table
+(``dynamics.ring_table``); the geometric pair kernel states its own floors
+and caps, the max / add / min of ``dynamics.geometric_update``, and a test
+holds it to ``dynamics.geometric_step``.
 One table says which pattern rows a variant pairs: its two-row states are the
 lower rows on the box with their ``patterns.branching`` candidates above, and
 its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the

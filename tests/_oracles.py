@@ -3,6 +3,7 @@
 These enumerate or sum directly from definitions so the tested code paths
 cannot leak into their own expected values.
 """
+import dataclasses
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -11,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gtpush.dynamics import RingTable
+from gtpush.dynamics import NEVER, RingTable
 from gtpush.intertwine import VerificationReport
 from gtpush.kernels import SparseGenerator, StepKernel
 from gtpush.patterns import (
@@ -416,3 +417,50 @@ def sample_patterns_by_dict(z, q, kind, rng, nrows, trials):
             cands, cdf = branching_cdf(kind, j, row, up, down)
             out[members, offs[j - 2]:offs[j - 1]] = cands[np.searchsorted(cdf, u[members])]
     return out
+
+
+def one_entry_changes(table: RingTable):
+    """Each edge ring's blocker and push, each changed in one entry: a
+    blocker to none, or to the wall where there was none; a push to none, or
+    where there was none to the same direction's edge ring of a row beside.
+    The edge is a standard row's first particle, a symplectic row's last.
+    Yields (ring key, changed column, changed table)."""
+    zero, never = table.offsets[-1], table.offsets[-1] + 1
+
+    def edge(r):
+        return 1 if table.kind == "standard" else (r + 1) // 2
+    for i, (r, j, d) in enumerate(table.keys):
+        if j != edge(r):
+            continue  # not an edge particle
+        blocker, push = list(table.blocker), list(table.push)
+        blocker[i] = never if blocker[i] != never else zero
+        yield (r, j, d), "blocker", dataclasses.replace(table, blocker=tuple(blocker))
+        beside = r - 1 if r > 1 else r + 1
+        push[i] = table.idle if push[i] != table.idle \
+            else table.keys.index((beside, edge(beside), d))
+        yield (r, j, d), "push", dataclasses.replace(table, push=tuple(push))
+
+
+def geometric_step_by_table(table: RingTable, rows, xi):
+    """``dynamics.geometric_step`` read off the neighbours of a standard ring
+    table instead of row indices.  Rings go in table order, top row first.
+    Each particle is lifted to the new place of the particle whose ring's
+    ``push`` lands on its ring, jumps by its draw, and stops at the old place
+    of its ring's ``blocker``; the never slot caps nothing.  Returns the new
+    rows and the moves (row, index, displacement, cause)."""
+    old = [c for row in rows for c in row] + [0, NEVER]  # the zero and never slots
+    draws = [int(e) for row in xi for e in row]
+    new, lifted_to, moves = list(old), {}, []
+    for ring, (r, j, _) in enumerate(table.keys):
+        p = table.particle[ring]
+        pos, cap = old[p], old[table.blocker[ring]]
+        lift = lifted_to.get(ring, pos)
+        nxt = max(lift, pos) + draws[p]
+        if cap != NEVER:
+            nxt = min(nxt, cap)
+        new[p] = nxt
+        lifted_to[table.push[ring]] = nxt
+        if nxt != pos:
+            moves.append((r, j, nxt - pos, "push" if lift > pos else "self"))
+    offs = table.offsets
+    return [new[a:b] for a, b in zip(offs, offs[1:])], moves

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -26,7 +25,13 @@ from gtpush.couplings import (
 from gtpush.harness import chi_square_gof, wall_sup_reference
 from gtpush.schur import sp_schur
 
-from _oracles import left_edge_recursion, lpp_brute, wall_sup_brute, wall_sup_dp
+from _oracles import (
+    left_edge_recursion,
+    lpp_brute,
+    one_entry_changes,
+    wall_sup_brute,
+    wall_sup_dp,
+)
 
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
 
@@ -277,6 +282,25 @@ def test_wall_edge_hand_trace():
     assert wall_edge_matches_dynamics(panel, 1, (F(1, 2),), np.random.default_rng(0))
 
 
+def test_lpp_sweep_catches_a_step_lifted_by_the_old_row_above(monkeypatch):
+    # a step that lifts each particle to the old entry of the row above, not
+    # the new one, parts the right edge from the last passage times
+    assert lpp_failures(3, Q3, 10, 50, 200) == []
+
+    def lifted_by_the_old_row(rows, xi):
+        new_rows, old = [], None
+        for r0, row in enumerate(rows):
+            new_row = []
+            for j0, pos in enumerate(row):
+                nxt = max(pos, old[j0 - 1] if r0 and j0 else pos) + int(xi[r0][j0])
+                new_row.append(min(nxt, old[j0]) if r0 and j0 < len(old) else nxt)
+            new_rows.append(new_row)
+            old = row
+        return new_rows, []
+    monkeypatch.setattr(dynamics, "geometric_step", lifted_by_the_old_row)
+    assert lpp_failures(3, Q3, 10, 50, 200)
+
+
 def test_lpp_checks_refuse_a_misshapen_panel():
     # a panel of another height, or shorter than t_max, before anything is drawn
     rng = np.random.default_rng(0)
@@ -354,27 +378,6 @@ def test_a_jump_at_time_zero_leaves_the_origin_a_split_point():
     assert checked == 60 * (4 + 8) + 60 * (2 + 3)
 
 
-def _one_entry_changes(table):
-    """Each edge ring's blocker and push, each changed in one entry: a
-    blocker to none, or to the wall where there was none; a push to none, or
-    where there was none to the same direction's edge ring of a row beside.
-    The edge is a standard row's first particle, a symplectic row's last."""
-    zero, never = table.offsets[-1], table.offsets[-1] + 1
-
-    def edge(r):
-        return 1 if table.kind == "standard" else (r + 1) // 2
-    for i, (r, j, d) in enumerate(table.keys):
-        if j != edge(r):
-            continue  # not an edge particle
-        blocker, push = list(table.blocker), list(table.push)
-        blocker[i] = never if blocker[i] != never else zero
-        yield (r, j, d), "blocker", dataclasses.replace(table, blocker=tuple(blocker))
-        beside = r - 1 if r > 1 else r + 1
-        push[i] = table.idle if push[i] != table.idle \
-            else table.keys.index((beside, edge(beside), d))
-        yield (r, j, d), "push", dataclasses.replace(table, push=tuple(push))
-
-
 def test_wall_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
     # The left pushes of rows 2 and 3 land on particles that are no edge and
     # never block one, so the edge cannot see them.  Row 4's left ring moves
@@ -383,7 +386,7 @@ def test_wall_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
     unseen = {((2, 1, -1), "push"), ((3, 2, -1), "push"), ((4, 2, -1), "push")}
     table = dynamics.ring_table(4, "symplectic")
     caught = []
-    for key, column, changed in _one_entry_changes(table):
+    for key, column, changed in one_entry_changes(table):
         monkeypatch.setattr(dynamics, "ring_table", lambda n, kind, t=changed: t)
         failures = wall_edge_failures(2, Q3[:2], 1.5, 200, 1402)
         if (key, column) not in unseen:
@@ -399,7 +402,7 @@ def test_left_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
     # and never blocks one, so no push change can show on the left edge.
     table = dynamics.ring_table(3, "standard")
     caught = []
-    for key, column, changed in _one_entry_changes(table):
+    for key, column, changed in one_entry_changes(table):
         monkeypatch.setattr(dynamics, "ring_table", lambda n, kind, t=changed: t)
         failures = left_edge_failures(3, Q3, 2.0, 200, 1402)
         if column == "blocker":

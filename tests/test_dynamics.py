@@ -32,7 +32,14 @@ from gtpush.patterns import (
     sample_patterns,
 )
 
-from _oracles import replay_log, ring_rates_by_parity, ring_table_by_parity, simulate_reference
+from _oracles import (
+    geometric_step_by_table,
+    one_entry_changes,
+    replay_log,
+    ring_rates_by_parity,
+    ring_table_by_parity,
+    simulate_reference,
+)
 
 Q2 = (F(1, 2), F(1, 3))
 
@@ -334,6 +341,50 @@ def test_batched_geometric_update_matches_step(n):
             draws = [xi[trial, a:b] for a, b in zip(offs, offs[1:])]
             assert geometric_step(rows, draws)[0] == [list(r) for r in _unflatten(new[trial], n, "standard")]
         x = new
+
+
+def _geometric_steps(n, steps, restart, seed):
+    """(rows, xi) of reachable geometric steps: one run of geometric_step from
+    the zero pattern, restarted every `restart` steps, at rates 1/2, 1/3, ..."""
+    rng = np.random.default_rng(seed)
+    ps = [1 - float(v) for v in (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:n]]
+    for step in range(steps):
+        if step % restart == 0:
+            rows = [[0] * j for j in range(1, n + 1)]
+        xi = [(rng.geometric(p, size=r0 + 1) - 1).tolist() for r0, p in enumerate(ps)]
+        yield rows, xi
+        rows = geometric_step(rows, xi)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_geometric_step_reads_the_ring_table_neighbours(n):
+    # the step's floor (the new row above) and cap (the old row above) are the
+    # slots of the standard ring table's push and blocker, which the oracle
+    # reads in place of row indices
+    table = ring_table(n, "standard")
+    causes = set()
+    for rows, xi in _geometric_steps(n, 600, 150, 320 + n):
+        new_rows, moves = geometric_step(rows, xi)
+        assert geometric_step_by_table(table, rows, xi) == (new_rows, moves)
+        flat, draws = ([[c for row in v for c in row]] for v in (rows, xi))
+        assert (geometric_update(np.array(flat), np.array(draws), n)[0].tolist()
+                == [c for row in new_rows for c in row])
+        causes.update(cause for *_, cause in moves)
+    assert causes == ({"self"} if n == 1 else {"self", "push"})
+
+
+def test_a_changed_ring_table_parts_the_geometric_oracle_from_the_step():
+    # every one-entry change of an edge ring's blocker or push shows on some
+    # step, the push changes too, which no left edge can see.  The exception
+    # points the push of ring (3, 1, +1) at row 2: a top-down step has moved
+    # row 2 before row 3, so it never reads that push.
+    table = ring_table(3, "standard")
+    steps = [(rows, xi, geometric_step(rows, xi)) for rows, xi in _geometric_steps(3, 3000, 300, 330)]
+    parted = {(key, column): sum(geometric_step_by_table(changed, rows, xi) != want
+                                 for rows, xi, want in steps)
+              for key, column, changed in one_entry_changes(table)}
+    assert parted.pop(((3, 1, 1), "push")) == 0
+    assert len(parted) == 5 and all(parted.values()), parted
 
 
 @pytest.mark.parametrize("model,n,q,kind", [

@@ -83,6 +83,17 @@ def test_chi_square_degenerate_errors():
         chi_square_gof([(0,)] * 100, ref)
 
 
+def test_chi_square_refutes_samples_the_reference_cannot_produce():
+    # the listed law sums to 1 and leaves no mass for (7,): 20 samples there
+    # used to be dropped, and the rest passed at p = 0.0455
+    ref = Pmf(((0,), (1,)), np.array([0.5, 0.5]))
+    assert chi_square_gof([(0,)] * 40 + [(1,)] * 40 + [(7,)] * 20, ref) == 0.0
+    assert chi_square_gof([(0,)] * 50 + [(1,)] * 50, ref) == 1.0
+    # a one-state reference is refused first, whatever the samples
+    with pytest.raises(ValueError, match="at least two states"):
+        chi_square_gof([(0,)] * 90 + [(7,)] * 10, Pmf(((0,),), np.array([1.0])))
+
+
 def test_config_validation():
     ExperimentConfig("poisson", 2, ("1/2", "1/3"), (0, 0), 1.0, 10, 1, 8)
     with pytest.raises(ValueError):
@@ -454,10 +465,14 @@ def test_console_entry_point_runs():
     for cmd in ([sys.executable, "-c",
                  "import sys; from gtpush.cli import cli_dispatch;"
                  f"sys.exit(cli_dispatch({args!r}))"],
-                [sys.executable, "-m", "gtpush.cli", *args]):
+                [sys.executable, "-m", "gtpush.cli", *args],
+                [sys.executable, "-m", "gtpush", *args]):
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5/6" and proc.stderr == ""
+    proc = subprocess.run([sys.executable, "-m", "gtpush", "schur", "eval", "--bogus"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 def test_cli_semigroup_past_underflow_exits_3():

@@ -243,6 +243,10 @@ def test_semigroup_rejects_bad_tolerance():
         semigroup(gen, 1, float("nan"))  # NaN would stop uniformization after one term
     with pytest.raises(ValueError):
         semigroup(gen, -1, 1e-8)
+    # positive, but below what the float weights can reach (at t = 5 their sum
+    # stays 1.1e-16 short of 1): the series is cut off with a message
+    with pytest.raises(RuntimeError, match="uniformization failed to converge"):
+        semigroup(gen, 5, 1e-300)
 
 
 def test_semigroup_chapman_kolmogorov():

@@ -47,6 +47,15 @@ def test_schur_oracle_examples():
     assert schur_oracle((1, 1), (F(1, 2), F(1, 3))) == F(1, 6)
 
 
+def test_determinant_oracle_swaps_rows_and_finds_singular_matrices():
+    # the determinants behind schur_oracle, criterion 4's second evaluation:
+    # a zero pivot swaps rows and flips the sign; no pivot at all gives 0
+    det = gtpush.schur._det
+    assert det([[F(0), F(1)], [F(1), F(0)]]) == -1
+    assert det([[F(1), F(2)], [F(2), F(4)]]) == 0
+    assert det([[F(0), F(2), F(1)], [F(1), F(1), F(1)], [F(2), F(3), F(5)]]) == -5
+
+
 def test_schur_oracle_rejects_repeated_rates():
     with pytest.raises(OracleInapplicableError):
         schur_oracle((0, 1), (F(1, 2), F(1, 2)))
