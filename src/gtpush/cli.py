@@ -190,6 +190,10 @@ def _cmd_simulate(args) -> int:
     z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
     if args.trials != 1:  # ExperimentConfig refuses fewer than one trial
         return _simulate_endpoints(args, qs, z, horizon)
+    for flag, value in (("--max-tv", args.max_tv), ("--bound", args.bound)):
+        if value is not None:  # one trial prints its moves and holds them to no law
+            raise ValueError(f"{flag} is for endpoint runs of --trials 2 or more, "
+                             f"not for the log of one trial")
     rng = harness.trial_rng(args.seed, 0)
     init = sample_pattern(z, qs, kind, rng, nrows=args.n)
     _, log = dynamics.simulate(args.model, args.n, qs, init, horizon, rng)

@@ -12,18 +12,19 @@ wall_sup_samples, and _reflect_row one panel's merged (time, code) jumps in a
 list loop, for left_edge_from_walk, wall_sup_functional and both edge checks.
 On the dynamics' side a panel rings the edge particles, the other rings come
 from one more _ring_draws draw, and the merged sequence runs through
-``dynamics.trace_rings``.  The float rates of that draw, keyed on the ring
-table itself, are cached like the picks' CDF and the geometric jump
-probabilities in ``dynamics``, so a one-panel check pays for its draws and
-list loops.  The pathwise sweeps run one trial at a time, trial i's panel from
-the stream (seed, i) and the rest of its noise from (seed + 1, i).  The wall
-functional's samples are reflected in blocks of WALL_BLOCK_TRIALS panels,
-block b from (seed, b).
+``dynamics.trace_rings``.  The float rates of that draw are cached, keyed on
+the ring table itself and the rates' (numerator, denominator) pairs, as the
+picks' CDF in ``dynamics`` is keyed on float rates: a one-panel check hashes
+no Fraction, and pays for its draws and list loops.  The pathwise sweeps run
+one trial at a time, trial i's panel from the stream (seed, i) and the rest
+of its noise from (seed + 1, i).  The wall functional's samples are reflected
+in blocks of WALL_BLOCK_TRIALS panels, block b from (seed, b).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -205,11 +206,13 @@ def left_edge_from_walk(panel: PoissonPanel, t_grid) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _edge_rings(table: dynamics.RingTable, qs: tuple) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def _edge_rings(table: dynamics.RingTable, ratios: tuple) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Row r's edge particle edge[r] (first of a standard row, last of a
-    symplectic one), and the float rates of the table's rings at qs with the
-    edge rings' set to 0, as a panel rings those.  Keyed on the table itself,
-    so that a changed table gets its own."""
+    symplectic one), and the float rates of the table's rings at the rates a
+    / b of ratios = ((a, b), ...) with the edge rings' set to 0, as a panel
+    rings those.  Keyed on the table itself, so that a changed table gets its
+    own."""
+    qs = tuple(Fraction(a, b) for a, b in ratios)
     offs = table.offsets
     edge = (0,) + tuple(offs[r] - offs[r - 1] if table.kind == SYMPLECTIC else 1
                         for r in range(1, len(offs)))
@@ -229,7 +232,7 @@ def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> b
     if len(comps) != n:
         raise ValueError(f"{n} rows need {n} panel components, got {len(comps)}")
     table = dynamics.ring_table(n, kind)
-    edge, rates = _edge_rings(table, qs)
+    edge, rates = _edge_rings(table, tuple(map(Fraction.as_integer_ratio, qs)))
     rings, times = dynamics._ring_draws(rates, t_end, 1, rng)
     timed = [(t, table.ring_of[r, edge[r], d])
              for r, jumps in enumerate(comps, 1) for t, d in jumps]

@@ -7,9 +7,10 @@ dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
 coupling generators of ``kernels.coupling_generator`` read the same table.
 _ring_picks is the package's one sampler of ring clocks: they superpose, so a
 trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
-its rate; _ring_draws adds their sorted uniform times.  The float constants of
-a rate vector (the picks' total and CDF, the geometric jump probabilities)
-are cached, as a sweep of one-trial draws asks for the same ones each trial.
+its rate; _ring_draws adds their sorted uniform times.  The picks' total and
+CDF are cached on the float rates, as a sweep of one-trial draws asks for the
+same ones each trial, and the geometric jump probabilities are read off each
+rate's numerator and denominator: such a draw hashes no Fraction.
 Ring sequences drive two loops: run_rings moves a block of trials in one flat
 int array, trace_rings one trial, reporting each move.  A blocked ring is discarded; a
 push cascade resolves downward at its ring's time.  Discrete time updates rows
@@ -117,19 +118,20 @@ def _ring_rates(table: RingTable, qs: tuple) -> tuple[Fraction, ...]:
     return tuple(branching_rule(table.kind, r, qs)[1] ** d for r, _, d in table.keys)
 
 
-@lru_cache(maxsize=None)
 def _jump_probs(qs: tuple) -> tuple[float, ...]:
-    """Success probability 1 - q of each row's geometric jumps, as floats."""
-    return tuple(float(1 - v) for v in qs)
+    """Success probability 1 - q of each row's geometric jumps, as floats:
+    (b - a) / b for q = a / b, one correctly rounded int division, as
+    float(1 - q) is."""
+    return tuple((v.denominator - v.numerator) / v.denominator for v in qs)
 
 
 # ---------------------------------------------------------------------------
 # ring sequences: a block of trials, or one trial with its moves
 
 @lru_cache(maxsize=None)
-def _pick_cdf(rates: tuple) -> tuple[float, np.ndarray]:
-    """Total rate and read-only CDF of the picks among ring clocks at rates."""
-    rates = [float(v) for v in rates]
+def _pick_cdf(rates: tuple[float, ...]) -> tuple[float, np.ndarray]:
+    """Total rate and read-only CDF of the picks among ring clocks at the
+    float rates."""
     total = sum(rates)
     cdf = np.array(rates).cumsum() / (total or 1.0)
     cdf.flags.writeable = False
@@ -154,7 +156,7 @@ def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
     if not t_end >= 0:
         raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
     t_end = float(t_end)
-    total, cdf = _pick_cdf(tuple(rates))
+    total, cdf = _pick_cdf(tuple(map(float, rates)))
     _check_draw_size(trials * total * t_end, f"t_end = {t_end:g}",
                      f"ring events (trials = {trials})", "the horizon or the trial count")
     counts = rng.poisson(total * t_end, size=trials)

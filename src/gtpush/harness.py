@@ -4,6 +4,13 @@ Marginal-law runs move their trials in blocks of BLOCK_TRIALS through
 ``dynamics.run_block``, one block after another.  Each block draws from its
 own RNG stream, derived from (master seed, block index) by ``trial_rng``, so
 a block's samples do not depend on how many trials follow it.
+
+``trial_rng(seed, t)`` is numpy's ``default_rng((seed, t))``, state for
+state.  Most of that call is ``SeedSequence`` hashing (seed, t) into the four
+words that seed a PCG64.  That hash is O'Neill's seed_seq design: uint32
+arithmetic whose constants do not depend on the entropy, so _stream_words
+hashes the STREAM_BLOCK trials of a block in one numpy pass, and the later
+streams of a block are built from their row of words.
 """
 from __future__ import annotations
 
@@ -11,6 +18,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,11 +166,122 @@ class ExperimentConfig:
                              f"got bound = {self.bound}")
 
 
+# numpy's SeedSequence with its default pool of four uint32 words: the start
+# and multiplier of the hash constant of its pool mixing (A) and of
+# generate_state (B), and the multipliers of its mix of two pool words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+STREAM_BLOCK = 1024  # trials whose seed words are hashed in one pass; divides 2**32
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of an int >= 0, least significant first, as a
+    SeedSequence reads its entropy (0 is one word)."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hash_constants(init: int, mult: int, uses: int) -> np.ndarray:
+    """A hash constant's values over its first uses: init, then multiplied by
+    mult at each use, as a uint32 column of uses + 1 rows."""
+    values = [init]
+    for _ in range(uses):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of words, row i using the hash
+    constant's values consts[i] and consts[i + 1] (one row broadcasts)."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = x * _MIX_L - y * _MIX_R
+    return words ^ words >> 16
+
+
+def _stream_words(seed: int, block: int) -> np.ndarray:
+    """Row r is ``SeedSequence((seed, t)).generate_state(4, np.uint64)`` for
+    trial t = block * STREAM_BLOCK + r: the entropy's 32-bit words (the
+    seed's, then the trial's) go into the pool, the pool is mixed, and
+    generate_state reads it out, every step one numpy operation over the
+    block.  The trials of a block differ in their lowest word only."""
+    seed_words = _uint32_words(seed)
+    entropy = np.array(seed_words + _uint32_words(block * STREAM_BLOCK), dtype=np.uint32)
+    entropy = np.repeat(entropy[:, None], STREAM_BLOCK, axis=1)
+    entropy[len(seed_words)] += np.arange(STREAM_BLOCK, dtype=np.uint32)
+    extra = max(len(entropy) - _POOL, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = np.zeros((_POOL, STREAM_BLOCK), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]  # a pool longer than the entropy holds 0s
+    pool = _hashmix(pool, consts[:_POOL + 1])
+    at = _POOL
+    for src in range(_POOL):  # every pool word into every other one
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL]))
+        at += _POOL - 1
+    for word in entropy[_POOL:]:  # entropy past the pool into every pool word
+        pool = _mix(pool, _hashmix(word, consts[at:at + _POOL + 1]))
+        at += _POOL
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    # uint32 pairs (low, high) read as uint64, as generate_state reads them
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=64)
+def _block_words(seed: int, block: int) -> list:
+    """What trial_rng holds of the streams (seed, t) of one block of
+    STREAM_BLOCK trials: [] until the first is built, [None] after it, then
+    [_stream_words(seed, block)] from the second on."""
+    return []
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands a PCG64 the seed words it holds, in place
+    of the SeedSequence that would generate them.  Made on first use, as
+    importing numpy.random adds about 6 MB to a process that draws nothing."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for its 4 uint64 words
+
+    return SeedWords
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The counter-split stream (seed, trial) of one trial or block; seed >= 0."""
+    """The counter-split stream (seed, trial) of one trial or block; seed >= 0.
+
+    Its state and draws are those of ``np.random.default_rng((seed,
+    trial))``, and so are its refusals.  A lone stream, the first of its
+    block, is built that way, as hashing a block costs about a dozen such
+    calls.  From the block's second stream on, the block's words are hashed
+    at once (_stream_words) and each stream is built from its row, in about a
+    fifth of the time.  Such a generator carries no SeedSequence: its
+    ``spawn()`` fails, and ``bit_generator.seed_seq`` holds only the words.
+    gtpush uses neither."""
     if seed < 0:
         raise ValueError(f"the seed must be >= 0, got {seed}")
-    return np.random.default_rng((seed, trial))
+    if type(seed) is not int or type(trial) is not int or trial < 0:
+        return np.random.default_rng((seed, trial))  # numpy's own types and refusals
+    block, row = divmod(trial, STREAM_BLOCK)
+    held = _block_words(seed, block)
+    if not held:
+        held.append(None)
+        return np.random.default_rng((seed, trial))
+    if held[0] is None:
+        held[0] = _stream_words(seed, block)
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(held[0][row])))
 
 
 def _endpoint_block(config: ExperimentConfig, block: int, trials: int) -> list[tuple]:

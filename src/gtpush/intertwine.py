@@ -246,6 +246,9 @@ class Semigroup:
         return float(self.row(s)[self.index[s2]])
 
 
+TOL_FLOOR = float(np.finfo(float).eps)  # smallest tol of semigroup; see there
+
+
 def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
     """Time-t kernel of the truncated generator via uniformization.
 
@@ -256,9 +259,23 @@ def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
     sub-stochastic near the box edge (mass killed at escape), and row sums at
     interior states are within the escape probability of 1.  Rows are
     computed on demand (``Semigroup.row``).
+
+    The series stops once 1 - covered <= tol, covered being the float sum of
+    the weights so far.  Doubles lie eps/2 apart just below 1 (eps = 2**-52,
+    the double epsilon), so 1 - covered is a multiple of eps/2, and each
+    addition rounds covered by up to eps/4: where the sum ends, within a few
+    ulps of 1, depends on those roundings, not on tol.  A tol below TOL_FLOOR
+    = eps asks the sum to end at most one ulp short of 1, closer than its own
+    rounding can promise, and is refused.  A tol at or above it may still
+    stall on a sum that rounds short (t = 5.5 on ``q_charlier(1, (1/2,),
+    5)`` ends 3 ulps short), and the term guard raises a RuntimeError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if tol < TOL_FLOOR:
+        raise ValueError(f"tol = {tol:g} is below {TOL_FLOOR:.4g} (the double epsilon), "
+                         f"closer to 1 than a float sum of the weights can be held: "
+                         f"tol must go up")
     tf = float(t)
     if tf < 0:
         raise ValueError("t must be nonnegative")
@@ -284,7 +301,7 @@ def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
     max_terms = int(lam + 20 * math.sqrt(lam + 1) + 60)
     while 1.0 - covered > tol:
         if len(weights) > max_terms:
-            raise RuntimeError("uniformization failed to converge; lower tol or bound")
+            raise RuntimeError("uniformization failed to converge; raise tol or lower the bound")
         w *= lam / len(weights)
         covered += w
         weights.append(w)

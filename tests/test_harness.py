@@ -599,3 +599,68 @@ def test_sweeps_refuse_a_zero_horizon_and_configs_accept_it():
         couplings.wall_edge_failures(1, (F(1, 2),), 0.0, 5, 1)
     cfg = ExperimentConfig("poisson", 1, ("1/2",), (0,), 0.0, 10, 1, 4)
     assert endpoint_samples(cfg) == [(0,)] * 10
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--max-tv", "0"], "--max-tv"),
+    (["--bound", "3"], "--bound"),
+    (["--max-tv", "0", "--bound", "3"], "--max-tv"),
+    (["--trials", "1", "--bound", "8"], "--bound"),
+], ids=["max-tv", "bound", "both", "explicit-trials"])
+def test_cli_simulate_one_trial_refuses_the_endpoint_gates(capsys, flags, named):
+    # one trial prints its log of moves: a TV gate or a reference box would be
+    # ignored, so asking for one is a usage error, not a pass
+    code = cli_dispatch(["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3",
+                         "--horizon", "1"] + flags)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.count("\n") == 1 and named in out.err and "--trials" in out.err
+
+
+# seeds and trials on both sides of the 32-bit word boundaries of SeedSequence's
+# entropy and of the STREAM_BLOCK boundaries; trial 700 comes before trial 3
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 9)
+STREAM_TRIALS = (700, 3, 0, 1, 1023, 1024, 4095, 2**32 - 1, 2**32)
+
+
+def _same_stream(got: np.random.Generator, seed: int, trial: int) -> bool:
+    want = np.random.default_rng((seed, trial))
+    return (got.bit_generator.state == want.bit_generator.state
+            and np.array_equal(got.random(3), want.random(3))
+            and np.array_equal(got.integers(0, 2**62, 3), want.integers(0, 2**62, 3)))
+
+
+def test_trial_rng_streams_are_default_rng_streams():
+    # a block's first stream is built by numpy's SeedSequence, the later ones
+    # from the block's words hashed in one pass: both are default_rng's
+    for _ in range(2):  # from empty tables, and again after they are cleared
+        harness._block_words.cache_clear()
+        for seed in STREAM_SEEDS:
+            for trial in STREAM_TRIALS:
+                for _ in range(2):
+                    assert _same_stream(harness.trial_rng(seed, trial), seed, trial), (seed, trial)
+                block = trial // harness.STREAM_BLOCK
+                assert harness._block_words(seed, block)[0] is not None  # words were read
+    # every row of a block, here one past both words' boundaries
+    seed, block = 2**70 + 9, 2**32 // harness.STREAM_BLOCK + 1
+    words = harness._stream_words(seed, block)
+    first = block * harness.STREAM_BLOCK
+    assert words.dtype == np.uint64 and words.shape == (harness.STREAM_BLOCK, 4)
+    assert all(np.array_equal(row, np.random.SeedSequence((seed, first + r)).generate_state(
+        4, np.uint64)) for r, row in enumerate(words))
+
+
+@pytest.mark.parametrize("seed,trial,error,match", [
+    (-1, 0, ValueError, "the seed must be >= 0, got -1"),
+    (0, -1, ValueError, "non-negative"),
+    (1.5, 0, TypeError, None),
+    (0, 2.0, TypeError, None),
+], ids=["seed-minus-1", "trial-minus-1", "float-seed", "float-trial"])
+def test_trial_rng_refuses_what_default_rng_refuses(seed, trial, error, match):
+    harness.trial_rng(0, 5)
+    harness.trial_rng(0, 6)  # block 0 of seed 0 has its words
+    with pytest.raises(error, match=match):
+        harness.trial_rng(seed, trial)
+    if seed >= 0:
+        with pytest.raises(error, match=match):
+            np.random.default_rng((seed, trial))

@@ -9,6 +9,7 @@ import pytest
 from gtpush import kernels, schur
 from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
+    TOL_FLOOR,
     _verify_intertwining,
     build_intertwining_case,
     run_intertwine_case,
@@ -243,10 +244,16 @@ def test_semigroup_rejects_bad_tolerance():
         semigroup(gen, 1, float("nan"))  # NaN would stop uniformization after one term
     with pytest.raises(ValueError):
         semigroup(gen, -1, 1e-8)
-    # positive, but below what the float weights can reach (at t = 5 their sum
-    # stays 1.1e-16 short of 1): the series is cut off with a message
-    with pytest.raises(RuntimeError, match="uniformization failed to converge"):
+    # positive, but below the double epsilon, to which no float sum of the
+    # weights can be held (at t = 5 their sum stays 1.1e-16 short of 1)
+    with pytest.raises(ValueError, match=r"tol = 1e-300 is below 2\.22e-16"):
         semigroup(gen, 5, 1e-300)
+    with pytest.raises(ValueError, match="is below"):
+        semigroup(gen, 5, TOL_FLOOR / 2)
+    semigroup(gen, 5, TOL_FLOOR)
+    # at the floor, a sum that rounds 3 ulps short of 1 is cut off by the term guard
+    with pytest.raises(RuntimeError, match="uniformization failed to converge"):
+        semigroup(gen, 5.5, TOL_FLOOR)
 
 
 def test_semigroup_chapman_kolmogorov():
