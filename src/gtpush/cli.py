@@ -49,6 +49,14 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _refuse_unused(flags: dict, use: str) -> None:
+    """A usage error naming the first flag given (not None) that this run
+    would ignore; use says what the flag is for."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ValueError(f"{flag} is for {use}")
+
+
 def _join_negative_rows(argv: list[str]) -> list[str]:
     """'--row -1,0' as '--row=-1,0': argparse takes a word that starts with
     '-' and is no plain number, such as -1,0, for an option."""
@@ -124,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=100)
     c.add_argument("--horizon", required=True)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=30)
-    c.add_argument("--min-p", type=_threshold, default=0.01)
+    c.add_argument("--bound", type=int, default=None)
+    c.add_argument("--min-p", type=_threshold, default=None)
 
     p = sub.add_parser("stats", help="distribution file comparisons")
     ps = p.add_subparsers(dest="action", required=True)
@@ -190,17 +198,16 @@ def _cmd_simulate(args) -> int:
     z = _parse_row(args.z) if args.z else (0,) * row_length(args.n, kind)
     if args.trials != 1:  # ExperimentConfig refuses fewer than one trial
         return _simulate_endpoints(args, qs, z, horizon)
-    for flag, value in (("--max-tv", args.max_tv), ("--bound", args.bound)):
-        if value is not None:  # one trial prints its moves and holds them to no law
-            raise ValueError(f"{flag} is for endpoint runs of --trials 2 or more, "
-                             f"not for the log of one trial")
+    # one trial prints its moves and holds them to no law
+    _refuse_unused({"--max-tv": args.max_tv, "--bound": args.bound},
+                   "endpoint runs of --trials 2 or more, not for the log of one trial")
     rng = harness.trial_rng(args.seed, 0)
     init = sample_pattern(z, qs, kind, rng, nrows=args.n)
     _, log = dynamics.simulate(args.model, args.n, qs, init, horizon, rng)
     header = json.dumps({"model": args.model, "n": args.n, "q": [str(v) for v in qs],
                          "z": list(z), "horizon": args.horizon, "seed": args.seed})
-    body = header + "\n" + "\n".join(
-        json.dumps(dict(zip(("t", "row", "i", "d", "cause"), move))) for move in log) + "\n"
+    moves = (json.dumps(dict(zip(("t", "row", "i", "d", "cause"), move))) for move in log)
+    body = "\n".join([header, *moves]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body)
@@ -233,12 +240,16 @@ def _cmd_coupling(args) -> int:
     horizon = _parse_horizon(args.horizon, args.identity == "lpp")
     if args.identity == "wall-sup":
         # distributional match against the conditioned-walk reference
+        bound = 30 if args.bound is None else args.bound
+        min_p = 0.01 if args.min_p is None else args.min_p
         samples = couplings.wall_sup_samples(n, qs, horizon, trials, seed)
-        pval = harness.chi_square_gof(samples,
-                                      harness.wall_sup_reference(n, qs, horizon, args.bound))
+        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs, horizon, bound))
         print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
-                          "min_p": args.min_p}))
-        return 0 if pval > args.min_p else 1
+                          "min_p": min_p}))
+        return 0 if pval > min_p else 1
+    _refuse_unused({"--bound": args.bound, "--min-p": args.min_p},
+                   f"--identity wall-sup, which tests a law; {args.identity} is checked path "
+                   f"by path")
     sweep = {"left-edge": couplings.left_edge_failures, "lpp": couplings.lpp_failures,
              "wall-edge": couplings.wall_edge_failures}[args.identity]
     failures = sweep(n, qs, horizon, trials, seed)

@@ -8,9 +8,9 @@ a block's samples do not depend on how many trials follow it.
 ``trial_rng(seed, t)`` is numpy's ``default_rng((seed, t))``, state for
 state.  Most of that call is ``SeedSequence`` hashing (seed, t) into the four
 words that seed a PCG64.  That hash is O'Neill's seed_seq design: uint32
-arithmetic whose constants do not depend on the entropy, so _stream_words
-hashes the STREAM_BLOCK trials of a block in one numpy pass, and the later
-streams of a block are built from their row of words.
+arithmetic whose constants do not depend on the entropy, so for seeds and
+trials below 2**64 _stream_words hashes the STREAM_BLOCK trials of a block in
+one numpy pass, and every stream of a block but row 0 is built from its row.
 """
 from __future__ import annotations
 
@@ -177,12 +177,9 @@ STREAM_BLOCK = 1024  # trials whose seed words are hashed in one pass; divides 2
 
 
 def _uint32_words(value: int) -> list[int]:
-    """The 32-bit words of an int >= 0, least significant first, as a
-    SeedSequence reads its entropy (0 is one word)."""
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
+    """The one or two 32-bit words of an int in [0, 2**64), least significant
+    first, as a SeedSequence reads its entropy (0 is one word)."""
+    return [value & 0xFFFFFFFF, value >> 32] if value >> 32 else [value]
 
 
 def _hash_constants(init: int, mult: int, uses: int) -> np.ndarray:
@@ -206,40 +203,31 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return words ^ words >> 16
 
 
+@lru_cache(maxsize=64)
 def _stream_words(seed: int, block: int) -> np.ndarray:
     """Row r is ``SeedSequence((seed, t)).generate_state(4, np.uint64)`` for
-    trial t = block * STREAM_BLOCK + r: the entropy's 32-bit words (the
-    seed's, then the trial's) go into the pool, the pool is mixed, and
-    generate_state reads it out, every step one numpy operation over the
-    block.  The trials of a block differ in their lowest word only."""
+    trial t = block * STREAM_BLOCK + r, with seed and t below 2**64: their
+    32-bit words (the seed's, then the trial's), at most four, fill the pool,
+    the pool is mixed, and generate_state reads it out, every step one numpy
+    operation over the block.  The trials of a block differ in their lowest
+    word only.  The array is read-only, as the cache hands it to every caller."""
     seed_words = _uint32_words(seed)
-    entropy = np.array(seed_words + _uint32_words(block * STREAM_BLOCK), dtype=np.uint32)
-    entropy = np.repeat(entropy[:, None], STREAM_BLOCK, axis=1)
-    entropy[len(seed_words)] += np.arange(STREAM_BLOCK, dtype=np.uint32)
-    extra = max(len(entropy) - _POOL, 0)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
-    pool = np.zeros((_POOL, STREAM_BLOCK), dtype=np.uint32)
-    pool[:len(entropy)] = entropy[:_POOL]  # a pool longer than the entropy holds 0s
+    entropy = seed_words + _uint32_words(block * STREAM_BLOCK)
+    pool = np.zeros((_POOL, STREAM_BLOCK), dtype=np.uint32)  # a pool past the entropy holds 0s
+    pool[:len(entropy)] = np.array(entropy, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] += np.arange(STREAM_BLOCK, dtype=np.uint32)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
     pool = _hashmix(pool, consts[:_POOL + 1])
     at = _POOL
     for src in range(_POOL):  # every pool word into every other one
         dst = [i for i in range(_POOL) if i != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL]))
         at += _POOL - 1
-    for word in entropy[_POOL:]:  # entropy past the pool into every pool word
-        pool = _mix(pool, _hashmix(word, consts[at:at + _POOL + 1]))
-        at += _POOL
     state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
     # uint32 pairs (low, high) read as uint64, as generate_state reads them
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-@lru_cache(maxsize=64)
-def _block_words(seed: int, block: int) -> list:
-    """What trial_rng holds of the streams (seed, t) of one block of
-    STREAM_BLOCK trials: [] until the first is built, [None] after it, then
-    [_stream_words(seed, block)] from the second on."""
-    return []
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    words.flags.writeable = False
+    return words
 
 
 @lru_cache(maxsize=None)
@@ -263,25 +251,21 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The counter-split stream (seed, trial) of one trial or block; seed >= 0.
 
     Its state and draws are those of ``np.random.default_rng((seed,
-    trial))``, and so are its refusals.  A lone stream, the first of its
-    block, is built that way, as hashing a block costs about a dozen such
-    calls.  From the block's second stream on, the block's words are hashed
-    at once (_stream_words) and each stream is built from its row, in about a
-    fifth of the time.  Such a generator carries no SeedSequence: its
-    ``spawn()`` fails, and ``bit_generator.seed_seq`` holds only the words.
-    gtpush uses neither."""
+    trial))``, and so are its refusals.  Row 0 of each block of STREAM_BLOCK
+    trials, a lone stream such as trial 0, is built that way, as hashing a
+    block costs about a dozen such calls; so is a stream whose seed or trial
+    is 2**64 or more.  Every other stream is built from its row of the
+    block's words (_stream_words, hashed at once), in about a fifth of the
+    time.  Such a generator carries no SeedSequence: its ``spawn()`` fails,
+    and ``bit_generator.seed_seq`` holds only the words.  gtpush uses neither."""
     if seed < 0:
         raise ValueError(f"the seed must be >= 0, got {seed}")
     if type(seed) is not int or type(trial) is not int or trial < 0:
         return np.random.default_rng((seed, trial))  # numpy's own types and refusals
     block, row = divmod(trial, STREAM_BLOCK)
-    held = _block_words(seed, block)
-    if not held:
-        held.append(None)
+    if row == 0 or seed >> 64 or trial >> 64:
         return np.random.default_rng((seed, trial))
-    if held[0] is None:
-        held[0] = _stream_words(seed, block)
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(held[0][row])))
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(_stream_words(seed, block)[row])))
 
 
 def _endpoint_block(config: ExperimentConfig, block: int, trials: int) -> list[tuple]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -293,9 +294,10 @@ def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
                        np.append(gen.val / theta, np.ones(len(states))))
     lam = theta * tf
     w = math.exp(-lam)
-    if w == 0.0:
+    if w < sys.float_info.min:  # a subnormal first weight carries too few bits
         raise RuntimeError(f"theta*t = {lam:.4g} is past the underflow limit of uniformization "
-                           f"(exp(-theta*t) is 0 beyond about 745): the time t must come down")
+                           f"(exp(-theta*t) is subnormal beyond about 708): "
+                           f"the time t must come down")
     weights = [w]
     covered = w
     max_terms = int(lam + 20 * math.sqrt(lam + 1) + 60)

@@ -32,6 +32,8 @@ def test_tv_examples():
 def test_pmf_validation():
     with pytest.raises(ValueError):
         Pmf(((0,),), np.array([0.5]))
+    with pytest.raises(ValueError, match="length mismatch"):
+        Pmf(((0,), (1,)), np.array([1.0]))
     with pytest.raises(ValueError):
         Pmf(((0,), (1,)), np.array([1.2, -0.2]))
 
@@ -281,6 +283,41 @@ def test_cli_simulate_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().strip().splitlines()
     assert json.loads(lines[0])["model"] == "wall"
+
+
+def test_cli_simulate_prints_one_json_line_per_record(tmp_path, capsys):
+    # the header, then one line per move, and no empty line when there is none
+    base = ["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--seed", "4"]
+    for horizon, moves in (("1/100", False), ("3", True)):
+        assert cli_dispatch(base + ["--horizon", horizon]) == 0
+        printed = capsys.readouterr().out
+        header, *log = printed.split("\n")[:-1]
+        assert printed.endswith("}\n") and json.loads(header)["horizon"] == horizon
+        assert bool(log) == moves and all(json.loads(line) for line in log)
+        out = tmp_path / f"{horizon.replace('/', '-')}.jsonl"
+        assert cli_dispatch(base + ["--horizon", horizon, "--out", str(out)]) == 0
+        assert out.read_text() == printed and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("identity,horizon", [("left-edge", "1"), ("lpp", "3"),
+                                              ("wall-edge", "1")])
+@pytest.mark.parametrize("flag,value", [("--bound", "1"), ("--min-p", "0.99")])
+def test_cli_pathwise_couplings_refuse_the_wall_sup_flags(capsys, identity, horizon, flag, value):
+    # a pathwise identity holds on every trial or fails on one: a reference box
+    # or a p-value gate would be ignored, so asking for one is a usage error
+    code = cli_dispatch(["coupling", "check", "--identity", identity, "--n", "2", "--q",
+                         "1/2,1/3", "--horizon", horizon, "--trials", "5", flag, value])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.count("\n") == 1 and flag in out.err and "wall-sup" in out.err
+
+
+def test_cli_verify_intertwine_writes_the_report_it_prints(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli_dispatch(["verify", "intertwine", "--case", "poisson", "--n", "1", "--q",
+                         "1/2,1/3", "--bound", "4", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed and json.loads(printed)["status"] == "pass"
 
 
 def test_cli_coupling_check_left_edge(capsys):
@@ -617,10 +654,12 @@ def test_cli_simulate_one_trial_refuses_the_endpoint_gates(capsys, flags, named)
     assert out.err.count("\n") == 1 and named in out.err and "--trials" in out.err
 
 
-# seeds and trials on both sides of the 32-bit word boundaries of SeedSequence's
-# entropy and of the STREAM_BLOCK boundaries; trial 700 comes before trial 3
-STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 9)
-STREAM_TRIALS = (700, 3, 0, 1, 1023, 1024, 4095, 2**32 - 1, 2**32)
+# seeds and trials on both sides of the 32-bit and 64-bit word boundaries of
+# SeedSequence's entropy and of the STREAM_BLOCK boundaries; trial 700 comes
+# before trial 3
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 9)
+STREAM_TRIALS = (700, 3, 0, 1, 1023, 1024, 4095, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+                 2**64 + 1)
 
 
 def _same_stream(got: np.random.Generator, seed: int, trial: int) -> bool:
@@ -631,23 +670,32 @@ def _same_stream(got: np.random.Generator, seed: int, trial: int) -> bool:
 
 
 def test_trial_rng_streams_are_default_rng_streams():
-    # a block's first stream is built by numpy's SeedSequence, the later ones
-    # from the block's words hashed in one pass: both are default_rng's
-    for _ in range(2):  # from empty tables, and again after they are cleared
-        harness._block_words.cache_clear()
+    # a block's row 0 and streams past 2**64 are built by numpy's SeedSequence,
+    # the other rows from the block's words hashed in one pass: all are
+    # default_rng's, whichever calls came before
+    for _ in range(2):  # from an empty cache, and again after it is cleared
+        harness._stream_words.cache_clear()
         for seed in STREAM_SEEDS:
             for trial in STREAM_TRIALS:
                 for _ in range(2):
                     assert _same_stream(harness.trial_rng(seed, trial), seed, trial), (seed, trial)
-                block = trial // harness.STREAM_BLOCK
-                assert harness._block_words(seed, block)[0] is not None  # words were read
-    # every row of a block, here one past both words' boundaries
-    seed, block = 2**70 + 9, 2**32 // harness.STREAM_BLOCK + 1
+    # every row of a block, here one past trial 2**32 at the largest seed hashed
+    seed, block = 2**64 - 1, 2**32 // harness.STREAM_BLOCK + 1
     words = harness._stream_words(seed, block)
     first = block * harness.STREAM_BLOCK
     assert words.dtype == np.uint64 and words.shape == (harness.STREAM_BLOCK, 4)
     assert all(np.array_equal(row, np.random.SeedSequence((seed, first + r)).generate_state(
         4, np.uint64)) for r, row in enumerate(words))
+
+
+def test_trial_rng_hashes_no_block_for_row_0():
+    # a lone stream (trial 0, or a block's first) costs one default_rng call,
+    # not a block hash; the block is hashed once a later row is asked for
+    harness._stream_words.cache_clear()
+    harness.trial_rng(7, 0)
+    assert harness._stream_words.cache_info().currsize == 0
+    harness.trial_rng(7, 1)
+    assert harness._stream_words.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("seed,trial,error,match", [
@@ -657,8 +705,7 @@ def test_trial_rng_streams_are_default_rng_streams():
     (0, 2.0, TypeError, None),
 ], ids=["seed-minus-1", "trial-minus-1", "float-seed", "float-trial"])
 def test_trial_rng_refuses_what_default_rng_refuses(seed, trial, error, match):
-    harness.trial_rng(0, 5)
-    harness.trial_rng(0, 6)  # block 0 of seed 0 has its words
+    harness.trial_rng(0, 5)  # block 0 of seed 0 has its words
     with pytest.raises(error, match=match):
         harness.trial_rng(seed, trial)
     if seed >= 0:

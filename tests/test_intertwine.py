@@ -256,6 +256,21 @@ def test_semigroup_rejects_bad_tolerance():
         semigroup(gen, 5.5, TOL_FLOOR)
 
 
+def test_semigroup_refuses_a_subnormal_first_weight():
+    # exp(-theta*t) is subnormal past theta*t = 708.4: its few bits made the
+    # weights sum to 1.000078 at t = 1480 and stall short of 1 at t = 1440
+    gen = kernels.q_charlier(1, (F(1, 2),), 5)  # theta = 1/2
+    for t in (1440, 1480):
+        with pytest.raises(RuntimeError, match="underflow limit.*about 708"):
+            semigroup(gen, t, 1e-14)
+    assert abs(sum(semigroup(gen, 1416.7, 1e-14).weights) - 1.0) < 1e-14  # theta*t = 708.35
+
+
+def test_unknown_intertwining_case_refused():
+    with pytest.raises(ValueError, match="unknown case 'brownian'"):
+        build_intertwining_case("brownian", 1, Q2, 4)
+
+
 def test_semigroup_chapman_kolmogorov():
     tol = 1e-12
     gen = kernels.q_charlier(2, Q2, 10)

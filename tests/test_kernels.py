@@ -589,3 +589,14 @@ def test_lambda_kernel_zero_row_is_point_mass():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         LambdaKernel("brownian", Q2)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: coupling_generator("brownian", 1, Q2, 4), "unknown continuous-time coupling"),
+    (lambda: coupling_generator("geometric", 1, Q2, 4), "unknown continuous-time coupling"),
+    (lambda: coupling_generator("poisson", 1, Q3, 4), "1 upper entries got 3 rates"),
+    (lambda: LambdaKernel("poisson", Q2).support((0, 0, 0)), "one rate per entry of y"),
+], ids=["unknown-case", "discrete-case", "rate-count", "row-length"])
+def test_coupling_operators_refuse_a_case_or_size_they_do_not_have(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -7,6 +7,7 @@ import pytest
 from gtpush.patterns import (
     Pattern,
     enumerate_patterns,
+    frac,
     interlace_nest,
     interlace_shift,
     is_valid,
@@ -60,6 +61,17 @@ def test_pattern_row_lengths_validated():
     Pattern(((0,), (1,), (0, 2)), kind="symplectic")
     with pytest.raises(ValueError):
         Pattern(((0,), (1, 2)), kind="symplectic")
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: frac(0.5), TypeError, "refusing float 0.5"),
+    (lambda: Pattern(((0,),), kind="gaussian"), ValueError, "unknown pattern kind 'gaussian'"),
+    (lambda: sample_pattern((0, 1), (F(1, 2), F(1, 3))), ValueError, "needs an explicit rng"),
+], ids=["float-rate", "unknown-kind", "no-rng"])
+def test_pattern_inputs_refused(call, error, match):
+    # exactness is part of the contract, and every draw names its stream
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_is_valid_examples():
