@@ -3,8 +3,9 @@
 Every particle moves on its own, on constant-rate ring clocks in continuous
 time or by a geometric jump per step, and one blocking and pushing rule acts
 on top.  For the continuous-time dynamics the rule is one neighbour table per
-dynamics (ring_table), with ring rates from _ring_rates; the exact two-row
-coupling generators of ``kernels.coupling_generator`` read the same table.
+dynamics (ring_table), with ring rates from _ring_rates, applied by run_rings;
+the exact two-row coupling generators of ``kernels.coupling_generator`` run
+run_rings itself, one ring over every pair of their box at a time.
 _ring_picks is the package's one sampler of ring clocks: they superpose, so a
 trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
 its rate; _ring_draws adds their sorted uniform times.  The picks' total and
@@ -132,8 +133,9 @@ def _jump_probs(qs: tuple) -> tuple[float, ...]:
 def _pick_cdf(rates: tuple[float, ...]) -> tuple[float, np.ndarray]:
     """Total rate and read-only CDF of the picks among ring clocks at the
     float rates."""
-    total = sum(rates)
-    cdf = np.array(rates).cumsum() / (total or 1.0)
+    cdf = np.array(rates).cumsum()
+    total = float(cdf[-1])  # not sum(rates): the CDF then ends at exactly 1
+    cdf /= total or 1.0
     cdf.flags.writeable = False
     return total, cdf
 
@@ -161,8 +163,7 @@ def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
                      f"ring events (trials = {trials})", "the horizon or the trial count")
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
-    rings = np.minimum(np.searchsorted(cdf, rng.random((trials, width)), side="right"),
-                       len(cdf) - 1)
+    rings = np.searchsorted(cdf, rng.random((trials, width)), side="right")
     if trials > 1:  # one trial is never padded
         rings[np.arange(width) >= counts[:, None]] = len(cdf)
     return rings

@@ -9,10 +9,10 @@ the integer Schur values of ``schur.exact_values``, and their float forms
 for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The continuous-time
-coupling generators read blocking and pushing off the simulators' ring table
-(``dynamics.ring_table``); the geometric pair kernel states its own floors
-and caps, the max / add / min of ``dynamics.geometric_update``, and a test
-holds it to ``dynamics.geometric_step``.
+coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
+by ring over every pair of the box; the geometric pair kernel states its own
+floors and caps, the max / add / min of ``dynamics.geometric_update``, and a
+test holds it to ``dynamics.geometric_step``.
 One table says which pattern rows a variant pairs: its two-row states are the
 lower rows on the box with their ``patterns.branching`` candidates above, and
 its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import schur
-from .dynamics import NEVER, _ring_rates, ring_table
+from .dynamics import NEVER, _ring_rates, ring_table, run_rings
 from .patterns import (
     STANDARD,
     SYMPLECTIC,
@@ -69,10 +69,6 @@ def _pairs(kind: str, j: int, qs, bound: int) -> list[tuple[tuple, tuple]]:
     the row above it (``patterns.upper_candidates``, the order of
     ``patterns.branching``)."""
     return [(x, y) for y in chamber_states(len(qs), bound) for x in upper_candidates(kind, j, y)]
-
-
-def _bump(v: tuple, i: int, d: int) -> tuple:
-    return v[:i] + (v[i] + d,) + v[i + 1:]
 
 
 def _flat(state):
@@ -216,12 +212,13 @@ def _walk_diagonal(kind: str, r: int, qs) -> tuple:
 
 
 def _conditioned_walk(kind: str, r: int, qs, bound: int) -> SparseGenerator:
-    """Generator of row r of a pattern on its own, with one rate per entry in
-    qs: each move of ``_walk_moves`` at the ratio of the Schur values of
-    target and x, and the diagonal of ``_walk_diagonal``."""
-    states, src, dst = _walk_moves(kind, len(qs), bound)
-    diag, wall_diag = _walk_diagonal(kind, r, qs)
+    """Generator of row r of a pattern on its own, with one rate per entry off
+    the front of qs: each move of ``_walk_moves`` at the ratio of the Schur
+    values of target and x, and the diagonal of ``_walk_diagonal``."""
+    k = row_length(r, kind)
+    states, src, dst = _walk_moves(kind, k, bound)
     rows = _ratio_rows(states, src, dst, *schur.exact_values(kind, r, qs, bound), Fraction(1))
+    diag, wall_diag = _walk_diagonal(kind, r, qs[:k])
     for x, row in rows.items():
         row[x] = wall_diag if x[0] == 0 else diag
     family = "charlier" if kind == STANDARD else "symplectic"
@@ -242,13 +239,11 @@ def q_symplectic(n: int, q, bound: int) -> SparseGenerator:
 
 def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
     """Generator of row r of a pattern on its own: the conditioned walk of its
-    entries, with one rate per entry taken off the front of q."""
+    entries, with one rate per entry off the front of q, on Schur values
+    scaled by all of q (``schur.exact_values``)."""
     if r < 1:
         raise ValueError(f"a pattern row is numbered from 1, got row {r}")
-    k = row_length(r, kind)
-    if kind == STANDARD:
-        return q_charlier(r, q[:k], bound)
-    return q_symplectic(r, q[:k], bound)
+    return _conditioned_walk(kind, r, rates_of(q), bound)
 
 
 def row_generator_float(kind: str, r: int, q, bound: int) -> FloatKernel:
@@ -292,13 +287,14 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     below it, for case poisson (r = n), wall-odd-even (r = 2n-1) or
     wall-even-odd (r = 2n).
 
-    X moves as its own marginal generator, whose rows give X's moves and
-    closed-form diagonal.  Everything else is read off the dynamics' ring
-    table on r+1 rows: each X move pushes or drags Y through ``push``, and Y
-    rings at its ``_ring_rates`` rate unless its ``blocker`` (an X particle or
-    the wall) is level with it.  The diagonal is X's diagonal minus Y's
-    unblocked out-rate, counted before truncation, and is formed once per x
-    and set of unblocked Y rings.
+    Every move is read off ``dynamics.run_rings``: each pair (x, y) of the box
+    is a flat pattern whose rows above X hold NEVER, so they block nothing,
+    and each ring of X and Y runs as one single-column block over all the
+    pairs.  A ring that leaves a pair as it was is blocked there, and a
+    target off the pair list is dropped.  An X ring keeps the moves of X's
+    marginal generator, at its rates; a Y ring moves at its ``_ring_rates``
+    rate.  The diagonal is X's diagonal minus Y's unblocked out-rate, counted
+    before truncation, formed once per x and set of unblocked Y rings.
     """
     if case == GEOMETRIC or case not in _Y_ROW:
         raise ValueError(f"unknown continuous-time coupling {case!r}")
@@ -310,39 +306,37 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     marginal = row_generator(kind, r, qs, bound)
     states = _pairs(kind, j, qs, bound)
     table = ring_table(j, kind)
-    particle, step, blocker, push = table.particle, table.step, table.blocker, table.push
-    xbase, ybase = table.offsets[r - 1], table.offsets[r]  # flat slots of X_1 and Y_1
     rates = _ring_rates(table, qs)
-    y_rings = [(i, rates[i]) for i, key in enumerate(table.keys) if key[0] == r + 1]
-    x_moves = {}  # x -> [(xt, rate, ring of the moving X particle)]
-    for x in marginal.states:
-        moves = x_moves[x] = []
-        for xt, rate in marginal.row(x).items():
-            if xt != x:
-                i = next(i for i in range(len(x)) if xt[i] != x[i])
-                moves.append((xt, rate, table.ring_of[(r, i + 1, xt[i] - x[i])]))
-    rows, diags = {}, {}  # diags: (x, unblocked Y rings) -> diagonal
-    for x, y in states:
-        slots = [0] * xbase + [*x, *y, 0, NEVER]  # the rows above X are never read
-        row = {}
-        for xt, rate, ring in x_moves[x]:
-            yt, pushed = y, push[ring]
-            if slots[particle[pushed]] == slots[particle[ring]]:
-                yt = _bump(y, particle[pushed] - ybase, step[pushed])
-            row[(xt, yt)] = rate
-        free = []
-        for ring, rate in y_rings:
-            if slots[particle[ring]] == slots[blocker[ring]]:
-                continue  # blocked
-            free.append(ring)
-            j = particle[ring] - ybase
-            if y[j] + step[ring] <= bound:
-                row[(x, _bump(y, j, step[ring]))] = rate
-        key = (x, tuple(free))
-        if key not in diags:
-            diags[key] = marginal.row(x)[x] - sum(rates[ring] for ring in free)
-        row[(x, y)] = diags[key]
-        rows[(x, y)] = row
+    pairs = np.array([[*x, *y] for x, y in states], dtype=np.int64)
+    start = np.pad(pairs, ((0, 0), (table.offsets[r - 1], 0)), constant_values=NEVER)
+    # a code puts y's entries first, so the codes of the pairs ascend in their
+    # order; one ring moves an entry to between -1 and bound + 1
+    code = lambda flat: np.ravel_multi_index(tuple(np.roll(flat, -n, axis=1).T + 1),
+                                             (bound + 3,) * flat.shape[1])
+    codes = code(pairs)
+    rows = {s: {} for s in states}
+    free = []  # per Y ring, the pairs in which it is unblocked
+    for ring in range(table.keys.index((r, 1, 1)), table.idle):  # the rings of X, then Y
+        row = table.keys[ring][0]
+        out = code(run_rings(table, start, np.full((len(states), 1), ring))[:, -pairs.shape[1]:])
+        moved = out != codes  # a blocked ring leaves its pair as it was
+        at = np.minimum(np.searchsorted(codes, out), len(codes) - 1)
+        hit = np.flatnonzero(moved & (codes[at] == out))
+        if row > r:
+            free.append(moved)
+        for i, t in zip(hit.tolist(), at[hit].tolist()):
+            s, target = states[i], states[t]
+            rate = rates[ring] if row > r else marginal.rows[s[0]].get(target[0])
+            if rate is not None:
+                rows[s][target] = rate
+    masks = sum(m << i for i, m in enumerate(free)).tolist()  # bit i: Y ring i unblocked
+    out_rates = {m: sum(rate for i, rate in enumerate(rates[-len(free):]) if m >> i & 1)
+                 for m in set(masks)}  # the Y rings are the table's last
+    diags = {}  # (x, unblocked Y rings) -> diagonal
+    for s, m in zip(states, masks):
+        if (s[0], m) not in diags:
+            diags[s[0], m] = marginal.rows[s[0]][s[0]] - out_rates[m]
+        rows[s][s] = diags[s[0], m]
     return SparseGenerator(states, rows, bound, f"coupling-{case} n={n}")
 
 

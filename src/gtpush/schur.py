@@ -138,11 +138,15 @@ def _value(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> int:
 def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, dict]:
     """L and the integer N(x) = L^|x| s(x) at every state x of
     ``chamber_states(row_length(j, kind), bound)``, where s is the Schur value
-    (symplectic of height j for SYMPLECTIC) at the exact rates q: the exact
-    operators take their ratios from these integers."""
+    (symplectic of height j for SYMPLECTIC) at the first row_length(j, kind)
+    exact rates q and L is taken from all of q, so that the exact operators of
+    a two-row case, which take their ratios from these, share one L and memo."""
     k = row_length(j, kind)
-    scale, up, down = scaled_rates(rates_of(q, k))
-    return scale, {x: _value(kind, j, x, up, down) for x in chamber_states(k, bound)}
+    qs = rates_of(q)
+    if len(qs) < k:
+        raise ValueError(f"expected at least {k} rates, got {len(qs)}")
+    scale, up, down = scaled_rates(qs)
+    return scale, {x: _value(kind, j, x, up[:k], down[:k]) for x in chamber_states(k, bound)}
 
 
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from gtpush.couplings import (
     wall_sup_samples,
 )
 from gtpush.harness import chi_square_gof, wall_sup_reference
+from gtpush.patterns import row_offsets
 from gtpush.schur import sp_schur
 
 from _oracles import (
@@ -411,6 +412,74 @@ def test_left_edge_sweep_catches_a_changed_edge_ring(monkeypatch):
         else:
             assert failures == [], key
     assert caught == [(1, 1, 1), (2, 1, 1), (3, 1, 1)]
+
+
+def _every_word(letters: int, length: int) -> np.ndarray:
+    """Every word of the given length over range(letters), one per row."""
+    return np.indices((letters,) * length, dtype=np.int8).reshape(length, -1).T
+
+
+def _edge_word_failures(table, length: int) -> int:
+    """How many of all the words of ring indices of the given length take an
+    edge of the pattern, run by ``dynamics.run_rings`` from zero, off the
+    reflection map of the edge rings' subsequence after some ring.  Row r's
+    edge ring (r, edge, d) is a step d of component r-1; the left edge
+    (standard, first particles) is the map of the negated components with no
+    wall, the wall edge (symplectic, last particles) the map with the wall."""
+    wall = table.kind == "symplectic"
+    offs = table.offsets
+    edge = [offs[r] - 1 if wall else offs[r - 1] for r in range(1, len(offs))]
+    sign = 1 if wall else -1
+    codes = np.array([sign * d * r if table.particle[i] == edge[r - 1] else 0
+                      for i, (r, _, d) in enumerate(table.keys)], dtype=np.int8)
+    words = _every_word(table.idle, length)
+    x = np.zeros((len(words), offs[-1]), dtype=np.int64)
+    got = []
+    for col in words.T:
+        x = dynamics.run_rings(table, x, col[:, None])
+        got.append(x[:, edge])
+    times = np.broadcast_to(np.arange(1.0, length + 1), words.shape)
+    _, want = couplings._reflect(times, codes[words], len(edge), wall)
+    return int((np.stack(got, axis=2) != sign * want[:, :, 1:].transpose(1, 0, 2))
+               .any(axis=(1, 2)).sum())
+
+
+@pytest.mark.parametrize("n,kind,length", [
+    (3, "standard", 7), (2, "symplectic", 9), (4, "symplectic", 5),
+], ids=["left-edge-3", "wall-edge-1", "wall-edge-2"])
+def test_every_ring_word_keeps_the_edge_on_the_reflection_map(n, kind, length):
+    # C8 and C14 without streams: the edge identities depend on the order of
+    # the rings, not on their times, so every word up to a length covers them
+    assert _edge_word_failures(dynamics.ring_table(n, kind), length) == 0
+
+
+def test_the_ring_word_check_sees_a_changed_edge_blocker():
+    # row 2's first particle rings right unblocked by row 1's: the left edge
+    # sweep catches this one too
+    changed = {(key, column): t for key, column, t in
+               one_entry_changes(dynamics.ring_table(3, "standard"))}
+    assert _edge_word_failures(changed[(2, 1, 1), "blocker"], 7) > 0
+
+
+@pytest.mark.parametrize("n,steps,values", [(2, 3, 4), (3, 2, 3)])
+def test_every_jump_field_keeps_the_right_edge_on_last_passage(n, steps, values):
+    # C7 without streams: every field of jumps below `values` for `steps`
+    # steps of ``dynamics.geometric_update``, against the corner recursion
+    # G(t, k) = max(G(t-1, k), G(t, k-1)) + eta on the diagonal particles' draws
+    offs = row_offsets(n)
+    last = [hi - 1 for hi in offs[1:]]
+    fields = _every_word(values, steps * offs[-1]).reshape(-1, steps, offs[-1])
+    x = np.zeros((len(fields), offs[-1]), dtype=np.int64)
+    g = np.zeros((len(fields), n), dtype=np.int64)
+    failed = np.zeros(len(fields), dtype=bool)
+    for t in range(steps):
+        x = dynamics.geometric_update(x, fields[:, t], n)
+        above = 0
+        for k in range(n):
+            g[:, k] = np.maximum(g[:, k], above) + fields[:, t, last[k]]
+            above = g[:, k]
+        failed |= (x[:, last] != g).any(axis=1)
+    assert not failed.any()
 
 
 def test_sp_schur_even_heights_are_symmetric_under_inverted_rates():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gtpush import kernels, schur
+from gtpush import dynamics, kernels, schur
 from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
     TOL_FLOOR,
@@ -156,6 +157,30 @@ def test_generator_intertwinings_hold_at_boundary_sources(case, n, rates, compar
     q_y, gen, lam, _ = build_intertwining_case(case, n, (Q3 + (F(1, 7),))[:rates], 6)
     rep = _verify_intertwining(q_y, lam, gen, case, interior_only=False)
     assert rep.passed and rep.states_checked == comparisons
+
+
+def _without_cascade(table):
+    return dataclasses.replace(table, push=(table.idle,) * len(table.push))
+
+
+def _without_blocker(table):
+    never = table.particle[table.idle]  # the slot that always holds NEVER
+    return dataclasses.replace(table, blocker=(never,) * len(table.blocker))
+
+
+@pytest.mark.parametrize("mutant,violations", [
+    (_without_cascade, (105, 75, 175)), (_without_blocker, (105, 65, 126)),
+], ids=["no-push-cascade", "blocker-ignored"])
+def test_the_exact_checks_run_the_simulators_engine(monkeypatch, mutant, violations):
+    # the continuous coupling generators are read off dynamics.run_rings, so an
+    # engine that never pushes, or never blocks, fails every generator case
+    run_rings = dynamics.run_rings
+    monkeypatch.setattr(kernels, "run_rings",
+                        lambda table, start, rings: run_rings(mutant(table), start, rings))
+    reports = [run_intertwine_case(case, 2, Q3 + (F(1, 7),), 5)
+               for case in ("poisson", "wall-odd-even", "wall-even-odd")]
+    assert [(len(rep.violations), rep.states_checked) for rep in reports] == \
+        list(zip(violations, (469, 320, 707)))
 
 
 def test_report_json_round_trip():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gtpush import intertwine, kernels
+from gtpush import schur as schur_module
 from gtpush.dynamics import geometric_step
 from gtpush.kernels import (
     LambdaKernel,
@@ -586,6 +587,20 @@ def test_lambda_kernel_zero_row_is_point_mass():
     assert masses == [(((0,), (0, 0)), F(1))]
 
 
+def test_a_two_row_case_takes_one_schur_scale():
+    # X's marginal scales its Schur values by every rate of the case, as
+    # Lambda does, so Lambda's laws of X given Y add nothing to the memo; the
+    # entries are those of the marginal on X's own rates
+    schur_module.clear_caches()
+    marginal = kernels.row_generator(STANDARD, 2, Q3, 4)
+    size = schur_module._value.cache_info().currsize
+    lam = LambdaKernel("poisson", Q3)
+    for y in combinations_with_replacement(range(5), 3):
+        lam.support(y)
+    assert schur_module._value.cache_info().currsize == size
+    assert marginal.rows == q_charlier(2, Q3[:2], 4).rows
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         LambdaKernel("brownian", Q2)
@@ -596,7 +611,8 @@ def test_unknown_variant_rejected():
     (lambda: coupling_generator("geometric", 1, Q2, 4), "unknown continuous-time coupling"),
     (lambda: coupling_generator("poisson", 1, Q3, 4), "1 upper entries got 3 rates"),
     (lambda: LambdaKernel("poisson", Q2).support((0, 0, 0)), "one rate per entry of y"),
-], ids=["unknown-case", "discrete-case", "rate-count", "row-length"])
+    (lambda: kernels.row_generator(SYMPLECTIC, 3, Q2[:1], 4), "at least 2 rates, got 1"),
+], ids=["unknown-case", "discrete-case", "rate-count", "row-length", "too-few-rates"])
 def test_coupling_operators_refuse_a_case_or_size_they_do_not_have(call, match):
     with pytest.raises(ValueError, match=match):
         call()
