@@ -4,13 +4,25 @@ them.
 
 Generator checks compare Q_Y(y, y') m(x', y') against sum_x m(x, y) A((x,y),(x',y'))
 entry by entry in exact rational arithmetic, and the kernel (discrete-step)
-check the same sums for one step.  Each source row is summed in integers over
-one common denominator, so the comparison stays exact.  Truncation drops the
-same targets on both sides, so both hold at every in-box source; the
-generator checks skip sources with a coordinate at the bound only to save
-time (at n = 3, bound 8 they would add about 70%).  Each check sweep here
-returns a ``VerificationReport`` and is the one the command line and the
-tests run.
+check the same sums for one step.  Truncation drops the same targets on both
+sides, so both hold at every in-box source; the generator checks skip
+sources with a coordinate at the bound only to save time (at n = 3, bound 8
+they would add about 70%).  Each check sweep here returns a
+``VerificationReport`` and is the one the command line and the tests run.
+
+While both operators are the builders' arrays (``kernels._Ratios``), a check
+runs in residues.  Each source row y has a denominator known in advance,
+M(y) = N_Y(y) D: N_Y(y) its Schur integer and D the lcm of the denominators
+of the operators' constants, a divisor of L^E for the case's scale L (E = 1
+for the generator cases and bound + 1 for the geometric one).  M(y) times
+every term of row y is an integer product (``_intertwining_terms`` proves
+it), so M(y) (lhs - rhs) is 0 once it is 0 modulo primes below 2**31 whose
+product exceeds twice a bound on it; ``_Terms`` derives the prime count,
+at most 9 at the benchmark's sizes.  A row with a nonzero residue is
+compared again by the integer row sums of ``_verify_intertwining``: each
+source row summed over one common denominator, which give every report, so
+reports stay exact rationals.  An operator built from given rows, or whose
+``rows`` were read, is checked by the row sums alone.
 """
 from __future__ import annotations
 
@@ -62,15 +74,16 @@ class VerificationReport:
 
 
 def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
-                         interior_only: bool) -> VerificationReport:
+                         interior_only: bool, only=None) -> VerificationReport:
     """Compare (op_y Lambda)(y, .) with (Lambda coupling)(y, .) entrywise, one
-    source row y at a time; op_y and coupling are both generators or both
-    step kernels.  Each product is kept as an unreduced integer pair and a
-    row is summed in integers over one common denominator L, the lcm of its
-    product denominators: exact, with no gcd per addition.  A violation is
-    recorded as a/L against b/L, the rationals a Fraction sum gives."""
+    source row y at a time (every state, or every interior one, or the
+    states of only); op_y and coupling are both generators or both step
+    kernels.  Each product is kept as an unreduced integer pair and a row is
+    summed in integers over one common denominator L, the lcm of its product
+    denominators: exact, with no gcd per addition.  A violation is recorded
+    as a/L against b/L, the rationals a Fraction sum gives."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
-    for y in op_y.states:
+    for y in op_y.states if only is None else only:
         if interior_only and not op_y.is_interior(y):
             continue
         lhs_terms = []
@@ -105,11 +118,183 @@ def _row_sum(terms, scale: dict) -> dict:
     return sums
 
 
+# ---------------------------------------------------------------------------
+# the same comparisons in residues modulo word-size primes
+
+PRIME_BITS = 30  # every modulus exceeds 2**30, and products of two stay below 2**62
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which no odd composite
+    7 < m < 3,215,031,751 passes."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes(count: int) -> list[int]:
+    """The count largest primes below 2**31, largest first."""
+    out, m = [], 2 ** 31 - 1
+    while len(out) < count:
+        if _is_prime(m):
+            out.append(m)
+        m -= 2
+    return out
+
+
+def _mod(values, p: int) -> np.ndarray:
+    return np.array([v % p for v in values], dtype=np.int64)
+
+
+class _Terms:
+    """The comparisons of a sweep as integer sums, certified in residues.
+
+    Comparison key[i] holds when M(r) times the sum of its terms is 0, where
+    r = row[i] is the source row the comparison belongs to and M(r) =
+    denominator * schur[r] is a denominator known before any term is summed.
+    M(r) times term i is the integer prod_f table_f[index_f[i]] over the
+    factors (table_f, index_f), a list of Python integers and an index
+    array each.
+
+    The certificate.  D = M(r) (sum of a key's terms) is a sum of integer
+    products, and |D| < B = 2**b (``bits``).  Its residue mod p is the sum
+    of the products of the factors' residues, and it is 0 exactly when p
+    divides D.  If it is 0 for k distinct primes, their product P divides D.
+    With k = floor((b + 2) / PRIME_BITS) + 1, P > 2**(PRIME_BITS k) >
+    2**(b + 2) = 4 B: twice the bound, and a spare factor 2 for the float
+    rounding of b (below 1e-9 bits).  So |D| < P / 2 and D = 0.  That k is
+    the prime count (``primes``): 9 or fewer at the benchmark's sizes, where
+    b stays under 250.  No residue is divided, so a Schur integer that is 0
+    mod p needs no other path.  A product of two residues stays below 2**62,
+    and a key's sum of fewer than 2**32 of them below 2**63."""
+
+    def __init__(self, rows: int, row, key, factors, denominator: int, schur: list):
+        self.rows, self.row, self.key, self.factors = rows, row, key, factors
+        self.denominator, self.schur = denominator, schur
+        self.order = np.argsort(key, kind="stable")
+        keys = key[self.order]
+        self.first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
+        self.key_row = row[self.order[self.first]]
+
+    def bits(self) -> float:
+        """A b with |M(r) (sum of a key's terms)| < 2**b for every key: the
+        largest term times the most terms of one key."""
+        log2 = sum(np.array([math.log2(abs(v)) if v else -math.inf for v in table])[index]
+                   for table, index in self.factors)
+        most = int(np.diff(np.r_[self.first, len(self.key)]).max(initial=1))
+        return max(float(np.max(log2, initial=-math.inf)) + math.log2(most), 0.0)
+
+    def primes(self) -> list[int]:
+        return _primes(int(self.bits() + 2) // PRIME_BITS + 1) if len(self.key) else []
+
+    def sums(self, p: int) -> np.ndarray:
+        """M(r) times the sum of each key, mod p, keys in ascending order."""
+        res = None
+        for table, index in self.factors:
+            res = _mod(table, p)[index] if res is None else res * _mod(table, p)[index] % p
+        return np.add.reduceat(res[self.order], self.first) % p
+
+    def certify(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys per row, flagged rows): a row is certified when each of its
+        keys sums to 0 modulo every prime, and flagged otherwise."""
+        flagged = np.zeros(self.rows, dtype=bool)
+        for p in self.primes():
+            flagged[self.key_row[self.sums(p) != 0]] = True
+        return np.bincount(self.key_row, minlength=self.rows), flagged
+
+
+def _clearing(*ratios: kernels._Ratios) -> tuple[int, list[list[int]]]:
+    """D, the lcm of the denominators of the arrays' constants, and D times
+    each constant, as integers, per arrays."""
+    d = math.lcm(*(c.denominator for r in ratios for c in r.const))
+    return d, [[c.numerator * (d // c.denominator) for c in r.const] for r in ratios]
+
+
+def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
+    """The comparisons of (op_y Lambda)(y, .) = (Lambda coupling)(y, .) at the
+    rows y of sources (a mask over op_y's states), as ``_Terms``; None unless
+    both operators are arrays, op_y's on the states of Y's box and the
+    coupling's on its pairs, each with Lambda's Schur integers, which the
+    denominator below rests on.
+
+    Lambda(y, x) = t^(|y|-|x|) N_X(x) / N_Y(y) (``LambdaKernel.on_box``), and
+    each entry of either operator is c N(target) / N(source), c one of its
+    constants.  Let M(y) = N_Y(y) D, with D the lcm of the denominators of
+    the constants of both operators.  Then
+      - a left term op_y(y, y2) Lambda(y2, x2) is c N_Y(y2) / N_Y(y) times
+        t^e N_X(x2) / N_Y(y2), and M(y) times it is D c t^e N_X(x2);
+      - a right term Lambda(y, x) coupling((x, y), (x', y')) is t^e N_X(x) /
+        N_Y(y) times c N_X(x') / N_X(x), and M(y) times it is
+        D c t^e N_X(x');
+    both are integers, products of three factors.  Every denominator of a
+    constant is made of the rates' numerators and denominators, so D
+    divides a power L^E of the case's scale L: E = 1 for the three
+    generator cases, whose constants are L, 1/L and sums of rates and their
+    inverses, all in (1/L) Z; E = bound + 1 for the geometric one, whose
+    constants carry 1/L^d for a step of d <= bound and the powers of q and
+    1 - q of Y's step (measured at n = 1 to 3)."""
+    a, g = op_y.ratios, coupling.ratios
+    if a is None or g is None:
+        return None
+    bound = op_y.bound
+    t, n_x, n_y = lam.on_box(bound)
+    pairs, flat = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
+    n = flat.shape[1] - len(lam.qs)
+    xs, ys = (kernels._chamber_index(part, bound) for part in (flat[:, :n], flat[:, n:]))
+    if not (a.h == n_y and np.array_equal(a.hs, np.arange(len(n_y)))
+            and op_y.states == chamber_states(len(lam.qs), bound)
+            and g.h == n_x and coupling.states == pairs and np.array_equal(g.hs, xs)):
+        return None
+    over_y = np.searchsorted(ys, np.arange(len(n_y) + 1))  # pairs over y: over_y[y]...
+    left = np.flatnonzero(sources[a.src])  # op_y(y, y2), then each pair over y2
+    counts = np.diff(over_y)[a.dst[left]]
+    left = np.repeat(left, counts)
+    left_pair = over_y[a.dst[left]] + kernels._ramp(counts)
+    right = np.flatnonzero(sources[ys[g.src]])  # Lambda(y, x), then coupling((x, y), .)
+    row = np.r_[a.src[left], ys[g.src[right]]]
+    rise = flat[:, n:].sum(axis=1) - flat[:, :n].sum(axis=1)
+    d, (c_y, c_g) = _clearing(a, g)
+    factors = [(c_y + [-c for c in c_g], np.r_[a.ci[left], len(c_y) + g.ci[right]]),
+               ([t ** e for e in range(int(rise.max()) + 1)],
+                np.r_[rise[left_pair], rise[g.src[right]]]),
+               (n_x, np.r_[xs[left_pair], xs[g.dst[right]]])]
+    key = row * len(pairs) + np.r_[left_pair, g.dst[right]]
+    return _Terms(len(n_y), row, key, factors, d, n_y)
+
+
+def _check_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
+                        interior_only: bool) -> VerificationReport:
+    """``_verify_intertwining``'s report, from residues where both operators
+    are arrays: rows certified by ``_Terms`` add their comparison counts,
+    and the flagged rows are compared by ``_verify_intertwining``, so a
+    report is exact in rationals and equal to the row sums' own."""
+    sources = np.array([not interior_only or op_y.is_interior(y) for y in op_y.states], bool)
+    terms = _intertwining_terms(op_y, lam, coupling, sources)
+    if terms is None:
+        return _verify_intertwining(op_y, lam, coupling, case, interior_only)
+    counts, flagged = terms.certify()
+    report = _verify_intertwining(op_y, lam, coupling, case, interior_only,
+                                  [y for y, bad in zip(op_y.states, flagged) if bad])
+    report.states_checked += int(counts[sources & ~flagged].sum())
+    return report
+
+
 def verify_generator_intertwining(
     q_y: SparseGenerator, lam: LambdaKernel, gen: SparseGenerator, case: str = ""
 ) -> VerificationReport:
     """Check Q_Y Lambda = Lambda A entrywise over interior source states."""
-    return _verify_intertwining(q_y, lam, gen, case, interior_only=True)
+    return _check_intertwining(q_y, lam, gen, case, interior_only=True)
 
 
 def verify_kernel_intertwining(
@@ -117,7 +302,7 @@ def verify_kernel_intertwining(
 ) -> VerificationReport:
     """Check m(x',y') p_Y(y,y') = sum_x m(x,y) q((x,y),(x',y')) for all in-box
     sources and targets; each instance is a finite exact computation."""
-    return _verify_intertwining(p_y, lam, q_step, case, interior_only=False)
+    return _check_intertwining(p_y, lam, q_step, case, interior_only=False)
 
 
 def build_intertwining_case(case: str, n: int, q, bound: int):
@@ -148,10 +333,23 @@ def run_intertwine_case(case: str, n: int, q, bound: int) -> VerificationReport:
 
 
 def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationReport:
-    """Interior rows must sum to exactly zero."""
+    """Interior rows must sum to exactly zero.  While gen is arrays, each row
+    sum is certified in residues (``_Terms``): with M(x) = N(x) D, D the
+    lcm of the constants' denominators, M(x) times an entry c N(x') / N(x)
+    is the integer D c N(x').  Only the flagged rows are summed in
+    Fractions."""
     report = VerificationReport(case or f"conservative {gen.label}")
-    for s in gen.states:
-        if gen.is_interior(s):
+    inner = np.array([gen.is_interior(s) for s in gen.states], dtype=bool)
+    flagged = inner
+    if (r := gen.ratios) is not None and inner.any():
+        at = np.flatnonzero(inner[r.src])
+        d, (c,) = _clearing(r)
+        terms = _Terms(len(gen.states), r.src[at], r.src[at],
+                       [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])], d, [r.h[i] for i in r.hs.tolist()])
+        flagged = inner & terms.certify()[1]
+        report.states_checked = int((inner & ~flagged).sum())
+    for s, bad in zip(gen.states, flagged):
+        if bad:
             report.check(s, s, sum(gen.row(s).values()), Fraction(0))
     return report
 
@@ -281,10 +479,7 @@ def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
     if tf < 0:
         raise ValueError("t must be nonnegative")
     if isinstance(gen, SparseGenerator):
-        index = {s: i for i, s in enumerate(gen.states)}
-        entries = [(i, index[s2], float(v)) for i, s in enumerate(gen.states)
-                   for s2, v in gen.row(s).items()]
-        gen = FloatKernel(gen.states, *np.array(entries, dtype=float).reshape(-1, 3).T)
+        gen = gen.float_kernel()
     states = gen.states
     theta = float(np.max(-gen.val[gen.src == gen.dst], initial=0.0))
     if theta == 0.0 or tf == 0.0:

@@ -4,9 +4,13 @@ Every object lives on a finite box {0 <= coordinate <= bound}; entries whose
 target falls outside the box are dropped.  The exact half's values are exact
 rationals.  Each marginal operator's moves are written once, as index arrays
 over the box (``_walk_moves`` for the conditioned walk, ``_step_moves`` for
-the geometric step): the exact operators form one Fraction per entry from
-the integer Schur values of ``schur.exact_values``, and their float forms
-for the Monte Carlo reference laws (``row_generator_float``,
+the geometric step).  The exact operators keep their entries as arrays,
+``_Ratios``: entry e is c N(target) / N(source), c one of a few exact
+constants and N the integer Schur values of ``schur.exact_values``, taken at
+the one scale L of the case's rates, the scale that Lambda takes too.  So no
+exact builder forms a Fraction: ``rows`` and ``row`` form them on demand,
+and the residue checks of ``intertwine`` read the arrays.  Their float
+forms for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The continuous-time
 coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
@@ -16,14 +20,14 @@ test holds it to ``dynamics.geometric_step``.
 One table says which pattern rows a variant pairs: its two-row states are the
 lower rows on the box with their ``patterns.branching`` candidates above, and
 its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the
-upper row given the lower (``schur.branching_law``).
+upper row given the lower (``schur.branching_law``), t^(|y| - |x|) N_X(x) /
+N_Y(y) in the same integers (``LambdaKernel.on_box``).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +42,6 @@ from .patterns import (
     rates_of,
     row_length,
     scaled_rates,
-    upper_candidates,
 )
 
 POISSON = "poisson"
@@ -64,11 +67,42 @@ def _y_row(variant: str, qs) -> tuple[str, int]:
     return kind, row(len(qs))
 
 
-def _pairs(kind: str, j: int, qs, bound: int) -> list[tuple[tuple, tuple]]:
+def _pairs(kind: str, j: int, qs, bound: int) -> tuple[list[tuple[tuple, tuple]], np.ndarray]:
     """Pairs (x, y) on the box: every y of row j, then every candidate x for
-    the row above it (``patterns.upper_candidates``, the order of
-    ``patterns.branching``)."""
-    return [(x, y) for y in chamber_states(len(qs), bound) for x in upper_candidates(kind, j, y)]
+    the row above it in lexicographic order, as ``patterns.upper_candidates``
+    and ``patterns.branching`` list them; and their coordinates, x's then
+    y's, as an int array.  x_i lies between the wall-padded (0, y)'s entries
+    i - 1 + drop and i + drop (``patterns.branching_rule``)."""
+    ys = chamber_states(len(qs), bound)
+    padded = np.pad(np.array(ys, dtype=np.int64).reshape(len(ys), -1), ((0, 0), (1, 0)))
+    drop = branching_rule(kind, j)[0]
+    of_y, xs = _lattice(padded[:, drop:-1], padded[:, 1 + drop:])
+    pairs = list(zip(map(tuple, xs.tolist()), (ys[i] for i in of_y.tolist())))
+    return pairs, np.column_stack([xs, padded[of_y, 1:]])
+
+
+def _chamber_index(coords: np.ndarray, bound: int) -> np.ndarray:
+    """The place of each row of coords, a state of the box, in
+    ``chamber_states(coords.shape[1], bound)``."""
+    k = coords.shape[1]
+    return _box_coords(k, bound)[2][np.ravel_multi_index(tuple(coords.T), (bound + 1,) * k)]
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """arange(c) for each count c, run together."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _lattice(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer vector v with lo[r] <= v <= hi[r] coordinatewise, for
+    each row r of the int arrays lo <= hi, in lexicographic order per row:
+    (r of each vector, the vectors as rows)."""
+    of, cols = np.arange(len(lo)), []
+    for i in range(lo.shape[1]):
+        counts = hi[of, i] - lo[of, i] + 1
+        cols = [c.repeat(counts) for c in cols] + [np.repeat(lo[of, i], counts) + _ramp(counts)]
+        of = np.repeat(of, counts)
+    return of, np.column_stack(cols).reshape(len(of), lo.shape[1])
 
 
 def _flat(state):
@@ -83,8 +117,46 @@ def _fmt_state(state):
     return list(state)
 
 
+class _Ratios:
+    """An exact operator as arrays: entry e, from state src[e] to dst[e], is
+    const[ci[e]] * h[hs[dst[e]]] / h[hs[src[e]]], where const holds a few
+    exact rationals, h the positive Schur integers N of
+    ``schur.exact_values`` and hs each state's place in h.  Entries run by
+    source, each row in the order of the operator's dict rows; src, dst, ci
+    and hs are intp arrays."""
+
+    def __init__(self, src, dst, ci, const, h, hs):
+        self.src, self.dst, self.ci, self.hs = src, dst, ci, hs
+        self.const, self.h = tuple(const), h
+
+    def integers(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Entries lo..hi-1 as unreduced (numerator, denominator) products."""
+        h, const = self.h, self.const
+        return [(const[c].numerator * h[a], const[c].denominator * h[b])
+                for a, b, c in zip(self.hs[self.dst[lo:hi]].tolist(),
+                                   self.hs[self.src[lo:hi]].tolist(), self.ci[lo:hi].tolist())]
+
+    def fractions(self, lo: int, hi: int) -> list[Fraction]:
+        return [Fraction(num, den) for num, den in self.integers(lo, hi)]
+
+    def floats(self) -> np.ndarray:
+        """Every entry in floats, each one correctly rounded division of
+        integers, as float() of the entry's Fraction is."""
+        return np.array([num / den for num, den in self.integers(0, len(self.src))], dtype=float)
+
+
 class _SparseOperator:
-    """Common storage: row-major sparse map state -> {state: value}."""
+    """Common storage: row-major sparse map state -> {state: value}.
+
+    An operator built from given rows keeps them.  The library's builders
+    make one from ``_Ratios`` arrays (``_of``): ``row`` then forms one row
+    of Fractions at a time, and ``rows`` forms them all on first read and
+    keeps them.  ``ratios`` is the arrays until ``rows`` is read, and None
+    after; the exact checks read an operator through its arrays only while
+    it is not None, so an operator whose rows were read, and maybe changed
+    in place, is checked by its rows."""
+
+    _ratios = None
 
     def __init__(self, states, rows, bound: int, label: str = ""):
         self.states = list(states)
@@ -92,17 +164,54 @@ class _SparseOperator:
         self.bound = bound
         self.label = label
 
+    @classmethod
+    def _of(cls, states, ratios: _Ratios, bound: int, label: str):
+        op = cls.__new__(cls)
+        op.states, op.bound, op.label, op._ratios = list(states), bound, label, ratios
+        return op
+
+    @property
+    def ratios(self) -> _Ratios | None:
+        return None if "rows" in vars(self) else self._ratios
+
+    @cached_property
+    def rows(self) -> dict:
+        return {s: self.row(s) for s in self.states}  # row reads the arrays until this returns
+
+    @cached_property
+    def _starts(self) -> tuple[dict, list]:
+        """Each state's place, and where each source's entries start."""
+        return ({s: i for i, s in enumerate(self.states)},
+                np.searchsorted(self._ratios.src, np.arange(len(self.states) + 1)).tolist())
+
     def row(self, s) -> dict:
-        return self.rows.get(s, {})
+        if self.ratios is None:
+            return self.rows.get(s, {})
+        index, starts = self._starts
+        if s not in index:
+            return {}
+        lo, hi = starts[index[s]], starts[index[s] + 1]
+        return dict(zip((self.states[j] for j in self._ratios.dst[lo:hi].tolist()),
+                        self._ratios.fractions(lo, hi)))
 
     def value(self, s, t) -> Fraction:
-        return self.rows.get(s, {}).get(t, Fraction(0))
+        return self.row(s).get(t, Fraction(0))
 
     def is_interior(self, s) -> bool:
         return all(c <= self.bound - 1 for c in _flat(s))
 
     def interior_states(self):
         return [s for s in self.states if self.is_interior(s)]
+
+    def float_kernel(self) -> "FloatKernel":
+        """The operator in floats, entry for entry in row order."""
+        if self.ratios is not None:
+            r = self.ratios
+            return FloatKernel(self.states, r.src, r.dst, r.floats())
+        index = {s: i for i, s in enumerate(self.states)}
+        entries = [(i, index[s2], float(v)) for i, s in enumerate(self.states)
+                   for s2, v in self.row(s).items()]
+        return FloatKernel(self.states, *np.array(entries, dtype=float).reshape(-1, 3).T)
 
 
 class FloatKernel:
@@ -176,28 +285,13 @@ def _step_moves(n: int, bound: int):
     of one geometric step, x_i <= xt_i <= x_{i+1} (the bound last), as index
     arrays, by source and then target in the order of the states."""
     states, coords, cube, _ = _box_coords(n, bound)
-    src = np.arange(len(states))
-    flat = np.zeros(len(states), dtype=np.intp)  # the target's cube index so far
-    for i in range(1, n + 1):
-        lo = coords[src, i]
-        counts = coords[src, i + 1] - lo + 1
-        # one arange(lo, hi + 1) per source, run together
-        ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        src = np.repeat(src, counts)
-        flat = np.repeat(flat * (bound + 1) + lo, counts) + ramp
-    return states, src, cube[flat]
+    src, targets = _lattice(coords[:, 1:-1], coords[:, 2:])
+    return states, src, cube[np.ravel_multi_index(tuple(targets.T), (bound + 1,) * n)]
 
 
-def _ratio_rows(states, src, dst, scale: int, h: dict, a: Fraction) -> dict:
-    """Exact rows x -> {xt: a s(xt) / s(x)} over the (source, target) arrays,
-    each one Fraction of integers, with s(x) = h[x] / scale^|x|."""
-    rows = {x: {} for x in states}
-    for i, j in zip(src.tolist(), dst.tolist()):
-        x, xt = states[i], states[j]
-        d = sum(xt) - sum(x)
-        rows[x][xt] = Fraction(a.numerator * h[xt] * scale ** max(-d, 0),
-                               a.denominator * h[x] * scale ** max(d, 0))
-    return rows
+def _sums(states) -> np.ndarray:
+    """|x| of every state."""
+    return np.array(states, dtype=np.intp).reshape(len(states), -1).sum(axis=1)
 
 
 def _walk_diagonal(kind: str, r: int, qs) -> tuple:
@@ -214,15 +308,20 @@ def _walk_diagonal(kind: str, r: int, qs) -> tuple:
 def _conditioned_walk(kind: str, r: int, qs, bound: int) -> SparseGenerator:
     """Generator of row r of a pattern on its own, with one rate per entry off
     the front of qs: each move of ``_walk_moves`` at the ratio of the Schur
-    values of target and x, and the diagonal of ``_walk_diagonal``."""
+    values of target and x, N(x +- e_i) / (N(x) L^(+-1)) in the integers N
+    of ``schur.exact_values``, and the diagonal of ``_walk_diagonal``."""
     k = row_length(r, kind)
     states, src, dst = _walk_moves(kind, k, bound)
-    rows = _ratio_rows(states, src, dst, *schur.exact_values(kind, r, qs, bound), Fraction(1))
+    scale, h = schur.exact_values(kind, r, qs, bound)
     diag, wall_diag = _walk_diagonal(kind, r, qs[:k])
-    for x, row in rows.items():
-        row[x] = wall_diag if x[0] == 0 else diag
+    sums = _sums(states)
+    # const: a step right, a step left, the diagonal off the wall and at it
+    ci = np.where(src == dst, np.where(np.array(states)[src, 0] == 0, 3, 2),
+                  (sums[src] - sums[dst] + 1) // 2)
+    ratios = _Ratios(src, dst, ci, (Fraction(1, scale), Fraction(scale), diag, wall_diag), h,
+                     np.arange(len(states)))
     family = "charlier" if kind == STANDARD else "symplectic"
-    return SparseGenerator(states, rows, bound, f"{family} n={r}")
+    return SparseGenerator._of(states, ratios, bound, f"{family} n={r}")
 
 
 def q_charlier(n: int, q, bound: int) -> SparseGenerator:
@@ -260,14 +359,24 @@ def row_generator_float(kind: str, r: int, q, bound: int) -> FloatKernel:
     return FloatKernel(states, src, dst, val)
 
 
+def _geometric_step(n: int, qs, bound: int) -> StepKernel:
+    """One-step kernel of n walkers at the first n rates of qs: the entry
+    from x to xt is a N(xt) / (N(x) L^(|xt| - |x|)), a the product of the
+    1 - q_i, on the integers N of ``schur.exact_values``, scaled by all of
+    qs."""
+    states, src, dst = _step_moves(n, bound)
+    scale, h = schur.exact_values(STANDARD, n, qs, bound)
+    rise = _sums(states)[dst] - _sums(states)[src]
+    a = math.prod(1 - v for v in qs[:n])
+    const = [a / scale ** d for d in range(int(rise.max(initial=0)) + 1)]
+    return StepKernel._of(states, _Ratios(src, dst, rise, const, h, np.arange(len(states))),
+                          bound, f"geometric n={n}")
+
+
 def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     """One-step kernel of ordered walkers with geometric jumps, conditioned
     to stay shifted-interlaced; rows sum to 1 over the untruncated targets."""
-    qs = rates_of(q, n, open_unit=True)
-    states, src, dst = _step_moves(n, bound)
-    rows = _ratio_rows(states, src, dst, *schur.exact_values(STANDARD, n, qs, bound),
-                       math.prod(1 - v for v in qs))
-    return StepKernel(states, rows, bound, f"geometric n={n}")
+    return _geometric_step(n, rates_of(q, n, open_unit=True), bound)
 
 
 def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
@@ -303,18 +412,22 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     r = j - 1
     if row_length(r, kind) != n:
         raise ValueError(f"{case} coupling with {n} upper entries got {len(qs)} rates")
-    marginal = row_generator(kind, r, qs, bound)
-    states = _pairs(kind, j, qs, bound)
+    marginal = row_generator(kind, r, qs, bound)._ratios
+    states, pairs = _pairs(kind, j, qs, bound)
+    xs = _chamber_index(pairs[:, :n], bound)  # each pair's x among X's states
     table = ring_table(j, kind)
     rates = _ring_rates(table, qs)
-    pairs = np.array([[*x, *y] for x, y in states], dtype=np.int64)
     start = np.pad(pairs, ((0, 0), (table.offsets[r - 1], 0)), constant_values=NEVER)
     # a code puts y's entries first, so the codes of the pairs ascend in their
     # order; one ring moves an entry to between -1 and bound + 1
     code = lambda flat: np.ravel_multi_index(tuple(np.roll(flat, -n, axis=1).T + 1),
                                              (bound + 3,) * flat.shape[1])
     codes = code(pairs)
-    rows = {s: {} for s in states}
+    # X's marginal entries by (x, x') code, to find the one an X ring takes
+    moves = marginal.src * len(marginal.h) + marginal.dst
+    by_move = np.argsort(moves)
+    const = list(marginal.const)
+    src, dst, ci = [], [], []
     free = []  # per Y ring, the pairs in which it is unblocked
     for ring in range(table.keys.index((r, 1, 1)), table.idle):  # the rings of X, then Y
         row = table.keys[ring][0]
@@ -324,20 +437,34 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
         hit = np.flatnonzero(moved & (codes[at] == out))
         if row > r:
             free.append(moved)
-        for i, t in zip(hit.tolist(), at[hit].tolist()):
-            s, target = states[i], states[t]
-            rate = rates[ring] if row > r else marginal.rows[s[0]].get(target[0])
-            if rate is not None:
-                rows[s][target] = rate
-    masks = sum(m << i for i, m in enumerate(free)).tolist()  # bit i: Y ring i unblocked
-    out_rates = {m: sum(rate for i, rate in enumerate(rates[-len(free):]) if m >> i & 1)
-                 for m in set(masks)}  # the Y rings are the table's last
-    diags = {}  # (x, unblocked Y rings) -> diagonal
-    for s, m in zip(states, masks):
-        if (s[0], m) not in diags:
-            diags[s[0], m] = marginal.rows[s[0]][s[0]] - out_rates[m]
-        rows[s][s] = diags[s[0], m]
-    return SparseGenerator(states, rows, bound, f"coupling-{case} n={n}")
+            which = np.full(len(hit), len(const))
+            const.append(rates[ring])
+        else:
+            move = xs[hit] * len(marginal.h) + xs[at[hit]]
+            pos = by_move[np.minimum(np.searchsorted(moves, move, sorter=by_move), len(moves) - 1)]
+            keep = moves[pos] == move
+            hit, which = hit[keep], marginal.ci[pos[keep]]
+        src.append(hit)
+        dst.append(at[hit])
+        ci.append(which)
+    # the diagonal: X's diagonal minus the out-rate of the unblocked Y rings,
+    # one constant per X diagonal and set of unblocked Y rings (bit i: ring i)
+    on_diagonal = np.flatnonzero(marginal.src == marginal.dst)
+    x_diag = np.empty(len(marginal.h), dtype=np.intp)
+    x_diag[marginal.src[on_diagonal]] = marginal.ci[on_diagonal]
+    masks = sum(m.astype(np.intp) << i for i, m in enumerate(free))
+    kinds, which = np.unique(x_diag[xs] << len(free) | masks, return_inverse=True)
+    y_rates = rates[-len(free):]  # the Y rings are the table's last
+    for kind_code in kinds.tolist():
+        const.append(marginal.const[kind_code >> len(free)] - sum(
+            rate for i, rate in enumerate(y_rates) if kind_code >> i & 1))
+    src.append(np.arange(len(states)))
+    dst.append(np.arange(len(states)))
+    ci.append(len(const) - len(kinds) + which.reshape(-1))
+    src, dst, ci = (np.concatenate(a) for a in (src, dst, ci))
+    order = np.argsort(src, kind="stable")
+    ratios = _Ratios(src[order], dst[order], ci[order], const, marginal.h, xs)
+    return SparseGenerator._of(states, ratios, bound, f"coupling-{case} n={n}")
 
 
 def blocking_factor(u: int, v: int, q) -> Fraction:
@@ -362,35 +489,49 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     """One-step kernel of the paired geometric rows: X (n entries) and the row
     Y below it, with n+1 rates.
 
-    X steps by its own marginal kernel ``kernel_geometric``.  Given X's step
-    x -> xt, Y's entries move independently as ``dynamics.geometric_update``
-    moves them: Y_j is pushed up to its floor max(y_j, xt_{j-1}) (Y_0's floor
-    is y_0), jumps geometrically at the last rate q and is blocked at its cap
-    x_j; the last entry has no cap and is cut at the bound.  So Y lands on
-    each yt of the box between floors and caps with mass q^rise (1-q)^free:
-    rise = |yt| - |floors|, and free counts the entries below their cap, the
-    last one always.
+    X steps by its own marginal kernel (``kernel_geometric``, on Schur values
+    scaled by all n+1 rates).  Given X's step x -> xt, Y's entries move
+    independently as ``dynamics.geometric_update`` moves them: Y_j is pushed
+    up to its floor max(y_j, xt_{j-1}) (Y_0's floor is y_0), jumps
+    geometrically at the last rate q and is blocked at its cap x_j; the last
+    entry has no cap and is cut at the bound.  So Y lands on each yt of the
+    box between floors and caps with mass q^rise (1-q)^free: rise = |yt| -
+    |floors|, and free counts the entries below their cap, the last one
+    always.  The targets are laid out one Y entry at a time, each pair and X
+    step repeated over the range of the entry, as ``_step_moves`` lays out X's.
     """
     qs = rates_of(q_ext, n + 1, open_unit=True)
     a, b = qs[n].numerator, qs[n].denominator
-    marginal = kernel_geometric(n, qs[:n], bound)
+    marginal = _geometric_step(n, qs, bound)._ratios
     kind, j = _y_row(GEOMETRIC, qs)
-    states = _pairs(kind, j, qs, bound)
-    # q^rise (1-q)^free as integers over b^(rise+free), for q = a/b
-    weight = lru_cache(maxsize=None)(lambda rise, free: ((b - a) ** free * a ** rise,
-                                                         b ** (free + rise)))
-    rows = {}
-    for x, y in states:
-        stops = tuple(c + 1 for c in x) + (bound + 1,)
-        row = {}
-        for xt, px in marginal.row(x).items():
-            floors = (y[0],) + tuple(map(max, y[1:], xt))
-            base = sum(floors)
-            for yt in itertools.product(*map(range, floors, stops)):
-                num, den = weight(sum(yt) - base, 1 + sum(map(int.__lt__, yt, x)))
-                row[(xt, yt)] = Fraction(px.numerator * num, px.denominator * den)
-        rows[(x, y)] = row
-    return StepKernel(states, rows, bound, f"coupling-geometric n={n}")
+    states, pairs = _pairs(kind, j, qs, bound)
+    xs = _chamber_index(pairs[:, :n], bound)
+    # every X step x -> xt of every pair: step e of the marginal from pair src
+    starts = np.searchsorted(marginal.src, np.arange(len(marginal.h) + 1))
+    counts = np.diff(starts)[xs]
+    src = np.repeat(np.arange(len(states)), counts)
+    step = np.repeat(starts[xs], counts) + _ramp(counts)
+    xt = np.array(chamber_states(n, bound), dtype=np.int64).reshape(-1, n)[marginal.dst[step]]
+    y = pairs[src, n:]
+    floors = np.column_stack([y[:, 0], np.maximum(y[:, 1:], xt)])
+    caps = np.column_stack([pairs[src, :n], np.full(len(src), bound)])
+    at, yt = _lattice(floors, caps)  # the X step of each target, and its yt
+    rise = yt.sum(axis=1) - floors[at].sum(axis=1)
+    free = 1 + (yt[:, :n] < caps[at, :n]).sum(axis=1)
+    code = lambda flat: np.ravel_multi_index(tuple(flat.T), (bound + 1,) * flat.shape[1])
+    dst = np.searchsorted(code(np.column_stack([pairs[:, n:], pairs[:, :n]])),
+                          code(np.column_stack([yt, xt[at]])))
+    # one constant per (X step constant, rise, free): q^rise (1-q)^free as
+    # integers over b^(rise+free), for q = a/b
+    width = int(rise.max(initial=0)) + 1
+    kinds, which = np.unique((marginal.ci[step[at]] * width + rise) * (n + 2) + free,
+                             return_inverse=True)
+    const = []
+    for k in kinds.tolist():
+        (c, r), f = divmod(k // (n + 2), width), k % (n + 2)
+        const.append(marginal.const[c] * Fraction((b - a) ** f * a ** r, b ** (f + r)))
+    ratios = _Ratios(src[at], dst, which.reshape(-1), const, marginal.h, xs)
+    return StepKernel._of(states, ratios, bound, f"coupling-geometric n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +556,17 @@ class LambdaKernel:
                              f"got {len(self.qs)} for {y}")
         law = schur.branching_law(self.kind, self.y_row, y, self._up, self._down)
         return [((x, y), p) for x, p in law]
+
+    def on_box(self, bound: int) -> tuple[int, list, list]:
+        """Lambda on the box in integers: (t, N_X, N_Y), with N_X and N_Y the
+        Schur integers of ``schur.exact_values`` for the row of x and the row
+        of y over their chamber states, and t the integer rate of
+        ``patterns.branching_rule``, so that Lambda(y, x) = t^(|y| - |x|)
+        N_X(x) / N_Y(y) for each candidate x above y: ``support`` divides the
+        same integers, as N_Y(y) is their sum."""
+        _, t = branching_rule(self.kind, self.y_row, self._up, self._down)
+        return (t, schur.exact_values(self.kind, self.y_row - 1, self.qs, bound)[1],
+                schur.exact_values(self.kind, self.y_row, self.qs, bound)[1])
 
     def weight(self, x, y) -> Fraction:
         """Exact weight of x given y: zero unless x interlaces with y; for

@@ -7,7 +7,7 @@ integer N.  The recursion computes N in Python integers from the integer
 rates L q_i and L / q_i (``patterns.scaled_rates``), and is memoized on (kind,
 row index, row, those rates).  ``schur`` and ``sp_schur`` form one Fraction
 per value; ``exact_values`` hands the integers N of a whole box to the exact
-operators, which form each entry as one Fraction of integers;
+operators, which keep each entry as a constant times a ratio of them;
 ``branching_law`` divides integer weights out into the exact law of one row
 given the row below it: the intertwining kernels Lambda and the pattern
 samplers read that law.  The Monte Carlo reference laws take float values of
@@ -135,18 +135,19 @@ def _value(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> int:
     return sum(c * _value(kind, j - 1, za, up, down) for za, c in terms)
 
 
-def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, dict]:
-    """L and the integer N(x) = L^|x| s(x) at every state x of
-    ``chamber_states(row_length(j, kind), bound)``, where s is the Schur value
-    (symplectic of height j for SYMPLECTIC) at the first row_length(j, kind)
-    exact rates q and L is taken from all of q, so that the exact operators of
-    a two-row case, which take their ratios from these, share one L and memo."""
+def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, list]:
+    """L and the integers N(x) = L^|x| s(x) at the states x of
+    ``chamber_states(row_length(j, kind), bound)``, in that order, where s is
+    the Schur value (symplectic of height j for SYMPLECTIC) at the first
+    row_length(j, kind) exact rates q and L is taken from all of q, so that
+    the exact operators of a two-row case and its kernel Lambda, which take
+    their ratios from these, share one L and memo."""
     k = row_length(j, kind)
     qs = rates_of(q)
     if len(qs) < k:
         raise ValueError(f"expected at least {k} rates, got {len(qs)}")
     scale, up, down = scaled_rates(qs)
-    return scale, {x: _value(kind, j, x, up[:k], down[:k]) for x in chamber_states(k, bound)}
+    return scale, [_value(kind, j, x, up[:k], down[:k]) for x in chamber_states(k, bound)]
 
 
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:

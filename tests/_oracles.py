@@ -314,27 +314,34 @@ def dense_semigroup(gen: SparseGenerator, t, tol: float) -> np.ndarray:
     return out
 
 
+def fraction_row_sums(op_y, lam, coupling, y) -> tuple[dict, dict]:
+    """(op_y Lambda)(y, .) and (Lambda coupling)(y, .), each a dict of its
+    keys, summed term by term in ``Fraction``s."""
+    lhs: dict = {}
+    for y2, value in op_y.row(y).items():
+        for (x2, _), mass in lam.support(y2):
+            if mass:
+                key = (x2, y2)
+                lhs[key] = lhs.get(key, Fraction(0)) + value * mass
+    rhs: dict = {}
+    for (x, _), mass in lam.support(y):
+        if not mass:
+            continue
+        for target, value in coupling.row((x, y)).items():
+            rhs[target] = rhs.get(target, Fraction(0)) + mass * value
+    return lhs, rhs
+
+
 def verify_intertwining_fractions(op_y, lam, coupling, case: str,
                                   interior_only: bool) -> VerificationReport:
     """The row comparison of ``intertwine._verify_intertwining`` summed term
-    by term in ``Fraction``s: (op_y Lambda)(y, .) against
-    (Lambda coupling)(y, .), one source row y at a time."""
+    by term in ``Fraction``s (``fraction_row_sums``), one source row y at a
+    time."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
     for y in op_y.states:
         if interior_only and not op_y.is_interior(y):
             continue
-        lhs: dict = {}
-        for y2, value in op_y.row(y).items():
-            for (x2, _), mass in lam.support(y2):
-                if mass:
-                    key = (x2, y2)
-                    lhs[key] = lhs.get(key, Fraction(0)) + value * mass
-        rhs: dict = {}
-        for (x, _), mass in lam.support(y):
-            if not mass:
-                continue
-            for target, value in coupling.row((x, y)).items():
-                rhs[target] = rhs.get(target, Fraction(0)) + mass * value
+        lhs, rhs = fraction_row_sums(op_y, lam, coupling, y)
         for key in sorted(set(lhs) | set(rhs)):
             report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
     return report

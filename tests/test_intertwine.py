@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gtpush import dynamics, kernels, schur
+from gtpush import dynamics, intertwine, kernels, schur
 from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
     TOL_FLOOR,
@@ -25,10 +25,11 @@ from gtpush.intertwine import (
 )
 from gtpush.patterns import STANDARD, SYMPLECTIC
 
-from _oracles import dense_semigroup, verify_intertwining_fractions
+from _oracles import dense_semigroup, fraction_row_sums, verify_intertwining_fractions
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
+Q4 = Q3 + (F(1, 7),)
 
 
 def test_poisson_intertwining_passes():
@@ -97,6 +98,112 @@ def test_integer_row_sums_match_the_fraction_oracle(case, bound):
                                            (_moved(q_y, diag, "diagonal"), gen, expected_diag)):
         rep = _same_report(case, broken_y, lam, broken_gen, interior_only)
         assert {(y, key) for y, key, _, _ in rep.violations} == expected
+
+
+def _residue_terms(case, n, bound):
+    """A case's operators and the terms of its residue check, every checked
+    source row in the mask."""
+    q_y, gen, lam, checker = build_intertwining_case(case, n, Q4, bound)
+    interior_only = checker is verify_generator_intertwining
+    sources = np.array([not interior_only or q_y.is_interior(y) for y in q_y.states])
+    terms = intertwine._intertwining_terms(q_y, lam, gen, sources)
+    assert terms is not None  # the case's own operators are checked in residues
+    return q_y, gen, lam, checker, sources, terms
+
+
+@pytest.mark.parametrize("case,n,bound", [
+    (case, n, bound) for case in ("poisson", "wall-odd-even", "wall-even-odd", "geometric")
+    for n, bound in ((1, 5), (2, 4))])
+def test_the_certificate_denominator_clears_every_compared_entry(case, n, bound):
+    """M(y) = N_Y(y) D is a multiple of the lcm of the reduced denominators of
+    row y's compared entries, as the Fraction oracle sums them, and M(y)
+    times each entry stays under 2**b, the bound whose double the primes'
+    product exceeds; each row is certified, with the oracle's comparison
+    count."""
+    q_y, gen, lam, _, sources, terms = _residue_terms(case, n, bound)
+    counts, flagged = terms.certify()
+    assert not flagged.any()
+    top = 2 ** terms.bits()
+    assert math.prod(terms.primes()) > 2 * top
+    for i in np.flatnonzero(sources):
+        y = q_y.states[i]
+        lhs, rhs = fraction_row_sums(q_y, lam, gen, y)
+        m = terms.denominator * terms.schur[i]
+        entries = [*lhs.values(), *rhs.values()]
+        assert m % math.lcm(*(v.denominator for v in entries)) == 0, y
+        assert all(abs(m * v) < top for v in entries), y
+        assert counts[i] == len(lhs.keys() | rhs.keys())
+
+
+def _moved_entry(op, entry, delta, label):
+    """Copy of an operator kept as arrays with one entry, whose ratio of Schur
+    integers is 1, moved by delta through a constant of its own."""
+    r = op.ratios
+    ci = r.ci.copy()
+    ci[entry] = len(r.const)
+    ratios = kernels._Ratios(r.src, r.dst, ci, r.const + (r.const[r.ci[entry]] + delta,), r.h, r.hs)
+    return type(op)._of(op.states, ratios, op.bound, f"{op.label} {label}")
+
+
+@pytest.mark.parametrize("case", ["poisson", "wall-odd-even", "wall-even-odd", "geometric"])
+@pytest.mark.parametrize("hidden", ["first prime", "all primes but the last"])
+def test_a_hidden_multiple_of_the_primes_is_caught(monkeypatch, case, hidden):
+    """The coupling's diagonal entry at the pair of zeros moves by m / D, so
+    M(y) times the difference at that key, y = 0, is m N_X(0) = m: the first
+    prime, or the product of all the check's primes but the last.  Those
+    primes see a zero sum there, another one does not, and the row goes to
+    the row sums, whose report equals the Fraction oracle's."""
+    q_y, gen, lam, checker, sources, terms = _residue_terms(case, 2, 4)
+    origin = gen.states.index(((0, 0), tuple(q_y.states[0])))
+    entry = int(np.flatnonzero((gen.ratios.src == origin) & (gen.ratios.dst == origin))[0])
+    count = len(terms.primes())
+    while True:  # the count for the moved coupling, whose bound grows with m
+        primes = intertwine._primes(count)
+        m = primes[0] if hidden == "first prime" else math.prod(primes[:-1])
+        moved = _moved_entry(gen, entry, F(m, terms.denominator), hidden)
+        moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
+        if len(moved_terms.primes()) == count:
+            break
+        count = len(moved_terms.primes())
+    assert moved_terms.denominator == terms.denominator
+    at = np.searchsorted(np.unique(moved_terms.key), origin)  # row 0, key (0, pair of zeros)
+    zero = [int(moved_terms.sums(p)[at]) == 0 for p in primes]
+    assert zero == ([True] + [False] * (count - 1) if hidden == "first prime"
+                    else [True] * (count - 1) + [False])
+    rows_summed = []
+    verify = intertwine._verify_intertwining
+    monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (
+        rows_summed.append(list(args[5])), verify(*args))[1])
+    interior_only = checker is verify_generator_intertwining
+    rep = checker(q_y, lam, moved, case=case)
+    ref = verify_intertwining_fractions(q_y, lam, moved, case, interior_only)
+    assert rows_summed == [[q_y.states[0]]]
+    assert [(y, key) for y, key, _, _ in rep.violations] == [(q_y.states[0], gen.states[origin])]
+    assert (rep.states_checked, rep.violations, rep.max_discrepancy, rep.status) == \
+        (ref.states_checked, ref.violations, ref.max_discrepancy, ref.status)
+    assert rep.to_json() == ref.to_json()
+
+
+def test_an_operator_whose_rows_were_read_is_checked_by_its_rows(monkeypatch):
+    """Reading .rows, as a copy changed in place does, takes the operator off
+    its arrays; its check then sums every row, with the oracle's report."""
+    q_y, gen, lam, _ = build_intertwining_case("poisson", 2, Q4, 4)
+    assert gen.ratios is not None and q_y.ratios is not None
+    broken = copy.deepcopy(gen)
+    src = ((1, 1), (0, 1, 2))
+    tgt = ((1, 2), (0, 1, 2))
+    broken.rows[src][tgt] += F(1, 97)
+    assert broken.ratios is None and gen.ratios is not None
+    assert intertwine._intertwining_terms(q_y, lam, broken, np.ones(len(q_y.states), bool)) is None
+    rep = verify_generator_intertwining(q_y, lam, broken)
+    ref = verify_intertwining_fractions(q_y, lam, broken, "", True)
+    assert rep.to_json() == ref.to_json() and not rep.passed
+    # the original is still checked through its arrays, row by row in residues
+    rows_summed = []
+    verify = intertwine._verify_intertwining
+    monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (
+        rows_summed.append(list(args[5])), verify(*args))[1])
+    assert verify_generator_intertwining(q_y, lam, gen).passed and rows_summed == [[]]
 
 
 def test_wall_odd_even_intertwining_passes():

@@ -21,6 +21,7 @@ from gtpush.kernels import (
 from gtpush.patterns import (
     STANDARD,
     SYMPLECTIC,
+    chamber_states,
     enumerate_patterns,
     interlace_nest,
     interlace_shift,
@@ -582,6 +583,18 @@ def test_lambda_is_gibbs_projection(variant, kind, height):
         }
 
 
+def test_lambda_on_the_box_is_its_support():
+    # the integers the residue checks read Lambda from give its exact law
+    for case, qs in (("poisson", Q3), ("wall-odd-even", Q3[:2]), ("wall-even-odd", Q3[:2]),
+                     ("geometric", Q3)):
+        lam = LambdaKernel(case, qs)
+        t, n_x, n_y = lam.on_box(4)
+        above = chamber_states(row_length(lam.y_row - 1, lam.kind), 4)
+        for y, n in zip(chamber_states(len(qs), 4), n_y):
+            assert lam.support(y) == [((x, y), F(t ** (sum(y) - sum(x)) * n_x[above.index(x)], n))
+                                      for (x, _), _ in lam.support(y)]
+
+
 def test_lambda_kernel_zero_row_is_point_mass():
     masses = LambdaKernel("poisson", Q2).support((0, 0))
     assert masses == [(((0,), (0, 0)), F(1))]
@@ -599,6 +612,16 @@ def test_a_two_row_case_takes_one_schur_scale():
         lam.support(y)
     assert schur_module._value.cache_info().currsize == size
     assert marginal.rows == q_charlier(2, Q3[:2], 4).rows
+    # the geometric pair kernel's X steps take the scale of all three rates
+    # too, so Lambda adds nothing after it either
+    schur_module.clear_caches()
+    coupling_kernel_geometric(2, Q3, 4)
+    size = schur_module._value.cache_info().currsize
+    lam = LambdaKernel("geometric", Q3)
+    for y in combinations_with_replacement(range(5), 3):
+        lam.support(y)
+    assert schur_module._value.cache_info().currsize == size
+    assert kernels._geometric_step(2, Q3, 4).rows == kernel_geometric(2, Q3[:2], 4).rows
 
 
 def test_unknown_variant_rejected():
