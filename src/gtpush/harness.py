@@ -42,9 +42,12 @@ class Pmf:
         self.probs = np.asarray(self.probs, dtype=float)
         if len(self.support) != len(self.probs):
             raise ValueError("support/probs length mismatch")
+        if len(set(self.support)) != len(self.support):
+            twice = next(s for s, c in Counter(self.support).items() if c > 1)
+            raise ValueError(f"the state {twice!r} is listed more than once")
         if np.any(self.probs < -1e-15):
             raise ValueError("negative probability")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:  # a NaN fails too
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
 
     def as_dict(self) -> dict:
@@ -84,13 +87,19 @@ class Pmf:
 
     @classmethod
     def from_csv(cls, text: str) -> "Pmf":
-        rows = list(csv.reader(io.StringIO(text)))
-        if rows and rows[0][:2] == ["state", "prob"]:
-            rows = rows[1:]
+        """The law of ``to_csv``'s form; a malformed row names its line."""
+        reader = csv.reader(io.StringIO(text))
         support, probs = [], []
-        for label, p in rows:
-            support.append(tuple(int(c) for c in label.split(",")))
-            probs.append(float(p))
+        for i, row in enumerate(reader):
+            if i == 0 and row[:2] == ["state", "prob"]:
+                continue
+            try:
+                label, p = row
+                support.append(tuple(int(c) for c in label.split(",")))
+                probs.append(float(p))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: expected a state and its "
+                                 f"probability, got {row!r} ({exc})") from None
         return cls(tuple(support), np.array(probs))
 
 

@@ -11,18 +11,16 @@ they would add about 70%).  Each check sweep here returns a
 ``VerificationReport`` and is the one the command line and the tests run.
 
 While both operators are the builders' arrays (``kernels._Ratios``), a check
-runs in residues.  Each source row y has a denominator known in advance,
-M(y) = N_Y(y) D: N_Y(y) its Schur integer and D the lcm of the denominators
-of the operators' constants, a divisor of L^E for the case's scale L (E = 1
-for the generator cases and bound + 1 for the geometric one).  M(y) times
-every term of row y is an integer product (``_intertwining_terms`` proves
-it), so M(y) (lhs - rhs) is 0 once it is 0 modulo primes below 2**31 whose
-product exceeds twice a bound on it; ``_Terms`` derives the prime count,
-at most 9 at the benchmark's sizes.  A row with a nonzero residue is
-compared again by the integer row sums of ``_verify_intertwining``: each
-source row summed over one common denominator, which give every report, so
-reports stay exact rationals.  An operator built from given rows, or whose
-``rows`` were read, is checked by the row sums alone.
+sums exact integers.  Every term of a comparison in source row y is an
+integer D c t^e times N_X(x) / (D N_Y(y)), D the lcm of the denominators of
+the operators' constants, and that positive factor is the same for every
+term of one compared key (``_intertwining_terms`` proves it), so a
+comparison holds exactly when the sum of its integers is 0 (``_Terms``).
+A row with a nonzero sum is compared again by the integer row sums of
+``_verify_intertwining``: each source row summed over one common
+denominator, which give every report, so reports stay exact rationals.  An
+operator built from given rows, or whose ``rows`` were read, is checked by
+the row sums alone.
 """
 from __future__ import annotations
 
@@ -100,7 +98,10 @@ def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
         dens = {d for _, _, d in lhs_terms} | {d for _, _, d in rhs_terms}
         common = math.lcm(*dens)
         scale = {d: common // d for d in dens}
-        lhs, rhs = _row_sum(lhs_terms, scale), _row_sum(rhs_terms, scale)
+        lhs, rhs = {}, {}
+        for sums, terms in ((lhs, lhs_terms), (rhs, rhs_terms)):
+            for key, num, den in terms:
+                sums[key] = sums.get(key, 0) + num * scale[den]
         keys = lhs.keys() | rhs.keys()
         report.states_checked += len(keys)
         for key in sorted(k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)):
@@ -109,116 +110,44 @@ def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
     return report
 
 
-def _row_sum(terms, scale: dict) -> dict:
-    """Sum the terms (key, num, den) per key as numerators over the row's
-    common denominator L, where scale[den] = L // den."""
-    sums: dict = {}
-    for key, num, den in terms:
-        sums[key] = sums.get(key, 0) + num * scale[den]
-    return sums
-
-
 # ---------------------------------------------------------------------------
-# the same comparisons in residues modulo word-size primes
-
-PRIME_BITS = 30  # every modulus exceeds 2**30, and products of two stay below 2**62
-
-
-def _is_prime(m: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5 and 7, which no odd composite
-    7 < m < 3,215,031,751 passes."""
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes(count: int) -> list[int]:
-    """The count largest primes below 2**31, largest first."""
-    out, m = [], 2 ** 31 - 1
-    while len(out) < count:
-        if _is_prime(m):
-            out.append(m)
-        m -= 2
-    return out
-
-
-def _mod(values, p: int) -> np.ndarray:
-    return np.array([v % p for v in values], dtype=np.int64)
-
+# the same comparisons as exact integer sums over the operators' arrays
 
 class _Terms:
-    """The comparisons of a sweep as integer sums, certified in residues.
+    """The comparisons of a sweep as exact integer sums, one per key.
 
-    Comparison key[i] holds when M(r) times the sum of its terms is 0, where
-    r = row[i] is the source row the comparison belongs to and M(r) =
-    denominator * schur[r] is a denominator known before any term is summed.
-    M(r) times term i is the integer prod_f table_f[index_f[i]] over the
-    factors (table_f, index_f), a list of Python integers and an index
-    array each.
+    Term i belongs to comparison key[i] of source row row[i], and is the
+    integer prod_f table_f[index_f[i]] over the factors (table_f, index_f),
+    a list of Python integers and an index array each.  Each distinct
+    combination of factor indices is multiplied once, and the key sums
+    gather those products, one pointer per term.  ``keys`` lists the keys in
+    ascending order and ``sums`` the sum of each; a comparison holds when its
+    sum is 0.  ``counts`` holds each row's number of keys, and ``flagged``
+    marks the rows with a key of nonzero sum."""
 
-    The certificate.  D = M(r) (sum of a key's terms) is a sum of integer
-    products, and |D| < B = 2**b (``bits``).  Its residue mod p is the sum
-    of the products of the factors' residues, and it is 0 exactly when p
-    divides D.  If it is 0 for k distinct primes, their product P divides D.
-    With k = floor((b + 2) / PRIME_BITS) + 1, P > 2**(PRIME_BITS k) >
-    2**(b + 2) = 4 B: twice the bound, and a spare factor 2 for the float
-    rounding of b (below 1e-9 bits).  So |D| < P / 2 and D = 0.  That k is
-    the prime count (``primes``): 9 or fewer at the benchmark's sizes, where
-    b stays under 250.  No residue is divided, so a Schur integer that is 0
-    mod p needs no other path.  A product of two residues stays below 2**62,
-    and a key's sum of fewer than 2**32 of them below 2**63."""
-
-    def __init__(self, rows: int, row, key, factors, denominator: int, schur: list):
-        self.rows, self.row, self.key, self.factors = rows, row, key, factors
-        self.denominator, self.schur = denominator, schur
-        self.order = np.argsort(key, kind="stable")
-        keys = key[self.order]
-        self.first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
-        self.key_row = row[self.order[self.first]]
-
-    def bits(self) -> float:
-        """A b with |M(r) (sum of a key's terms)| < 2**b for every key: the
-        largest term times the most terms of one key."""
-        log2 = sum(np.array([math.log2(abs(v)) if v else -math.inf for v in table])[index]
-                   for table, index in self.factors)
-        most = int(np.diff(np.r_[self.first, len(self.key)]).max(initial=1))
-        return max(float(np.max(log2, initial=-math.inf)) + math.log2(most), 0.0)
-
-    def primes(self) -> list[int]:
-        return _primes(int(self.bits() + 2) // PRIME_BITS + 1) if len(self.key) else []
-
-    def sums(self, p: int) -> np.ndarray:
-        """M(r) times the sum of each key, mod p, keys in ascending order."""
-        res = None
-        for table, index in self.factors:
-            res = _mod(table, p)[index] if res is None else res * _mod(table, p)[index] % p
-        return np.add.reduceat(res[self.order], self.first) % p
-
-    def certify(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys per row, flagged rows): a row is certified when each of its
-        keys sums to 0 modulo every prime, and flagged otherwise."""
-        flagged = np.zeros(self.rows, dtype=bool)
-        for p in self.primes():
-            flagged[self.key_row[self.sums(p) != 0]] = True
-        return np.bincount(self.key_row, minlength=self.rows), flagged
+    def __init__(self, rows: int, row, key, factors):
+        order = np.argsort(key, kind="stable")
+        keys = key[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
+        self.keys, key_row = keys[first], row[order[first]]
+        dims = [len(table) for table, _ in factors]
+        combo = np.ravel_multi_index([index for _, index in factors], dims)[order]
+        products = np.empty(math.prod(dims), dtype=object)
+        used = np.flatnonzero(np.bincount(combo, minlength=len(products)))
+        parts = ([table[i] for i in index.tolist()]
+                 for (table, _), index in zip(factors, np.unravel_index(used, dims)))
+        products[used] = np.array([math.prod(p) for p in zip(*parts)], dtype=object)
+        self.sums = np.add.reduceat(products[combo], first) if len(keys) else products[:0]
+        self.counts = np.bincount(key_row, minlength=rows)
+        self.flagged = np.zeros(rows, dtype=bool)
+        self.flagged[key_row[self.sums != 0]] = True
 
 
-def _clearing(*ratios: kernels._Ratios) -> tuple[int, list[list[int]]]:
-    """D, the lcm of the denominators of the arrays' constants, and D times
-    each constant, as integers, per arrays."""
+def _clearing(*ratios: kernels._Ratios) -> list[list[int]]:
+    """D times each constant of the arrays, as integers, per arrays; D is the
+    lcm of the denominators of all their constants."""
     d = math.lcm(*(c.denominator for r in ratios for c in r.const))
-    return d, [[c.numerator * (d // c.denominator) for c in r.const] for r in ratios]
+    return [[c.numerator * (d // c.denominator) for c in r.const] for r in ratios]
 
 
 def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
@@ -226,24 +155,20 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
     rows y of sources (a mask over op_y's states), as ``_Terms``; None unless
     both operators are arrays, op_y's on the states of Y's box and the
     coupling's on its pairs, each with Lambda's Schur integers, which the
-    denominator below rests on.
+    terms below rest on.
 
     Lambda(y, x) = t^(|y|-|x|) N_X(x) / N_Y(y) (``LambdaKernel.on_box``), and
     each entry of either operator is c N(target) / N(source), c one of its
-    constants.  Let M(y) = N_Y(y) D, with D the lcm of the denominators of
-    the constants of both operators.  Then
-      - a left term op_y(y, y2) Lambda(y2, x2) is c N_Y(y2) / N_Y(y) times
-        t^e N_X(x2) / N_Y(y2), and M(y) times it is D c t^e N_X(x2);
-      - a right term Lambda(y, x) coupling((x, y), (x', y')) is t^e N_X(x) /
-        N_Y(y) times c N_X(x') / N_X(x), and M(y) times it is
-        D c t^e N_X(x');
-    both are integers, products of three factors.  Every denominator of a
-    constant is made of the rates' numerators and denominators, so D
-    divides a power L^E of the case's scale L: E = 1 for the three
-    generator cases, whose constants are L, 1/L and sums of rates and their
-    inverses, all in (1/L) Z; E = bound + 1 for the geometric one, whose
-    constants carry 1/L^d for a step of d <= bound and the powers of q and
-    1 - q of Y's step (measured at n = 1 to 3)."""
+    constants; D is the lcm of the denominators of both operators' constants.
+      - A left term op_y(y, y2) Lambda(y2, x2) is c N_Y(y2) / N_Y(y) times
+        t^e N_X(x2) / N_Y(y2), that is D c t^e N_X(x2) / (D N_Y(y)).
+      - A right term Lambda(y, x) coupling((x, y), (x', y')) is t^e N_X(x) /
+        N_Y(y) times c N_X(x') / N_X(x), that is D c t^e N_X(x') / (D N_Y(y)).
+    Either way N_X is taken at the x of the term's own key, so a key's
+    lhs - rhs is N_X(x_key) / (D N_Y(y)) times the sum of the integers
+    D c t^e of its terms, the right ones negated.  Schur integers at positive
+    rates are positive, so the key holds exactly when that sum is 0, and N_X
+    is no factor of a term."""
     a, g = op_y.ratios, coupling.ratios
     if a is None or g is None:
         return None
@@ -264,29 +189,28 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
     right = np.flatnonzero(sources[ys[g.src]])  # Lambda(y, x), then coupling((x, y), .)
     row = np.r_[a.src[left], ys[g.src[right]]]
     rise = flat[:, n:].sum(axis=1) - flat[:, :n].sum(axis=1)
-    d, (c_y, c_g) = _clearing(a, g)
+    c_y, c_g = _clearing(a, g)
     factors = [(c_y + [-c for c in c_g], np.r_[a.ci[left], len(c_y) + g.ci[right]]),
                ([t ** e for e in range(int(rise.max()) + 1)],
-                np.r_[rise[left_pair], rise[g.src[right]]]),
-               (n_x, np.r_[xs[left_pair], xs[g.dst[right]]])]
+                np.r_[rise[left_pair], rise[g.src[right]]])]
     key = row * len(pairs) + np.r_[left_pair, g.dst[right]]
-    return _Terms(len(n_y), row, key, factors, d, n_y)
+    return _Terms(len(n_y), row, key, factors)
 
 
 def _check_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
                         interior_only: bool) -> VerificationReport:
-    """``_verify_intertwining``'s report, from residues where both operators
-    are arrays: rows certified by ``_Terms`` add their comparison counts,
-    and the flagged rows are compared by ``_verify_intertwining``, so a
-    report is exact in rationals and equal to the row sums' own."""
+    """``_verify_intertwining``'s report, from exact sums where both operators
+    are arrays: rows whose keys all sum to 0 in ``_Terms`` add their
+    comparison counts, and the flagged rows are compared by
+    ``_verify_intertwining``, so a report is exact in rationals and equal to
+    the row sums' own."""
     sources = np.array([not interior_only or op_y.is_interior(y) for y in op_y.states], bool)
     terms = _intertwining_terms(op_y, lam, coupling, sources)
     if terms is None:
         return _verify_intertwining(op_y, lam, coupling, case, interior_only)
-    counts, flagged = terms.certify()
     report = _verify_intertwining(op_y, lam, coupling, case, interior_only,
-                                  [y for y, bad in zip(op_y.states, flagged) if bad])
-    report.states_checked += int(counts[sources & ~flagged].sum())
+                                  [y for y, bad in zip(op_y.states, terms.flagged) if bad])
+    report.states_checked += int(terms.counts[~terms.flagged].sum())
     return report
 
 
@@ -334,19 +258,17 @@ def run_intertwine_case(case: str, n: int, q, bound: int) -> VerificationReport:
 
 def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationReport:
     """Interior rows must sum to exactly zero.  While gen is arrays, each row
-    sum is certified in residues (``_Terms``): with M(x) = N(x) D, D the
-    lcm of the constants' denominators, M(x) times an entry c N(x') / N(x)
-    is the integer D c N(x').  Only the flagged rows are summed in
-    Fractions."""
+    sum is taken in integers (``_Terms``): with D the lcm of the constants'
+    denominators, N(x) D times an entry c N(x') / N(x) is the integer
+    D c N(x').  Only the flagged rows are summed in Fractions."""
     report = VerificationReport(case or f"conservative {gen.label}")
     inner = np.array([gen.is_interior(s) for s in gen.states], dtype=bool)
     flagged = inner
-    if (r := gen.ratios) is not None and inner.any():
+    if (r := gen.ratios) is not None:
         at = np.flatnonzero(inner[r.src])
-        d, (c,) = _clearing(r)
-        terms = _Terms(len(gen.states), r.src[at], r.src[at],
-                       [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])], d, [r.h[i] for i in r.hs.tolist()])
-        flagged = inner & terms.certify()[1]
+        (c,) = _clearing(r)
+        flagged = _Terms(len(gen.states), r.src[at], r.src[at],
+                         [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])]).flagged
         report.states_checked = int((inner & ~flagged).sum())
     for s, bad in zip(gen.states, flagged):
         if bad:

@@ -9,7 +9,7 @@ the geometric step).  The exact operators keep their entries as arrays,
 constants and N the integer Schur values of ``schur.exact_values``, taken at
 the one scale L of the case's rates, the scale that Lambda takes too.  So no
 exact builder forms a Fraction: ``rows`` and ``row`` form them on demand,
-and the residue checks of ``intertwine`` read the arrays.  Their float
+and the exact integer sums of ``intertwine`` read the arrays.  Their float
 forms for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The continuous-time
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,18 +67,23 @@ def _y_row(variant: str, qs) -> tuple[str, int]:
     return kind, row(len(qs))
 
 
+@lru_cache(maxsize=None)
 def _pairs(kind: str, j: int, qs, bound: int) -> tuple[list[tuple[tuple, tuple]], np.ndarray]:
     """Pairs (x, y) on the box: every y of row j, then every candidate x for
     the row above it in lexicographic order, as ``patterns.upper_candidates``
     and ``patterns.branching`` list them; and their coordinates, x's then
-    y's, as an int array.  x_i lies between the wall-padded (0, y)'s entries
-    i - 1 + drop and i + drop (``patterns.branching_rule``)."""
+    y's, as a read-only int array.  x_i lies between the wall-padded (0, y)'s
+    entries i - 1 + drop and i + drop (``patterns.branching_rule``).  Built
+    once per case, for its coupling and its check; ``schur.clear_caches``
+    empties the memo."""
     ys = chamber_states(len(qs), bound)
     padded = np.pad(np.array(ys, dtype=np.int64).reshape(len(ys), -1), ((0, 0), (1, 0)))
     drop = branching_rule(kind, j)[0]
     of_y, xs = _lattice(padded[:, drop:-1], padded[:, 1 + drop:])
     pairs = list(zip(map(tuple, xs.tolist()), (ys[i] for i in of_y.tolist())))
-    return pairs, np.column_stack([xs, padded[of_y, 1:]])
+    flat = np.column_stack([xs, padded[of_y, 1:]])
+    flat.flags.writeable = False
+    return pairs, flat
 
 
 def _chamber_index(coords: np.ndarray, bound: int) -> np.ndarray:

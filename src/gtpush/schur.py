@@ -205,9 +205,12 @@ def branching_law(kind: str, j: int, row: tuple, up: tuple, down: tuple) -> tupl
 
 
 def clear_caches():
-    """Drop every memo table built from Schur values: the recursion, the exact
-    branching laws and the pattern samplers' float CDFs (mostly useful when
-    profiling memory)."""
+    """Drop every memo table built from Schur values, the recursion, the exact
+    branching laws and the pattern samplers' float CDFs, and the two-row pairs
+    of ``kernels._pairs`` (mostly useful when profiling memory)."""
+    from . import kernels  # kernels reads this module, so it is imported here
+
+    kernels._pairs.cache_clear()
     _value.cache_clear()
     branching_law.cache_clear()
     branching_cdf.cache_clear()

@@ -49,6 +49,20 @@ def test_pmf_csv_round_trip():
         Pmf((0, 1, 2), np.array([0.5, 0.25, 0.25])).to_csv()
 
 
+def test_pmf_refuses_a_repeated_state_or_a_nan_and_names_a_malformed_line():
+    # the law of a state listed twice is not its last entry's
+    with pytest.raises(ValueError, match=r"the state \(0,\) is listed more than once"):
+        Pmf(((0,), (1,), (0,)), np.array([0.25, 0.5, 0.25]))
+    with pytest.raises(ValueError, match=r"the state \(0,\) is listed more than once"):
+        Pmf.from_csv("state,prob\n0,0.5\n0,0.5\n")
+    with pytest.raises(ValueError, match=r"line 3: expected a state and its probability, got \[\]"):
+        Pmf.from_csv("state,prob\n0,0.5\n\n1,0.5\n")
+    with pytest.raises(ValueError, match=r"line 2: .*got \['0', 'half'\]"):
+        Pmf.from_csv("state,prob\n0,half\n")
+    with pytest.raises(ValueError, match="probabilities sum to nan, not 1"):
+        Pmf.from_csv("0,nan\n1,0.5\n")
+
+
 def test_chi_square_null_is_calibrated():
     rng = np.random.default_rng(17)
     probs = np.array([0.4, 0.3, 0.2, 0.1])
@@ -348,6 +362,18 @@ def test_cli_stats_compare(tmp_path, capsys):
     code = cli_dispatch(["stats", "compare", "--a", str(fa), "--b", str(fb),
                          "--max-tv", "0.05"])
     assert code == 1
+
+
+def test_cli_stats_compare_refuses_a_repeated_state_a_blank_line_or_a_nan(tmp_path, capsys):
+    fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+    fb.write_text(Pmf(((0,), (1,)), np.array([0.5, 0.5])).to_csv())
+    for text, message in (("0,0.5\n0,0.5\n", "error: the state (0,) is listed more than once"),
+                          ("0,0.5\n\n1,0.5\n", "error: line 2: expected a state"),
+                          ("0,nan\n1,0.5\n", "error: probabilities sum to nan, not 1")):
+        fa.write_text(text)
+        assert cli_dispatch(["stats", "compare", "--a", str(fa), "--b", str(fb)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(message)
 
 
 def test_cli_verify_semigroup(capsys):

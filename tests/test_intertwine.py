@@ -100,39 +100,15 @@ def test_integer_row_sums_match_the_fraction_oracle(case, bound):
         assert {(y, key) for y, key, _, _ in rep.violations} == expected
 
 
-def _residue_terms(case, n, bound):
-    """A case's operators and the terms of its residue check, every checked
+def _exact_terms(case, n, bound):
+    """A case's operators and the terms of its exact sums, every checked
     source row in the mask."""
     q_y, gen, lam, checker = build_intertwining_case(case, n, Q4, bound)
     interior_only = checker is verify_generator_intertwining
     sources = np.array([not interior_only or q_y.is_interior(y) for y in q_y.states])
     terms = intertwine._intertwining_terms(q_y, lam, gen, sources)
-    assert terms is not None  # the case's own operators are checked in residues
+    assert terms is not None  # the case's own operators are checked by their arrays
     return q_y, gen, lam, checker, sources, terms
-
-
-@pytest.mark.parametrize("case,n,bound", [
-    (case, n, bound) for case in ("poisson", "wall-odd-even", "wall-even-odd", "geometric")
-    for n, bound in ((1, 5), (2, 4))])
-def test_the_certificate_denominator_clears_every_compared_entry(case, n, bound):
-    """M(y) = N_Y(y) D is a multiple of the lcm of the reduced denominators of
-    row y's compared entries, as the Fraction oracle sums them, and M(y)
-    times each entry stays under 2**b, the bound whose double the primes'
-    product exceeds; each row is certified, with the oracle's comparison
-    count."""
-    q_y, gen, lam, _, sources, terms = _residue_terms(case, n, bound)
-    counts, flagged = terms.certify()
-    assert not flagged.any()
-    top = 2 ** terms.bits()
-    assert math.prod(terms.primes()) > 2 * top
-    for i in np.flatnonzero(sources):
-        y = q_y.states[i]
-        lhs, rhs = fraction_row_sums(q_y, lam, gen, y)
-        m = terms.denominator * terms.schur[i]
-        entries = [*lhs.values(), *rhs.values()]
-        assert m % math.lcm(*(v.denominator for v in entries)) == 0, y
-        assert all(abs(m * v) < top for v in entries), y
-        assert counts[i] == len(lhs.keys() | rhs.keys())
 
 
 def _moved_entry(op, entry, delta, label):
@@ -145,31 +121,69 @@ def _moved_entry(op, entry, delta, label):
     return type(op)._of(op.states, ratios, op.bound, f"{op.label} {label}")
 
 
+def _clearing_lcm(*ops):
+    """D, the lcm of the denominators of the operators' constants."""
+    return math.lcm(*(c.denominator for op in ops for c in op.ratios.const))
+
+
+def _origin_entry(q_y, gen):
+    """(place of the pair of zeros over Y's first state, the coupling's
+    diagonal entry there)."""
+    origin = gen.states.index(((0,) * len(gen.states[0][0]), tuple(q_y.states[0])))
+    return origin, int(np.flatnonzero((gen.ratios.src == origin) & (gen.ratios.dst == origin))[0])
+
+
+@pytest.mark.parametrize("case,n,bound", [
+    (case, n, bound) for case in ("poisson", "wall-odd-even", "wall-even-odd", "geometric")
+    for n, bound in ((1, 5), (2, 4))])
+def test_each_key_sum_is_the_fraction_oracles_difference(case, n, bound):
+    """For every compared key (y, (x, y')), the exact sum of its terms times
+    N_X(x) is N_Y(y) D (lhs - rhs), lhs and rhs summed by the Fraction
+    oracle: on the case, where every sum is 0 with the oracle's comparison
+    count per row, and on a copy with the coupling's diagonal at the pair of
+    zeros moved by 1/97, where only row 0 is flagged."""
+    q_y, gen, lam, _, sources, terms = _exact_terms(case, n, bound)
+    _, n_x, n_y = lam.on_box(bound)
+    origin, entry = _origin_entry(q_y, gen)
+    moved = _moved_entry(gen, entry, F(1, 97), "moved")
+    moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
+    for coupling, t in ((gen, terms), (moved, moved_terms)):
+        d = _clearing_lcm(q_y, coupling)
+        assert t.flagged.tolist() == [coupling is moved and i == 0 for i in range(len(n_y))]
+        sums = dict(zip(t.keys.tolist(), t.sums))
+        assert (sums[origin] != 0) == (coupling is moved)  # row 0, key (0, pair of zeros)
+        for i in np.flatnonzero(sources).tolist():
+            lhs, rhs = fraction_row_sums(q_y, lam, coupling, q_y.states[i])
+            assert t.counts[i] == len(lhs.keys() | rhs.keys())
+            for pair in lhs.keys() | rhs.keys():
+                at = coupling.states.index(pair)
+                diff = lhs.get(pair, 0) - rhs.get(pair, 0)
+                assert sums[i * len(coupling.states) + at] * n_x[coupling.ratios.hs[at]] == \
+                    n_y[i] * d * diff, (q_y.states[i], pair)
+
+
+# the nine largest primes below 2**31, largest first
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+          2147483543, 2147483497, 2147483489)
+
+
 @pytest.mark.parametrize("case", ["poisson", "wall-odd-even", "wall-even-odd", "geometric"])
 @pytest.mark.parametrize("hidden", ["first prime", "all primes but the last"])
 def test_a_hidden_multiple_of_the_primes_is_caught(monkeypatch, case, hidden):
-    """The coupling's diagonal entry at the pair of zeros moves by m / D, so
-    M(y) times the difference at that key, y = 0, is m N_X(0) = m: the first
-    prime, or the product of all the check's primes but the last.  Those
-    primes see a zero sum there, another one does not, and the row goes to
-    the row sums, whose report equals the Fraction oracle's."""
-    q_y, gen, lam, checker, sources, terms = _residue_terms(case, 2, 4)
-    origin = gen.states.index(((0, 0), tuple(q_y.states[0])))
-    entry = int(np.flatnonzero((gen.ratios.src == origin) & (gen.ratios.dst == origin))[0])
-    count = len(terms.primes())
-    while True:  # the count for the moved coupling, whose bound grows with m
-        primes = intertwine._primes(count)
-        m = primes[0] if hidden == "first prime" else math.prod(primes[:-1])
-        moved = _moved_entry(gen, entry, F(m, terms.denominator), hidden)
-        moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
-        if len(moved_terms.primes()) == count:
-            break
-        count = len(moved_terms.primes())
-    assert moved_terms.denominator == terms.denominator
-    at = np.searchsorted(np.unique(moved_terms.key), origin)  # row 0, key (0, pair of zeros)
-    zero = [int(moved_terms.sums(p)[at]) == 0 for p in primes]
-    assert zero == ([True] + [False] * (count - 1) if hidden == "first prime"
-                    else [True] * (count - 1) + [False])
+    """The coupling's diagonal entry at the pair of zeros moves by m / D, m
+    the first of ``PRIMES`` or the product of all of them but the last (248
+    bits, far past 2**62): a difference that a check in residues modulo
+    those primes would not see.  The key's exact sum is -m, the row goes to
+    the row sums, and the report equals the Fraction oracle's."""
+    q_y, gen, lam, checker, sources, _ = _exact_terms(case, 2, 4)
+    origin, entry = _origin_entry(q_y, gen)
+    m = PRIMES[0] if hidden == "first prime" else math.prod(PRIMES[:-1])
+    d = _clearing_lcm(q_y, gen)
+    moved = _moved_entry(gen, entry, F(m, d), hidden)
+    assert _clearing_lcm(q_y, moved) == d
+    moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
+    assert moved_terms.keys[0] == origin  # row 0, key (0, pair of zeros)
+    assert moved_terms.sums[0] == -m and not moved_terms.sums[1:].any()
     rows_summed = []
     verify = intertwine._verify_intertwining
     monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (
@@ -182,6 +196,15 @@ def test_a_hidden_multiple_of_the_primes_is_caught(monkeypatch, case, hidden):
     assert (rep.states_checked, rep.violations, rep.max_discrepancy, rep.status) == \
         (ref.states_checked, ref.violations, ref.max_discrepancy, ref.status)
     assert rep.to_json() == ref.to_json()
+
+
+def test_a_case_builds_its_pairs_once():
+    """The coupling builder and the check of one case read one build of the
+    case's two-row pairs."""
+    for case in ("poisson", "wall-odd-even", "wall-even-odd", "geometric"):
+        schur.clear_caches()
+        assert run_intertwine_case(case, 2, Q4, 4).passed
+        assert kernels._pairs.cache_info().misses == 1, case
 
 
 def test_an_operator_whose_rows_were_read_is_checked_by_its_rows(monkeypatch):
@@ -198,7 +221,7 @@ def test_an_operator_whose_rows_were_read_is_checked_by_its_rows(monkeypatch):
     rep = verify_generator_intertwining(q_y, lam, broken)
     ref = verify_intertwining_fractions(q_y, lam, broken, "", True)
     assert rep.to_json() == ref.to_json() and not rep.passed
-    # the original is still checked through its arrays, row by row in residues
+    # the original is still checked through its arrays, by exact sums per key
     rows_summed = []
     verify = intertwine._verify_intertwining
     monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (

@@ -584,7 +584,7 @@ def test_lambda_is_gibbs_projection(variant, kind, height):
 
 
 def test_lambda_on_the_box_is_its_support():
-    # the integers the residue checks read Lambda from give its exact law
+    # the integers the exact sums read Lambda from give its exact law
     for case, qs in (("poisson", Q3), ("wall-odd-even", Q3[:2]), ("wall-even-odd", Q3[:2]),
                      ("geometric", Q3)):
         lam = LambdaKernel(case, qs)

@@ -179,6 +179,7 @@ def test_clear_caches_empties_every_schur_memo():
     sp_schur(3, (1, 2), qs[:2])
     LambdaKernel("poisson", qs[:2]).support((0, 2))
     sample_patterns((0, 1, 2), qs, STANDARD, np.random.default_rng(0), 3, 5)
+    gtpush.kernels.coupling_generator("poisson", 1, qs[:2], 3)
     # the memos defined in these modules (kernels also holds dynamics.ring_table)
     memos = [f for module in (gtpush.patterns, gtpush.schur, gtpush.kernels)
              for f in vars(module).values()
