@@ -34,7 +34,8 @@ import numpy as np
 
 from . import kernels, schur
 from .kernels import FloatKernel, LambdaKernel, SparseGenerator, StepKernel, _fmt_state
-from .patterns import SYMPLECTIC, chamber_states, enumerate_patterns, rates_of, row_length, weight
+from .patterns import (STANDARD, SYMPLECTIC, chamber_states, enumerate_patterns, rates_of,
+                       row_length, weight)
 
 
 @dataclass
@@ -276,28 +277,48 @@ def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationRep
     return report
 
 
-def verify_schur_sums(q, max_entry: int, max_rows: int) -> VerificationReport:
-    """Three evaluations of each Schur value must agree exactly: the recursion,
-    the determinant oracle and the raw pattern sum at every z with up to
-    max_rows entries <= max_entry; then each symplectic value of heights 2k-1
-    and 2k against its pattern sum, for k <= min(max_rows, 3) and entries
-    <= min(max_entry, 3)."""
+def _sweep_rates(q, max_entry: int, max_rows: int, needed: int) -> tuple:
+    """The rates of a sweep over rows of up to max_rows entries <= max_entry,
+    which reads the first needed rates; ValueError before any sweep runs
+    otherwise."""
     if max_entry < 0 or max_rows < 1:
         raise ValueError(f"max_entry must be >= 0 and max_rows >= 1, got {max_entry}, {max_rows}")
     qs = rates_of(q)
+    if len(qs) < needed:
+        raise ValueError(f"max_rows {max_rows} needs {needed} rates, got {len(qs)}")
+    return qs
+
+
+def verify_schur_sums(q, max_entry: int, max_rows: int) -> VerificationReport:
+    """Four evaluations of each Schur value must agree exactly: the recursion,
+    the determinant oracle, the raw pattern sum and the box pass
+    (``schur.exact_values``, N / L^|z|) at every z with up to max_rows
+    entries <= max_entry; then each symplectic value of heights 2k-1 and 2k
+    against its pattern sum and the box pass, for k <= min(max_rows, 3) and
+    entries <= min(max_entry, 3).  One comparison per value; its right side
+    is an evaluation that disagrees with the first, if one does."""
+    qs = _sweep_rates(q, max_entry, max_rows, max_rows)
     report = VerificationReport("schur = oracle = pattern sum")
+
+    def box(kind, n, top):  # N / L^|z| over chamber_states(row_length(n, kind), top)
+        scale, values = schur.exact_values(kind, n, qs, top)
+        return [Fraction(v, scale ** sum(z))
+                for z, v in zip(chamber_states(row_length(n, kind), top), values)]
+
     for n in range(1, max_rows + 1):
-        for z in chamber_states(n, max_entry):
+        for z, via_box in zip(chamber_states(n, max_entry), box(STANDARD, n, max_entry)):
             via_rec = schur.schur(z, qs[:n])
-            via_det = schur.schur_oracle(z, qs[:n])
-            via_sum = sum(weight(p, qs[:n]) for p in enumerate_patterns(z))
-            # the right side is the other evaluation that disagrees, if one does
-            report.check(z, z, via_rec, via_det if via_det != via_rec else via_sum)
+            others = (schur.schur_oracle(z, qs[:n]),
+                      sum(weight(p, qs[:n]) for p in enumerate_patterns(z)), via_box)
+            report.check(z, z, via_rec, next((v for v in others if v != via_rec), via_rec))
+    top = min(max_entry, 3)
     for k in range(1, min(max_rows, 3) + 1):
-        for z in chamber_states(k, min(max_entry, 3)):
-            for n in (2 * k - 1, 2 * k):
+        for n in (2 * k - 1, 2 * k):
+            for z, via_box in zip(chamber_states(k, top), box(SYMPLECTIC, n, top)):
+                via_rec = schur.sp_schur(n, z, qs[:k])
                 raw = sum(weight(p, qs[:k]) for p in enumerate_patterns(z, SYMPLECTIC, nrows=n))
-                report.check(z, z, schur.sp_schur(n, z, qs[:k]), raw)
+                right = next((v for v in (raw, via_box) if v != via_rec), via_rec)
+                report.check(z, z, via_rec, right)
     return report
 
 
@@ -305,9 +326,7 @@ def verify_harmonicity(q, max_entry: int, max_rows: int) -> VerificationReport:
     """The conditioned walk's h is harmonic: sum_i h(x + e_i) over the moves
     that stay ordered equals (q_1 + ... + q_n) h(x), for n <= min(max_rows, 3)
     and every x with entries <= max_entry."""
-    if max_entry < 0 or max_rows < 1:
-        raise ValueError(f"max_entry must be >= 0 and max_rows >= 1, got {max_entry}, {max_rows}")
-    qs = rates_of(q)
+    qs = _sweep_rates(q, max_entry, max_rows, min(max_rows, 3))
     report = VerificationReport("harmonicity of the conditioned-walk h")
     for n in range(1, min(max_rows, 3) + 1):
         sub_q = qs[:n]

@@ -1,17 +1,32 @@
 """Evaluation of Schur and symplectic Schur functions at positive rates.
 
-Both are one recursion over ``patterns.branching``, the row-to-row rule of
-the geometric-weight pattern measure.  At exact rates q_i = a_i / b_i, with L
-the lcm of every a_i and b_i, the value at a row of sum s is N / L^s for an
-integer N.  The recursion computes N in Python integers from the integer
-rates L q_i and L / q_i (``patterns.scaled_rates``), and is memoized on (kind,
-row index, row, those rates).  ``schur`` and ``sp_schur`` form one Fraction
-per value; ``exact_values`` hands the integers N of a whole box to the exact
-operators, which keep each entry as a constant times a ratio of them;
-``branching_law`` divides integer weights out into the exact law of one row
-given the row below it: the intertwining kernels Lambda and the pattern
-samplers read that law.  The Monte Carlo reference laws take float values of
-a whole box from ``float_values``, which applies the same row rule
+Both are sums over patterns by ``patterns.branching``, the row-to-row rule
+of the geometric-weight pattern measure.  At exact rates q_i = a_i / b_i,
+with L the lcm of every a_i and b_i, the value at a row of sum s is N / L^s
+for an integer N, computed in Python integers from the integer rates L q_i
+and L / q_i (``patterns.scaled_rates``) by one of two evaluators:
+
+- a row: ``_value``, a recursion memoised on (kind, row index, row, those
+  rates), whose work is the interlacing cone below the one row.  ``schur``
+  and ``sp_schur`` form one Fraction per value from it, and
+  ``branching_law`` divides integer weights out into the exact law of one
+  row given the row below it: the intertwining kernels Lambda and the
+  pattern samplers read that law.
+- a box: ``_box``, one bottom-up pass over every state of the box, one
+  pattern row (level) at a time and one candidate coordinate at a time by
+  Horner's rule, a multiply-add per state and coordinate, memoised per level
+  on (kind, row index, that row's rates, bound).  ``exact_values`` hands its
+  integers N to the exact operators, which keep each entry as a constant
+  times a ratio of them; the row above a case's lower row is a level of the
+  lower row's pass, so the two share it.
+
+Both stay because each is small where the other is not: the box of 4
+entries at bound 8 costs the recursion 495 memo rows, each enumerating its
+candidates with a big-int power apiece, and the row (0, 3000) fills 3,003
+memo rows of the recursion where its box would hold 4.5 M states at row 2.
+
+The Monte Carlo reference laws take float values of a whole box from
+``float_values``, which applies the same row rule
 (``patterns.branching_rule``) to float arrays over the box, one row at a
 time, with no memo.  A determinant ratio evaluated in exact rationals serves
 as an independent oracle for the standard case.
@@ -141,13 +156,58 @@ def exact_values(kind: str, j: int, q, bound: int) -> tuple[int, list]:
     the Schur value (symplectic of height j for SYMPLECTIC) at the first
     row_length(j, kind) exact rates q and L is taken from all of q, so that
     the exact operators of a two-row case and its kernel Lambda, which take
-    their ratios from these, share one L and memo."""
+    their ratios from these, share one L and memo (``_box``)."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got bound = {bound}")
     k = row_length(j, kind)
     qs = rates_of(q)
     if len(qs) < k:
         raise ValueError(f"expected at least {k} rates, got {len(qs)}")
     scale, up, down = scaled_rates(qs)
-    return scale, [_value(kind, j, x, up[:k], down[:k]) for x in chamber_states(k, bound)]
+    return scale, list(_box(kind, j, up[:k], down[:k], bound))
+
+
+def _cells(k: int, bound: int) -> list[int]:
+    """The places of the states of ``chamber_states(k, bound)``, in that
+    order, in the flat cube [-1, bound]^k of side bound + 2 (entry c at
+    c + 1)."""
+    states = chamber_states(k, bound)
+    coords = np.array(states, dtype=np.int64).reshape(len(states), k) + 1
+    return (coords @ (bound + 2) ** np.arange(k - 1, -1, -1)).tolist()
+
+
+@lru_cache(maxsize=None)
+def _box(kind: str, j: int, up: tuple, down: tuple, bound: int) -> tuple:
+    """The integers N of row j (``_value``) at every state of
+    ``chamber_states(row_length(j, kind), bound)``, in that order, in one
+    pass from row j-1's.
+
+    By ``patterns.branching_rule``, N(z) sums t^(|z| - |z'|) N(z') over the
+    candidates z' with z'_i in [z_{i-1}, z_i] (wall z_0 = 0; a dropped z'_1
+    leaves the factor t^z_1).  The power factorises over the coordinates, so
+    the cube starts at N(z') for z' = z and sums coordinate i by Horner's
+    rule, S(.., z_i, ..) += t S(.., z_i - 1, ..), in place over the states in
+    lexicographic order.  A state keeps its other coordinates, the lower
+    limit z_{i-1} among them; a step below that limit is off the chamber, and
+    the cube of ``_cells`` holds 0 there, as at -1, below the wall."""
+    if j == 0:
+        return (1,)
+    k = row_length(j, kind)
+    drop, t = branching_rule(kind, j, up, down)
+    width = bound + 2
+    below = [0] * width ** (k - drop)
+    for c, value in zip(_cells(k - drop, bound),
+                        _box(kind, j - 1, up[:k - drop], down[:k - drop], bound)):
+        below[c] = value
+    powers = [(t if drop else 1) ** a for a in range(bound + 1)]
+    cells, cube, lead = _cells(k, bound), [0] * width ** k, width ** (k - 1)
+    for c in cells:  # z' = z past a dropped z'_1, and its factor t^z_1
+        cube[c] = powers[c // lead - 1] * below[c % len(below)]
+    for i in range(drop, k):
+        step = width ** (k - 1 - i)
+        for c in cells:
+            cube[c] += t * cube[c - step]
+    return tuple(cube[c] for c in cells)
 
 
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
@@ -164,6 +224,8 @@ def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
     values, which a value outside the normal float range (0, subnormal, or
     past the largest float) would make 0/0 or inexact: it is refused with a
     RuntimeError naming the bound."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got bound = {bound}")
     qs = tuple(float(v) for v in q)
     b = np.arange(bound + 1)
     below = b[:, None] <= b  # below[a, z]: a <= z
@@ -212,5 +274,6 @@ def clear_caches():
 
     kernels._pairs.cache_clear()
     _value.cache_clear()
+    _box.cache_clear()
     branching_law.cache_clear()
     branching_cdf.cache_clear()

@@ -230,6 +230,7 @@ def test_cli_unknown_flag_usage_error():
     ["verify", "algebra", "--q", "1/2", "--max-rows", "0", "--lemma-max", "-1"],
     ["verify", "algebra", "--q", "1/2", "--max-entry", "-1", "--lemma-max", "-1"],
     ["verify", "algebra", "--q", "1/2", "--max-entry", "0", "--max-rows", "1", "--lemma-max", "-1"],
+    ["verify", "algebra", "--q", "1/2,1/3"],
 ], ids=lambda argv: " ".join(a for a in argv if not a.startswith("--")))
 def test_cli_sizes_below_one_are_usage_errors(capsys, argv):
     # nothing checked is neither a pass nor a failed verification
@@ -427,6 +428,11 @@ def test_algebra_sweeps_refuse_empty_grids():
             sweep(q, -1, 2)
     with pytest.raises(ValueError, match="lemma_max must be >= 0, got -1"):
         intertwine.verify_integrating_out(q[0], -1)
+    # a sweep that reads more rates than given is refused before it runs
+    with pytest.raises(ValueError, match="max_rows 4 needs 4 rates, got 2"):
+        intertwine.verify_schur_sums(q * 2, 2, 4)
+    with pytest.raises(ValueError, match="max_rows 4 needs 3 rates, got 2"):
+        intertwine.verify_harmonicity(q * 2, 2, 4)
 
 
 @pytest.mark.parametrize("argv,seed", [

@@ -330,7 +330,11 @@ def test_report_json_round_trip():
     # one Schur value perturbed: harmonicity fails at x = (1, 2) and at the two x
     # one step below it, and the recursion no longer matches its oracles there
     (schur, "schur", lambda f: lambda z, q: f(z, q) + (tuple(z) == (1, 2)), (1, 3, 0)),
-], ids=["pushing", "oracle", "harmonic"])
+    # the box pass's integer at the zero row of every box, 3 standard and 6
+    # symplectic: only the Schur sweep reads it
+    (schur, "exact_values",
+     lambda f: lambda *args: (lambda scale, n: (scale, [n[0] + 1, *n[1:]]))(*f(*args)), (9, 0, 0)),
+], ids=["pushing", "oracle", "harmonic", "box"])
 def test_algebra_sweeps_report_mutants(monkeypatch, capsys, owner, name, mutate, expected):
     monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     reports = [verify_schur_sums(Q3, 3, 3), verify_harmonicity(Q3, 3, 3),

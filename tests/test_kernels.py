@@ -602,25 +602,24 @@ def test_lambda_kernel_zero_row_is_point_mass():
 
 def test_a_two_row_case_takes_one_schur_scale():
     # X's marginal scales its Schur values by every rate of the case, as
-    # Lambda does, so Lambda's laws of X given Y add nothing to the memo; the
-    # entries are those of the marginal on X's own rates
+    # Lambda does, and X's row is a level of Y's box pass, so once Y's
+    # marginal is built neither X's marginal nor Lambda's integers add to the
+    # memo; the entries are those of the marginal on X's own rates
     schur_module.clear_caches()
+    q_charlier(3, Q3, 4)
+    size = schur_module._box.cache_info().currsize
     marginal = kernels.row_generator(STANDARD, 2, Q3, 4)
-    size = schur_module._value.cache_info().currsize
-    lam = LambdaKernel("poisson", Q3)
-    for y in combinations_with_replacement(range(5), 3):
-        lam.support(y)
-    assert schur_module._value.cache_info().currsize == size
+    LambdaKernel("poisson", Q3).on_box(4)
+    assert schur_module._box.cache_info().currsize == size
     assert marginal.rows == q_charlier(2, Q3[:2], 4).rows
     # the geometric pair kernel's X steps take the scale of all three rates
-    # too, so Lambda adds nothing after it either
+    # too, so Lambda adds nothing after Y's kernel and the pair kernel either
     schur_module.clear_caches()
+    kernel_geometric(3, Q3, 4)
+    size = schur_module._box.cache_info().currsize
     coupling_kernel_geometric(2, Q3, 4)
-    size = schur_module._value.cache_info().currsize
-    lam = LambdaKernel("geometric", Q3)
-    for y in combinations_with_replacement(range(5), 3):
-        lam.support(y)
-    assert schur_module._value.cache_info().currsize == size
+    LambdaKernel("geometric", Q3).on_box(4)
+    assert schur_module._box.cache_info().currsize == size
     assert kernels._geometric_step(2, Q3, 4).rows == kernel_geometric(2, Q3[:2], 4).rows
 
 

@@ -13,6 +13,7 @@ from gtpush.patterns import (
     SYMPLECTIC,
     branching,
     enumerate_patterns,
+    row_length,
     sample_patterns,
     scaled_rates,
     weight,
@@ -21,6 +22,8 @@ from gtpush.schur import (
     OracleInapplicableError,
     branching_law,
     clear_caches,
+    exact_values,
+    float_values,
     schur,
     schur_oracle,
     sp_schur,
@@ -184,7 +187,7 @@ def test_clear_caches_empties_every_schur_memo():
     memos = [f for module in (gtpush.patterns, gtpush.schur, gtpush.kernels)
              for f in vars(module).values()
              if callable(getattr(f, "cache_info", None)) and f.__module__ == module.__name__]
-    assert memos and all(f.cache_info().currsize > 0 for f in memos)
+    assert gtpush.schur._box in memos and all(f.cache_info().currsize > 0 for f in memos)
     clear_caches()
     assert all(f.cache_info().currsize == 0 for f in memos)
 
@@ -203,6 +206,7 @@ def test_float_references_leave_the_exact_values_exact():
         if all(v < 1 for v in qs):
             gtpush.kernels.kernel_geometric_float(2, qs, 5)
         assert gtpush.schur._value.cache_info().currsize == 0
+        assert gtpush.schur._box.cache_info().currsize == 0
         _, up, down = scaled_rates(qs)
         for z in chamber(2, 5):
             value = schur(z, qs)
@@ -242,3 +246,27 @@ def test_integer_recursion_away_from_unit_numerators():
                     law = branching_law(SYMPLECTIC, n, z, up[:k], down[:k])
                     assert all(type(p) is F for _, p in law)
                     assert dict(law) == row_above_law(z, SYMPLECTIC, n, wall)
+
+
+def test_box_pass_equals_the_row_recursion_at_every_state():
+    # each row of the box pass against the memoised recursion on that one
+    # row, at unit numerators and at rates a/b with a > 1, some above 1
+    for qs in (Q4, (F(2, 3), F(3, 7), F(5, 9), F(7, 4))):
+        _, up, down = scaled_rates(qs)
+        for kind, heights in ((STANDARD, range(1, 5)), (SYMPLECTIC, range(1, 8))):
+            for j in heights:
+                k = row_length(j, kind)
+                for bound in range(6):
+                    _, values = exact_values(kind, j, qs, bound)
+                    assert values == [gtpush.schur._value(kind, j, x, up[:k], down[:k])
+                                      for x in chamber(k, bound)]
+
+
+def test_a_negative_bound_is_refused():
+    # a box of no states is no result; the box of the zero row is one
+    for values in (exact_values, float_values):
+        with pytest.raises(ValueError, match="bound = -1"):
+            values(STANDARD, 2, Q4[:3], -1)
+    with pytest.raises(ValueError, match="bound = -2"):
+        LambdaKernel("poisson", Q4[:2]).on_box(-2)
+    assert LambdaKernel("poisson", Q4[:2]).on_box(0) == (2, [1], [1])
