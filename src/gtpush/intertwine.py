@@ -10,17 +10,15 @@ sources with a coordinate at the bound only to save time (at n = 3, bound 8
 they would add about 70%).  Each check sweep here returns a
 ``VerificationReport`` and is the one the command line and the tests run.
 
-While both operators are the builders' arrays (``kernels._Ratios``), a check
-sums exact integers.  Every term of a comparison in source row y is an
-integer D c t^e times N_X(x) / (D N_Y(y)), D the lcm of the denominators of
-the operators' constants, and that positive factor is the same for every
-term of one compared key (``_intertwining_terms`` proves it), so a
-comparison holds exactly when the sum of its integers is 0 (``_Terms``).
-A row with a nonzero sum is compared again by the integer row sums of
-``_verify_intertwining``: each source row summed over one common
-denominator, which give every report, so reports stay exact rationals.  An
-operator built from given rows, or whose ``rows`` were read, is checked by
-the row sums alone.
+Every check sums exact integers over the operators' arrays
+(``kernels._Ratios``), each operator first taken onto Lambda's Schur
+integers.  Every term of a comparison in source row y is an integer
+D c t^e times N_X(x) / (D N_Y(y)), D the lcm of the denominators of the
+operators' constants, and that positive factor is the same for every term
+of one compared key (``_intertwining_terms`` proves it), so a comparison
+holds exactly when the integers of its two sides have equal sums
+(``_Terms``), and a failing one reports both sums times that factor, exact
+rationals.  An operator off the case's states is refused.
 """
 from __future__ import annotations
 
@@ -72,65 +70,29 @@ class VerificationReport:
                            "status": self.status}, indent=2)
 
 
-def _verify_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
-                         interior_only: bool, only=None) -> VerificationReport:
-    """Compare (op_y Lambda)(y, .) with (Lambda coupling)(y, .) entrywise, one
-    source row y at a time (every state, or every interior one, or the
-    states of only); op_y and coupling are both generators or both step
-    kernels.  Each product is kept as an unreduced integer pair and a row is
-    summed in integers over one common denominator L, the lcm of its product
-    denominators: exact, with no gcd per addition.  A violation is recorded
-    as a/L against b/L, the rationals a Fraction sum gives."""
-    report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
-    for y in op_y.states if only is None else only:
-        if interior_only and not op_y.is_interior(y):
-            continue
-        lhs_terms = []
-        for y2, value in op_y.row(y).items():
-            vn, vd = value.numerator, value.denominator
-            lhs_terms += [((x2, y2), vn * mass.numerator, vd * mass.denominator)
-                          for (x2, _), mass in lam.support(y2) if mass]
-        rhs_terms = []
-        for (x, _), mass in lam.support(y):
-            if mass:
-                mn, md = mass.numerator, mass.denominator
-                rhs_terms += [(target, mn * value.numerator, md * value.denominator)
-                              for target, value in coupling.row((x, y)).items()]
-        dens = {d for _, _, d in lhs_terms} | {d for _, _, d in rhs_terms}
-        common = math.lcm(*dens)
-        scale = {d: common // d for d in dens}
-        lhs, rhs = {}, {}
-        for sums, terms in ((lhs, lhs_terms), (rhs, rhs_terms)):
-            for key, num, den in terms:
-                sums[key] = sums.get(key, 0) + num * scale[den]
-        keys = lhs.keys() | rhs.keys()
-        report.states_checked += len(keys)
-        for key in sorted(k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)):
-            report.record(y, key, Fraction(lhs.get(key, 0), common),
-                          Fraction(rhs.get(key, 0), common))
-    return report
-
-
 # ---------------------------------------------------------------------------
-# the same comparisons as exact integer sums over the operators' arrays
+# the comparisons as exact integer sums over the operators' arrays
 
 class _Terms:
     """The comparisons of a sweep as exact integer sums, one per key.
 
-    Term i belongs to comparison key[i] of source row row[i], and is the
-    integer prod_f table_f[index_f[i]] over the factors (table_f, index_f),
-    a list of Python integers and an index array each.  Each distinct
-    combination of factor indices is multiplied once, and the key sums
-    gather those products, one pointer per term.  ``keys`` lists the keys in
-    ascending order and ``sums`` the sum of each; a comparison holds when its
-    sum is 0.  ``counts`` holds each row's number of keys, and ``flagged``
-    marks the rows with a key of nonzero sum."""
+    Term i belongs to comparison key[i], and is the integer
+    prod_f table_f[index_f[i]] over the factors (table_f, index_f), a list
+    of Python integers and an index array each.  Each distinct combination
+    of factor indices is multiplied once, and the key sums gather those
+    products, one pointer per term.  The first ``left`` terms make a key's
+    left sum, and the rest, negated by their factors, its right sum.
+    ``keys`` lists the keys in ascending order and ``sums`` each one's left
+    sum minus its right sum; a comparison holds when that is 0.  ``failing``
+    maps each key of nonzero sum, in ascending order, to its left and right
+    sums times scale(key), the positive rational that makes them the
+    compared values."""
 
-    def __init__(self, rows: int, row, key, factors):
+    def __init__(self, key, factors, left: int, scale):
         order = np.argsort(key, kind="stable")
         keys = key[order]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else keys
-        self.keys, key_row = keys[first], row[order[first]]
+        self.keys = keys[first]
         dims = [len(table) for table, _ in factors]
         combo = np.ravel_multi_index([index for _, index in factors], dims)[order]
         products = np.empty(math.prod(dims), dtype=object)
@@ -138,25 +100,45 @@ class _Terms:
         parts = ([table[i] for i in index.tolist()]
                  for (table, _), index in zip(factors, np.unravel_index(used, dims)))
         products[used] = np.array([math.prod(p) for p in zip(*parts)], dtype=object)
-        self.sums = np.add.reduceat(products[combo], first) if len(keys) else products[:0]
-        self.counts = np.bincount(key_row, minlength=rows)
-        self.flagged = np.zeros(rows, dtype=bool)
-        self.flagged[key_row[self.sums != 0]] = True
+        terms = products[combo]
+        self.sums = np.add.reduceat(terms, first) if len(keys) else products[:0]
+        on_left = order < left
+        ends = np.append(first[1:], len(keys))
+        self.failing = {}
+        for k in np.flatnonzero(self.sums != 0).tolist():
+            lo, hi = first[k], ends[k]
+            lhs = sum(terms[lo:hi][on_left[lo:hi]].tolist())
+            at = int(self.keys[k])
+            self.failing[at] = (lhs * scale(at), (lhs - self.sums[k]) * scale(at))
 
 
-def _clearing(*ratios: kernels._Ratios) -> list[list[int]]:
-    """D times each constant of the arrays, as integers, per arrays; D is the
-    lcm of the denominators of all their constants."""
+def _clearing(*ratios: kernels._Ratios) -> tuple[int, list[list[int]]]:
+    """D, the lcm of the denominators of all the arrays' constants, and D
+    times each constant as integers, per arrays."""
     d = math.lcm(*(c.denominator for r in ratios for c in r.const))
-    return [[c.numerator * (d // c.denominator) for c in r.const] for r in ratios]
+    return d, [[c.numerator * (d // c.denominator) for c in r.const] for r in ratios]
 
 
-def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
+def _on(r: kernels._Ratios, h: list, hs: np.ndarray) -> kernels._Ratios:
+    """The arrays r on the Schur integers h, state i at h[hs[i]]: r itself
+    when it is on them already, as a builder's arrays are, and otherwise
+    the same entries with entry e's constant c turned into c r.h(dst)
+    h(src) / (r.h(src) h(dst)), one constant per distinct value."""
+    if r.h == h and np.array_equal(r.hs, hs):
+        return r
+    const = {}
+    ci = [const.setdefault(Fraction(num * h[a], den * h[b]), len(const))
+          for (num, den), a, b in zip(r.integers(0, len(r.src)), hs[r.src].tolist(),
+                                      hs[r.dst].tolist())]
+    return kernels._Ratios(r.src, r.dst, np.array(ci, dtype=np.intp), const, h, hs)
+
+
+def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray) -> _Terms:
     """The comparisons of (op_y Lambda)(y, .) = (Lambda coupling)(y, .) at the
-    rows y of sources (a mask over op_y's states), as ``_Terms``; None unless
-    both operators are arrays, op_y's on the states of Y's box and the
-    coupling's on its pairs, each with Lambda's Schur integers, which the
-    terms below rest on.
+    rows y of sources (a mask over op_y's states), as ``_Terms`` keyed by
+    row * (number of pairs) + pair.  op_y must be on the states of Y's box
+    and the coupling on the case's pairs, or ValueError; each is taken onto
+    Lambda's Schur integers (``_on``), which the terms below rest on.
 
     Lambda(y, x) = t^(|y|-|x|) N_X(x) / N_Y(y) (``LambdaKernel.on_box``), and
     each entry of either operator is c N(target) / N(source), c one of its
@@ -166,22 +148,21 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
       - A right term Lambda(y, x) coupling((x, y), (x', y')) is t^e N_X(x) /
         N_Y(y) times c N_X(x') / N_X(x), that is D c t^e N_X(x') / (D N_Y(y)).
     Either way N_X is taken at the x of the term's own key, so a key's
-    lhs - rhs is N_X(x_key) / (D N_Y(y)) times the sum of the integers
-    D c t^e of its terms, the right ones negated.  Schur integers at positive
-    rates are positive, so the key holds exactly when that sum is 0, and N_X
-    is no factor of a term."""
-    a, g = op_y.ratios, coupling.ratios
-    if a is None or g is None:
-        return None
+    lhs and rhs are N_X(x_key) / (D N_Y(y)) times the sums of the integers
+    D c t^e of its left and of its right terms.  Schur integers at positive
+    rates are positive, so the key holds exactly when the two sums are
+    equal, and N_X is no factor of a term."""
     bound = op_y.bound
     t, n_x, n_y = lam.on_box(bound)
     pairs, flat = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
+    if op_y.states != chamber_states(len(lam.qs), bound) or coupling.states != pairs:
+        raise ValueError(f"a {lam.variant} check at bound {bound} needs the marginal on the "
+                         f"states of row Y and the coupling on the pairs: got "
+                         f"{op_y.label!r} and {coupling.label!r}")
     n = flat.shape[1] - len(lam.qs)
     xs, ys = (kernels._chamber_index(part, bound) for part in (flat[:, :n], flat[:, n:]))
-    if not (a.h == n_y and np.array_equal(a.hs, np.arange(len(n_y)))
-            and op_y.states == chamber_states(len(lam.qs), bound)
-            and g.h == n_x and coupling.states == pairs and np.array_equal(g.hs, xs)):
-        return None
+    a = _on(op_y.ratios, n_y, np.arange(len(n_y)))
+    g = _on(coupling.ratios, n_x, xs)
     over_y = np.searchsorted(ys, np.arange(len(n_y) + 1))  # pairs over y: over_y[y]...
     left = np.flatnonzero(sources[a.src])  # op_y(y, y2), then each pair over y2
     counts = np.diff(over_y)[a.dst[left]]
@@ -190,28 +171,29 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray):
     right = np.flatnonzero(sources[ys[g.src]])  # Lambda(y, x), then coupling((x, y), .)
     row = np.r_[a.src[left], ys[g.src[right]]]
     rise = flat[:, n:].sum(axis=1) - flat[:, :n].sum(axis=1)
-    c_y, c_g = _clearing(a, g)
+    d, (c_y, c_g) = _clearing(a, g)
     factors = [(c_y + [-c for c in c_g], np.r_[a.ci[left], len(c_y) + g.ci[right]]),
                ([t ** e for e in range(int(rise.max()) + 1)],
                 np.r_[rise[left_pair], rise[g.src[right]]])]
     key = row * len(pairs) + np.r_[left_pair, g.dst[right]]
-    return _Terms(len(n_y), row, key, factors)
+    scale = lambda k: Fraction(n_x[xs[k % len(pairs)]], d * n_y[k // len(pairs)])
+    return _Terms(key, factors, len(left), scale)
 
 
 def _check_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
                         interior_only: bool) -> VerificationReport:
-    """``_verify_intertwining``'s report, from exact sums where both operators
-    are arrays: rows whose keys all sum to 0 in ``_Terms`` add their
-    comparison counts, and the flagged rows are compared by
-    ``_verify_intertwining``, so a report is exact in rationals and equal to
-    the row sums' own."""
+    """Compare (op_y Lambda)(y, .) with (Lambda coupling)(y, .) entrywise at
+    every source row y, or every interior one, by the exact sums of
+    ``_intertwining_terms``; op_y and coupling are both generators or both
+    step kernels.  The report counts every compared key and records each
+    failing one, in exact rationals, by source row and then by key."""
+    report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
     sources = np.array([not interior_only or op_y.is_interior(y) for y in op_y.states], bool)
     terms = _intertwining_terms(op_y, lam, coupling, sources)
-    if terms is None:
-        return _verify_intertwining(op_y, lam, coupling, case, interior_only)
-    report = _verify_intertwining(op_y, lam, coupling, case, interior_only,
-                                  [y for y, bad in zip(op_y.states, terms.flagged) if bad])
-    report.states_checked += int(terms.counts[~terms.flagged].sum())
+    report.states_checked = len(terms.keys)
+    failing = [(*divmod(k, len(coupling.states)), sides) for k, sides in terms.failing.items()]
+    for i, p, (lhs, rhs) in sorted(failing, key=lambda v: (v[0], coupling.states[v[1]])):
+        report.record(op_y.states[i], coupling.states[p], lhs, rhs)
     return report
 
 
@@ -258,22 +240,20 @@ def run_intertwine_case(case: str, n: int, q, bound: int) -> VerificationReport:
 
 
 def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationReport:
-    """Interior rows must sum to exactly zero.  While gen is arrays, each row
-    sum is taken in integers (``_Terms``): with D the lcm of the constants'
-    denominators, N(x) D times an entry c N(x') / N(x) is the integer
-    D c N(x').  Only the flagged rows are summed in Fractions."""
+    """Interior rows must sum to exactly zero.  Each row sum is taken in
+    integers (``_Terms``): with D the lcm of the constants' denominators,
+    N(x) D times an entry c N(x') / N(x) is the integer D c N(x'), and a
+    failing row reports that sum over D N(x)."""
     report = VerificationReport(case or f"conservative {gen.label}")
+    r = gen.ratios
     inner = np.array([gen.is_interior(s) for s in gen.states], dtype=bool)
-    flagged = inner
-    if (r := gen.ratios) is not None:
-        at = np.flatnonzero(inner[r.src])
-        (c,) = _clearing(r)
-        flagged = _Terms(len(gen.states), r.src[at], r.src[at],
-                         [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])]).flagged
-        report.states_checked = int((inner & ~flagged).sum())
-    for s, bad in zip(gen.states, flagged):
-        if bad:
-            report.check(s, s, sum(gen.row(s).values()), Fraction(0))
+    at = np.flatnonzero(inner[r.src])
+    d, (c,) = _clearing(r)
+    terms = _Terms(r.src[at], [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])], len(at),
+                   lambda i: Fraction(1, d * r.h[r.hs[i]]))
+    report.states_checked = int(inner.sum())
+    for i, (lhs, rhs) in terms.failing.items():
+        report.record(gen.states[i], gen.states[i], lhs, rhs)
     return report
 
 

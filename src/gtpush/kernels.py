@@ -8,9 +8,10 @@ the geometric step).  The exact operators keep their entries as arrays,
 ``_Ratios``: entry e is c N(target) / N(source), c one of a few exact
 constants and N the integer Schur values of ``schur.exact_values``, taken at
 the one scale L of the case's rates, the scale that Lambda takes too.  So no
-exact builder forms a Fraction: ``rows`` and ``row`` form them on demand,
-and the exact integer sums of ``intertwine`` read the arrays.  Their float
-forms for the Monte Carlo reference laws (``row_generator_float``,
+exact builder forms a Fraction, and the arrays are every exact operator's
+one form, also of one built from given rows: ``row`` and the read-only
+``rows`` form Fractions on demand, and ``intertwine`` reads the arrays.
+Their float forms for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The continuous-time
 coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -127,8 +129,8 @@ class _Ratios:
     const[ci[e]] * h[hs[dst[e]]] / h[hs[src[e]]], where const holds a few
     exact rationals, h the positive Schur integers N of
     ``schur.exact_values`` and hs each state's place in h.  Entries run by
-    source, each row in the order of the operator's dict rows; src, dst, ci
-    and hs are intp arrays."""
+    source, each row in the order that its builder, or its given row, lists
+    them; src, dst, ci and hs are intp arrays."""
 
     def __init__(self, src, dst, ci, const, h, hs):
         self.src, self.dst, self.ci, self.hs = src, dst, ci, hs
@@ -141,9 +143,6 @@ class _Ratios:
                 for a, b, c in zip(self.hs[self.dst[lo:hi]].tolist(),
                                    self.hs[self.src[lo:hi]].tolist(), self.ci[lo:hi].tolist())]
 
-    def fractions(self, lo: int, hi: int) -> list[Fraction]:
-        return [Fraction(num, den) for num, den in self.integers(lo, hi)]
-
     def floats(self) -> np.ndarray:
         """Every entry in floats, each one correctly rounded division of
         integers, as float() of the entry's Fraction is."""
@@ -151,53 +150,54 @@ class _Ratios:
 
 
 class _SparseOperator:
-    """Common storage: row-major sparse map state -> {state: value}.
-
-    An operator built from given rows keeps them.  The library's builders
-    make one from ``_Ratios`` arrays (``_of``): ``row`` then forms one row
-    of Fractions at a time, and ``rows`` forms them all on first read and
-    keeps them.  ``ratios`` is the arrays until ``rows`` is read, and None
-    after; the exact checks read an operator through its arrays only while
-    it is not None, so an operator whose rows were read, and maybe changed
-    in place, is checked by its rows."""
-
-    _ratios = None
+    """Row-major sparse map state -> {state: value}, kept as ``_Ratios``
+    arrays only.  The library's builders make one from their arrays
+    (``_of``); an operator built from given rows turns each distinct value
+    into a constant, on Schur integers of 1.  ``row`` forms one row of
+    Fractions from the arrays, and ``rows`` all of them, once and read-only,
+    so what they show is what the checks read."""
 
     def __init__(self, states, rows, bound: int, label: str = ""):
-        self.states = list(states)
-        self.rows = rows
-        self.bound = bound
-        self.label = label
+        self.states, self.bound, self.label = list(states), bound, label
+        index = {s: i for i, s in enumerate(self.states)}
+        for s, t in ((s, t) for s, row in rows.items() for t in (s, *row) if t not in index):
+            raise ValueError(f"row {s} of {label or type(self).__name__} names {t}, "
+                             f"which is not among its states")
+        entries = [(index[s], index[t], v)
+                   for s in self.states for t, v in rows.get(s, {}).items()]
+        const = {}
+        ci = [const.setdefault(Fraction(v), len(const)) for _, _, v in entries]
+        src, dst = np.array([e[:2] for e in entries], dtype=np.intp).reshape(-1, 2).T
+        self.ratios = _Ratios(src, dst, np.array(ci, dtype=np.intp), const, [1],
+                              np.zeros(len(self.states), dtype=np.intp))
 
     @classmethod
     def _of(cls, states, ratios: _Ratios, bound: int, label: str):
         op = cls.__new__(cls)
-        op.states, op.bound, op.label, op._ratios = list(states), bound, label, ratios
+        op.states, op.bound, op.label, op.ratios = list(states), bound, label, ratios
         return op
 
     @property
-    def ratios(self) -> _Ratios | None:
-        return None if "rows" in vars(self) else self._ratios
+    def rows(self) -> MappingProxyType:
+        return self._rows
 
     @cached_property
-    def rows(self) -> dict:
-        return {s: self.row(s) for s in self.states}  # row reads the arrays until this returns
+    def _rows(self) -> MappingProxyType:
+        return MappingProxyType({s: MappingProxyType(self.row(s)) for s in self.states})
 
     @cached_property
     def _starts(self) -> tuple[dict, list]:
         """Each state's place, and where each source's entries start."""
         return ({s: i for i, s in enumerate(self.states)},
-                np.searchsorted(self._ratios.src, np.arange(len(self.states) + 1)).tolist())
+                np.searchsorted(self.ratios.src, np.arange(len(self.states) + 1)).tolist())
 
     def row(self, s) -> dict:
-        if self.ratios is None:
-            return self.rows.get(s, {})
         index, starts = self._starts
         if s not in index:
             return {}
         lo, hi = starts[index[s]], starts[index[s] + 1]
-        return dict(zip((self.states[j] for j in self._ratios.dst[lo:hi].tolist()),
-                        self._ratios.fractions(lo, hi)))
+        return dict(zip((self.states[j] for j in self.ratios.dst[lo:hi].tolist()),
+                        (Fraction(*e) for e in self.ratios.integers(lo, hi))))
 
     def value(self, s, t) -> Fraction:
         return self.row(s).get(t, Fraction(0))
@@ -210,13 +210,8 @@ class _SparseOperator:
 
     def float_kernel(self) -> "FloatKernel":
         """The operator in floats, entry for entry in row order."""
-        if self.ratios is not None:
-            r = self.ratios
-            return FloatKernel(self.states, r.src, r.dst, r.floats())
-        index = {s: i for i, s in enumerate(self.states)}
-        entries = [(i, index[s2], float(v)) for i, s in enumerate(self.states)
-                   for s2, v in self.row(s).items()]
-        return FloatKernel(self.states, *np.array(entries, dtype=float).reshape(-1, 3).T)
+        r = self.ratios
+        return FloatKernel(self.states, r.src, r.dst, r.floats())
 
 
 class FloatKernel:
@@ -417,7 +412,7 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     r = j - 1
     if row_length(r, kind) != n:
         raise ValueError(f"{case} coupling with {n} upper entries got {len(qs)} rates")
-    marginal = row_generator(kind, r, qs, bound)._ratios
+    marginal = row_generator(kind, r, qs, bound).ratios
     states, pairs = _pairs(kind, j, qs, bound)
     xs = _chamber_index(pairs[:, :n], bound)  # each pair's x among X's states
     table = ring_table(j, kind)
@@ -507,7 +502,7 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     """
     qs = rates_of(q_ext, n + 1, open_unit=True)
     a, b = qs[n].numerator, qs[n].denominator
-    marginal = _geometric_step(n, qs, bound)._ratios
+    marginal = _geometric_step(n, qs, bound).ratios
     kind, j = _y_row(GEOMETRIC, qs)
     states, pairs = _pairs(kind, j, qs, bound)
     xs = _chamber_index(pairs[:, :n], bound)

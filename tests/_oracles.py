@@ -222,14 +222,14 @@ def simulate_reference(op, init, horizon, rng):
     final state and the log of moves in the form of ``dynamics.simulate``,
     (t, 0, index, displacement, "self"): row 0 stands for the walk's
     coordinates."""
-    s = coords_of(init)
-    if s not in op.rows:
+    s, rows = coords_of(init), op.rows
+    if s not in rows:
         raise ValueError(f"initial state {s} not in the operator's space")
     log: list[tuple] = []
     if isinstance(op, SparseGenerator):
         t = 0.0
         while True:
-            row = op.row(s)
+            row = rows[s]
             total = -float(row.get(s, Fraction(0)))
             if total <= 0.0:
                 break
@@ -253,7 +253,7 @@ def simulate_reference(op, init, horizon, rng):
             u = rng.random()
             acc = 0.0
             chosen = None
-            for tgt, pr in sorted(op.row(s).items()):
+            for tgt, pr in sorted(rows[s].items()):
                 acc += float(pr)
                 if u <= acc:
                     chosen = tgt
@@ -334,8 +334,8 @@ def fraction_row_sums(op_y, lam, coupling, y) -> tuple[dict, dict]:
 
 def verify_intertwining_fractions(op_y, lam, coupling, case: str,
                                   interior_only: bool) -> VerificationReport:
-    """The row comparison of ``intertwine._verify_intertwining`` summed term
-    by term in ``Fraction``s (``fraction_row_sums``), one source row y at a
+    """The comparisons of ``intertwine._check_intertwining`` summed term by
+    term in ``Fraction``s (``fraction_row_sums``), one source row y at a
     time."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
     for y in op_y.states:

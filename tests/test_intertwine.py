@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import math
@@ -11,7 +10,6 @@ from gtpush import dynamics, intertwine, kernels, schur
 from gtpush.cli import cli_dispatch
 from gtpush.intertwine import (
     TOL_FLOOR,
-    _verify_intertwining,
     build_intertwining_case,
     run_intertwine_case,
     semigroup,
@@ -40,11 +38,9 @@ def test_poisson_intertwining_passes():
 
 def test_poisson_intertwining_detects_perturbation():
     q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 6)
-    broken = copy.deepcopy(gen)
     src = ((1,), (0, 2))
     tgt = ((2,), (0, 2))
-    broken.rows[src][tgt] = broken.rows[src][tgt] + 1
-    rep = verify_generator_intertwining(q_y, lam, broken)
+    rep = verify_generator_intertwining(q_y, lam, _moved(gen, [(src, tgt, 1)], "moved"))
     assert not rep.passed
     assert any(right == tgt for _, right, _, _ in rep.violations)
     assert rep.max_discrepancy > 0
@@ -54,8 +50,8 @@ def test_poisson_intertwining_detects_perturbation():
 
 
 def _same_report(case, q_y, lam, coupling, interior_only):
-    """Run the integer check and the Fraction oracle; both reports must agree."""
-    new = _verify_intertwining(q_y, lam, coupling, case, interior_only)
+    """Run the check and the Fraction oracle; both reports must agree."""
+    new = intertwine._check_intertwining(q_y, lam, coupling, case, interior_only)
     ref = verify_intertwining_fractions(q_y, lam, coupling, case, interior_only)
     assert (new.states_checked, new.violations, new.max_discrepancy, new.status) == \
         (ref.states_checked, ref.violations, ref.max_discrepancy, ref.status)
@@ -100,6 +96,17 @@ def test_integer_row_sums_match_the_fraction_oracle(case, bound):
         assert {(y, key) for y, key, _, _ in rep.violations} == expected
 
 
+def test_a_rows_violations_are_listed_by_key():
+    """Two moved steps of one marginal row fail every key over both targets;
+    the report lists them by key (x', y'), as the oracle does, not in the
+    order of the pairs, which runs by y' first."""
+    q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 6)
+    y = (1, 3)
+    moved = _moved(q_y, [(y, t, F(1, 97)) for t in ((2, 3), (1, 4))], "two steps")
+    keys = [key for _, key, _, _ in _same_report("poisson", moved, lam, gen, True).violations]
+    assert keys == sorted(keys) != sorted(keys, key=gen.states.index)
+
+
 def _exact_terms(case, n, bound):
     """A case's operators and the terms of its exact sums, every checked
     source row in the mask."""
@@ -107,7 +114,6 @@ def _exact_terms(case, n, bound):
     interior_only = checker is verify_generator_intertwining
     sources = np.array([not interior_only or q_y.is_interior(y) for y in q_y.states])
     terms = intertwine._intertwining_terms(q_y, lam, gen, sources)
-    assert terms is not None  # the case's own operators are checked by their arrays
     return q_y, gen, lam, checker, sources, terms
 
 
@@ -141,7 +147,7 @@ def test_each_key_sum_is_the_fraction_oracles_difference(case, n, bound):
     N_X(x) is N_Y(y) D (lhs - rhs), lhs and rhs summed by the Fraction
     oracle: on the case, where every sum is 0 with the oracle's comparison
     count per row, and on a copy with the coupling's diagonal at the pair of
-    zeros moved by 1/97, where only row 0 is flagged."""
+    zeros moved by 1/97, where only row 0 fails."""
     q_y, gen, lam, _, sources, terms = _exact_terms(case, n, bound)
     _, n_x, n_y = lam.on_box(bound)
     origin, entry = _origin_entry(q_y, gen)
@@ -149,12 +155,13 @@ def test_each_key_sum_is_the_fraction_oracles_difference(case, n, bound):
     moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
     for coupling, t in ((gen, terms), (moved, moved_terms)):
         d = _clearing_lcm(q_y, coupling)
-        assert t.flagged.tolist() == [coupling is moved and i == 0 for i in range(len(n_y))]
+        assert sorted({k // len(coupling.states) for k in t.failing}) == [0] * (coupling is moved)
         sums = dict(zip(t.keys.tolist(), t.sums))
         assert (sums[origin] != 0) == (coupling is moved)  # row 0, key (0, pair of zeros)
         for i in np.flatnonzero(sources).tolist():
             lhs, rhs = fraction_row_sums(q_y, lam, coupling, q_y.states[i])
-            assert t.counts[i] == len(lhs.keys() | rhs.keys())
+            assert np.count_nonzero(t.keys // len(coupling.states) == i) == \
+                len(lhs.keys() | rhs.keys())
             for pair in lhs.keys() | rhs.keys():
                 at = coupling.states.index(pair)
                 diff = lhs.get(pair, 0) - rhs.get(pair, 0)
@@ -169,12 +176,12 @@ PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549
 
 @pytest.mark.parametrize("case", ["poisson", "wall-odd-even", "wall-even-odd", "geometric"])
 @pytest.mark.parametrize("hidden", ["first prime", "all primes but the last"])
-def test_a_hidden_multiple_of_the_primes_is_caught(monkeypatch, case, hidden):
+def test_a_hidden_multiple_of_the_primes_is_caught(case, hidden):
     """The coupling's diagonal entry at the pair of zeros moves by m / D, m
     the first of ``PRIMES`` or the product of all of them but the last (248
     bits, far past 2**62): a difference that a check in residues modulo
-    those primes would not see.  The key's exact sum is -m, the row goes to
-    the row sums, and the report equals the Fraction oracle's."""
+    those primes would not see.  The key's exact sum is -m, it is the one
+    failing key, and the report equals the Fraction oracle's."""
     q_y, gen, lam, checker, sources, _ = _exact_terms(case, 2, 4)
     origin, entry = _origin_entry(q_y, gen)
     m = PRIMES[0] if hidden == "first prime" else math.prod(PRIMES[:-1])
@@ -184,14 +191,10 @@ def test_a_hidden_multiple_of_the_primes_is_caught(monkeypatch, case, hidden):
     moved_terms = intertwine._intertwining_terms(q_y, lam, moved, sources)
     assert moved_terms.keys[0] == origin  # row 0, key (0, pair of zeros)
     assert moved_terms.sums[0] == -m and not moved_terms.sums[1:].any()
-    rows_summed = []
-    verify = intertwine._verify_intertwining
-    monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (
-        rows_summed.append(list(args[5])), verify(*args))[1])
+    assert list(moved_terms.failing) == [origin]
     interior_only = checker is verify_generator_intertwining
     rep = checker(q_y, lam, moved, case=case)
     ref = verify_intertwining_fractions(q_y, lam, moved, case, interior_only)
-    assert rows_summed == [[q_y.states[0]]]
     assert [(y, key) for y, key, _, _ in rep.violations] == [(q_y.states[0], gen.states[origin])]
     assert (rep.states_checked, rep.violations, rep.max_discrepancy, rep.status) == \
         (ref.states_checked, ref.violations, ref.max_discrepancy, ref.status)
@@ -207,26 +210,39 @@ def test_a_case_builds_its_pairs_once():
         assert kernels._pairs.cache_info().misses == 1, case
 
 
-def test_an_operator_whose_rows_were_read_is_checked_by_its_rows(monkeypatch):
-    """Reading .rows, as a copy changed in place does, takes the operator off
-    its arrays; its check then sums every row, with the oracle's report."""
+def test_reading_rows_leaves_the_check_on_the_arrays(monkeypatch):
+    """Reading .rows, as perfbench's operator count does, leaves the check as
+    it was: it reads the arrays alone and never forms a row, on the case
+    and on a copy with one coupling entry moved, whose report is the
+    oracle's."""
     q_y, gen, lam, _ = build_intertwining_case("poisson", 2, Q4, 4)
-    assert gen.ratios is not None and q_y.ratios is not None
-    broken = copy.deepcopy(gen)
     src = ((1, 1), (0, 1, 2))
     tgt = ((1, 2), (0, 1, 2))
-    broken.rows[src][tgt] += F(1, 97)
-    assert broken.ratios is None and gen.ratios is not None
-    assert intertwine._intertwining_terms(q_y, lam, broken, np.ones(len(q_y.states), bool)) is None
-    rep = verify_generator_intertwining(q_y, lam, broken)
-    ref = verify_intertwining_fractions(q_y, lam, broken, "", True)
-    assert rep.to_json() == ref.to_json() and not rep.passed
-    # the original is still checked through its arrays, by exact sums per key
-    rows_summed = []
-    verify = intertwine._verify_intertwining
-    monkeypatch.setattr(intertwine, "_verify_intertwining", lambda *args: (
-        rows_summed.append(list(args[5])), verify(*args))[1])
-    assert verify_generator_intertwining(q_y, lam, gen).passed and rows_summed == [[]]
+    broken = _moved(gen, [(src, tgt, F(1, 97))], "moved")
+    before = [verify_generator_intertwining(q_y, lam, op).to_json() for op in (gen, broken)]
+    assert before[1] == verify_intertwining_fractions(q_y, lam, broken, "", True).to_json()
+    for op in (q_y, gen, broken):
+        assert sum(len(row) for row in op.rows.values()) == len(op.ratios.src)
+
+    def no_row(op, s):
+        raise AssertionError(f"a check formed row {s} of {op.label}")
+
+    monkeypatch.setattr(kernels._SparseOperator, "row", no_row)
+    after = [verify_generator_intertwining(q_y, lam, op).to_json() for op in (gen, broken)]
+    assert after == before
+    assert json.loads(before[0])["status"] == "pass" and json.loads(before[1])["status"] == "fail"
+
+
+def test_an_operator_off_the_case_is_refused():
+    """A marginal that is not on the states of Y's box, or a coupling that is
+    not on the case's pairs, is refused rather than compared."""
+    q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 5)
+    refused = "a poisson check at bound 5 needs the marginal on the states of row Y"
+    with pytest.raises(ValueError, match=refused + ".*'charlier n=1' and 'coupling-poisson n=1'"):
+        verify_generator_intertwining(kernels.q_charlier(1, Q2[:1], 5), lam, gen)
+    other = build_intertwining_case("poisson", 1, Q2, 4)[1]
+    with pytest.raises(ValueError, match=refused + ".*'charlier n=2' and 'coupling-poisson n=1'"):
+        verify_generator_intertwining(q_y, lam, other)
 
 
 def test_wall_odd_even_intertwining_passes():
@@ -246,11 +262,10 @@ def test_kernel_intertwining_passes_small():
 
 def test_kernel_intertwining_detects_broken_factor():
     p_y, step, lam, _ = build_intertwining_case("geometric", 1, Q2, 6)
-    broken = copy.deepcopy(step)
     src = ((0,), (0, 0))
     tgt = ((1,), (0, 2))
-    broken.rows[src][tgt] = broken.rows[src][tgt] * F(2)
-    rep = verify_kernel_intertwining(p_y, lam, broken)
+    rep = verify_kernel_intertwining(p_y, lam, _moved(step, [(src, tgt, step.prob(src, tgt))],
+                                                      "doubled"))
     assert not rep.passed
 
 
@@ -271,11 +286,12 @@ def test_verify_conservative_symplectic_family():
 
 def test_verify_conservative_flags_missing_entry():
     gen = kernels.q_symplectic(2, (F(1, 2),), 6)
-    broken = copy.deepcopy(gen)
-    del broken.rows[(2,)][(3,)]
+    rows = dict(gen.rows)
+    rows[(2,)] = {t: v for t, v in rows[(2,)].items() if t != (3,)}
+    broken = kernels.SparseGenerator(gen.states, rows, gen.bound)
     rep = verify_conservative(broken)
-    assert not rep.passed
-    assert rep.violations[0][0] == (2,)
+    assert not rep.passed and rep.states_checked == verify_conservative(gen).states_checked
+    assert rep.violations == [((2,), (2,), -gen.rate((2,), (3,)), 0)]
 
 
 @pytest.mark.parametrize("case,n,rates,comparisons", [
@@ -285,7 +301,7 @@ def test_verify_conservative_flags_missing_entry():
 def test_generator_intertwinings_hold_at_boundary_sources(case, n, rates, comparisons):
     # criteria 1 and 3 at every in-box source: the interior filter only saves time
     q_y, gen, lam, _ = build_intertwining_case(case, n, (Q3 + (F(1, 7),))[:rates], 6)
-    rep = _verify_intertwining(q_y, lam, gen, case, interior_only=False)
+    rep = _same_report(case, q_y, lam, gen, interior_only=False)
     assert rep.passed and rep.states_checked == comparisons
 
 

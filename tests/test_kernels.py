@@ -638,3 +638,32 @@ def test_unknown_variant_rejected():
 def test_coupling_operators_refuse_a_case_or_size_they_do_not_have(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_rows_are_read_only_views_of_the_arrays():
+    # a row changed in place would show a value that no check reads
+    gen = q_charlier(2, Q2, 4)
+    source = gen.states[0]
+    target = next(t for t in gen.row(source) if t != source)
+    with pytest.raises(TypeError):
+        gen.rows[source][target] = F(1)
+    with pytest.raises(TypeError):
+        del gen.rows[source][target]
+    with pytest.raises(TypeError):
+        gen.rows[source] = {}
+    with pytest.raises(AttributeError):
+        gen.rows = {}
+    assert gen.rows == {s: gen.row(s) for s in gen.states}
+    # an operator built from rows keeps them as arrays too
+    copied = kernels.SparseGenerator(gen.states, gen.rows, gen.bound)
+    assert copied.rows == gen.rows and len(copied.ratios.src) == len(gen.ratios.src)
+
+
+@pytest.mark.parametrize("rows,named", [
+    ({(0,): {(0,): -1, (2,): 1}}, r"row \(0,\) of SparseGenerator names \(2,\)"),
+    ({(3,): {(0,): 1}}, r"row \(3,\) of SparseGenerator names \(3,\)"),
+], ids=["target", "source"])
+def test_rows_off_the_states_are_refused(rows, named):
+    # such a row used to be kept, and a later check died on a bare KeyError
+    with pytest.raises(ValueError, match=named + ", which is not among its states"):
+        kernels.SparseGenerator([(0,), (1,)], rows, 5)
