@@ -33,13 +33,13 @@ def _parse_row(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
-def _parse_horizon(text: str, steps: bool):
+def _parse_horizon(text: str, steps: bool, what: str = "the horizon"):
     """A horizon: a whole number of steps, or an exact time such as 3/2."""
     try:
         return int(text) if steps else float(Fraction(text))
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, ZeroDivisionError):
         form = "a whole number of steps" if steps else "an exact time such as 3/2"
-        raise ValueError(f"the horizon must be {form}, got {text}") from None
+        raise ValueError(f"{what} must be {form}, got {text}") from None
 
 
 def _threshold(text: str) -> float:
@@ -172,8 +172,9 @@ def _cmd_verify_report(args) -> int:
 
 def _cmd_verify_semigroup(args) -> int:
     # uniformized kernels must stay intertwined up to the tolerance
+    t = _parse_horizon(args.t, False, "--t")
     q_y, gen, lam, _ = build_intertwining_case("poisson", args.n, _parse_rates(args.q), args.bound)
-    gap = intertwine.semigroup_intertwining_gap(q_y, gen, lam, Fraction(args.t), args.tol)
+    gap = intertwine.semigroup_intertwining_gap(q_y, gen, lam, t, args.tol)
     print(json.dumps({"case": f"semigroup poisson n={args.n}", "t": args.t,
                       "gap": gap, "max_gap": args.max_gap}))
     return 0 if gap < args.max_gap else 1

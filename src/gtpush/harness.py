@@ -61,17 +61,19 @@ class Pmf:
     @classmethod
     def from_dense_row(cls, kernel, source) -> "Pmf":
         """Row at source of a time-t kernel over the states of a box (an
-        ``intertwine.Semigroup``); 1 - (row sum) is recorded as the escaped
-        mass.  Mass that escaped the box beyond the closure tolerance is an
-        internal limit, not bad input: RuntimeError names it and the bound."""
+        ``intertwine.Semigroup``), its positive entries kept; 1 - (their sum)
+        is recorded as the escaped mass.  Mass that escaped the box beyond the
+        closure tolerance is an internal limit, not bad input: RuntimeError
+        names it and the bound."""
         states, row = kernel.states, kernel.row(source)
-        lost = 1.0 - float(row.sum())
+        keep = row > 0.0
+        probs = row[keep]
+        lost = 1.0 - float(probs.sum())
         if lost > 1e-12:
             bound = max(max(s) for s in states)
             raise RuntimeError(f"the reference law lost {100 * lost:.3g}% of its mass past the "
                                f"truncation bound {bound}: the bound must go up")
-        keep = row > 0.0
-        return cls(tuple(s for s, k in zip(states, keep) if k), row[keep], lost)
+        return cls(tuple(s for s, k in zip(states, keep) if k), probs, lost)
 
     def to_csv(self) -> str:
         """A header, then one row per state: its coordinates joined by commas,
@@ -304,8 +306,8 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
     operator, so the reference is a row of one time-t operator
     (``intertwine.Semigroup``): the uniformized series of the generator for
     the continuous dynamics, the t-th power of the step kernel for the
-    discrete one.  Its Schur values come from one float array pass over the
-    box (``schur.float_values``), never a matrix and no Fraction per state."""
+    discrete one.  Its Schur values come from ``schur.float_values``, the box
+    pass's level step on float rates: no matrix, memo or Fraction per state."""
     from . import intertwine
 
     if config.model != "geometric":
@@ -320,6 +322,8 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
 def wall_sup_reference(k: int, q, t: float, bound: int) -> Pmf:
     """Law of the last coordinate of the height-2k wall row at time t from
     zero, which the wall sup functional of k rates matches in distribution."""
+    if bound < 2:
+        raise ValueError(f"the wall-sup reference needs bound >= 2, got bound = {bound}")
     config = ExperimentConfig("wall", 2 * k, q, (0,) * k, t, 1, 0, bound)
     ref = reference_endpoint_pmf(config)
     probs: dict = {}

@@ -154,13 +154,12 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray) 
     equal, and N_X is no factor of a term."""
     bound = op_y.bound
     t, n_x, n_y = lam.on_box(bound)
-    pairs, flat = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
+    pairs, flat, xs, ys = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
     if op_y.states != chamber_states(len(lam.qs), bound) or coupling.states != pairs:
         raise ValueError(f"a {lam.variant} check at bound {bound} needs the marginal on the "
                          f"states of row Y and the coupling on the pairs: got "
                          f"{op_y.label!r} and {coupling.label!r}")
     n = flat.shape[1] - len(lam.qs)
-    xs, ys = (kernels._chamber_index(part, bound) for part in (flat[:, :n], flat[:, n:]))
     a = _on(op_y.ratios, n_y, np.arange(len(n_y)))
     g = _on(coupling.ratios, n_x, xs)
     over_y = np.searchsorted(ys, np.arange(len(n_y) + 1))  # pairs over y: over_y[y]...

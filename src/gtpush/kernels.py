@@ -15,14 +15,16 @@ Their float forms for the Monte Carlo reference laws (``row_generator_float``,
 ``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The continuous-time
 coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
-by ring over every pair of the box; the geometric pair kernel states its own
-floors and caps, the max / add / min of ``dynamics.geometric_update``, and a
-test holds it to ``dynamics.geometric_step``.
+by ring over every pair of the box, an X ring at its marginal's step
+constant for its direction; the geometric pair kernel states its own floors
+and caps, the max / add / min of ``dynamics.geometric_update``, and a test
+holds it to ``dynamics.geometric_step``.
 One table says which pattern rows a variant pairs: its two-row states are the
-lower rows on the box with their ``patterns.branching`` candidates above, and
-its kernel Lambda (``LambdaKernel``) is the pattern measure's exact law of the
-upper row given the lower (``schur.branching_law``), t^(|y| - |x|) N_X(x) /
-N_Y(y) in the same integers (``LambdaKernel.on_box``).
+lower rows on the box with their ``patterns.branching`` candidates above
+(``_pairs``, built once per case with each pair's place among X's and Y's
+states), and its kernel Lambda (``LambdaKernel``) is the pattern measure's
+exact law of the upper row given the lower (``schur.branching_law``),
+t^(|y| - |x|) N_X(x) / N_Y(y) in the same integers (``LambdaKernel.on_box``).
 """
 from __future__ import annotations
 
@@ -70,22 +72,32 @@ def _y_row(variant: str, qs) -> tuple[str, int]:
 
 
 @lru_cache(maxsize=None)
-def _pairs(kind: str, j: int, qs, bound: int) -> tuple[list[tuple[tuple, tuple]], np.ndarray]:
+def _pairs(kind: str, j: int, qs, bound: int) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Pairs (x, y) on the box: every y of row j, then every candidate x for
     the row above it in lexicographic order, as ``patterns.upper_candidates``
-    and ``patterns.branching`` list them; and their coordinates, x's then
-    y's, as a read-only int array.  x_i lies between the wall-padded (0, y)'s
-    entries i - 1 + drop and i + drop (``patterns.branching_rule``).  Built
-    once per case, for its coupling and its check; ``schur.clear_caches``
-    empties the memo."""
+    and ``patterns.branching`` list them; their coordinates, x's then y's;
+    and each pair's place among X's and among Y's states, the last three as
+    read-only int arrays.  x_i lies between the wall-padded (0, y)'s entries
+    i - 1 + drop and i + drop (``patterns.branching_rule``).  Built once per
+    case, for its coupling and its check; ``schur.clear_caches`` empties the
+    memo."""
     ys = chamber_states(len(qs), bound)
     padded = np.pad(np.array(ys, dtype=np.int64).reshape(len(ys), -1), ((0, 0), (1, 0)))
     drop = branching_rule(kind, j)[0]
     of_y, xs = _lattice(padded[:, drop:-1], padded[:, 1 + drop:])
     pairs = list(zip(map(tuple, xs.tolist()), (ys[i] for i in of_y.tolist())))
-    flat = np.column_stack([xs, padded[of_y, 1:]])
-    flat.flags.writeable = False
-    return pairs, flat
+    arrays = np.column_stack([xs, padded[of_y, 1:]]), _chamber_index(xs, bound), of_y
+    for a in arrays:
+        a.flags.writeable = False
+    return (pairs, *arrays)
+
+
+def _pair_codes(flat: np.ndarray, n: int, bound: int) -> np.ndarray:
+    """One integer per row (x, y) of flat, x of n entries, y's entries first,
+    so the codes of ``_pairs`` ascend in their order; an entry may lie one
+    step off the box, in [-1, bound + 1], as one ring can move it."""
+    return np.ravel_multi_index(tuple(np.roll(flat, -n, axis=1).T + 1),
+                                (bound + 3,) * flat.shape[1])
 
 
 def _chamber_index(coords: np.ndarray, bound: int) -> np.ndarray:
@@ -315,7 +327,7 @@ def _conditioned_walk(kind: str, r: int, qs, bound: int) -> SparseGenerator:
     scale, h = schur.exact_values(kind, r, qs, bound)
     diag, wall_diag = _walk_diagonal(kind, r, qs[:k])
     sums = _sums(states)
-    # const: a step right, a step left, the diagonal off the wall and at it
+    # const, as coupling_generator reads it: right, left, diagonal off the wall, at it
     ci = np.where(src == dst, np.where(np.array(states)[src, 0] == 0, 3, 2),
                   (sums[src] - sums[dst] + 1) // 2)
     ratios = _Ratios(src, dst, ci, (Fraction(1, scale), Fraction(scale), diag, wall_diag), h,
@@ -400,10 +412,12 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     is a flat pattern whose rows above X hold NEVER, so they block nothing,
     and each ring of X and Y runs as one single-column block over all the
     pairs.  A ring that leaves a pair as it was is blocked there, and a
-    target off the pair list is dropped.  An X ring keeps the moves of X's
-    marginal generator, at its rates; a Y ring moves at its ``_ring_rates``
-    rate.  The diagonal is X's diagonal minus Y's unblocked out-rate, counted
-    before truncation, formed once per x and set of unblocked Y rings.
+    target off the pair list is dropped.  An X ring takes the step constant
+    of X's marginal generator (``_conditioned_walk``) for its direction, 1/L
+    right and L left, so it moves at the marginal's rate; a Y ring moves at
+    its ``_ring_rates`` rate.  The diagonal is X's diagonal constant minus
+    Y's unblocked out-rate, counted before truncation, formed once per X
+    diagonal and set of unblocked Y rings.
     """
     if case == GEOMETRIC or case not in _Y_ROW:
         raise ValueError(f"unknown continuous-time coupling {case!r}")
@@ -413,47 +427,35 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     if row_length(r, kind) != n:
         raise ValueError(f"{case} coupling with {n} upper entries got {len(qs)} rates")
     marginal = row_generator(kind, r, qs, bound).ratios
-    states, pairs = _pairs(kind, j, qs, bound)
-    xs = _chamber_index(pairs[:, :n], bound)  # each pair's x among X's states
+    states, pairs, xs, _ = _pairs(kind, j, qs, bound)
     table = ring_table(j, kind)
     rates = _ring_rates(table, qs)
     start = np.pad(pairs, ((0, 0), (table.offsets[r - 1], 0)), constant_values=NEVER)
-    # a code puts y's entries first, so the codes of the pairs ascend in their
-    # order; one ring moves an entry to between -1 and bound + 1
-    code = lambda flat: np.ravel_multi_index(tuple(np.roll(flat, -n, axis=1).T + 1),
-                                             (bound + 3,) * flat.shape[1])
-    codes = code(pairs)
-    # X's marginal entries by (x, x') code, to find the one an X ring takes
-    moves = marginal.src * len(marginal.h) + marginal.dst
-    by_move = np.argsort(moves)
+    codes = _pair_codes(pairs, n, bound)
     const = list(marginal.const)
     src, dst, ci = [], [], []
     free = []  # per Y ring, the pairs in which it is unblocked
     for ring in range(table.keys.index((r, 1, 1)), table.idle):  # the rings of X, then Y
-        row = table.keys[ring][0]
-        out = code(run_rings(table, start, np.full((len(states), 1), ring))[:, -pairs.shape[1]:])
+        row, _, d = table.keys[ring]
+        out = run_rings(table, start, np.full((len(states), 1), ring))[:, -pairs.shape[1]:]
+        out = _pair_codes(out, n, bound)
         moved = out != codes  # a blocked ring leaves its pair as it was
         at = np.minimum(np.searchsorted(codes, out), len(codes) - 1)
         hit = np.flatnonzero(moved & (codes[at] == out))
         if row > r:
             free.append(moved)
-            which = np.full(len(hit), len(const))
+            which = len(const)
             const.append(rates[ring])
-        else:
-            move = xs[hit] * len(marginal.h) + xs[at[hit]]
-            pos = by_move[np.minimum(np.searchsorted(moves, move, sorter=by_move), len(moves) - 1)]
-            keep = moves[pos] == move
-            hit, which = hit[keep], marginal.ci[pos[keep]]
+        else:  # X's marginal step constant: 1/L right, L left
+            which = (1 - d) // 2
         src.append(hit)
         dst.append(at[hit])
-        ci.append(which)
+        ci.append(np.full(len(hit), which, dtype=np.intp))
     # the diagonal: X's diagonal minus the out-rate of the unblocked Y rings,
     # one constant per X diagonal and set of unblocked Y rings (bit i: ring i)
-    on_diagonal = np.flatnonzero(marginal.src == marginal.dst)
-    x_diag = np.empty(len(marginal.h), dtype=np.intp)
-    x_diag[marginal.src[on_diagonal]] = marginal.ci[on_diagonal]
+    x_diag = np.where(pairs[:, 0] == 0, 3, 2)  # X's diagonal constant, at the wall or off it
     masks = sum(m.astype(np.intp) << i for i, m in enumerate(free))
-    kinds, which = np.unique(x_diag[xs] << len(free) | masks, return_inverse=True)
+    kinds, which = np.unique(x_diag << len(free) | masks, return_inverse=True)
     y_rates = rates[-len(free):]  # the Y rings are the table's last
     for kind_code in kinds.tolist():
         const.append(marginal.const[kind_code >> len(free)] - sum(
@@ -504,8 +506,7 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     a, b = qs[n].numerator, qs[n].denominator
     marginal = _geometric_step(n, qs, bound).ratios
     kind, j = _y_row(GEOMETRIC, qs)
-    states, pairs = _pairs(kind, j, qs, bound)
-    xs = _chamber_index(pairs[:, :n], bound)
+    states, pairs, xs, _ = _pairs(kind, j, qs, bound)
     # every X step x -> xt of every pair: step e of the marginal from pair src
     starts = np.searchsorted(marginal.src, np.arange(len(marginal.h) + 1))
     counts = np.diff(starts)[xs]
@@ -518,9 +519,8 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     at, yt = _lattice(floors, caps)  # the X step of each target, and its yt
     rise = yt.sum(axis=1) - floors[at].sum(axis=1)
     free = 1 + (yt[:, :n] < caps[at, :n]).sum(axis=1)
-    code = lambda flat: np.ravel_multi_index(tuple(flat.T), (bound + 1,) * flat.shape[1])
-    dst = np.searchsorted(code(np.column_stack([pairs[:, n:], pairs[:, :n]])),
-                          code(np.column_stack([yt, xt[at]])))
+    dst = np.searchsorted(_pair_codes(pairs, n, bound),
+                          _pair_codes(np.column_stack([xt[at], yt]), n, bound))
     # one constant per (X step constant, rise, free): q^rise (1-q)^free as
     # integers over b^(rise+free), for q = a/b
     width = int(rise.max(initial=0)) + 1

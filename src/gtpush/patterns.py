@@ -27,7 +27,7 @@ STANDARD = "standard"
 SYMPLECTIC = "symplectic"
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?")  # no zero denominator
 
 
 def frac(value) -> Fraction:
@@ -40,7 +40,7 @@ def frac(value) -> Fraction:
             f"refusing float {value!r}; pass an exact rational (int, 'p/q' string or Fraction)"
         )
     if isinstance(value, str) and not _RATIONAL_RE.fullmatch(value.strip()):
-        raise ValueError(f"not a p/q rational: {value!r}")
+        raise ValueError(f"not a p/q rational with q >= 1: {value!r}")
     return Fraction(value)
 
 

@@ -10,26 +10,22 @@ and L / q_i (``patterns.scaled_rates``) by one of two evaluators:
   rates), whose work is the interlacing cone below the one row.  ``schur``
   and ``sp_schur`` form one Fraction per value from it, and
   ``branching_law`` divides integer weights out into the exact law of one
-  row given the row below it: the intertwining kernels Lambda and the
-  pattern samplers read that law.
+  row given the row below it, which Lambda and the pattern samplers read.
 - a box: ``_box``, one bottom-up pass over every state of the box, one
-  pattern row (level) at a time and one candidate coordinate at a time by
-  Horner's rule, a multiply-add per state and coordinate, memoised per level
-  on (kind, row index, that row's rates, bound).  ``exact_values`` hands its
-  integers N to the exact operators, which keep each entry as a constant
-  times a ratio of them; the row above a case's lower row is a level of the
-  lower row's pass, so the two share it.
+  ``_level`` per pattern row (a multiply-add per state and candidate
+  coordinate, by Horner's rule), memoised per level on (kind, row index,
+  that row's rates, bound).  ``exact_values`` hands its integers N to the
+  exact operators; the row above a case's lower row is a level of the lower
+  row's pass, so the two share it.
 
 Both stay because each is small where the other is not: the box of 4
 entries at bound 8 costs the recursion 495 memo rows, each enumerating its
 candidates with a big-int power apiece, and the row (0, 3000) fills 3,003
 memo rows of the recursion where its box would hold 4.5 M states at row 2.
 
-The Monte Carlo reference laws take float values of a whole box from
-``float_values``, which applies the same row rule
-(``patterns.branching_rule``) to float arrays over the box, one row at a
-time, with no memo.  A determinant ratio evaluated in exact rationals serves
-as an independent oracle for the standard case.
+``float_values``, for the Monte Carlo reference laws, is the box pass's
+level step on float rates, with no memo.  A determinant ratio in exact
+rationals is an independent oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
@@ -179,30 +175,37 @@ def _cells(k: int, bound: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _box(kind: str, j: int, up: tuple, down: tuple, bound: int) -> tuple:
     """The integers N of row j (``_value``) at every state of
-    ``chamber_states(row_length(j, kind), bound)``, in that order, in one
-    pass from row j-1's.
-
-    By ``patterns.branching_rule``, N(z) sums t^(|z| - |z'|) N(z') over the
-    candidates z' with z'_i in [z_{i-1}, z_i] (wall z_0 = 0; a dropped z'_1
-    leaves the factor t^z_1).  The power factorises over the coordinates, so
-    the cube starts at N(z') for z' = z and sums coordinate i by Horner's
-    rule, S(.., z_i, ..) += t S(.., z_i - 1, ..), in place over the states in
-    lexicographic order.  A state keeps its other coordinates, the lower
-    limit z_{i-1} among them; a step below that limit is off the chamber, and
-    the cube of ``_cells`` holds 0 there, as at -1, below the wall."""
+    ``chamber_states(row_length(j, kind), bound)``, in that order: row j-1's
+    box, memoised, then one ``_level``."""
     if j == 0:
         return (1,)
+    k = row_length(j, kind) - branching_rule(kind, j)[0]
+    return _level(kind, j, up, down, bound, _box(kind, j - 1, up[:k], down[:k], bound))
+
+
+def _level(kind: str, j: int, up, down, bound: int, below) -> tuple:
+    """Row j's values at every state of ``chamber_states(row_length(j, kind),
+    bound)``, in that order, from row j-1's values below: integers on the
+    rates up and down of ``scaled_rates``, or floats on q and 1 / q.
+
+    By ``patterns.branching_rule``, the value at z sums t^(|z| - |z'|) times
+    the value at z' over the candidates z' with z'_i in [z_{i-1}, z_i] (wall
+    z_0 = 0; a dropped z'_1 leaves the factor t^z_1).  The power factorises
+    over the coordinates, so the cube starts at z' = z and sums coordinate i
+    by Horner's rule, S(.., z_i, ..) += t S(.., z_i - 1, ..), in place over
+    the states in lexicographic order.  A step below the lower limit z_{i-1}
+    is off the chamber, and the cube of ``_cells`` holds 0 there, as at -1,
+    below the wall.  Zero is t - t, so integers stay integers, and every
+    power is a product, so floats overflow to inf, not OverflowError."""
     k = row_length(j, kind)
     drop, t = branching_rule(kind, j, up, down)
-    width = bound + 2
-    below = [0] * width ** (k - drop)
-    for c, value in zip(_cells(k - drop, bound),
-                        _box(kind, j - 1, up[:k - drop], down[:k - drop], bound)):
-        below[c] = value
-    powers = [(t if drop else 1) ** a for a in range(bound + 1)]
-    cells, cube, lead = _cells(k, bound), [0] * width ** k, width ** (k - 1)
-    for c in cells:  # z' = z past a dropped z'_1, and its factor t^z_1
-        cube[c] = powers[c // lead - 1] * below[c % len(below)]
+    zero, width = t - t, bound + 2
+    lower = [zero] * width ** (k - drop)
+    for c, value in zip(_cells(k - drop, bound), below):
+        lower[c] = value
+    cells, cube, lead = _cells(k, bound), [zero] * width ** k, width ** (k - 1)
+    for c in cells:  # z' = z past a dropped z'_1, times t^z_1: t times the state at z_1 - 1
+        cube[c] = t * cube[c - lead] if drop and c >= 2 * lead else lower[c % len(lower)]
     for i in range(drop, k):
         step = width ** (k - 1 - i)
         for c in cells:
@@ -213,38 +216,22 @@ def _box(kind: str, j: int, up: tuple, down: tuple, bound: int) -> tuple:
 def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
     """Schur values of row j (1-based; symplectic of height j for SYMPLECTIC)
     at every state of ``chamber_states(row_length(j, kind), bound)``, in that
-    order, at the float rates q.
-
-    One pass per pattern row over the cube [0, bound]^k of the row: row r's
-    values are summed from row r-1's by ``patterns.branching_rule``, one
-    candidate coordinate z'_i at a time, as a product with the triangular
-    matrix of the powers t^(z_i - z'_i) on z'_i <= z_i after the entries below
-    z_{i-1} are set to 0 (a dropped z'_1 is pinned at 0), so every sum has
-    only positive terms.  The Monte Carlo reference laws take ratios of these
-    values, which a value outside the normal float range (0, subnormal, or
-    past the largest float) would make 0/0 or inexact: it is refused with a
-    RuntimeError naming the bound."""
+    order, at the float rates q: the box pass's ``_level`` run row by row on
+    q and 1 / q, with no memo, so every sum has only positive terms and no
+    float reaches the exact values' memos.  The Monte Carlo reference laws
+    take ratios of these values, which a value outside the normal float range
+    (0, subnormal, or past the largest float) would make 0/0 or inexact: it
+    is refused with a RuntimeError naming the bound."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got bound = {bound}")
     qs = tuple(float(v) for v in q)
-    b = np.arange(bound + 1)
-    below = b[:, None] <= b  # below[a, z]: a <= z
-    h = np.ones(())  # row 0, the empty row
-    with np.errstate(all="ignore"):
-        for r in range(1, j + 1):
-            drop, t = branching_rule(kind, r, qs)
-            powers = np.where(below, t ** (b - b[:, None]), 0.0)
-            # axes of h: the candidate's coordinates z'_i, ... still to sum,
-            # then the row's entries z_1, ..., z_{i-1} summed in so far
-            h = h[None] if drop else h
-            for i in range(1, row_length(r, kind) + 1):
-                if i > 1:  # z'_i >= z_{i-1}: the first axis against the last
-                    h = np.where(below.T.reshape(len(b), *(1,) * (h.ndim - 2), len(b)), h, 0.0)
-                h = np.tensordot(h, powers[:len(h)], axes=(0, 0))  # z'_i <= z_i
-        states = chamber_states(row_length(j, kind), bound)
-        values = h[tuple(np.array(states).T)]
-        bad = np.flatnonzero(~((values >= sys.float_info.min) & (values < math.inf)))
+    values = (1.0,)  # row 0, the empty row
+    for r in range(1, j + 1):
+        values = _level(kind, r, qs, tuple(1 / v for v in qs), bound, values)
+    values = np.array(values)
+    bad = np.flatnonzero(~((values >= sys.float_info.min) & (values < math.inf)))
     if len(bad):
+        states = chamber_states(row_length(j, kind), bound)
         raise RuntimeError(f"the Schur value at {states[bad[0]]} is {values[bad[0]]:.3g} in "
                            f"floats: the truncation bound {bound} is past the float range of "
                            f"the reference law and must come down")

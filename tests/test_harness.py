@@ -268,6 +268,32 @@ def test_cli_refuses_nan_gates_and_an_overflowing_horizon(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize("argv", [
+    ["schur", "eval", "--row", "1", "--q", "1/0"],
+    ["simulate", "--model", "poisson", "--n", "1", "--q", "1/2", "--horizon", "1/0"],
+    ["verify", "semigroup", "--n", "1", "--q", "1/2,1/3", "--t", "1/0", "--bound", "4"],
+], ids=["rate", "horizon", "t"])
+def test_cli_a_zero_denominator_is_a_usage_error(capsys, argv):
+    # 1/0 is no rational: refused as input, naming it, rather than reaching
+    # the arithmetic
+    assert cli_dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "1/0" in err
+
+
+def test_wall_sup_reference_refuses_a_bound_below_two(capsys):
+    # the reference law starts at the zero row, which needs a box of bound 2;
+    # the refusal names the bound, not a bottom row the caller never gave
+    with pytest.raises(ValueError, match="bound >= 2, got bound = 1"):
+        harness.wall_sup_reference(1, (F(1, 2),), 1.0, 1)
+    assert cli_dispatch(["coupling", "check", "--identity", "wall-sup", "--n", "1", "--q", "1/2",
+                         "--horizon", "1", "--bound", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "bound = 1" in err and "z =" not in err
+    with pytest.raises(RuntimeError, match="truncation bound 2: the bound must go up"):
+        harness.wall_sup_reference(1, (F(1, 2),), 1.0, 2)  # bound 2 passes, but t = 1 escapes it
+
+
+@pytest.mark.parametrize("argv", [
     ["coupling", "check", "--identity", "left-edge", "--n", "2", "--q", "1/2,1/3",
      "--horizon", "1e15", "--trials", "1"],
     ["simulate", "--model", "poisson", "--n", "2", "--q", "1/2,1/3", "--horizon", "1e15"],
@@ -507,6 +533,22 @@ def test_cli_simulate_reports_escaped_mass(capsys):
     gen = kernels.q_charlier(2, (F(1, 2), F(1, 3)), 12)
     row = intertwine.semigroup(gen, 1.0, 1e-14).row((0, 0))
     assert abs(doc["escaped_mass"] - (1.0 - float(row.sum()))) <= 1e-15
+
+
+@pytest.mark.parametrize("model,n,q,horizon,margin", [
+    ("poisson", 2, ("1/2", "1/3"), 0.5, 9),
+    ("wall", 3, ("1/2", "1/3"), 0.5, 14),
+    ("geometric", 2, ("1/5", "1/7"), 1, 17),
+])
+def test_reference_laws_record_the_mass_their_probabilities_miss(model, n, q, horizon, margin):
+    # the escaped mass is 1 minus the sum of the probabilities kept, exactly:
+    # a sum of the whole row, zeros included, groups its terms differently
+    # and differs in the last bits at about half of these laws
+    for z in ((0, 0), (1, 2)):
+        for bound in range(max(z) + margin, max(z) + 29):
+            ref = harness.reference_endpoint_pmf(
+                ExperimentConfig(model, n, q, z, horizon, 1, 0, bound))
+            assert ref.escaped_mass == 1.0 - float(ref.probs.sum()), (z, bound)
 
 
 def test_endpoint_samples_respect_nonzero_start():

@@ -304,6 +304,24 @@ def test_coupling_diagonals_on_every_row(case):
             assert gen.rate((x, y), (x, y)) == diag, (case, n, x, y)
 
 
+@pytest.mark.parametrize("case", ("poisson", "wall-odd-even", "wall-even-odd"))
+def test_coupling_x_moves_are_the_marginals(case):
+    # every move of X in the coupling is a move of X's marginal generator at
+    # its rate, and every marginal move is taken from every pair over x: a Y
+    # entry that X pushes lands next to x', so it never leaves the box
+    for n in (1, 2, 3):
+        k = n if case == "wall-odd-even" else n + 1
+        qs = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:k]
+        gen = coupling_generator(case, n, qs, 4)
+        kind = STANDARD if case == "poisson" else SYMPLECTIC
+        r = {"poisson": n, "wall-odd-even": 2 * n - 1, "wall-even-odd": 2 * n}[case]
+        marginal = kernels.row_generator(kind, r, qs, 4)
+        for x, y in gen.states:
+            moves = [(xt, v) for (xt, _), v in gen.row((x, y)).items() if xt != x]
+            assert sorted(moves) == sorted((xt, v) for xt, v in marginal.row(x).items()
+                                           if xt != x), (case, x, y)
+
+
 def test_kernel_geometric_untruncated_rows_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(20):
