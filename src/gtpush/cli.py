@@ -243,8 +243,9 @@ def _cmd_coupling(args) -> int:
         # distributional match against the conditioned-walk reference
         bound = 30 if args.bound is None else args.bound
         min_p = 0.01 if args.min_p is None else args.min_p
-        samples = couplings.wall_sup_samples(n, qs, horizon, trials, seed)
-        pval = harness.chi_square_gof(samples, harness.wall_sup_reference(n, qs, horizon, bound))
+        couplings._check_sweep(n, trials, horizon)  # n and the horizon, then the bound,
+        ref = harness.wall_sup_reference(n, qs, horizon, bound)  # all before any trial is drawn
+        pval = harness.chi_square_gof(couplings.wall_sup_samples(n, qs, horizon, trials, seed), ref)
         print(json.dumps({"identity": "wall-sup", "trials": trials, "p_value": pval,
                           "min_p": min_p}))
         return 0 if pval > min_p else 1

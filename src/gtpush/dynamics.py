@@ -45,7 +45,7 @@ from .patterns import (
 
 NEVER = np.iinfo(np.int64).min  # value of the slot no particle ever reaches
 MAX_RING_EVENTS = 1 << 22  # most events one ring draw may expect (about 26 bytes each),
-# and most geometric jumps one draw of ``couplings`` may hold
+# and most geometric jumps one draw of ``couplings`` or one block of a run may take
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,8 @@ def run_block(model: str, n: int, q, start: np.ndarray, horizon, rng) -> np.ndar
     horizon, trial i from the flat pattern start[i]."""
     kind, qs = _model_rates(model, n, q, horizon)
     if model == "geometric":
+        _check_draw_size(int(horizon) * start.size, f"of {int(horizon)} steps", f"geometric "
+                         f"jumps (trials = {len(start)})", "the horizon or the trial count")
         ps = np.repeat(_jump_probs(qs), range(1, n + 1))
         x = start
         for _ in range(int(horizon)):
@@ -315,6 +317,8 @@ def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Patter
     if init.kind != kind or init.nrows != n or not is_valid(init):
         raise ValueError(f"init must be a valid {kind} pattern of matching size")
     if model == "geometric":
+        _check_draw_size(int(horizon) * sum(map(len, init.rows)), f"of {int(horizon)} steps",
+                         "geometric jumps")
         rows, log = [list(r) for r in init.rows], []
         ps = _jump_probs(qs)
         for t in range(1, int(horizon) + 1):

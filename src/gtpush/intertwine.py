@@ -1,6 +1,5 @@
 """Exact verification of kernel intertwinings, conservativeness, the
-uniformized semigroup consequence, and the Schur-function identities behind
-them.
+uniformized semigroup consequence, and the Schur identities behind them.
 
 Generator checks compare Q_Y(y, y') m(x', y') against sum_x m(x, y) A((x,y),(x',y'))
 entry by entry in exact rational arithmetic, and the kernel (discrete-step)
@@ -18,7 +17,8 @@ operators' constants, and that positive factor is the same for every term
 of one compared key (``_intertwining_terms`` proves it), so a comparison
 holds exactly when the integers of its two sides have equal sums
 (``_Terms``), and a failing one reports both sums times that factor, exact
-rationals.  An operator off the case's states is refused.
+rationals.  The semigroup gap reads Lambda as these checks do, in floats,
+and both refuse an operator off the case's states (``_case``).
 """
 from __future__ import annotations
 
@@ -133,12 +133,26 @@ def _on(r: kernels._Ratios, h: list, hs: np.ndarray) -> kernels._Ratios:
     return kernels._Ratios(r.src, r.dst, np.array(ci, dtype=np.intp), const, h, hs)
 
 
+def _case(op_y, lam: LambdaKernel, coupling) -> tuple:
+    """The one reading of a two-row case at op_y's bound, Lambda(y, (x, y)) =
+    t^(|y|-|x|) N_X(x) / N_Y(y): t, N_X, N_Y (``LambdaKernel.on_box``), the
+    pairs, each pair's place among X's and Y's states, and its |y| - |x|.
+    ValueError unless op_y is on Y's box and the coupling on the pairs."""
+    bound = op_y.bound
+    pairs, flat, xs, ys = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
+    if op_y.states != chamber_states(len(lam.qs), bound) or coupling.states != pairs:
+        raise ValueError(f"a {lam.variant} check at bound {bound} needs the marginal on the "
+                         f"states of row Y and the coupling on the pairs: got "
+                         f"{op_y.label!r} and {coupling.label!r}")
+    n = flat.shape[1] - len(lam.qs)
+    return (*lam.on_box(bound), pairs, xs, ys, flat[:, n:].sum(axis=1) - flat[:, :n].sum(axis=1))
+
+
 def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray) -> _Terms:
     """The comparisons of (op_y Lambda)(y, .) = (Lambda coupling)(y, .) at the
     rows y of sources (a mask over op_y's states), as ``_Terms`` keyed by
-    row * (number of pairs) + pair.  op_y must be on the states of Y's box
-    and the coupling on the case's pairs, or ValueError; each is taken onto
-    Lambda's Schur integers (``_on``), which the terms below rest on.
+    row * (number of pairs) + pair, on the case as ``_case`` reads it, each
+    operator taken onto Lambda's Schur integers (``_on``) for the terms below.
 
     Lambda(y, x) = t^(|y|-|x|) N_X(x) / N_Y(y) (``LambdaKernel.on_box``), and
     each entry of either operator is c N(target) / N(source), c one of its
@@ -152,14 +166,7 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray) 
     D c t^e of its left and of its right terms.  Schur integers at positive
     rates are positive, so the key holds exactly when the two sums are
     equal, and N_X is no factor of a term."""
-    bound = op_y.bound
-    t, n_x, n_y = lam.on_box(bound)
-    pairs, flat, xs, ys = kernels._pairs(lam.kind, lam.y_row, lam.qs, bound)
-    if op_y.states != chamber_states(len(lam.qs), bound) or coupling.states != pairs:
-        raise ValueError(f"a {lam.variant} check at bound {bound} needs the marginal on the "
-                         f"states of row Y and the coupling on the pairs: got "
-                         f"{op_y.label!r} and {coupling.label!r}")
-    n = flat.shape[1] - len(lam.qs)
+    t, n_x, n_y, pairs, xs, ys, rise = _case(op_y, lam, coupling)
     a = _on(op_y.ratios, n_y, np.arange(len(n_y)))
     g = _on(coupling.ratios, n_x, xs)
     over_y = np.searchsorted(ys, np.arange(len(n_y) + 1))  # pairs over y: over_y[y]...
@@ -169,7 +176,6 @@ def _intertwining_terms(op_y, lam: LambdaKernel, coupling, sources: np.ndarray) 
     left_pair = over_y[a.dst[left]] + kernels._ramp(counts)
     right = np.flatnonzero(sources[ys[g.src]])  # Lambda(y, x), then coupling((x, y), .)
     row = np.r_[a.src[left], ys[g.src[right]]]
-    rise = flat[:, n:].sum(axis=1) - flat[:, :n].sum(axis=1)
     d, (c_y, c_g) = _clearing(a, g)
     factors = [(c_y + [-c for c in c_g], np.r_[a.ci[left], len(c_y) + g.ci[right]]),
                ([t ** e for e in range(int(rise.max()) + 1)],
@@ -396,8 +402,8 @@ def semigroup(gen: SparseGenerator | FloatKernel, t, tol: float) -> Semigroup:
                          f"closer to 1 than a float sum of the weights can be held: "
                          f"tol must go up")
     tf = float(t)
-    if tf < 0:
-        raise ValueError("t must be nonnegative")
+    if not tf >= 0:  # a NaN time is no time either
+        raise ValueError(f"t must be nonnegative, got t = {t}")
     if isinstance(gen, SparseGenerator):
         gen = gen.float_kernel()
     states = gen.states
@@ -435,23 +441,17 @@ def semigroup_intertwining_gap(
     """Max |(delta_y P_t) Lambda - (delta_y Lambda) Q_t| over the sources y of
     the deep interior (coordinates <= bound/4), where the probability of
     reaching the truncation edge by time t is negligible: two propagations
-    per source, the second from Lambda's mixed start."""
+    per source, the second from Lambda's row at y.  Lambda is read as the
+    exact check reads it (``_case``), one correctly rounded float per pair."""
+    rate, n_x, n_y, _, xs, ys, rise = _case(q_y, lam, gen)
+    mass = np.array([rate ** e * n_x[x] / n_y[y]
+                     for e, x, y in zip(rise.tolist(), xs.tolist(), ys.tolist())])
     p_t = semigroup(q_y, t, tol)
     q_t = semigroup(gen, t, tol)
     cut = q_y.bound // 4
-    sources = [y for y in q_y.states if all(c <= cut for c in y)]
-    pair_idx = q_t.index
     gap = 0.0
-    for y in sources:
-        lhs = np.zeros(len(gen.states))
-        for y2, p in zip(p_t.states, p_t.row(y)):
-            if p == 0.0:
-                continue
-            for (x2, _), mass in lam.support(y2):
-                lhs[pair_idx[(x2, y2)]] += p * float(mass)
-        start = np.zeros(len(gen.states))
-        for pair, mass in lam.support(y):
-            start[pair_idx[pair]] = float(mass)
-        rhs = q_t.propagate(start)
-        gap = max(gap, float(np.max(np.abs(lhs - rhs))))
+    for i, y in enumerate(q_y.states):
+        if all(c <= cut for c in y):
+            rhs = q_t.propagate(np.where(ys == i, mass, 0.0))
+            gap = max(gap, float(np.max(np.abs(p_t.row(y)[ys] * mass - rhs))))
     return gap

@@ -322,6 +322,8 @@ def _conditioned_walk(kind: str, r: int, qs, bound: int) -> SparseGenerator:
     the front of qs: each move of ``_walk_moves`` at the ratio of the Schur
     values of target and x, N(x +- e_i) / (N(x) L^(+-1)) in the integers N
     of ``schur.exact_values``, and the diagonal of ``_walk_diagonal``."""
+    if r < 1:
+        raise ValueError(f"a pattern row is numbered from 1, got row {r}")
     k = row_length(r, kind)
     states, src, dst = _walk_moves(kind, k, bound)
     scale, h = schur.exact_values(kind, r, qs, bound)
@@ -352,8 +354,6 @@ def row_generator(kind: str, r: int, q, bound: int) -> SparseGenerator:
     """Generator of row r of a pattern on its own: the conditioned walk of its
     entries, with one rate per entry off the front of q, on Schur values
     scaled by all of q (``schur.exact_values``)."""
-    if r < 1:
-        raise ValueError(f"a pattern row is numbered from 1, got row {r}")
     return _conditioned_walk(kind, r, rates_of(q), bound)
 
 
@@ -376,6 +376,8 @@ def _geometric_step(n: int, qs, bound: int) -> StepKernel:
     from x to xt is a N(xt) / (N(x) L^(|xt| - |x|)), a the product of the
     1 - q_i, on the integers N of ``schur.exact_values``, scaled by all of
     qs."""
+    if n < 1:
+        raise ValueError(f"a geometric step moves n >= 1 walkers, got n = {n}")
     states, src, dst = _step_moves(n, bound)
     scale, h = schur.exact_values(STANDARD, n, qs, bound)
     rise = _sums(states)[dst] - _sums(states)[src]
@@ -546,6 +548,8 @@ class LambdaKernel:
         self.qs = rates_of(q_ext)
         self.variant = variant
         self.kind, self.y_row = _y_row(variant, self.qs)  # rejects an unknown variant
+        if not self.qs:
+            raise ValueError(f"a {variant} Lambda needs one rate per entry of y, got q = {q_ext!r}")
         _, self._up, self._down = scaled_rates(self.qs)
 
     def support(self, y) -> list[tuple[tuple, Fraction]]:

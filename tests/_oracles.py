@@ -13,7 +13,7 @@ from types import MappingProxyType
 import numpy as np
 
 from gtpush.dynamics import NEVER, RingTable
-from gtpush.intertwine import VerificationReport
+from gtpush.intertwine import VerificationReport, semigroup
 from gtpush.kernels import SparseGenerator, StepKernel
 from gtpush.patterns import (
     Pattern,
@@ -345,6 +345,29 @@ def verify_intertwining_fractions(op_y, lam, coupling, case: str,
         for key in sorted(set(lhs) | set(rhs)):
             report.check(y, key, lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0)))
     return report
+
+
+def semigroup_gap_by_support(q_y, gen, lam, t, tol: float) -> float:
+    """``intertwine.semigroup_intertwining_gap`` state by state: Lambda's
+    rows from ``LambdaKernel.support``, each mass a ``Fraction`` read into a
+    float and placed by a dict lookup over the pairs."""
+    p_t = semigroup(q_y, t, tol)
+    q_t = semigroup(gen, t, tol)
+    cut = q_y.bound // 4
+    pair_idx = q_t.index
+    gap = 0.0
+    for y in (y for y in q_y.states if all(c <= cut for c in y)):
+        lhs = np.zeros(len(gen.states))
+        for y2, p in zip(p_t.states, p_t.row(y)):
+            if p == 0.0:
+                continue
+            for (x2, _), mass in lam.support(y2):
+                lhs[pair_idx[(x2, y2)]] += p * float(mass)
+        start = np.zeros(len(gen.states))
+        for pair, mass in lam.support(y):
+            start[pair_idx[pair]] = float(mass)
+        gap = max(gap, float(np.max(np.abs(lhs - q_t.propagate(start)))))
+    return gap
 
 
 def is_valid_by_interlacing(p: Pattern) -> bool:

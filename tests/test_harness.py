@@ -3,6 +3,7 @@ import json
 
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -305,6 +306,36 @@ def test_cli_a_horizon_past_the_ring_event_cap_exits_3(capsys, argv):
     assert cli_dispatch(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "t_end = 1e+15" in err
+
+
+@pytest.mark.parametrize("trials", ["1", "2"], ids=["one-trajectory", "endpoints"])
+def test_cli_a_geometric_horizon_past_the_jump_cap_exits_3(capsys, trials):
+    # 1e11 steps are refused before the first jump is drawn, not stepped through
+    start = time.perf_counter()
+    code = cli_dispatch(["simulate", "--model", "geometric", "--n", "1", "--q", "1/2",
+                         "--trials", trials, "--horizon", "100000000000"])
+    assert code == 3 and time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "horizon of 100000000000 steps" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--n", "2", "--q", "1/2,1/3", "--horizon", "4", "--bound", "1"], 2),
+    (["--n", "1", "--q", "1/2", "--horizon", "20", "--bound", "6"], 3),
+], ids=["bound-below-two", "bound-the-law-leaves"])
+def test_cli_wall_sup_refuses_its_bound_before_sampling(capsys, monkeypatch, argv, code):
+    # the reference is built first, so a bad bound is refused without drawing
+    # the 400,000 trials asked for
+    def no_samples(*args):
+        raise AssertionError("wall_sup_samples ran before the bound was checked")
+
+    monkeypatch.setattr(couplings, "wall_sup_samples", no_samples)
+    start = time.perf_counter()
+    assert cli_dispatch(["coupling", "check", "--identity", "wall-sup", *argv,
+                         "--trials", "400000"]) == code
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "bound" in err
 
 
 def test_cli_verify_conservative(capsys):

@@ -23,7 +23,8 @@ from gtpush.intertwine import (
 )
 from gtpush.patterns import STANDARD, SYMPLECTIC
 
-from _oracles import dense_semigroup, fraction_row_sums, verify_intertwining_fractions
+from _oracles import (dense_semigroup, fraction_row_sums, semigroup_gap_by_support,
+                      verify_intertwining_fractions)
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -419,6 +420,8 @@ def test_semigroup_rejects_bad_tolerance():
         semigroup(gen, 1, float("nan"))  # NaN would stop uniformization after one term
     with pytest.raises(ValueError):
         semigroup(gen, -1, 1e-8)
+    with pytest.raises(ValueError, match="t must be nonnegative, got t = nan"):
+        semigroup(gen, float("nan"), 1e-8)  # no time, as a negative one is none
     # positive, but below the double epsilon, to which no float sum of the
     # weights can be held (at t = 5 their sum stays 1.1e-16 short of 1)
     with pytest.raises(ValueError, match=r"tol = 1e-300 is below 2\.22e-16"):
@@ -466,6 +469,47 @@ def test_semigroup_intertwining_gap_small_case():
     q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 8)
     gap = semigroup_intertwining_gap(q_y, gen, lam, F(1, 4), 1e-10)
     assert gap < 1e-8
+
+
+@pytest.mark.parametrize("case,n,q,bound,t,tol", [
+    *(("poisson", 1, Q2, bound, t, 1e-10) for bound in (8, 12) for t in (F(1, 4), F(1, 2), 2)),
+    ("poisson", 2, Q3, 8, F(1, 2), 1e-10),
+    ("wall-odd-even", 1, (F(1, 2),), 16, F(1, 2), 1e-12),
+    ("wall-even-odd", 1, Q2, 16, F(1, 2), 1e-12),
+])
+def test_semigroup_gap_is_the_gap_of_lambdas_support(case, n, q, bound, t, tol):
+    """Lambda read off the case's Schur integers gives the gap of Lambda read
+    state by state from ``LambdaKernel.support``, to the last bit."""
+    q_y, gen, lam, _ = build_intertwining_case(case, n, q, bound)
+    gap = semigroup_intertwining_gap(q_y, gen, lam, t, tol)
+    assert gap == semigroup_gap_by_support(q_y, gen, lam, t, tol) and gap < 1e-8
+
+
+def test_semigroup_gap_sees_a_moved_coupling_entry():
+    # one coupling entry moved by 1/97, as the benchmark's non-vacuity check
+    # moves one, opens the gap past the 1e-8 gate
+    q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 8)
+    moved = _moved(gen, [(((1,), (0, 2)), ((2,), (0, 2)), F(1, 97))], "moved")
+    gap = semigroup_intertwining_gap(q_y, moved, lam, F(1, 2), 1e-10)
+    assert gap == semigroup_gap_by_support(q_y, moved, lam, F(1, 2), 1e-10)
+    assert gap >= 1e-8
+
+
+def test_semigroup_gap_refuses_operators_off_the_case():
+    """A coupling or a marginal built at another bound is refused by the gap
+    with the exact check's own ValueError, where reading Lambda state by
+    state raises a KeyError for the one and measures the other."""
+    q_y, gen, lam, _ = build_intertwining_case("poisson", 1, Q2, 8)
+    q_y6, gen6, _, _ = build_intertwining_case("poisson", 1, Q2, 6)
+    for marginal, coupling in [(q_y, gen6), (q_y6, gen)]:
+        with pytest.raises(ValueError, match="needs the marginal on the states of row Y") as exact:
+            verify_generator_intertwining(marginal, lam, coupling)
+        with pytest.raises(ValueError) as gap:
+            semigroup_intertwining_gap(marginal, coupling, lam, F(1, 2), 1e-10)
+        assert str(gap.value) == str(exact.value)
+    with pytest.raises(KeyError):
+        semigroup_gap_by_support(q_y, gen6, lam, F(1, 2), 1e-10)
+    assert 0 < semigroup_gap_by_support(q_y6, gen, lam, F(1, 2), 1e-10) < 1e-6
 
 
 def test_semigroup_intertwining_extends_to_wall_cases():

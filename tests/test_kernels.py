@@ -652,7 +652,15 @@ def test_unknown_variant_rejected():
     (lambda: coupling_generator("poisson", 1, Q3, 4), "1 upper entries got 3 rates"),
     (lambda: LambdaKernel("poisson", Q2).support((0, 0, 0)), "one rate per entry of y"),
     (lambda: kernels.row_generator(SYMPLECTIC, 3, Q2[:1], 4), "at least 2 rates, got 1"),
-], ids=["unknown-case", "discrete-case", "rate-count", "row-length", "too-few-rates"])
+    # an empty row has no box: refused naming the size, not failing in numpy
+    (lambda: q_charlier(0, (), 3), "numbered from 1, got row 0"),
+    (lambda: q_symplectic(0, (), 3), "numbered from 1, got row 0"),
+    (lambda: kernel_geometric(0, (), 3), "n >= 1 walkers, got n = 0"),
+    (lambda: coupling_kernel_geometric(0, (F(1, 2),), 3), "n >= 1 walkers, got n = 0"),
+    (lambda: LambdaKernel("poisson", ()).on_box(3), r"one rate per entry of y, got q = \(\)"),
+], ids=["unknown-case", "discrete-case", "rate-count", "row-length", "too-few-rates",
+        "no-charlier-entries", "no-symplectic-entries", "no-geometric-walkers",
+        "no-coupling-walkers", "no-lambda-rates"])
 def test_coupling_operators_refuse_a_case_or_size_they_do_not_have(call, match):
     with pytest.raises(ValueError, match=match):
         call()
