@@ -61,11 +61,15 @@ class Pmf:
     @classmethod
     def from_dense_row(cls, kernel, source) -> "Pmf":
         """Row at source of a time-t kernel over the states of a box (an
-        ``intertwine.Semigroup``), its positive entries kept; 1 - (their sum)
-        is recorded as the escaped mass.  Mass that escaped the box beyond the
-        closure tolerance is an internal limit, not bad input: RuntimeError
-        names it and the bound."""
-        states, row = kernel.states, kernel.row(source)
+        ``intertwine.Semigroup``), read by ``from_row``."""
+        return cls.from_row(kernel.states, kernel.row(source))
+
+    @classmethod
+    def from_row(cls, states, row) -> "Pmf":
+        """A law over the states of a box, given as a dense row: its positive
+        entries kept; 1 - (their sum) is recorded as the escaped mass.  Mass
+        that escaped the box beyond the closure tolerance is an internal
+        limit, not bad input: RuntimeError names it and the bound."""
         keep = row > 0.0
         probs = row[keep]
         lost = 1.0 - float(probs.sum())
@@ -303,20 +307,19 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
     """Reference law of the bottom row at the horizon, in floats.
 
     The bottom row is itself Markov with the matching conditioned-walk
-    operator, so the reference is a row of one time-t operator
-    (``intertwine.Semigroup``): the uniformized series of the generator for
-    the continuous dynamics, the t-th power of the step kernel for the
-    discrete one.  Its Schur values come from ``schur.float_values``, the box
-    pass's level step on float rates: no matrix, memo or Fraction per state."""
+    operator.  For the geometric dynamics its t-step law is in closed form
+    (``kernels.geometric_law``, a Gessel-Viennot determinant times a Schur
+    ratio); for the continuous ones it is a row of the generator's
+    uniformized series (``intertwine.semigroup``).  The Schur values come
+    from ``schur.float_values``, the box pass's level step on float rates: no
+    matrix, memo or Fraction per state."""
+    if config.model == "geometric":
+        return Pmf.from_row(*kernels.geometric_law(config.n, config.q, config.z,
+                                                   int(config.horizon), config.bound))
     from . import intertwine
 
-    if config.model != "geometric":
-        gen = kernels.row_generator_float(config.kind, config.n, config.q, config.bound)
-        law = intertwine.semigroup(gen, config.horizon, REFERENCE_TOL)
-    else:
-        kern = kernels.kernel_geometric_float(config.n, config.q, config.bound)
-        law = intertwine.Semigroup(kern.states, kern, [0.0] * int(config.horizon) + [1.0])
-    return Pmf.from_dense_row(law, config.z)
+    gen = kernels.row_generator_float(config.kind, config.n, config.q, config.bound)
+    return Pmf.from_dense_row(intertwine.semigroup(gen, config.horizon, REFERENCE_TOL), config.z)
 
 
 def wall_sup_reference(k: int, q, t: float, bound: int) -> Pmf:

@@ -343,10 +343,10 @@ def verify_integrating_out(q, lemma_max: int) -> VerificationReport:
 
 class Semigroup:
     """Time-t kernel sum_k w_k J^k over a box, one row at a time: a generator's
-    uniformized series (J = I + Q/theta, Poisson weights w_k, ``semigroup``) or
-    a step kernel's t-th power (J = K, w_t = 1 and every other w_k = 0).  A row
-    is the start vector moved through the series, so no m x m matrix is formed.
-    """
+    uniformized series (J = I + Q/theta, Poisson weights w_k, ``semigroup``).
+    A row is the start vector moved through the series, so no m x m matrix is
+    formed.  The geometric reference is no such series but a closed form
+    (``kernels.geometric_law``)."""
 
     def __init__(self, states, jump: FloatKernel | None, weights: list[float]):
         self.states = states

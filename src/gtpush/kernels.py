@@ -11,9 +11,12 @@ the one scale L of the case's rates, the scale that Lambda takes too.  So no
 exact builder forms a Fraction, and the arrays are every exact operator's
 one form, also of one built from given rows: ``row`` and the read-only
 ``rows`` form Fractions on demand, and ``intertwine`` reads the arrays.
-Their float forms for the Monte Carlo reference laws (``row_generator_float``,
-``kernel_geometric_float``) are ``FloatKernel`` arrays of the float Schur
-values of the whole box (``schur.float_values``).  The continuous-time
+The float generators of the continuous Monte Carlo reference laws
+(``row_generator_float``) are ``FloatKernel`` arrays of the float Schur
+values of the whole box (``schur.float_values``).  The geometric reference
+forms no kernel: ``geometric_law`` is the t-step law in closed form, a
+Gessel-Viennot determinant in exact integers times a float Schur ratio.  The
+continuous-time
 coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
 by ring over every pair of the box, an X ring at its marginal's step
 constant for its direction; the geometric pair kernel states its own floors
@@ -29,8 +32,10 @@ t^(|y| - |x|) N_X(x) / N_Y(y) in the same integers (``LambdaKernel.on_box``).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 from types import MappingProxyType
 
 import numpy as np
@@ -263,6 +268,8 @@ def _box_coords(k: int, bound: int):
     m x (k+2) array between a column of 0s and a column of bounds, the limits
     of the first and the last entry; a flat cube of side bound + 1 holding
     each state's index (-1 off the chamber); and each state's place in it."""
+    if k < 1:
+        raise ValueError(f"a state of the box needs k >= 1 entries, got k = {k}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     states = chamber_states(k, bound)
@@ -393,13 +400,76 @@ def kernel_geometric(n: int, q, bound: int) -> StepKernel:
     return _geometric_step(n, rates_of(q, n, open_unit=True), bound)
 
 
-def kernel_geometric_float(n: int, q, bound: int) -> FloatKernel:
-    """``kernel_geometric`` in floats: the entry from x to xt is a h(xt) / h(x),
-    with the Schur values h from ``schur.float_values``."""
+def _gessel_viennot(coords: np.ndarray, z, t: int) -> np.ndarray:
+    """det[C(w'_j - w_i + t - 1, t - 1)] at each row y' of coords, with the
+    strict coordinates w_i = z_i + i - 1 and w'_j = y'_j + j - 1: by
+    Lindstrom-Gessel-Viennot, the number of families of non-intersecting
+    t-step paths from z to y' (at t = 0, the entry is 1 at w'_j = w_i and 0
+    elsewhere).  Exact, by Leibniz's n! products: in int64 where n! times the
+    n-th power of the largest entry fits, in Python ints (an object array)
+    past that."""
+    n = len(z)
+    strict = np.arange(n)
+    d = (coords + strict)[:, None, :] - (np.asarray(z) + strict)[None, :, None]
+    table = [math.comb(v + t - 1, v) if t else int(v == 0) for v in range(int(d.max()) + 1)]
+    fits = math.factorial(n) * max(table) ** n < 2 ** 63
+    entries = np.array([0, *table], dtype=np.int64 if fits else object)[np.maximum(d + 1, 0)]
+    det = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        det = det + sign * np.prod(entries[:, strict, perm], axis=1)
+    return det
+
+
+def _power(x: float, t: int) -> tuple[float, int]:
+    """x ** t as (m, e), x ** t = m 2^e, by repeated squaring with every
+    product renormalised by frexp, so that none under- or overflows."""
+    m, e = 1.0, 0
+    base, be = math.frexp(x)
+    while t:
+        if t & 1:
+            m, k = math.frexp(m * base)
+            e += be + k
+        base, k = math.frexp(base * base)
+        be, t = 2 * be + k, t >> 1
+    return m, e
+
+
+def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray]:
+    """The law after t steps from z of the geometric dynamics' bottom row of n
+    entries, in floats over ``chamber_states(n, bound)``: (the states, the
+    law's row).  In closed form, as the row at z of ``kernel_geometric``^t:
+    the bottom row is an h-transform by the Schur value s of independent
+    geometric walks killed when they meet, so P_t(z, y') = a^t s(y') / s(z)
+    times the exact determinant of ``_gessel_viennot``, a the product of the
+    1 - q_i.  No step kernel is formed, and none is needed on the box: the
+    walks only move right, so a path to a state of the box never leaves it,
+    and the truncated kernel's power has the same row.  s comes from ``schur.float_values``, which refuses a bound
+    past the float range; the factor a^t s(y') / s(z) is formed from
+    mantissas and exponents, and one outside the normal floats at a reachable
+    y' is refused with a RuntimeError naming the horizon.  The laws of the
+    other three dynamics have the same form, with other determinants."""
+    states, coords, _, _ = _box_coords(n, bound)
     qs = rates_of(q, n, open_unit=True)
-    states, src, dst = _step_moves(n, bound)
-    h = schur.float_values(STANDARD, n, qs, bound)
-    return FloatKernel(states, src, dst, float(math.prod(1 - v for v in qs)) * h[dst] / h[src])
+    z = tuple(z)
+    if z not in states:
+        raise ValueError(f"the start z = {z} is not a state of the box of {n} entries <= {bound}")
+    det = _gessel_viennot(coords[:, 1:-1], z, t)
+    on = np.flatnonzero(det > 0)
+    s = schur.float_values(STANDARD, n, qs, bound)
+    m, e = _power(float(math.prod(1 - v for v in qs)), t)
+    mz, ez = math.frexp(float(s[states.index(z)]))
+    my, ey = np.frexp(s[on])
+    # an exponent below -2^20 underflows all the same; the clamp keeps it an int64
+    factor = np.ldexp(m * my / mz, ey.astype(np.int64) + (max(e, -1 << 20) - ez))
+    bad = np.flatnonzero(~((factor >= sys.float_info.min) & (factor < math.inf)))
+    if len(bad):
+        raise RuntimeError(f"a^t s(y') / s(z) is {factor[bad[0]]:.3g} in floats at y' = "
+                           f"{states[on[bad[0]]]}: the horizon {t} is past the float range of "
+                           f"the geometric reference law and must come down")
+    row = np.zeros(len(states))
+    row[on] = factor * det[on].astype(float)
+    return states, row
 
 
 # ---------------------------------------------------------------------------

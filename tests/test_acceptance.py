@@ -128,7 +128,7 @@ def test_criterion_10_geometric_marginal_law():
     ref = reference_endpoint_pmf(cfg)
     tv = tv_distance(emp, ref)
     _report(10, "bottom row law, geometric dynamics", tv <= 0.02,
-            f"TV={tv:.4f} vs 4-step kernel power")
+            f"TV={tv:.4f} vs the 4-step Gessel-Viennot law")
 
 
 def test_criterion_11_wall_marginal_law():

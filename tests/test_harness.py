@@ -582,6 +582,28 @@ def test_reference_laws_record_the_mass_their_probabilities_miss(model, n, q, ho
             assert ref.escaped_mass == 1.0 - float(ref.probs.sum()), (z, bound)
 
 
+@pytest.mark.parametrize("q,z,horizon,bound", [
+    (("1/5", "1/7"), (0, 0), 3, 23),  # the benchmark's mc-zero law
+    (("1/3", "1/5"), (1, 3), 3, 35),  # its mc-shifted law
+    (("1/2", "1/3"), (0, 0), 4, 60),  # criterion 10
+    (("1/5", "1/7"), (0, 0), 40, 60),  # binomials up to C(100, 39), past int64
+])
+def test_geometric_reference_is_the_kernel_power(q, z, horizon, bound):
+    # the closed-form reference against the exact kernel in floats applied
+    # horizon times: the same support, and within 1e-15
+    from gtpush import kernels
+
+    cfg = ExperimentConfig("geometric", 2, q, z, horizon, 1, 0, bound)
+    fk = kernels.kernel_geometric(2, cfg.q, bound).float_kernel()
+    row = np.eye(len(fk.states))[fk.states.index(z)]
+    for _ in range(horizon):
+        row = fk.apply(row)
+    power = harness.Pmf.from_row(fk.states, row)
+    ref = harness.reference_endpoint_pmf(cfg)
+    assert ref.support == power.support
+    assert np.max(np.abs(ref.probs - power.probs)) <= 1e-15
+
+
 def test_endpoint_samples_respect_nonzero_start():
     # with the initial pattern drawn from the exact bottom-row measure, the
     # bottom row follows the conditioned-walk semigroup from any starting row
@@ -672,6 +694,19 @@ def test_cli_geometric_reference_past_float_range_exits_3():
     assert proc.returncode == 3
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "bound 400" in proc.stderr
+
+
+def test_cli_geometric_reference_past_its_horizon_range_exits_3():
+    # a^t = 6^-1000 leaves the floats while every Schur value of the box is
+    # in range: the closed-form law refuses the horizon by name
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtpush.cli", "simulate", "--model", "geometric", "--n", "2",
+         "--q", "1/2,1/3", "--horizon", "1000", "--trials", "2", "--bound", "20", "--max-tv", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "horizon 1000" in proc.stderr
 
 
 @pytest.mark.parametrize("model,n", [("poisson", 1), ("wall", 2)])

@@ -91,55 +91,76 @@ def test_kernel_geometric_examples():
     assert kern.prob((0, 1), (2, 2)) == 0  # not shifted-interlaced
 
 
+def _exact_power(kern, z, t):
+    """The row at z of the exact kernel's t-th power, as a dict of Fractions."""
+    law = {z: F(1)}
+    for _ in range(t):
+        step = {}
+        for x, p in law.items():
+            for xt, v in kern.row(x).items():
+                step[xt] = step.get(xt, 0) + p * v
+        law = step
+    return law
+
+
 @pytest.mark.parametrize("n,bound", [(1, 10), (2, 7), (3, 5)])
 def test_float_geometric_power_matches_exact_power(n, bound):
-    # the float reference kernel, stepped on a vector from every start, against
-    # exact Fraction powers of kernel_geometric, whose targets are in turn held
-    # against the shifted interlacing x_i <= xt_i <= x_{i+1} (the bound last)
+    # the closed-form float law from every start after 1 to 4 steps, against
+    # exact Fraction powers of kernel_geometric, whose targets are in turn
+    # held against the shifted interlacing x_i <= xt_i <= x_{i+1} (the bound
+    # last)
     qs = Q3[:n]
     exact = kernel_geometric(n, qs, bound)
-    fk = kernels.kernel_geometric_float(n, qs, bound)
-    assert fk.states == exact.states
     for x in exact.states:
         highs = x[1:] + (bound,)
         assert set(exact.row(x)) == {
             xt for xt in exact.states if all(x[i] <= xt[i] <= highs[i] for i in range(n))}
     for z in exact.states:
-        vec = np.zeros(len(fk.states))
-        vec[fk.states.index(z)] = 1.0
-        law = {z: F(1)}
-        for _ in range(4):
-            vec = fk.apply(vec)
-            step = {}
-            for x, p in law.items():
-                for xt, v in exact.row(x).items():
-                    step[xt] = step.get(xt, 0) + p * v
-            law = step
-            expected = np.array([float(law.get(s, 0)) for s in fk.states])
-            assert np.array_equal(vec > 0, expected > 0)
-            assert np.max(np.abs(vec - expected)) <= 1e-15
+        for t in range(1, 5):
+            states, row = kernels.geometric_law(n, qs, z, t, bound)
+            law = _exact_power(exact, z, t)
+            expected = np.array([float(law.get(s, 0)) for s in states])
+            assert states == exact.states
+            assert np.array_equal(row > 0, expected > 0)
+            assert np.max(np.abs(row - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("rates", ["below-1", "dyadic"])
 @pytest.mark.parametrize("n,bound", [(1, 10), (2, 7), (3, 5)])
 def test_float_geometric_kernel_matches_exact_schur_kernel(n, bound, rates):
-    # the float-recursion kernel against one whose entries are exact ratios
-    # rounded once, stepped from every start
+    # the closed-form float law against the exact kernel's entries rounded
+    # once and stepped 1 to 3 times from every start
     qs = RATES[rates][:n]
     _assert_float_schur_values(STANDARD, n, qs, bound)
     exact = kernel_geometric(n, qs, bound)
-    fk = kernels.kernel_geometric_float(n, qs, bound)
-    index = {s: i for i, s in enumerate(exact.states)}
-    entries = [(index[x], index[xt], float(v)) for x in exact.states
-               for xt, v in exact.row(x).items()]
-    rounded = kernels.FloatKernel(exact.states, *zip(*entries))
-    assert fk.states == exact.states
+    rounded = exact.float_kernel()
     for z in exact.states:
-        vec = ref = np.eye(len(exact.states))[index[z]]
-        for _ in range(3):
-            vec, ref = fk.apply(vec), rounded.apply(ref)
-            assert np.array_equal(vec > 0, ref > 0)
-            assert np.max(np.abs(vec - ref)) <= 1e-15
+        ref = np.eye(len(exact.states))[exact.states.index(z)]
+        for t in range(1, 4):
+            ref = rounded.apply(ref)
+            states, row = kernels.geometric_law(n, qs, z, t, bound)
+            assert states == exact.states
+            assert np.array_equal(row > 0, ref > 0)
+            assert np.max(np.abs(row - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,z,t,bound", [(2, (1, 3), 3, 12), (3, (0, 1, 2), 2, 8),
+                                         (3, (0, 0, 0), 3, 7)])
+def test_gessel_viennot_law_is_the_exact_kernel_power(n, z, t, bound):
+    # a^t s(y') / s(z) times the library's exact determinant, in Fractions,
+    # equals the row at z of kernel_geometric^t at every state of the box,
+    # with zero tolerance, and the float law lies within 1e-15 of it
+    qs = Q3[:n]
+    exact = kernel_geometric(n, qs, bound)
+    power = _exact_power(exact, z, t)
+    coords = np.array(exact.states).reshape(-1, n)
+    dets = kernels._gessel_viennot(coords, z, t).tolist()
+    a = math.prod(1 - v for v in qs)
+    law = [a ** t * schur(y, qs) / schur(z, qs) * d for y, d in zip(exact.states, dets)]
+    assert law == [power.get(y, 0) for y in exact.states]
+    states, row = kernels.geometric_law(n, qs, z, t, bound)
+    assert states == exact.states
+    assert max(abs(F(p) - e) for p, e in zip(row.tolist(), law)) <= F(1, 10 ** 15)
 
 
 @pytest.mark.parametrize("rates", sorted(RATES))
@@ -214,9 +235,17 @@ def test_operator_builders_refuse_a_bound_below_one(bound):
                 lambda: kernels.row_generator_float(STANDARD, 2, Q2, bound),
                 lambda: kernels.row_generator_float(SYMPLECTIC, 3, Q2, bound),
                 lambda: kernel_geometric(2, Q2, bound),
-                lambda: kernels.kernel_geometric_float(2, Q2, bound)]
+                lambda: kernels.geometric_law(2, Q2, (0, 0), 1, bound)]
     for build in builders:
         with pytest.raises(ValueError, match="bound must be >= 1"):
+            build()
+
+
+def test_box_operators_refuse_a_row_of_no_entries_by_name():
+    # the box itself refuses k = 0, before numpy meets a state of no entries
+    for build in (lambda: kernels.row_generator_float(STANDARD, 0, ("1/2",), 3),
+                  lambda: kernels.geometric_law(0, (), (), 1, 3)):
+        with pytest.raises(ValueError, match="needs k >= 1 entries, got k = 0"):
             build()
 
 

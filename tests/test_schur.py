@@ -204,7 +204,7 @@ def test_float_references_leave_the_exact_values_exact():
         gtpush.kernels.row_generator_float(SYMPLECTIC, 3, qs, 5)
         gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
         if all(v < 1 for v in qs):
-            gtpush.kernels.kernel_geometric_float(2, qs, 5)
+            gtpush.kernels.geometric_law(2, qs, (0, 1), 3, 5)
         assert gtpush.schur._value.cache_info().currsize == 0
         assert gtpush.schur._box.cache_info().currsize == 0
         _, up, down = scaled_rates(qs)
