@@ -310,9 +310,10 @@ def reference_endpoint_pmf(config: ExperimentConfig) -> Pmf:
     operator.  For the geometric dynamics its t-step law is in closed form
     (``kernels.geometric_law``, a Gessel-Viennot determinant times a Schur
     ratio); for the continuous ones it is a row of the generator's
-    uniformized series (``intertwine.semigroup``).  The Schur values come
-    from ``schur.float_values``, the box pass's level step on float rates: no
-    matrix, memo or Fraction per state."""
+    uniformized series (``intertwine.semigroup``), on the Schur values of
+    ``schur.float_values``, the box pass's level step on float rates; the
+    geometric law divides the exact integers of ``schur.exact_values`` once
+    per state.  Neither forms a Fraction per state."""
     if config.model == "geometric":
         return Pmf.from_row(*kernels.geometric_law(config.n, config.q, config.z,
                                                    int(config.horizon), config.bound))

@@ -15,9 +15,9 @@ The float generators of the continuous Monte Carlo reference laws
 (``row_generator_float``) are ``FloatKernel`` arrays of the float Schur
 values of the whole box (``schur.float_values``).  The geometric reference
 forms no kernel: ``geometric_law`` is the t-step law in closed form, a
-Gessel-Viennot determinant in exact integers times a float Schur ratio.  The
-continuous-time
-coupling generators run the simulators' engine, ``dynamics.run_rings``, ring
+Gessel-Viennot determinant times a Schur ratio, both in exact integers, with
+one correctly rounded division per state.  The continuous-time coupling
+generators run the simulators' engine, ``dynamics.run_rings``, ring
 by ring over every pair of the box, an X ring at its marginal's step
 constant for its direction; the geometric pair kernel states its own floors
 and caps, the max / add / min of ``dynamics.geometric_update``, and a test
@@ -32,7 +32,6 @@ t^(|y| - |x|) N_X(x) / N_Y(y) in the same integers (``LambdaKernel.on_box``).
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -421,34 +420,21 @@ def _gessel_viennot(coords: np.ndarray, z, t: int) -> np.ndarray:
     return det
 
 
-def _power(x: float, t: int) -> tuple[float, int]:
-    """x ** t as (m, e), x ** t = m 2^e, by repeated squaring with every
-    product renormalised by frexp, so that none under- or overflows."""
-    m, e = 1.0, 0
-    base, be = math.frexp(x)
-    while t:
-        if t & 1:
-            m, k = math.frexp(m * base)
-            e += be + k
-        base, k = math.frexp(base * base)
-        be, t = 2 * be + k, t >> 1
-    return m, e
-
-
 def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray]:
     """The law after t steps from z of the geometric dynamics' bottom row of n
     entries, in floats over ``chamber_states(n, bound)``: (the states, the
     law's row).  In closed form, as the row at z of ``kernel_geometric``^t:
     the bottom row is an h-transform by the Schur value s of independent
     geometric walks killed when they meet, so P_t(z, y') = a^t s(y') / s(z)
-    times the exact determinant of ``_gessel_viennot``, a the product of the
-    1 - q_i.  No step kernel is formed, and none is needed on the box: the
-    walks only move right, so a path to a state of the box never leaves it,
-    and the truncated kernel's power has the same row.  s comes from ``schur.float_values``, which refuses a bound
-    past the float range; the factor a^t s(y') / s(z) is formed from
-    mantissas and exponents, and one outside the normal floats at a reachable
-    y' is refused with a RuntimeError naming the horizon.  The laws of the
-    other three dynamics have the same form, with other determinants."""
+    times the exact determinant of ``_gessel_viennot``, a = A / B the product
+    of the 1 - q_i.  No step kernel is formed, and none is needed on the box:
+    the walks only move right, so a path to a state of the box never leaves
+    it, and the truncated kernel's power has the same row.  On the integers
+    N = L^|x| s(x) of ``schur.exact_values``, each probability is one Python
+    int division, A^t N(y') det / (B^t N(z) L^(|y'| - |z|)), so it is the
+    exact law correctly rounded: it cannot overflow, and it is 0 only where
+    it rounds to 0.  The laws of the other three dynamics have the same form,
+    with other determinants."""
     states, coords, _, _ = _box_coords(n, bound)
     qs = rates_of(q, n, open_unit=True)
     z = tuple(z)
@@ -456,19 +442,14 @@ def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray]:
         raise ValueError(f"the start z = {z} is not a state of the box of {n} entries <= {bound}")
     det = _gessel_viennot(coords[:, 1:-1], z, t)
     on = np.flatnonzero(det > 0)
-    s = schur.float_values(STANDARD, n, qs, bound)
-    m, e = _power(float(math.prod(1 - v for v in qs)), t)
-    mz, ez = math.frexp(float(s[states.index(z)]))
-    my, ey = np.frexp(s[on])
-    # an exponent below -2^20 underflows all the same; the clamp keeps it an int64
-    factor = np.ldexp(m * my / mz, ey.astype(np.int64) + (max(e, -1 << 20) - ez))
-    bad = np.flatnonzero(~((factor >= sys.float_info.min) & (factor < math.inf)))
-    if len(bad):
-        raise RuntimeError(f"a^t s(y') / s(z) is {factor[bad[0]]:.3g} in floats at y' = "
-                           f"{states[on[bad[0]]]}: the horizon {t} is past the float range of "
-                           f"the geometric reference law and must come down")
+    scale, h = schur.exact_values(STANDARD, n, qs, bound)
+    a = math.prod(1 - v for v in qs)
+    rise = coords[on, 1:-1].sum(axis=1) - sum(z)
+    lead = a.denominator ** t * h[states.index(z)]  # B^t N(z), times L^d at rise d
+    below = np.array([lead * scale ** d for d in range(rise.max(initial=0) + 1)], dtype=object)
     row = np.zeros(len(states))
-    row[on] = factor * det[on].astype(float)
+    row[on] = (a.numerator ** t * np.array(h, dtype=object)[on] * det[on].astype(object)
+               / below[rise])
     return states, row
 
 

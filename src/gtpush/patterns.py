@@ -6,7 +6,7 @@ probabilities are exact ``fractions.Fraction``.  ``branching_rule`` states
 once which candidates a row takes for the row above it and at which rate
 power: ``is_valid`` and ``upper_candidates`` read its candidate box,
 ``branching`` its coefficients on exact or integer rates (``scaled_rates``),
-``schur.float_values`` the float Schur values of a whole box, and
+the box pass of ``schur`` the exact and float Schur values of a whole box, and
 ``dynamics`` its nest/shift test and ring rates.  ``check_bottom_row`` is the
 one check of a bottom row.  The pattern samplers round each exact branching
 law to a float CDF once and draw from it.

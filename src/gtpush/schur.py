@@ -23,9 +23,10 @@ entries at bound 8 costs the recursion 495 memo rows, each enumerating its
 candidates with a big-int power apiece, and the row (0, 3000) fills 3,003
 memo rows of the recursion where its box would hold 4.5 M states at row 2.
 
-``float_values``, for the Monte Carlo reference laws, is the box pass's
-level step on float rates, with no memo.  A determinant ratio in exact
-rationals is an independent oracle for the standard case.
+``float_values``, for the continuous Monte Carlo reference laws, is the box
+pass's level step on float rates, with no memo; the geometric reference law
+reads ``exact_values``.  A determinant ratio in exact rationals is an
+independent oracle for the standard case.
 
 Convention: evaluation at a row violating the chamber ordering (or
 nonnegativity, in the symplectic case) returns 0, so indicator factors in
@@ -218,7 +219,7 @@ def float_values(kind: str, j: int, q, bound: int) -> np.ndarray:
     at every state of ``chamber_states(row_length(j, kind), bound)``, in that
     order, at the float rates q: the box pass's ``_level`` run row by row on
     q and 1 / q, with no memo, so every sum has only positive terms and no
-    float reaches the exact values' memos.  The Monte Carlo reference laws
+    float reaches the exact values' memos.  The continuous reference laws
     take ratios of these values, which a value outside the normal float range
     (0, subnormal, or past the largest float) would make 0/0 or inexact: it
     is refused with a RuntimeError naming the bound."""

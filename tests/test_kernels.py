@@ -149,7 +149,7 @@ def test_float_geometric_kernel_matches_exact_schur_kernel(n, bound, rates):
 def test_gessel_viennot_law_is_the_exact_kernel_power(n, z, t, bound):
     # a^t s(y') / s(z) times the library's exact determinant, in Fractions,
     # equals the row at z of kernel_geometric^t at every state of the box,
-    # with zero tolerance, and the float law lies within 1e-15 of it
+    # with zero tolerance, and the float law is that law correctly rounded
     qs = Q3[:n]
     exact = kernel_geometric(n, qs, bound)
     power = _exact_power(exact, z, t)
@@ -160,7 +160,18 @@ def test_gessel_viennot_law_is_the_exact_kernel_power(n, z, t, bound):
     assert law == [power.get(y, 0) for y in exact.states]
     states, row = kernels.geometric_law(n, qs, z, t, bound)
     assert states == exact.states
-    assert max(abs(F(p) - e) for p, e in zip(row.tolist(), law)) <= F(1, 10 ** 15)
+    assert row.tolist() == [float(p) for p in law]
+
+
+@pytest.mark.parametrize("q,t,bound", [(F(9, 10), 330, 4000), (F(1, 7), 1, 400)])
+def test_one_walker_law_is_the_negative_binomial_correctly_rounded(q, t, bound):
+    # at n = 1 the law is C(y + t - 1, t - 1) (1 - q)^t q^y; far past the
+    # float range of (1 - q)^t (0.1^330) or of the Schur value (7^-400), each
+    # probability is float() of it, down to the subnormal tail and its zeros
+    states, row = kernels.geometric_law(1, (q,), (0,), t, bound)
+    law = [math.comb(y + t - 1, t - 1) * (1 - q) ** t * q ** y for y in range(bound + 1)]
+    assert states == [(y,) for y in range(bound + 1)]
+    assert row.tolist() == [float(p) for p in law]
 
 
 @pytest.mark.parametrize("rates", sorted(RATES))

@@ -196,15 +196,14 @@ def test_float_references_leave_the_exact_values_exact():
     # at rates 1 the integer form has L = 1, so the exact recursion's rates
     # (1, 1) and the float references' (1.0, 1.0) hash and compare equal: a
     # float value left in the recursion's memo would reach exact callers.  The
-    # float references fill no memo, and each exact value is held against its
+    # float references of the continuous dynamics fill no memo (the geometric
+    # one reads the exact values), and each exact value is held against its
     # pattern sum.
     for qs in ((F(1, 2), F(1, 4)), (F(1), F(1))):
         clear_caches()
         gtpush.kernels.row_generator_float(STANDARD, 2, qs, 5)
         gtpush.kernels.row_generator_float(SYMPLECTIC, 3, qs, 5)
         gtpush.kernels.row_generator_float(SYMPLECTIC, 4, qs, 5)
-        if all(v < 1 for v in qs):
-            gtpush.kernels.geometric_law(2, qs, (0, 1), 3, 5)
         assert gtpush.schur._value.cache_info().currsize == 0
         assert gtpush.schur._box.cache_info().currsize == 0
         _, up, down = scaled_rates(qs)
