@@ -3,26 +3,32 @@ edge processes of the pattern dynamics.
 
 A noise panel is materialised once and drives both sides of an identity, so
 equality claims are checked exactly, path by path.  Poisson and wall panels
-are ring clocks drawn by ``dynamics._ring_draws``, a clock being a component
-or a (component, sign).  Both continuous-time edges are one reflection map:
+are ring clocks drawn by ``dynamics._ring_trial``, one trial of
+``dynamics._ring_draws`` as lists, a clock being a component or a
+(component, sign).  Both continuous-time edges are one reflection map:
 the wall edge (the wall functional) with the wall at stage 0, the left edge on
 negated paths with no wall.  It has two forms, as ``dynamics`` has run_rings
 and trace_rings: _reflect runs a block of padded array rows, for the blocks of
 wall_sup_samples, and _reflect_row one panel's merged (time, code) jumps in a
 list loop, for left_edge_from_walk, wall_sup_functional and both edge checks.
 On the dynamics' side a panel rings the edge particles, the other rings come
-from one more _ring_draws draw, and the merged sequence runs through
-``dynamics.trace_rings``.  The float rates of that draw are cached, keyed on
-the ring table itself and the rates' (numerator, denominator) pairs, as the
-picks' CDF in ``dynamics`` is keyed on float rates: a one-panel check hashes
-no Fraction, and pays for its draws and list loops.  The pathwise sweeps run
-one trial at a time, trial i's panel from the stream (seed, i) and the rest
-of its noise from (seed + 1, i).  The wall functional's samples are reflected
-in blocks of WALL_BLOCK_TRIALS panels, block b from (seed, b).
+from one more _ring_trial draw, and the merged sequence runs through
+``dynamics.trace_rings``.  The LPP check draws every step's jumps at once,
+lists them per row with the panel's draws on the diagonal, and runs
+``dynamics.geometric_rows``, the step with no move log.  The float rates of
+the edge checks' draws and the geometric jump probabilities are cached,
+keyed on the rates' (numerator, denominator) pairs (and on the ring table
+itself for the edge rings), as the picks' CDF in ``dynamics`` is keyed on
+float rates: a one-panel check hashes no Fraction and makes no numpy call
+per ring or per step, and each check stops at the first mismatch.  The
+pathwise sweeps run one trial at a time, trial i's panel from the stream
+(seed, i) and the rest of its noise from (seed + 1, i).  The wall
+functional's samples are reflected in blocks of WALL_BLOCK_TRIALS panels,
+block b from (seed, b).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,50 +67,81 @@ class WallPanel:
 
 
 def poisson_panel(n: int, q, t_end: float, rng) -> PoissonPanel:
-    """Component c rings at rate q_{c+1}: one trial of the ring clocks of
-    ``dynamics._ring_draws``, a ring's index its component."""
-    rings, times = dynamics._ring_draws(rates_of(q, n), t_end, 1, rng)
+    """Component c rings at rate q_{c+1}: one trial of the ring clocks,
+    drawn by ``dynamics._ring_trial``, a ring's index its component."""
+    rings, times = dynamics._ring_trial(rates_of(q, n), t_end, rng)
     comps = [[] for _ in range(n)]
-    for c, t in zip(rings[0].tolist(), times[0].tolist()):
+    for c, t in zip(rings, times):
         comps[c].append(t)
     return PoissonPanel(tuple(map(tuple, comps)), t_end)
 
 
 def geometric_panel(n: int, q, t_max: int, rng) -> GeometricPanel:
     """Row k-1 holds the t_max jumps of the diagonal particle of row k, the
-    failures before a success of probability 1 - q_k, drawn row by row."""
-    ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
+    failures before a success of probability 1 - q_k, drawn row by row (one
+    draw at a column of probabilities gives the same, but its broadcasting
+    costs more than n scalar draws)."""
+    ps, _, _ = _jump_layout(n, q)
     dynamics._check_draw_size(n * t_max, f"t_max = {t_max}", "geometric jumps")
     return GeometricPanel(tuple(tuple((rng.geometric(p, size=t_max) - 1).tolist()) for p in ps))
 
 
+@lru_cache(maxsize=None)
+def _jump_probs_of(ratios: tuple) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:
+    """The success probabilities 1 - q of the geometric jumps of len(ratios)
+    rows at the rates a / b of ratios = ((a, b), ...): one per row, one per
+    slot of the flat pattern (read-only), and the rows' offsets in it.  Keyed
+    on the pairs, as _edge_rings is."""
+    ps = dynamics._jump_probs(tuple(Fraction(a, b) for a, b in ratios))
+    flat = np.repeat(ps, range(1, len(ps) + 1))
+    flat.flags.writeable = False
+    return ps, flat, row_offsets(len(ps))
+
+
+def _jump_layout(n: int, q):
+    """_jump_probs_of at the n rates q, which must lie in (0, 1)."""
+    return _jump_probs_of(tuple(map(Fraction.as_integer_ratio, rates_of(q, n, open_unit=True))))
+
+
 def wall_panel(k: int, q, t_end: float, rng) -> WallPanel:
     """Interleaved components (Z_1, Z~_1, ..., Z_k, Z~_k): Z_i steps +1 at rate
-    1/q_i and -1 at rate q_i; Z~_i is distributed as -Z_i.  Row 0 of a
-    one-trial block draw (:func:`_wall_block`)."""
-    times, codes = _wall_block(rates_of(q, k, open_unit=True), t_end, 1, rng)
-    return _row_panel(times[0], codes[0], 2 * k, t_end)
+    1/q_i and -1 at rate q_i; Z~_i is distributed as -Z_i.  One trial of the
+    clocks of :func:`_wall_clocks`, drawn by ``dynamics._ring_trial``."""
+    rates, codes = _wall_clocks(tuple(map(Fraction.as_integer_ratio,
+                                          rates_of(q, k, open_unit=True))))
+    rings, times = dynamics._ring_trial(rates, t_end, rng)
+    return _row_panel(times, [codes[ring] for ring in rings], 2 * k, t_end)
+
+
+@lru_cache(maxsize=None)
+def _wall_clocks(ratios: tuple) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The 4k ring clocks of k wall components at the rates a / b of ratios =
+    ((a, b), ...), clock by clock Z_i then Z~_i, the +1 clock then the -1
+    clock: their float rates, and their signed component codes +-(c+1) with
+    a 0 after them for the idle ring.  Keyed on the pairs, as _edge_rings is."""
+    rates, codes = [], []
+    for i, v in enumerate(Fraction(a, b) for a, b in ratios):
+        for c, up, down in ((2 * i + 1, 1 / v, v), (2 * i + 2, v, 1 / v)):
+            rates += [float(up), float(down)]
+            codes += [c, -c]
+    return tuple(rates), tuple(codes + [0])
 
 
 def _wall_block(qs, t_end: float, trials: int, rng):
     """Panels of a block of trials as padded arrays: jump times (trials,
     jumps), sorted and inf past each trial's count, and the signed component
     code +-(c+1) of every jump, 0 at the padding.  One draw of the 4k ring
-    clocks of ``dynamics._ring_draws``, clock by clock Z_i then Z~_i, the +1
-    clock then the -1 clock."""
-    rates, codes = [], []
-    for i, v in enumerate(qs):
-        for c, up, down in ((2 * i + 1, 1 / v, v), (2 * i + 2, v, 1 / v)):
-            rates += [up, down]
-            codes += [c, -c]
+    clocks of _wall_clocks by ``dynamics._ring_draws``."""
+    rates, codes = _wall_clocks(tuple(map(Fraction.as_integer_ratio, qs)))
     rings, times = dynamics._ring_draws(rates, t_end, trials, rng)
-    return times, np.array(codes + [0], dtype=np.int8)[rings]
+    return times, np.array(codes, dtype=np.int8)[rings]
 
 
 def _row_panel(times, codes, m: int, t_end: float) -> WallPanel:
-    """One row of a block draw, padding dropped, as a WallPanel of m components."""
+    """One row of a draw as lists of times and codes, padding (inf) dropped,
+    as a WallPanel of m components."""
     comps = [[] for _ in range(m)]
-    for tt, code in zip(times.tolist(), codes.tolist()):
+    for tt, code in zip(times, codes):
         if tt != np.inf:
             comps[abs(code) - 1].append((tt, 1 if code > 0 else -1))
     return WallPanel(tuple(map(tuple, comps)), t_end)
@@ -233,22 +270,26 @@ def _edge_matches_dynamics(kind: str, n: int, qs, comps, t_end: float, rng) -> b
         raise ValueError(f"{n} rows need {n} panel components, got {len(comps)}")
     table = dynamics.ring_table(n, kind)
     edge, rates = _edge_rings(table, tuple(map(Fraction.as_integer_ratio, qs)))
-    rings, times = dynamics._ring_draws(rates, t_end, 1, rng)
+    rings, times = dynamics._ring_trial(rates, t_end, rng)
     timed = [(t, table.ring_of[r, edge[r], d])
              for r, jumps in enumerate(comps, 1) for t, d in jumps]
-    timed += zip(times[0].tolist(), rings[0].tolist())
+    timed += zip(times, rings)
     _, moves = dynamics.trace_rings(table, [0] * table.offsets[-1], sorted(timed))
     wall = kind == SYMPLECTIC
     sign = 1 if wall else -1
     cuts, want = _reflect_row(_merged(comps, sign), n, wall)
     want.append(want[bisect_right(cuts, t_end) - 1])
     cuts.append(t_end)
-    got = [[0] * n for _ in cuts]
-    for t, r, j, d, _ in moves:  # an edge move counts at every cut from its time on
-        if j == edge[r]:
-            for i in range(bisect_left(cuts, t), len(cuts)):
-                got[i][r - 1] += sign * d
-    return got == want
+    got, k = [0] * n, 0
+    edge_moves = [(t, r - 1, sign * d) for t, r, j, d, _ in moves if j == edge[r]]
+    for cut, stage in zip(cuts, want):  # an edge move counts at every cut from its time on
+        while k < len(edge_moves) and edge_moves[k][0] <= cut:
+            _, c, step = edge_moves[k]
+            got[c] += step
+            k += 1
+        if got != stage:
+            return False
+    return True
 
 
 def left_edge_matches_dynamics(panel: PoissonPanel, n: int, q, rng) -> bool:
@@ -327,19 +368,23 @@ def right_edge_equals_lpp(panel: GeometricPanel, n: int, q, t_max: int, rng) -> 
     every step up to t_max, when the diagonal particles consume the panel
     draws.  A panel of another height, or shorter than t_max, is refused
     before anything is drawn."""
-    want = list(map(list, zip(*lpp_G(panel, n, t_max))))  # refuses a misshapen panel
-    ps = dynamics._jump_probs(rates_of(q, n, open_unit=True))
-    # every step's jumps in one draw, laid out as the flat pattern, each row's
-    # last one (the diagonal particle's) taken from the panel
-    offs = row_offsets(n)
+    want = lpp_G(panel, n, t_max)  # refuses a misshapen panel
+    _, flat, offs = _jump_layout(n, q)
     dynamics._check_draw_size(offs[-1] * t_max, f"t_max = {t_max}", "geometric jumps")
-    steps = rng.geometric(np.repeat(ps, range(1, n + 1)), size=(t_max, offs[-1])) - 1
-    steps[:, [hi - 1 for hi in offs[1:]]] = np.array([row[:t_max] for row in panel.eta]).T
+    # every step's jumps in one draw, laid out as the flat pattern, split into
+    # each row's jumps at every step; the last of them, the diagonal
+    # particle's, is read from the panel in its place
+    steps = rng.geometric(flat, size=(t_max, offs[-1])) - 1
+    by_row = [steps[:, lo:hi].tolist() for lo, hi in zip(offs, offs[1:])]
+    for jumps, eta in zip(by_row, panel.eta):
+        for draws, e in zip(jumps, eta):
+            draws[-1] = e
     rows = [[0] * j for j in range(1, n + 1)]
-    for t, draws in enumerate(steps.tolist()):
-        rows, _ = dynamics.geometric_step(rows, [draws[lo:hi] for lo, hi in zip(offs, offs[1:])])
-        if [row[-1] for row in rows] != want[t]:
-            return False
+    for t, xi in enumerate(zip(*by_row)):
+        rows = dynamics.geometric_rows(rows, xi)
+        for row, g in zip(rows, want):
+            if row[-1] != g[t]:
+                return False
     return True
 
 

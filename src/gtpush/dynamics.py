@@ -8,19 +8,22 @@ the exact two-row coupling generators of ``kernels.coupling_generator`` run
 run_rings itself, one ring over every pair of their box at a time.
 _ring_picks is the package's one sampler of ring clocks: they superpose, so a
 trial draws N ~ Poisson(t * total rate) rings, each picked in proportion to
-its rate; _ring_draws adds their sorted uniform times.  The picks' total and
-CDF are cached on the float rates, as a sweep of one-trial draws asks for the
-same ones each trial, and the geometric jump probabilities are read off each
-rate's numerator and denominator: such a draw hashes no Fraction.
-Ring sequences drive two loops: run_rings moves a block of trials in one flat
-int array, trace_rings one trial, reporting each move.  A blocked ring is discarded; a
-push cascade resolves downward at its ring's time.  Discrete time updates rows
-top to bottom, the old row above blocking and the new row above pushing:
-geometric_step for one trial, geometric_update for a block.  run_block and
-simulate run any model.
+its rate; _ring_draws adds their sorted uniform times, and _ring_trial draws
+one trial of them alike as lists, with no numpy call per ring.  The picks'
+total and CDF are cached on the float rates, as a sweep of one-trial draws
+asks for the same ones each trial, and the geometric jump probabilities are
+read off each rate's numerator and denominator: such a draw hashes no
+Fraction.  Ring sequences drive two loops: run_rings moves a block of trials
+in one flat int array, trace_rings one trial, reporting each move.  A blocked
+ring is discarded; a push cascade resolves downward at its ring's time.
+Discrete time updates rows top to bottom, the old row above blocking and the
+new row above pushing: geometric_rows states the rule once for one trial,
+geometric_step reads its moves off the difference of the rows, and
+geometric_update runs a block.  run_block and simulate run any model.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -130,14 +133,14 @@ def _jump_probs(qs: tuple) -> tuple[float, ...]:
 # ring sequences: a block of trials, or one trial with its moves
 
 @lru_cache(maxsize=None)
-def _pick_cdf(rates: tuple[float, ...]) -> tuple[float, np.ndarray]:
-    """Total rate and read-only CDF of the picks among ring clocks at the
-    float rates."""
+def _pick_cdf(rates: tuple[float, ...]) -> tuple[float, np.ndarray, list[float]]:
+    """Total rate and CDF of the picks among ring clocks at the float rates:
+    read-only, and as a list for one-trial draws."""
     cdf = np.array(rates).cumsum()
     total = float(cdf[-1])  # not sum(rates): the CDF then ends at exactly 1
     cdf /= total or 1.0
     cdf.flags.writeable = False
-    return total, cdf
+    return total, cdf, cdf.tolist()
 
 
 def _check_draw_size(events, horizon: str, what: str, cut: str = "the horizon") -> None:
@@ -149,18 +152,25 @@ def _check_draw_size(events, horizon: str, what: str, cut: str = "the horizon") 
                            f"{MAX_RING_EVENTS} of one draw: {cut} must come down")
 
 
+def _pick_setup(rates, t_end, trials: int) -> tuple[float, float, np.ndarray, list[float]]:
+    """t_end as a float, then _pick_cdf's total and CDFs, once the draw of
+    trials on [0, t_end] is known to be valid and not too large."""
+    if not t_end >= 0:
+        raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
+    t_end = float(t_end)
+    total, cdf, cdf_list = _pick_cdf(tuple(map(float, rates)))
+    _check_draw_size(trials * total * t_end, f"t_end = {t_end:g}",
+                     f"ring events (trials = {trials})", "the horizon or the trial count")
+    return t_end, total, cdf, cdf_list
+
+
 def _ring_picks(rates, t_end: float, trials: int, rng) -> np.ndarray:
     """The rings of a superposition of ring clocks at the given rates on [0,
     t_end], without their times: per trial N ~ Poisson(t_end * total rate)
     rings, each picked with probability rate / total, rows padded with the
     idle ring len(rates).  A draw expecting more than MAX_RING_EVENTS rings
     is refused before anything is drawn."""
-    if not t_end >= 0:
-        raise ValueError(f"ring clocks run on [0, t_end], got t_end = {t_end}")
-    t_end = float(t_end)
-    total, cdf = _pick_cdf(tuple(map(float, rates)))
-    _check_draw_size(trials * total * t_end, f"t_end = {t_end:g}",
-                     f"ring events (trials = {trials})", "the horizon or the trial count")
+    t_end, total, cdf, _ = _pick_setup(rates, t_end, trials)
     counts = rng.poisson(total * t_end, size=trials)
     width = int(counts.max(initial=0))
     rings = np.searchsorted(cdf, rng.random((trials, width)), side="right")
@@ -179,6 +189,16 @@ def _ring_draws(rates, t_end: float, trials: int, rng) -> tuple[np.ndarray, np.n
         times[rings == len(rates)] = np.inf
     times.sort(axis=1)
     return rings, times
+
+
+def _ring_trial(rates, t_end: float, rng) -> tuple[list[int], list[float]]:
+    """One trial of _ring_draws as lists, drawn alike with no per-ring numpy
+    call: a scalar count, its uniforms each looked up in the CDF list, then
+    its sorted times.  The same rings, times, generator state and refusals."""
+    t_end, total, _, cdf = _pick_setup(rates, t_end, 1)
+    count = rng.poisson(total * t_end)
+    rings = [bisect_right(cdf, u) for u in rng.random(count).tolist()]
+    return rings, sorted((rng.random(count) * t_end).tolist())
 
 
 def run_rings(table: RingTable, start: np.ndarray, rings: np.ndarray) -> np.ndarray:
@@ -231,30 +251,44 @@ def trace_rings(table: RingTable, flat, timed_rings) -> tuple[list[int], list[tu
 # ---------------------------------------------------------------------------
 # discrete-time geometric dynamics
 
-def geometric_step(rows, xi):
-    """One synchronous update given the jump draws xi[row][index].
-
-    Returns (new_rows, moves) where moves are (row, index, displacement,
-    cause) with 1-based indices.  The old row above blocks, the freshly
-    updated row above pushes before the jump.
-    """
-    new_rows: list[list[int]] = []
-    moves = []
+def geometric_rows(rows, xi) -> list[list[int]]:
+    """One synchronous update given the jump draws xi[row][index], whole
+    numbers, with no move log: the rule of the geometric dynamics.  Row by
+    row from the top, each particle is lifted to the new place of the
+    particle up-left of it (the new row above pushes), jumps by its draw and
+    stops at the old place of the particle above it (the old row above
+    blocks); a top row moves freely.  A plain loop, as rows are short and
+    comprehensions cost more here: this runs at every step of an LPP check."""
+    new_rows = []
     old = new = None  # the row above, before and after this step
-    for r0, row in enumerate(rows):
-        jumps, new_row = xi[r0], []
-        for j0, pos in enumerate(row):
-            inter, cause = pos, "self"
-            if r0 and j0 and new[j0 - 1] > pos:
-                inter, cause = new[j0 - 1], "push"
-            nxt = inter + int(jumps[j0])
-            if r0 and j0 < len(old) and old[j0] < nxt:
-                nxt = old[j0]
-            new_row.append(nxt)
-            if nxt != pos:
-                moves.append((r0 + 1, j0 + 1, nxt - pos, cause))
+    for row, jumps in zip(rows, xi):
+        new_row = []
+        for j, pos in enumerate(row):
+            if new is not None:
+                if j and new[j - 1] > pos:
+                    pos = new[j - 1]
+                pos += jumps[j]
+                if j < len(old) and old[j] < pos:
+                    pos = old[j]
+            else:
+                pos += jumps[j]
+            new_row.append(pos)
         new_rows.append(new_row)
         old, new = row, new_row
+    return new_rows
+
+
+def geometric_step(rows, xi):
+    """geometric_rows with its moves read off the difference of the rows.
+
+    Returns (new_rows, moves) where moves are (row, index, displacement,
+    cause) with 1-based indices, cause "push" where the new place of the
+    particle up-left has passed the old place, "self" elsewhere."""
+    new_rows = geometric_rows(rows, [[int(e) for e in jumps] for jumps in xi])
+    moves = [(r0 + 1, j0 + 1, nxt - pos,
+              "push" if r0 and j0 and new_rows[r0 - 1][j0 - 1] > pos else "self")
+             for r0, (row, new) in enumerate(zip(rows, new_rows))
+             for j0, (pos, nxt) in enumerate(zip(row, new)) if nxt != pos]
     return new_rows, moves
 
 
@@ -327,9 +361,8 @@ def simulate(model: str, n: int, q, init: Pattern, horizon, rng) -> tuple[Patter
             log.extend((t, *move) for move in moves)
         return Pattern(tuple(map(tuple, rows)), kind), log
     table = ring_table(n, kind)
-    rings, times = _ring_draws(_ring_rates(table, qs), horizon, 1, rng)
-    flat, log = trace_rings(table, [c for row in init.rows for c in row],
-                            zip(times[0].tolist(), rings[0].tolist()))
+    rings, times = _ring_trial(_ring_rates(table, qs), horizon, rng)
+    flat, log = trace_rings(table, [c for row in init.rows for c in row], zip(times, rings))
     offs = table.offsets
     return Pattern(tuple(tuple(flat[a:b]) for a, b in zip(offs, offs[1:])), kind), log
 

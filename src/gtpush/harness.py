@@ -65,14 +65,15 @@ class Pmf:
         return cls.from_row(kernel.states, kernel.row(source))
 
     @classmethod
-    def from_row(cls, states, row) -> "Pmf":
+    def from_row(cls, states, row, escaped: float | None = None) -> "Pmf":
         """A law over the states of a box, given as a dense row: its positive
-        entries kept; 1 - (their sum) is recorded as the escaped mass.  Mass
-        that escaped the box beyond the closure tolerance is an internal
-        limit, not bad input: RuntimeError names it and the bound."""
+        entries kept; the escaped mass is recorded as given, or as 1 - (their
+        sum) if it is not.  Mass that escaped the box beyond the closure
+        tolerance is an internal limit, not bad input: RuntimeError names it
+        and the bound."""
         keep = row > 0.0
         probs = row[keep]
-        lost = 1.0 - float(probs.sum())
+        lost = 1.0 - float(probs.sum()) if escaped is None else escaped
         if lost > 1e-12:
             bound = max(max(s) for s in states)
             raise RuntimeError(f"the reference law lost {100 * lost:.3g}% of its mass past the "

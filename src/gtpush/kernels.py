@@ -420,21 +420,24 @@ def _gessel_viennot(coords: np.ndarray, z, t: int) -> np.ndarray:
     return det
 
 
-def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray]:
+def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray, float]:
     """The law after t steps from z of the geometric dynamics' bottom row of n
     entries, in floats over ``chamber_states(n, bound)``: (the states, the
-    law's row).  In closed form, as the row at z of ``kernel_geometric``^t:
-    the bottom row is an h-transform by the Schur value s of independent
-    geometric walks killed when they meet, so P_t(z, y') = a^t s(y') / s(z)
-    times the exact determinant of ``_gessel_viennot``, a = A / B the product
-    of the 1 - q_i.  No step kernel is formed, and none is needed on the box:
-    the walks only move right, so a path to a state of the box never leaves
-    it, and the truncated kernel's power has the same row.  On the integers
+    law's row, the mass past the bound).  In closed form, as the row at z of
+    ``kernel_geometric``^t: the bottom row is an h-transform by the Schur
+    value s of independent geometric walks killed when they meet, so P_t(z,
+    y') = a^t s(y') / s(z) times the exact determinant of
+    ``_gessel_viennot``, a = A / B the product of the 1 - q_i.  No step
+    kernel is formed, and none is needed on the box: the walks only move
+    right, so a path to a state of the box never leaves it, and the truncated
+    kernel's power has the same row.  On the integers
     N = L^|x| s(x) of ``schur.exact_values``, each probability is one Python
     int division, A^t N(y') det / (B^t N(z) L^(|y'| - |z|)), so it is the
     exact law correctly rounded: it cannot overflow, and it is 0 only where
-    it rounds to 0.  The laws of the other three dynamics have the same form,
-    with other determinants."""
+    it rounds to 0.  The mass past the bound is 1 minus the exact sum of the
+    row's terms, over their common denominator, so it too is correctly
+    rounded.  The laws of the other three dynamics have the same form, with
+    other determinants."""
     states, coords, _, _ = _box_coords(n, bound)
     qs = rates_of(q, n, open_unit=True)
     z = tuple(z)
@@ -446,11 +449,20 @@ def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray]:
     a = math.prod(1 - v for v in qs)
     rise = coords[on, 1:-1].sum(axis=1) - sum(z)
     lead = a.denominator ** t * h[states.index(z)]  # B^t N(z), times L^d at rise d
-    below = np.array([lead * scale ** d for d in range(rise.max(initial=0) + 1)], dtype=object)
+    top = int(rise.max(initial=0))
+    below = np.array([lead * scale ** d for d in range(top + 1)], dtype=object)
+    terms = a.numerator ** t * np.array(h, dtype=object)[on] * det[on].astype(object)
     row = np.zeros(len(states))
-    row[on] = (a.numerator ** t * np.array(h, dtype=object)[on] * det[on].astype(object)
-               / below[rise])
-    return states, row
+    row[on] = terms / below[rise]
+    # every term over the common denominator B^t N(z) L^top: the terms'
+    # sums at each rise, gathered by Horner's rule in L
+    sums = [0] * (top + 1)
+    for term, d in zip(terms.tolist(), rise.tolist()):
+        sums[d] += term
+    kept = 0
+    for part in sums:
+        kept = kept * scale + part
+    return states, row, (below[top] - kept) / below[top]
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +584,13 @@ def coupling_kernel_geometric(n: int, q_ext, bound: int) -> StepKernel:
     at, yt = _lattice(floors, caps)  # the X step of each target, and its yt
     rise = yt.sum(axis=1) - floors[at].sum(axis=1)
     free = 1 + (yt[:, :n] < caps[at, :n]).sum(axis=1)
-    dst = np.searchsorted(_pair_codes(pairs, n, bound),
-                          _pair_codes(np.column_stack([xt[at], yt]), n, bound))
+    # the targets' codes as _pair_codes reads them, y first, by Horner's rule
+    # one column at a time, with no stacked copy of the targets
+    codes = np.zeros(len(at), dtype=np.int64)
+    for i in range(2 * n + 1):
+        codes *= bound + 3
+        codes += (yt[:, i] if i <= n else xt[at, i - n - 1]) + 1
+    dst = np.searchsorted(_pair_codes(pairs, n, bound), codes)
     # one constant per (X step constant, rise, free): q^rise (1-q)^free as
     # integers over b^(rise+free), for q = a/b
     width = int(rise.max(initial=0)) + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -22,7 +23,7 @@ from gtpush.couplings import (
     wall_sup_functional,
     wall_sup_samples,
 )
-from gtpush.harness import chi_square_gof, wall_sup_reference
+from gtpush.harness import chi_square_gof, trial_rng, wall_sup_reference
 from gtpush.patterns import row_offsets
 from gtpush.schur import sp_schur
 
@@ -206,7 +207,7 @@ def test_block_wall_sup_matches_per_trial_oracle():
                 cut = np.where(times <= t, times, np.inf)
                 got = couplings._reflect(cut, codes, 2 * k, wall=True)[1][-1, :, -1].tolist()
                 want = [wall_sup_dp(couplings._row_panel(row, code_row, 2 * k, t_end), t)
-                        for row, code_row in zip(times, codes)]
+                        for row, code_row in zip(times.tolist(), codes.tolist())]
                 assert got == want
             panels += len(times)
     assert panels == 8400
@@ -218,7 +219,7 @@ def test_reflect_stage_c_is_the_wall_functional_of_the_first_c_components():
     for _ in range(200):
         k = int(rng.integers(1, 4))
         times, codes = couplings._wall_block(Q3[:k], 1.5, 1, rng)
-        panel = couplings._row_panel(times[0], codes[0], 2 * k, 1.5)
+        panel = couplings._row_panel(times[0].tolist(), codes[0].tolist(), 2 * k, 1.5)
         _, edges = couplings._reflect(times, codes, 2 * k, wall=True)
         _, stages = couplings._reflect_row(couplings._merged(panel.jumps, 1), 2 * k, wall=True)
         for c in range(2 * k):
@@ -285,7 +286,8 @@ def test_wall_edge_hand_trace():
 
 def test_lpp_sweep_catches_a_step_lifted_by_the_old_row_above(monkeypatch):
     # a step that lifts each particle to the old entry of the row above, not
-    # the new one, parts the right edge from the last passage times
+    # the new one, parts the right edge from the last passage times; the
+    # check runs the rule with no move log, dynamics.geometric_rows
     assert lpp_failures(3, Q3, 10, 50, 200) == []
 
     def lifted_by_the_old_row(rows, xi):
@@ -297,9 +299,61 @@ def test_lpp_sweep_catches_a_step_lifted_by_the_old_row_above(monkeypatch):
                 new_row.append(min(nxt, old[j0]) if r0 and j0 < len(old) else nxt)
             new_rows.append(new_row)
             old = row
-        return new_rows, []
-    monkeypatch.setattr(dynamics, "geometric_step", lifted_by_the_old_row)
+        return new_rows
+    monkeypatch.setattr(dynamics, "geometric_rows", lifted_by_the_old_row)
     assert lpp_failures(3, Q3, 10, 50, 200)
+
+
+def _one_panel_record() -> str:
+    """Seeded panels of the three one-panel samplers, the verdicts of the
+    three checks on them, the generator state after each call, one-trial runs
+    of the three dynamics with their logs, and three small sweeps, as JSON."""
+    out = []
+    for trial in range(6):
+        for n, t_max in ((1, 4), (3, 10)):
+            rng, other = trial_rng(61, trial), trial_rng(62, trial)
+            panel = couplings.geometric_panel(n, Q3[:n], t_max, rng)
+            out.append((panel.eta, rng.bit_generator.state))
+            out.append((right_edge_equals_lpp(panel, n, Q3[:n], t_max, other),
+                        other.bit_generator.state))
+        for n, t in ((1, 0.5), (3, 2.0)):
+            rng, other = trial_rng(63, trial), trial_rng(64, trial)
+            panel = couplings.poisson_panel(n, Q3[:n], t, rng)
+            out.append((panel.times, rng.bit_generator.state))
+            out.append((couplings.left_edge_matches_dynamics(panel, n, Q3[:n], other),
+                        other.bit_generator.state))
+        for k, t in ((1, 1.0), (2, 1.5)):
+            rng, other = trial_rng(65, trial), trial_rng(66, trial)
+            panel = wall_panel(k, Q3[:k], t, rng)
+            out.append((panel.jumps, rng.bit_generator.state))
+            out.append((wall_edge_matches_dynamics(panel, k, Q3[:k], other),
+                        other.bit_generator.state))
+        for model, n, q, horizon in (("poisson", 3, Q3, 1.5), ("wall", 3, Q3[:2], 1.0),
+                                     ("geometric", 3, Q3, 4)):
+            rng = trial_rng(67, trial)
+            init = dynamics.zero_pattern(n, "symplectic" if model == "wall" else "standard")
+            final, log = dynamics.simulate(model, n, q, init, horizon, rng)
+            out.append((final.rows, log, rng.bit_generator.state))
+    out.append((left_edge_failures(3, Q3, 2.0, 40, 68), lpp_failures(3, Q3, 10, 40, 68),
+                wall_edge_failures(2, Q3[:2], 1.5, 40, 68)))
+    return json.dumps(out)
+
+
+def test_the_one_panel_path_keeps_its_streams():
+    # panels, verdicts, logs and generator states as first recorded: a faster
+    # draw or step must draw and decide the same, bit for bit
+    assert couplings.geometric_panel(2, Q3[:2], 5, trial_rng(61, 3)).eta == (
+        (1, 1, 1, 2, 3), (1, 1, 3, 0, 0))
+    rng = trial_rng(63, 2)
+    assert couplings.poisson_panel(2, Q3[:2], 1.5, rng).times == ((0.07149360884873857,), ())
+    assert rng.bit_generator.state["state"] == {
+        "state": 42970148557034804544872838756288262359,
+        "inc": 6606202733232035105582753537462975131}
+    assert wall_panel(1, Q3[:1], 0.5, trial_rng(65, 1)).jumps == ((), (
+        (0.17552723789778157, 1), (0.2194814134047996, -1), (0.36496248387085956, -1)))
+    record = _one_panel_record()
+    assert (len(record), hashlib.sha256(record.encode()).hexdigest()) == (
+        23958, "0da5fa5fc5a0e15d67eb50d3fdb658a775c51fbbcd53ae21c37935de1c6d6082")
 
 
 def test_lpp_checks_refuse_a_misshapen_panel():

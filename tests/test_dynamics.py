@@ -12,6 +12,8 @@ from gtpush.dynamics import (
     _ring_draws,
     _ring_picks,
     _ring_rates,
+    _ring_trial,
+    geometric_rows,
     geometric_step,
     geometric_update,
     ring_table,
@@ -347,7 +349,7 @@ def _geometric_steps(n, steps, restart, seed):
     """(rows, xi) of reachable geometric steps: one run of geometric_step from
     the zero pattern, restarted every `restart` steps, at rates 1/2, 1/3, ..."""
     rng = np.random.default_rng(seed)
-    ps = [1 - float(v) for v in (F(1, 2), F(1, 3), F(1, 5), F(1, 7))[:n]]
+    ps = [1 - float(v) for v in (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 9))[:n]]
     for step in range(steps):
         if step % restart == 0:
             rows = [[0] * j for j in range(1, n + 1)]
@@ -356,15 +358,18 @@ def _geometric_steps(n, steps, restart, seed):
         rows = geometric_step(rows, xi)[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_geometric_step_reads_the_ring_table_neighbours(n):
     # the step's floor (the new row above) and cap (the old row above) are the
     # slots of the standard ring table's push and blocker, which the oracle
-    # reads in place of row indices
+    # reads in place of row indices; the step's rows are the rule's,
+    # geometric_rows, and its move log, read off their difference, is the
+    # oracle's, cause and all
     table = ring_table(n, "standard")
     causes = set()
     for rows, xi in _geometric_steps(n, 600, 150, 320 + n):
         new_rows, moves = geometric_step(rows, xi)
+        assert new_rows == geometric_rows(rows, xi)
         assert geometric_step_by_table(table, rows, xi) == (new_rows, moves)
         flat, draws = ([[c for row in v for c in row]] for v in (rows, xi))
         assert (geometric_update(np.array(flat), np.array(draws), n)[0].tolist()
@@ -433,6 +438,26 @@ def test_ring_draws_refuse_a_horizon_past_the_event_cap():
         with pytest.raises(RuntimeError, match="t_end = 1e[+]15 asks for 8.33e[+]14 ring events"):
             draw([F(1, 2), F(1, 3)], 1e15, 1, rng)
         assert rng.bit_generator.state == state
+
+
+def test_a_one_trial_ring_draw_is_row_0_of_a_block_draw():
+    # the list form draws what a one-trial block draw does, on the same
+    # stream, and refuses what it refuses, before anything is drawn
+    rates = _ring_rates(ring_table(4, "symplectic"), (F(1, 2), F(1, 3)))
+    for seed in range(200):
+        for t_end in (0.0, 0.4, 3.0):
+            one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+            rings, times = _ring_trial(rates, t_end, one)
+            want = _ring_draws(rates, t_end, 1, block)
+            assert (rings, times) == (want[0][0].tolist(), want[1][0].tolist())
+            assert one.bit_generator.state == block.bit_generator.state
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="t_end = 1e[+]15 asks for 8.33e[+]14 ring events"):
+        _ring_trial([F(1, 2), F(1, 3)], 1e15, rng)
+    with pytest.raises(ValueError, match="got t_end = -1"):
+        _ring_trial([F(1, 2)], -1, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("trials, t_end", [(500, 1.0), (1, 3.0), (7, 0.0), (0, 1.0)])

@@ -572,14 +572,23 @@ def test_cli_simulate_reports_escaped_mass(capsys):
     ("geometric", 2, ("1/5", "1/7"), 1, 17),
 ])
 def test_reference_laws_record_the_mass_their_probabilities_miss(model, n, q, horizon, margin):
-    # the escaped mass is 1 minus the sum of the probabilities kept, exactly:
-    # a sum of the whole row, zeros included, groups its terms differently
-    # and differs in the last bits at about half of these laws
+    # the continuous laws' escaped mass is 1 minus the sum of the
+    # probabilities kept, exactly: a sum of the whole row, zeros included,
+    # groups its terms differently and differs in the last bits at about half
+    # of these laws.  The geometric law's is 1 minus the exact sum of its
+    # terms, correctly rounded: here, one step, 1 minus the exact kernel's
+    # row on the box
+    from gtpush import kernels
+
     for z in ((0, 0), (1, 2)):
         for bound in range(max(z) + margin, max(z) + 29):
             ref = harness.reference_endpoint_pmf(
                 ExperimentConfig(model, n, q, z, horizon, 1, 0, bound))
-            assert ref.escaped_mass == 1.0 - float(ref.probs.sum()), (z, bound)
+            if model == "geometric":
+                row = kernels.kernel_geometric(n, q, bound).row(z)
+                assert ref.escaped_mass == float(1 - sum(row.values())), (z, bound)
+            else:
+                assert ref.escaped_mass == 1.0 - float(ref.probs.sum()), (z, bound)
 
 
 @pytest.mark.parametrize("q,z,horizon,bound", [
@@ -689,7 +698,8 @@ def test_import_leaves_scipy_unloaded():
 def test_cli_geometric_reference_past_the_float_schur_range_is_served():
     # schur((x,), (1/7,)) = 7^-x is below the normal floats for x > 364, but
     # the geometric law is formed from exact integers: its tail goes
-    # subnormal, then 0, and the command is served
+    # subnormal, then 0, and the command is served.  Its escaped mass,
+    # (1/7)^401, is read off the same integers, not off a float sum's rounding
     proc = subprocess.run(
         [sys.executable, "-m", "gtpush.cli", "simulate", "--model", "geometric", "--n", "1",
          "--q", "1/7", "--horizon", "1", "--trials", "20", "--bound", "400", "--max-tv", "1"],
@@ -697,7 +707,7 @@ def test_cli_geometric_reference_past_the_float_schur_range_is_served():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["escaped_mass"] <= 1e-12
+    assert len(lines) == 1 and json.loads(lines[0])["escaped_mass"] <= 1e-300
 
 
 @pytest.mark.parametrize("model,n", [("poisson", 1), ("wall", 2)])

@@ -117,7 +117,7 @@ def test_float_geometric_power_matches_exact_power(n, bound):
             xt for xt in exact.states if all(x[i] <= xt[i] <= highs[i] for i in range(n))}
     for z in exact.states:
         for t in range(1, 5):
-            states, row = kernels.geometric_law(n, qs, z, t, bound)
+            states, row, _ = kernels.geometric_law(n, qs, z, t, bound)
             law = _exact_power(exact, z, t)
             expected = np.array([float(law.get(s, 0)) for s in states])
             assert states == exact.states
@@ -138,7 +138,7 @@ def test_float_geometric_kernel_matches_exact_schur_kernel(n, bound, rates):
         ref = np.eye(len(exact.states))[exact.states.index(z)]
         for t in range(1, 4):
             ref = rounded.apply(ref)
-            states, row = kernels.geometric_law(n, qs, z, t, bound)
+            states, row, _ = kernels.geometric_law(n, qs, z, t, bound)
             assert states == exact.states
             assert np.array_equal(row > 0, ref > 0)
             assert np.max(np.abs(row - ref)) <= 1e-15
@@ -158,7 +158,7 @@ def test_gessel_viennot_law_is_the_exact_kernel_power(n, z, t, bound):
     a = math.prod(1 - v for v in qs)
     law = [a ** t * schur(y, qs) / schur(z, qs) * d for y, d in zip(exact.states, dets)]
     assert law == [power.get(y, 0) for y in exact.states]
-    states, row = kernels.geometric_law(n, qs, z, t, bound)
+    states, row, _ = kernels.geometric_law(n, qs, z, t, bound)
     assert states == exact.states
     assert row.tolist() == [float(p) for p in law]
 
@@ -168,10 +168,28 @@ def test_one_walker_law_is_the_negative_binomial_correctly_rounded(q, t, bound):
     # at n = 1 the law is C(y + t - 1, t - 1) (1 - q)^t q^y; far past the
     # float range of (1 - q)^t (0.1^330) or of the Schur value (7^-400), each
     # probability is float() of it, down to the subnormal tail and its zeros
-    states, row = kernels.geometric_law(1, (q,), (0,), t, bound)
+    states, row, _ = kernels.geometric_law(1, (q,), (0,), t, bound)
     law = [math.comb(y + t - 1, t - 1) * (1 - q) ** t * q ** y for y in range(bound + 1)]
     assert states == [(y,) for y in range(bound + 1)]
     assert row.tolist() == [float(p) for p in law]
+
+
+@pytest.mark.parametrize("q,t,bound,tail", [
+    (F(9, 10), 330, 4339, "1.0126e-12"),  # the smallest bound under 1e-12 is 4340
+    (F(9, 10), 330, 4340, "9.7995e-13"),
+    (F(1, 7), 1, 400, "0.0000e+00"),  # (1/7)^401, below the subnormals
+    (F(1, 5), 3, 20, "3.4737e-13"),
+])
+def test_one_walker_escaped_mass_is_the_negative_binomial_tail(q, t, bound, tail):
+    # the mass past the bound is 1 minus the exact sum of C(y + t - 1, t - 1)
+    # (1 - q)^t q^y over y <= bound, correctly rounded: not the rounding of a
+    # float sum (1.1e-16 at q = 1/7)
+    a, b = q.numerator, q.denominator
+    kept = sum(math.comb(y + t - 1, t - 1) * (b - a) ** t * a ** y * b ** (bound - y)
+               for y in range(bound + 1))
+    escaped = kernels.geometric_law(1, (q,), (0,), t, bound)[2]
+    assert escaped == (b ** (t + bound) - kept) / b ** (t + bound)
+    assert f"{escaped:.4e}" == tail
 
 
 @pytest.mark.parametrize("rates", sorted(RATES))
