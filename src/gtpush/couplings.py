@@ -248,7 +248,7 @@ def _edge_rings(table: dynamics.RingTable, ratios: tuple) -> tuple[tuple[int, ..
     symplectic one), and the float rates of the table's rings at the rates a
     / b of ratios = ((a, b), ...) with the edge rings' set to 0, as a panel
     rings those.  Keyed on the table itself, so that a changed table gets its
-    own."""
+    own; a table takes its hash once (``RingTable._hash``)."""
     qs = tuple(Fraction(a, b) for a, b in ratios)
     offs = table.offsets
     edge = (0,) + tuple(offs[r] - offs[r - 1] if table.kind == SYMPLECTIC else 1

@@ -24,9 +24,9 @@ geometric_update runs a block.  run_block and simulate run any model.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -78,6 +78,15 @@ class RingTable:
     @property
     def idle(self) -> int:
         return len(self.keys)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the compared fields, taken once per table: a table is
+        the cache key of the rates of every one-panel edge check."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
 
 
 @lru_cache(maxsize=None)

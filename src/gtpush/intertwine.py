@@ -6,8 +6,11 @@ entry by entry in exact rational arithmetic, and the kernel (discrete-step)
 check the same sums for one step.  Truncation drops the same targets on both
 sides, so both hold at every in-box source; the generator checks skip
 sources with a coordinate at the bound only to save time (at n = 3, bound 8
-they would add about 70%).  Each check sweep here returns a
-``VerificationReport`` and is the one the command line and the tests run.
+they would add about 70%).  Which sources are interior, and which rows the
+conservativeness check sums, is one mask per operator, read off the states'
+coordinate arrays (``interior``), not a test per state.  Each check sweep
+here returns a ``VerificationReport`` and is the one the command line and
+the tests run.
 
 Every check sums exact integers over the operators' arrays
 (``kernels._Ratios``), each operator first taken onto Lambda's Schur
@@ -193,7 +196,7 @@ def _check_intertwining(op_y, lam: LambdaKernel, coupling, case: str,
     step kernels.  The report counts every compared key and records each
     failing one, in exact rationals, by source row and then by key."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
-    sources = np.array([not interior_only or op_y.is_interior(y) for y in op_y.states], bool)
+    sources = op_y.interior() if interior_only else np.ones(len(op_y.states), dtype=bool)
     terms = _intertwining_terms(op_y, lam, coupling, sources)
     report.states_checked = len(terms.keys)
     failing = [(*divmod(k, len(coupling.states)), sides) for k, sides in terms.failing.items()]
@@ -251,7 +254,7 @@ def verify_conservative(gen: SparseGenerator, case: str = "") -> VerificationRep
     failing row reports that sum over D N(x)."""
     report = VerificationReport(case or f"conservative {gen.label}")
     r = gen.ratios
-    inner = np.array([gen.is_interior(s) for s in gen.states], dtype=bool)
+    inner = gen.interior()
     at = np.flatnonzero(inner[r.src])
     d, (c,) = _clearing(r)
     terms = _Terms(r.src[at], [(c, r.ci[at]), (r.h, r.hs[r.dst[at]])], len(at),

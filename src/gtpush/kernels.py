@@ -17,15 +17,19 @@ values of the whole box (``schur.float_values``).  The geometric reference
 forms no kernel: ``geometric_law`` is the t-step law in closed form, a
 Gessel-Viennot determinant times a Schur ratio, both in exact integers, with
 one correctly rounded division per state.  The continuous-time coupling
-generators run the simulators' engine, ``dynamics.run_rings``, ring
-by ring over every pair of the box, an X ring at its marginal's step
-constant for its direction; the geometric pair kernel states its own floors
-and caps, the max / add / min of ``dynamics.geometric_update``, and a test
-holds it to ``dynamics.geometric_step``.
+generators are read off the simulators' engine, ``dynamics.run_rings``, by
+one reading, ``_ring_targets``: ring by ring over every pair of the box,
+each ring's targets looked up by code among the pairs it moved only, as a
+table of one row per pair that the builder reads row by row, so the entries
+come by source in ring order with no sort; an X ring runs at its marginal's
+step constant for its direction.  The geometric pair kernel states its own
+floors and caps, the max / add / min of ``dynamics.geometric_update``, and a
+test holds it to ``dynamics.geometric_step``.
 One table says which pattern rows a variant pairs: its two-row states are the
 lower rows on the box with their ``patterns.branching`` candidates above
 (``_pairs``, built once per case with each pair's place among X's and Y's
-states), and its kernel Lambda (``LambdaKernel``) is the pattern measure's
+states, and each pair made of the tuples of X's and Y's state lists at those
+places), and its kernel Lambda (``LambdaKernel``) is the pattern measure's
 exact law of the upper row given the lower (``schur.branching_law``),
 t^(|y| - |x|) N_X(x) / N_Y(y) in the same integers (``LambdaKernel.on_box``).
 """
@@ -82,33 +86,35 @@ def _pairs(kind: str, j: int, qs, bound: int) -> tuple[list, np.ndarray, np.ndar
     and ``patterns.branching`` list them; their coordinates, x's then y's;
     and each pair's place among X's and among Y's states, the last three as
     read-only int arrays.  x_i lies between the wall-padded (0, y)'s entries
-    i - 1 + drop and i + drop (``patterns.branching_rule``).  Built once per
-    case, for its coupling and its check; ``schur.clear_caches`` empties the
-    memo."""
-    ys = chamber_states(len(qs), bound)
-    padded = np.pad(np.array(ys, dtype=np.int64).reshape(len(ys), -1), ((0, 0), (1, 0)))
+    i - 1 + drop and i + drop (``patterns.branching_rule``).  A pair's x and
+    y are the tuples of X's and Y's state lists at its places, shared by
+    every pair that has them.  Built once per case, for its coupling and its
+    check; ``schur.clear_caches`` empties the memo."""
+    ys, padded, _, _ = _box_coords(len(qs), bound)  # each y between a 0 and the bound
     drop = branching_rule(kind, j)[0]
-    of_y, xs = _lattice(padded[:, drop:-1], padded[:, 1 + drop:])
-    pairs = list(zip(map(tuple, xs.tolist()), (ys[i] for i in of_y.tolist())))
-    arrays = np.column_stack([xs, padded[of_y, 1:]]), _chamber_index(xs, bound), of_y
+    of_y, xs = _lattice(padded[:, drop:-2], padded[:, 1 + drop:-1])
+    x_states, _, cube, _ = _box_coords(xs.shape[1], bound)
+    of_x = cube[np.ravel_multi_index(tuple(xs.T), (bound + 1,) * xs.shape[1])]
+    pairs = list(zip(map(x_states.__getitem__, of_x.tolist()), map(ys.__getitem__, of_y.tolist())))
+    arrays = np.column_stack([xs, padded[of_y, 1:-1]]), of_x, of_y
     for a in arrays:
         a.flags.writeable = False
     return (pairs, *arrays)
+
+
+def _places(n: int, width: int, bound: int) -> np.ndarray:
+    """The place value of each of the width entries of a pair (x, y), x of n
+    entries, in the codes of ``_pair_codes``: base bound + 3, y's entries
+    first."""
+    return np.array([(bound + 3) ** (width - 1 - (i - n) % width) for i in range(width)],
+                    dtype=np.int64)
 
 
 def _pair_codes(flat: np.ndarray, n: int, bound: int) -> np.ndarray:
     """One integer per row (x, y) of flat, x of n entries, y's entries first,
     so the codes of ``_pairs`` ascend in their order; an entry may lie one
     step off the box, in [-1, bound + 1], as one ring can move it."""
-    return np.ravel_multi_index(tuple(np.roll(flat, -n, axis=1).T + 1),
-                                (bound + 3,) * flat.shape[1])
-
-
-def _chamber_index(coords: np.ndarray, bound: int) -> np.ndarray:
-    """The place of each row of coords, a state of the box, in
-    ``chamber_states(coords.shape[1], bound)``."""
-    k = coords.shape[1]
-    return _box_coords(k, bound)[2][np.ravel_multi_index(tuple(coords.T), (bound + 1,) * k)]
+    return (flat + 1) @ _places(n, flat.shape[1], bound)
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -126,12 +132,6 @@ def _lattice(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cols = [c.repeat(counts) for c in cols] + [np.repeat(lo[of, i], counts) + _ramp(counts)]
         of = np.repeat(of, counts)
     return of, np.column_stack(cols).reshape(len(of), lo.shape[1])
-
-
-def _flat(state):
-    if state and isinstance(state[0], tuple):
-        return [c for part in state for c in part]
-    return list(state)
 
 
 def _fmt_state(state):
@@ -218,11 +218,17 @@ class _SparseOperator:
     def value(self, s, t) -> Fraction:
         return self.row(s).get(t, Fraction(0))
 
-    def is_interior(self, s) -> bool:
-        return all(c <= self.bound - 1 for c in _flat(s))
+    def interior(self) -> np.ndarray:
+        """Which states are interior, read off their coordinate arrays (of a
+        pair's x and of its y): every coordinate below the bound."""
+        inner = np.ones(len(self.states), dtype=bool)
+        flat = self.states and not isinstance(self.states[0][0], tuple)
+        for part in [self.states] if flat else zip(*self.states):
+            inner &= (np.array(part, dtype=np.int64).reshape(len(inner), -1) < self.bound).all(1)
+        return inner
 
     def interior_states(self):
-        return [s for s in self.states if self.is_interior(s)]
+        return [s for s, inner in zip(self.states, self.interior().tolist()) if inner]
 
     def float_kernel(self) -> "FloatKernel":
         """The operator in floats, entry for entry in row order."""
@@ -468,21 +474,49 @@ def geometric_law(n: int, q, z, t: int, bound: int) -> tuple[list, np.ndarray, f
 # ---------------------------------------------------------------------------
 # two-row coupling generators / kernels
 
+def _ring_targets(table, flat: np.ndarray, codes: np.ndarray, place: np.ndarray,
+                  rings) -> tuple[np.ndarray, np.ndarray]:
+    """Each ring of rings run by ``dynamics.run_rings`` over every state of
+    flat, a state being the lowest rows of the table's pattern, and the rows
+    above it NEVER, so they block nothing.  codes are the states' codes
+    (flat + 1) @ place, ascending.  Returns (targets, moved), both of one row
+    per state and one column per ring: moved where the ring moves the state,
+    and the target's place among the states, or -1 where the ring is blocked
+    or takes the state off them.  A blocked ring leaves a state's code as it
+    was, so only moved states are looked up."""
+    size, width = table.offsets[-1], flat.shape[1]
+    start = np.pad(flat, ((0, 0), (size - width, 0)), constant_values=NEVER)
+    targets = np.full((len(flat), len(rings)), -1, dtype=np.intp)
+    moved = np.empty((len(flat), len(rings)), dtype=bool)
+    for k, ring in enumerate(rings):
+        out = run_rings(table, start, np.full((len(flat), 1), ring))[:, size - width:]
+        code = out @ place + place.sum()  # (out + 1) @ place, with no copy of out
+        np.not_equal(code, codes, out=moved[:, k])
+        hit = np.flatnonzero(moved[:, k])
+        at = np.minimum(np.searchsorted(codes, code[hit]), len(codes) - 1)
+        found = codes[at] == code[hit]
+        targets[hit[found], k] = at[found]
+    return targets, moved
+
+
 def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     """Joint generator of an upper row X (row r of a pattern) and the row Y
     below it, for case poisson (r = n), wall-odd-even (r = 2n-1) or
     wall-even-odd (r = 2n).
 
-    Every move is read off ``dynamics.run_rings``: each pair (x, y) of the box
-    is a flat pattern whose rows above X hold NEVER, so they block nothing,
-    and each ring of X and Y runs as one single-column block over all the
-    pairs.  A ring that leaves a pair as it was is blocked there, and a
-    target off the pair list is dropped.  An X ring takes the step constant
-    of X's marginal generator (``_conditioned_walk``) for its direction, 1/L
-    right and L left, so it moves at the marginal's rate; a Y ring moves at
-    its ``_ring_rates`` rate.  The diagonal is X's diagonal constant minus
-    Y's unblocked out-rate, counted before truncation, formed once per X
-    diagonal and set of unblocked Y rings.
+    Every move is read off ``dynamics.run_rings`` by ``_ring_targets``: each
+    pair (x, y) of the box is a flat pattern whose rows above X hold NEVER,
+    so they block nothing, and each ring of X and Y runs as one
+    single-column block over all the pairs.  A ring that leaves a pair as it
+    was is blocked there, and a target off the pair list is dropped.  An X
+    ring takes the step constant of X's marginal generator
+    (``_conditioned_walk``) for its direction, 1/L right and L left, so it
+    moves at the marginal's rate; a Y ring moves at its ``_ring_rates`` rate.
+    The diagonal is X's diagonal constant minus Y's unblocked out-rate,
+    counted before truncation, one constant per X diagonal and set of
+    unblocked Y rings, from the sums of the Y rates over one denominator.
+    The entries form a table of one row per pair, each ring's target in its
+    column and the diagonal last, read row by row: by source, in ring order.
     """
     if case == GEOMETRIC or case not in _Y_ROW:
         raise ValueError(f"unknown continuous-time coupling {case!r}")
@@ -494,43 +528,36 @@ def coupling_generator(case: str, n: int, q, bound: int) -> SparseGenerator:
     marginal = row_generator(kind, r, qs, bound).ratios
     states, pairs, xs, _ = _pairs(kind, j, qs, bound)
     table = ring_table(j, kind)
+    rings = range(table.keys.index((r, 1, 1)), table.idle)  # X's rings, then Y's, the table's last
+    place = _places(n, pairs.shape[1], bound)
+    targets, moved = _ring_targets(table, pairs, _pair_codes(pairs, n, bound), place, rings)
     rates = _ring_rates(table, qs)
-    start = np.pad(pairs, ((0, 0), (table.offsets[r - 1], 0)), constant_values=NEVER)
-    codes = _pair_codes(pairs, n, bound)
-    const = list(marginal.const)
-    src, dst, ci = [], [], []
-    free = []  # per Y ring, the pairs in which it is unblocked
-    for ring in range(table.keys.index((r, 1, 1)), table.idle):  # the rings of X, then Y
-        row, _, d = table.keys[ring]
-        out = run_rings(table, start, np.full((len(states), 1), ring))[:, -pairs.shape[1]:]
-        out = _pair_codes(out, n, bound)
-        moved = out != codes  # a blocked ring leaves its pair as it was
-        at = np.minimum(np.searchsorted(codes, out), len(codes) - 1)
-        hit = np.flatnonzero(moved & (codes[at] == out))
-        if row > r:
-            free.append(moved)
-            which = len(const)
-            const.append(rates[ring])
-        else:  # X's marginal step constant: 1/L right, L left
-            which = (1 - d) // 2
-        src.append(hit)
-        dst.append(at[hit])
-        ci.append(np.full(len(hit), which, dtype=np.intp))
+    y_rates = [rates[ring] for ring in rings if table.keys[ring][0] == j]
+    free = len(y_rates)
+    # X's marginal step constant, 1/L right and L left, then each Y ring's rate
+    const = [*marginal.const, *y_rates]
+    ci = [(1 - table.keys[ring][2]) // 2 for ring in rings[:-free]]
+    ci += range(len(marginal.const), len(const))
     # the diagonal: X's diagonal minus the out-rate of the unblocked Y rings,
-    # one constant per X diagonal and set of unblocked Y rings (bit i: ring i)
+    # one constant per X diagonal and set of unblocked Y rings (bit i: ring
+    # i); sums[set] is the set's rate sum over the Y rates' one denominator,
+    # the sum of the set without its last ring plus that ring's
+    den = math.lcm(*(v.denominator for v in y_rates))
+    sums = [0]
+    for v in y_rates:
+        sums += [s + v.numerator * (den // v.denominator) for s in sums]
     x_diag = np.where(pairs[:, 0] == 0, 3, 2)  # X's diagonal constant, at the wall or off it
-    masks = sum(m.astype(np.intp) << i for i, m in enumerate(free))
-    kinds, which = np.unique(x_diag << len(free) | masks, return_inverse=True)
-    y_rates = rates[-len(free):]  # the Y rings are the table's last
-    for kind_code in kinds.tolist():
-        const.append(marginal.const[kind_code >> len(free)] - sum(
-            rate for i, rate in enumerate(y_rates) if kind_code >> i & 1))
-    src.append(np.arange(len(states)))
-    dst.append(np.arange(len(states)))
-    ci.append(len(const) - len(kinds) + which.reshape(-1))
-    src, dst, ci = (np.concatenate(a) for a in (src, dst, ci))
-    order = np.argsort(src, kind="stable")
-    ratios = _Ratios(src[order], dst[order], ci[order], const, marginal.h, xs)
+    kinds, which = np.unique(x_diag << free | moved[:, -free:] @ (1 << np.arange(free)),
+                             return_inverse=True)
+    for code in kinds.tolist():
+        c = marginal.const[code >> free]
+        const.append(Fraction(c.numerator * den - sums[code & (1 << free) - 1] * c.denominator,
+                              c.denominator * den))
+    dst = np.column_stack([targets, np.arange(len(states))])
+    cis = np.column_stack([np.broadcast_to(ci, targets.shape),
+                           len(const) - len(kinds) + which.reshape(-1)])
+    kept = np.flatnonzero(dst >= 0)  # the table's kept cells, row by row
+    ratios = _Ratios(kept // dst.shape[1], dst.take(kept), cis.take(kept), const, marginal.h, xs)
     return SparseGenerator._of(states, ratios, bound, f"coupling-{case} n={n}")
 
 

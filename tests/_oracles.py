@@ -332,6 +332,14 @@ def fraction_row_sums(op_y, lam, coupling, y) -> tuple[dict, dict]:
     return lhs, rhs
 
 
+def is_interior(op, state) -> bool:
+    """Every coordinate of a state of op, a flat tuple or a pair (x, y) of
+    them, below op's bound: ``interior`` of the operator, one state at a
+    time."""
+    parts = state if state and isinstance(state[0], tuple) else (state,)
+    return all(c < op.bound for part in parts for c in part)
+
+
 def verify_intertwining_fractions(op_y, lam, coupling, case: str,
                                   interior_only: bool) -> VerificationReport:
     """The comparisons of ``intertwine._check_intertwining`` summed term by
@@ -339,7 +347,7 @@ def verify_intertwining_fractions(op_y, lam, coupling, case: str,
     time."""
     report = VerificationReport(case or f"{op_y.label} ~ {coupling.label}")
     for y in op_y.states:
-        if interior_only and not op_y.is_interior(y):
+        if interior_only and not is_interior(op_y, y):
             continue
         lhs, rhs = fraction_row_sums(op_y, lam, coupling, y)
         for key in sorted(set(lhs) | set(rhs)):

@@ -23,8 +23,8 @@ from gtpush.intertwine import (
 )
 from gtpush.patterns import STANDARD, SYMPLECTIC
 
-from _oracles import (dense_semigroup, fraction_row_sums, semigroup_gap_by_support,
-                      verify_intertwining_fractions)
+from _oracles import (dense_semigroup, fraction_row_sums, is_interior,
+                      semigroup_gap_by_support, verify_intertwining_fractions)
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -113,7 +113,7 @@ def _exact_terms(case, n, bound):
     source row in the mask."""
     q_y, gen, lam, checker = build_intertwining_case(case, n, Q4, bound)
     interior_only = checker is verify_generator_intertwining
-    sources = np.array([not interior_only or q_y.is_interior(y) for y in q_y.states])
+    sources = np.array([not interior_only or is_interior(q_y, y) for y in q_y.states])
     terms = intertwine._intertwining_terms(q_y, lam, gen, sources)
     return q_y, gen, lam, checker, sources, terms
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -30,7 +31,8 @@ from gtpush.patterns import (
 )
 from gtpush.schur import float_values, schur, sp_schur
 
-from _oracles import geometric_pair_prob_1d, geometric_row_total_2d, pattern_sum
+from _oracles import (geometric_pair_prob_1d, geometric_row_total_2d, is_interior,
+                      pattern_sum)
 
 Q2 = (F(1, 2), F(1, 3))
 Q3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -380,6 +382,45 @@ def test_coupling_x_moves_are_the_marginals(case):
                                            if xt != x), (case, x, y)
 
 
+# sha256 of the repr of a builder's states, src, dst, ci, const, h and hs as
+# lists, recorded from the builders as they stood before the engine reading
+# was vectorised (one ring over every pair, codes by np.ravel_multi_index, a
+# stable argsort of the entries, each diagonal constant a Fraction sum).  A
+# digest of values, not of pickles: a pair list of shared tuples pickles
+# differently with every value equal.
+BUILDER_DIGESTS = {
+    ("poisson", 1, 5): "62ee642a07b9fa3d8298e7e1a456344c6a42fc1ca1cd91149e32e3b98e62909e",
+    ("poisson", 2, 5): "f7ab526bb2b0fe05a96bd28963d93b5de97e9f34f27e4fbb50555de54998575f",
+    ("poisson", 3, 8): "f0c94d0614da43cb31b15591b346828593713cbb6090e328c5266abf3ff515c5",
+    ("poisson", 4, 6): "9a35fc65e475cad709a7bd648c7bb1c4a1f85e6c29adc112d8fed5b9abf862d2",
+    ("wall-odd-even", 1, 5): "a962c3220cea80f3a5e392ebf5f0b512ebd853d5084d4a9cbbc5d6734cb16851",
+    ("wall-odd-even", 2, 5): "5042b20474a23283a6739977424790a93707596498feb19e12cff69aaab7e987",
+    ("wall-odd-even", 3, 8): "969eef98809d1256865b79921022e0b6c73b6a719e6302e7014edb692931a670",
+    ("wall-even-odd", 1, 5): "4f66277f6c6e4d266770a1fc65f56b9f2739a75a7f5f2cd5d213693ffc4393fc",
+    ("wall-even-odd", 2, 5): "6884fae8ddd77d633f824b69c367cd213134f8e6f84cb85e8b2f927129ee61f9",
+    ("wall-even-odd", 3, 8): "349f4e931ac40ed0816da955195670ca8f8c956a7b1c7bcd14ea041d2cf92b91",
+    ("geometric", 1, 6): "4124d6d5e944d60738e734cea75c667bf8e68fa8f7f6021ffff304c8862d234b",
+    ("geometric", 2, 5): "9c73c8b74f8ccb4be3cd4e1a4aaf6103e8396ec59bd888d4f1c95ad95cca12d4",
+    ("geometric", 3, 4): "344b1ae1a651dc8c74e6f7814a7d95dd060f3027f0cf808a3e0b4d70b0e4e5a1",
+}
+
+
+def _arrays_digest(op) -> str:
+    r = op.ratios
+    arrays = [list(op.states), r.src.tolist(), r.dst.tolist(), r.ci.tolist(), list(r.const),
+              list(r.h), r.hs.tolist()]
+    return hashlib.sha256(repr(arrays).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case,n,bound", list(BUILDER_DIGESTS))
+def test_the_builders_arrays_are_pinned(case, n, bound):
+    # every entry, in the same order, with the same constants and integers
+    qs = (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11))[:n if case == "wall-odd-even" else n + 1]
+    op = (coupling_kernel_geometric(n, qs, bound) if case == "geometric"
+          else coupling_generator(case, n, qs, bound))
+    assert _arrays_digest(op) == BUILDER_DIGESTS[case, n, bound]
+
+
 def test_kernel_geometric_untruncated_rows_sum_to_one():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -565,6 +606,17 @@ def test_wall_even_odd_entries():
     assert gen.rate(((0,), (0, 0)), ((0,), (0, 0))) == -(F(1, 2) + 2 + F(1, 3))
 
 
+def test_interior_is_read_off_the_coordinates():
+    # one mask from the coordinate arrays, of flat states and of pairs, is the
+    # test of every coordinate against the bound, state by state
+    for op in (q_symplectic(4, Q2, 5), coupling_generator("wall-even-odd", 2, Q3, 5),
+               coupling_kernel_geometric(2, Q3, 4), kernels.SparseGenerator([], {}, 3)):
+        assert op.interior().tolist() == [is_interior(op, s) for s in op.states], op.label
+        assert op.interior_states() == [s for s in op.states if is_interior(op, s)]
+    # y_1 <= x <= y_2 <= 2 at bound 3: the C(5, 3) nondecreasing triples of 0, 1, 2
+    assert coupling_generator("poisson", 1, Q2, 3).interior().sum() == 10
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("case", ("poisson", "wall-odd-even", "wall-even-odd"))
 def test_coupling_generators_conserve_interior(case, n):
@@ -575,7 +627,7 @@ def test_coupling_generators_conserve_interior(case, n):
     for s in gen.states:
         row = gen.row(s)
         assert all(v >= 0 if t != s else v <= 0 for t, v in row.items()), (s, row)
-        if gen.is_interior(s):
+        if is_interior(gen, s):
             assert sum(row.values()) == 0, s
 
 
